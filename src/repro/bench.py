@@ -15,20 +15,13 @@ microbenchmarks over the three hot layers —
   reporting the dispatch-overhead amortisation ``overhead_x``
   (per-run overhead over batched overhead, simulation time
   subtracted out);
-* **seedbank** — the seed-bank batch interior: one SoA
-  ``power_block_bank`` dispatch over hundreds of stacked per-seed rows
-  vs the same rows through per-run ``power_block`` calls (warm noise
-  grids, short windows — the shape :class:`~repro.experiments.seedbank.
-  SeedBank` actually dispatches), reporting the guarded
-  ``seedbank.speedup`` after asserting the bank is bit-identical
-  row-for-row;
 * **simulator** — a pure event-heap storm (schedule + fire), reporting
   events/sec;
 * **telemetry** — one instrumented testbed sampled over a long event-free
   window per mode, reporting samples/sec;
 * **compute** — the same sampling window per ``compute=`` kernel mode
-  (all-scalar ``python`` reference vs the vectorized ``numpy`` default,
-  plus ``numba`` where installed), reporting samples/sec and the guarded
+  (all-scalar ``python`` reference vs the vectorized ``numpy`` default),
+  reporting samples/sec and the guarded
   ``compute.speedup``;
 * **sched** — the identical ``--batch-size auto`` campaign on a
   deterministic two-lane fleet with an induced straggler, even-split
@@ -71,7 +64,6 @@ __all__ = [
     "bench_compute",
     "bench_consolidation",
     "bench_scheduler",
-    "bench_seedbank",
     "bench_simulator",
     "bench_telemetry",
     "check_regression",
@@ -209,12 +201,9 @@ def bench_consolidation(runs: int = 2, repeats: int = 3, seed: int = _CAMPAIGN_S
 #: simulation work is identical across arms (and subtracted out by the
 #: serial baseline), so a short protocol just raises the dispatch
 #: overhead's share of the wall and stabilises the subtraction.
-#: ``seed_bank=0`` keeps it identical — the banked interior changes what
-#: the batched arm computes per window (scored by :func:`bench_seedbank`
-#: instead), which would pollute the pure dispatch-overhead subtraction.
 _BATCH_SETTINGS = dict(
     min_warmup_s=2.0, max_warmup_s=6.0, min_post_s=2.0, max_post_s=6.0,
-    check_interval_s=1.0, seed_bank=0,
+    check_interval_s=1.0,
 )
 
 
@@ -336,91 +325,6 @@ def bench_batch(runs: int = 12, repeats: int = 3, seed: int = _CAMPAIGN_SEED) ->
     }
 
 
-def bench_seedbank(bank: int = 256, ticks: int = 16, repeats: int = 3) -> dict:
-    """Seed-bank SoA dispatch vs the per-run kernel loop.
-
-    The seed-bank executor's inner move is stacking the replicate runs'
-    sampler windows into one ``[seed, tick]`` matrix and evaluating the
-    fused power kernel once, instead of once per run.  The simulation
-    work is identical by construction — both paths draw the same hash
-    noise and run the same scalar-stage arithmetic, and the banked rows
-    are asserted bit-equal to the per-run blocks before timing — so the
-    honest number is how far one banked dispatch amortises the per-call
-    fixed cost (refresh, tick flooring, grid gathers, the elementwise
-    composition) across the bank.  The window shape matches what
-    :class:`~repro.experiments.seedbank.SeedBank` really dispatches:
-    hundreds of seeds, a short event-free window per dispatch, noise
-    grids already warm from the batched fill sweep.
-
-    Parameters
-    ----------
-    bank:
-        Seeds per dispatch (rows of the stacked matrix).
-    ticks:
-        Samples per window (columns; short on purpose — long windows
-        amortise the per-call cost by themselves and hide the banking
-        effect the campaign path actually relies on).
-    repeats:
-        Interleaved repetitions per arm; the best time counts.
-
-    Returns
-    -------
-    dict
-        Per-arm wall time and windows/sec, plus the guarded ``speedup``
-        (per-run wall over banked wall), ``bank`` and ``ticks``.
-    """
-    import numpy as np
-
-    from repro.cluster.host import PhysicalHost
-    from repro.cluster.machines import machine_pair
-    from repro.simulator.kernels import power_block_bank
-    from repro.simulator.rng import derive_seed
-
-    spec = machine_pair("m")[0]
-    kernels = [
-        PhysicalHost(
-            spec, noise_seed=derive_seed(seed, "host:src")
-        ).attach_kernel(mode="numpy")
-        for seed in range(bank)
-    ]
-    times = (np.arange(ticks, dtype=np.float64) + 1.0) * 0.5
-    times_list = times.tolist()
-    times_bank = np.tile(times, (bank, 1))
-
-    # Warm pass: fills every row's noise grids (banked arm via the one
-    # batched sweep, which the per-run arm then reads back) and proves
-    # the bank bit-identical row-for-row before anything is timed.
-    banked = power_block_bank(kernels, times_bank)
-    per_run = np.stack(
-        [kernel.power_block(times, times_list) for kernel in kernels]
-    )
-    if not np.array_equal(banked, per_run):
-        raise ReproError("seedbank bench: banked rows diverge from per-run")
-
-    times_s = {"per_run": float("inf"), "banked": float("inf")}
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        for kernel in kernels:
-            kernel.power_block(times, times_list)
-        times_s["per_run"] = min(times_s["per_run"], time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        power_block_bank(kernels, times_bank)
-        times_s["banked"] = min(times_s["banked"], time.perf_counter() - t0)
-    return {
-        "per_run": {
-            "wall_s": times_s["per_run"],
-            "windows_per_s": bank / times_s["per_run"],
-        },
-        "banked": {
-            "wall_s": times_s["banked"],
-            "windows_per_s": bank / times_s["banked"],
-        },
-        "speedup": times_s["per_run"] / times_s["banked"],
-        "bank": bank,
-        "ticks": ticks,
-    }
-
-
 def bench_simulator(n_events: int = 50_000, repeats: int = 3) -> dict:
     """Pure event-kernel throughput: schedule ``n_events``, drain the heap."""
     def storm() -> None:
@@ -483,18 +387,16 @@ def bench_compute(sim_seconds: float = 1000.0, repeats: int = 3) -> dict:
     One long event-free sampling window (all instruments on the batched
     path, a single ``run_for`` stride so the interval kernels see full
     batches instead of 10 s slivers), once per compute kernel: the
-    all-scalar ``"python"`` reference, the vectorized ``"numpy"`` default,
-    and ``"numba"`` where importable.  Testbed construction happens
-    outside the timed span — this measures sampling arithmetic, not
-    cluster setup.  All modes are bit-identical (the cross-mode golden
-    tests assert it), so the honest number is the dimensionless
-    ``speedup`` — python wall time over numpy wall time.  A
-    ``numba_speedup`` rides along when that mode ran.
+    all-scalar ``"python"`` reference and the vectorized ``"numpy"``
+    default.  Testbed construction happens outside the timed span — this
+    measures sampling arithmetic, not cluster setup.  Both modes are
+    bit-identical (the cross-mode golden tests assert it), so the honest
+    number is the dimensionless ``speedup`` — python wall time over numpy
+    wall time.
     """
     from repro.experiments.testbed import Testbed
-    from repro.simulator.kernels import HAVE_NUMBA
 
-    modes = ["python", "numpy"] + (["numba"] if HAVE_NUMBA else [])
+    modes = ["python", "numpy"]
     out: dict[str, object] = {"modes": modes}
     walls = {mode: float("inf") for mode in modes}
     samples = {mode: 0 for mode in modes}
@@ -519,10 +421,6 @@ def bench_compute(sim_seconds: float = 1000.0, repeats: int = 3) -> dict:
             "samples_per_s": samples[mode] / walls[mode],
         }
     out["speedup"] = out["python"]["wall_s"] / out["numpy"]["wall_s"]  # type: ignore[index]
-    if HAVE_NUMBA:
-        out["numba_speedup"] = (
-            out["python"]["wall_s"] / out["numba"]["wall_s"]  # type: ignore[index]
-        )
     return out
 
 
@@ -794,9 +692,6 @@ def run_benchmarks(quick: bool = False, repeats: Optional[int] = None) -> dict:
             "campaign": bench_campaign(runs=2 if quick else 3, repeats=reps),
             "consolidation": bench_consolidation(runs=2 if quick else 3, repeats=reps),
             "batch": bench_batch(runs=12 if quick else 16, repeats=reps),
-            "seedbank": bench_seedbank(
-                bank=128 if quick else 256, repeats=reps
-            ),
             "simulator": bench_simulator(
                 n_events=10_000 if quick else 50_000, repeats=reps
             ),
@@ -896,7 +791,7 @@ def render_bench_history(payloads: list[dict]) -> str:
     header = (
         f"{'revision':12s} {'quick':5s} {'runs/s':>8s} {'events/s':>12s} "
         f"{'campaign x':>10s} {'consol x':>9s} {'telemetry x':>11s} "
-        f"{'batch x':>8s} {'compute x':>9s} {'seedbank x':>10s} "
+        f"{'batch x':>8s} {'compute x':>9s} "
         f"{'sched x':>8s} {'agg mem x':>9s}"
     )
     lines = [header, "-" * len(header)]
@@ -913,7 +808,6 @@ def render_bench_history(payloads: list[dict]) -> str:
             f"{_metric(payload, 'telemetry.speedup'):>11s} "
             f"{_metric(payload, 'batch.overhead_x'):>8s} "
             f"{_metric(payload, 'compute.speedup'):>9s} "
-            f"{_metric(payload, 'seedbank.speedup'):>10s} "
             f"{_metric(payload, 'sched.tail_x'):>8s} "
             f"{_metric(payload, 'agg.mem_x'):>9s}"
         )

@@ -89,20 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--compute",
-        choices=("python", "numpy", "numba"),
+        choices=("python", "numpy"),
         default="numpy",
         help="simulation compute kernel: 'python' is the all-scalar "
-        "reference, 'numpy' the vectorized default, 'numba' adds "
-        "JIT-compiled loops (falls back to numpy when numba is not "
-        "installed); results are bit-identical in every mode",
-    )
-    parser.add_argument(
-        "--seed-bank",
-        type=int,
-        default=16,
-        help="seeds per banked run_batch dispatch: replicate runs advance "
-        "in lockstep through one SoA kernel pass per event-free window "
-        "(0 or 1 disables banking; results are bit-identical either way)",
+        "reference, 'numpy' the vectorized default; results are "
+        "bit-identical in both modes",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -469,7 +460,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
     runner = ScenarioRunner(
         seed=args.seed,
-        settings=RunnerSettings(compute=args.compute, seed_bank=args.seed_bank),
+        settings=RunnerSettings(compute=args.compute),
     )
     if args.table_id in ("3", "4"):
         result = runner.run_campaign(
@@ -577,7 +568,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             wave_fraction=args.speculate_wave_fraction,
             slowdown=args.speculate_slowdown,
         )
-    settings = RunnerSettings(compute=args.compute, seed_bank=args.seed_bank)
+    settings = RunnerSettings(compute=args.compute)
     if args.spool_dir is not None:
         executor = CampaignExecutor(
             ScenarioRunner(seed=args.seed, settings=settings),
@@ -876,13 +867,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"serial {batch['serial']['wall_s']:.2f}s | "
         f"dispatch-overhead amortisation {batch['overhead_x']:.2f}x"
     )
-    seedbank = results["seedbank"]
-    print(
-        f"  seedbank [bank {seedbank['bank']} x {seedbank['ticks']} ticks]: "
-        f"banked {seedbank['banked']['windows_per_s']:,.0f} windows/s | "
-        f"per-run {seedbank['per_run']['windows_per_s']:,.0f} | "
-        f"speedup {seedbank['speedup']:.2f}x"
-    )
     print(
         f"  simulator: {results['simulator']['events_per_s']:,.0f} events/s"
     )
@@ -898,12 +882,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"{compute['numpy']['samples_per_s']:,.0f} samples/s | "
         f"python {compute['python']['samples_per_s']:,.0f} | "
         f"speedup {compute['speedup']:.2f}x"
-        + (
-            f" | numba {compute['numba']['samples_per_s']:,.0f} "
-            f"({compute['numba_speedup']:.2f}x)"
-            if "numba" in compute
-            else ""
-        )
     )
     if "sched" in results:
         sched = results["sched"]

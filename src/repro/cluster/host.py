@@ -21,7 +21,7 @@ from repro.cluster.cpu import CpuAccountant
 from repro.cluster.machines import MachineSpec
 from repro.cluster.power import HostPowerModel
 from repro.errors import CapacityError
-from repro.simulator.kernels import HostKernel, KernelArena
+from repro.simulator.kernels import HostKernel
 from repro.simulator.noise import (
     hash_normal_unit,
     ou_like_noise,
@@ -93,34 +93,27 @@ class PhysicalHost:
         sigma = spec.power.thermal_sigma
         raw = ou_like_noise(self._noise_seed, f"thermal:{spec.name}", 0.0, 1e9, sigma=sigma, blend=0.0) if sigma else 0.0
         self._thermal_factor = 1.0 + min(max(raw, -2.5 * sigma), 2.5 * sigma)
-        # Compute-mode SoA kernel (repro.simulator.kernels); attached by
-        # the testbed (shared arena) or lazily by the first vectorized
-        # instrument read.  None under compute="python".
+        # Compute-mode kernel (repro.simulator.kernels); attached lazily by
+        # the first vectorized instrument read.  None under compute="python".
         self._kernel: HostKernel | None = None
 
     # ------------------------------------------------------------------
-    # Compute-mode kernel (SoA fast path)
+    # Compute-mode kernel (vectorized fast path)
     # ------------------------------------------------------------------
-    def attach_kernel(
-        self, arena: KernelArena | None = None, mode: str = "numpy"
-    ) -> HostKernel:
+    def attach_kernel(self) -> HostKernel:
         """Attach (idempotently) the vectorized compute kernel.
 
-        The kernel mirrors this host's static power envelope and live
-        interval state into a structured-array row (shared ``arena`` rows
-        when the testbed builds the pair) and serves the batched
-        power/utilisation reads of ``compute="numpy"|"numba"`` — bit-
-        identical to the scalar pipelines, which stay authoritative for
-        short blocks and ``compute="python"``.
+        The kernel hoists this host's static power envelope and live
+        interval state and serves the batched power/utilisation reads of
+        ``compute="numpy"`` — bit-identical to the scalar pipelines, which
+        stay authoritative for short blocks and ``compute="python"``.
         """
         if self._kernel is None:
             self._kernel = HostKernel(
                 self,
-                arena,
                 jitter_quantum=_JITTER_QUANTUM_S,
                 cpu_jitter_sigma=_CPU_JITTER_SIGMA,
                 drift_norm=_DRIFT_NORM,
-                mode=mode,
             )
         return self._kernel
 

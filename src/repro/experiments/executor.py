@@ -402,15 +402,12 @@ class RunCache:
         stabilization: StabilizationRule,
     ) -> dict:
         settings_payload = dataclasses.asdict(settings)
-        # The telemetry implementation ("batched" vs "events"), the
-        # compute kernel ("python"/"numpy"/"numba") and the seed-bank
-        # width (batch-interior banking) are proven bit-identical
-        # (cross-path, cross-mode and cross-bank golden tests), so they
-        # must not split the cache: a campaign warmed in one mode serves
-        # every other.
+        # The telemetry implementation ("batched" vs "events") and the
+        # compute kernel ("python"/"numpy") are proven bit-identical
+        # (cross-path and cross-mode golden tests), so they must not
+        # split the cache: a campaign warmed in one mode serves the other.
         settings_payload.pop("telemetry", None)
         settings_payload.pop("compute", None)
-        settings_payload.pop("seed_bank", None)
         return {
             "schema": CACHE_KEY_SCHEMA,
             "seed": int(seed),

@@ -122,15 +122,9 @@ class RunnerSettings:
     sample reference path.  ``compute`` selects the kernel implementation
     inside the batched blocks the same way: ``"python"`` is the all-
     scalar reference, ``"numpy"`` (default) the adaptive array-kernel
-    hybrid, ``"numba"`` the hybrid with njit-compiled loops (resolved to
-    ``"numpy"`` when numba is missing).  ``seed_bank`` selects the batch
-    *interior* the same way: values ``>= 2`` let :meth:`run_batch` drive
-    up to that many runs in lockstep through the seed-bank SoA pass
-    (:mod:`repro.experiments.seedbank`), ``0``/``1`` keep the per-run
-    loop.  Results are bit-identical along all three axes (the
-    cross-path golden tests assert byte-identical campaign samples
-    JSON), which is why the run cache deliberately ignores all three
-    fields.
+    hybrid.  Results are bit-identical along both axes (the cross-path
+    golden tests assert byte-identical campaign samples JSON), which is
+    why the run cache deliberately ignores both fields.
     """
 
     min_warmup_s: float = 12.0          # before the stabilisation check starts
@@ -143,25 +137,16 @@ class RunnerSettings:
     max_runs: int = 16                  # safety cap on the variance loop
     variance_delta: float = 0.10        # paper: "less than 10 %"
     telemetry: str = "batched"          # "batched" fast path | "events" reference
-    compute: str = "numpy"              # "python" reference | "numpy" | "numba"
-    seed_bank: int = 16                 # max runs banked per SoA pass (0/1 = off)
+    compute: str = "numpy"              # "python" reference | "numpy"
 
     def __post_init__(self) -> None:
         if self.telemetry not in ("batched", "events"):
             raise ExperimentError(
                 f"telemetry must be 'batched' or 'events', got {self.telemetry!r}"
             )
-        if self.compute not in ("python", "numpy", "numba"):
+        if self.compute not in ("python", "numpy"):
             raise ExperimentError(
-                f"compute must be 'python', 'numpy' or 'numba', got {self.compute!r}"
-            )
-        if (
-            not isinstance(self.seed_bank, int)
-            or isinstance(self.seed_bank, bool)
-            or self.seed_bank < 0
-        ):
-            raise ExperimentError(
-                f"seed_bank must be a non-negative integer, got {self.seed_bank!r}"
+                f"compute must be 'python' or 'numpy', got {self.compute!r}"
             )
 
 
@@ -229,15 +214,11 @@ class ScenarioRunner:
         Performs every protocol action on ``bed`` but *yields* instead of
         advancing simulated time: plain floats ask the driver to advance
         that many seconds, and ``("stabilise", budget_s)`` marks a
-        stabilisation wait so the driver can choose how to walk the check
-        grid — :meth:`run_once` delegates to :meth:`_run_until_stable`
-        (the look-ahead loop), the seed-bank driver expands it into
-        single-check lockstep steps (:meth:`_lockstep_stable_steps`).
-        The two walks take identical samples and detect stabilisation at
-        the identical check (the look-ahead elides only provably-false
-        checks; ``tests/test_telemetry_batched.py`` pins the
-        equivalence), so *who* drives the generator never changes a byte
-        of the returned :class:`~repro.experiments.results.RunResult`.
+        stabilisation wait.  :meth:`run_once`, the only driver, delegates
+        such a wait to :meth:`_run_until_stable` (the look-ahead loop),
+        which takes the same samples and detects stabilisation at the
+        same check as a single-check walk of the grid would
+        (``tests/test_telemetry_batched.py`` pins the equivalence).
         """
         cfg = self.settings
         run_seed = bed.seed
@@ -325,15 +306,10 @@ class ScenarioRunner:
         validation — family machine pair, switch spec, instance-catalog
         membership — is hoisted out of the per-run loop and paid once per
         batch, while each run still derives its own independent seed via
-        ``derive_seed(master, f"{label}#{index}")`` and builds its own
-        testbed.  With ``settings.seed_bank >= 2`` the batch *interior*
-        runs through the seed-bank SoA pass
-        (:class:`~repro.experiments.seedbank.SeedBank`): lockstep runs
-        share one vectorized kernel evaluation per event-free interval
-        and drop to the per-run engine path wherever their timelines
-        diverge.  Every run is therefore **bit-identical** to what
-        :meth:`run_once` returns for the same index, whatever the batch
-        shape or bank width.
+        ``derive_seed(master, f"{label}#{index}")``, builds its own
+        testbed and runs through :meth:`run_once`.  Every run is therefore
+        **bit-identical** to what :meth:`run_once` returns for the same
+        index, whatever the batch shape.
 
         Parameters
         ----------
@@ -385,21 +361,6 @@ class ScenarioRunner:
                 f"unknown instance {scenario.migrating_instance!r} "
                 f"(catalog: {sorted(INSTANCE_CATALOG)})"
             )
-
-        if (
-            self.settings.seed_bank >= 2
-            and len(indices) >= 2
-            and len(set(indices)) == len(indices)
-        ):
-            from repro.experiments.seedbank import SeedBank  # local: avoid cycle
-
-            return SeedBank(
-                self,
-                scenario,
-                indices,
-                width=self.settings.seed_bank,
-                on_run=on_run,
-            ).execute()
 
         runs: list[RunResult] = []
         for index in indices:

@@ -1,532 +1,26 @@
-"""Seed-bank execution: the vectorized batch interior of ``run_batch``.
+"""Retired batch-interior entry point, kept as a name only.
 
-PR 6's batch dispatch ships a span of replicate runs to a worker as one
-task; this module executes that span's *interior* as one SoA pass.  A
-:class:`SeedBank` builds every run's testbed up front, drives each run's
-measurement protocol (:meth:`ScenarioRunner._run_protocol`) as a
-coroutine, and groups the runs that request the *same* simulated advance
-into lockstep cohorts.  For every cohort member whose upcoming window is
-**event-free** — no heap event, no control hook, no active power
-transient — the window is advanced *banked*: each instrument's sampler
-tick grid is computed per run (`sampler_tick_grid`, bit-identical to
-`PeriodicSampler.advance_to`), the per-run grids stack into a 2-D
-``[seed, tick]`` matrix, and the fused interval kernels evaluate the
-whole bank at once (:func:`~repro.simulator.kernels.power_block_bank`
-and friends), filling all runs' noise tick grids in one batched
-hash sweep first.  Runs whose timelines diverge — a migration chunk
-event, a manager decision, a different stabilisation cut — simply fall
-out of the bank for that window and advance through the untouched
-per-run engine path (``sim.run_for``), rejoining the bank whenever their
-requested advance matches again.
-
-**Bit-identity.**  Banked and per-run windows perform the same IEEE-754
-elementwise operations on the same values (a ``[B, n]`` matrix operation
-is per-row identical to the ``[n]`` row operations), consume each run's
-RNG streams in the same order, and publish to each run's traces and
-stabilisation trackers with the same block boundaries as the per-run
-batched path.  Runs with different instrument parameters or grid sizes
-never share a bank in the first place (they are grouped by role
-signature), and where a banked precondition fails for a window — scalar
-compute mode, a pending event or control hook, active transients — the
-driver falls back to the exact per-run code for that run and window.
-The cross-bank golden tests assert byte-identical
-campaign samples JSON against the per-run interior on every scenario
-archetype, compute mode and backend.
+``ScenarioRunner.run_batch`` has one interior: the per-run loop over
+``run_once``.  The paper-campaign benchmark's span table
+(``perfbench/spans.py``) still names ``SeedBank.execute`` and requires every
+entry point it names to resolve, so this class survives as a thin alias of
+``run_batch`` until that table drops it.  Nothing in the program calls it.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Optional
-
-import numpy as np
-
-from repro.experiments.results import RunResult
-from repro.experiments.testbed import FeatureRecorder, Testbed
-from repro.simulator.kernels import (
-    cpu_percent_block_bank,
-    host_bank_key,
-    power_block_bank,
-    sampler_tick_grid,
-    util_block_bank,
-)
-from repro.simulator.sampling import PeriodicSampler
-from repro.telemetry.dstat import DstatMonitor
-from repro.telemetry.powermeter import PowerMeter
-
 __all__ = ["SeedBank"]
-
-#: Interval-hook roles the banked window knows how to drive.  Anything
-#: else (an unknown instrument, a future hook type) drops the run to the
-#: per-run path for that window.
-_ROLE_TAGS = {
-    PowerMeter: "meter",
-    DstatMonitor: "dstat",
-    FeatureRecorder: "recorder",
-}
-
-
-class _BankedRun:
-    """One run's in-flight protocol state inside a bank."""
-
-    __slots__ = (
-        "index", "bed", "gen", "stab_spent", "stab_budget", "target",
-        "result", "done", "hooks_sig", "roles", "role_sig",
-    )
-
-    def __init__(self, index: int, bed: Testbed, gen) -> None:
-        self.index = index
-        self.bed = bed
-        self.gen = gen
-        #: Stabilisation-wait bookkeeping (``None`` outside a wait).
-        self.stab_spent = None
-        self.stab_budget = None
-        #: Absolute simulated time at which the protocol resumes — the
-        #: exact ``float(now + duration)`` the per-run ``run_for`` would
-        #: land on, so the protocol sees identical clock values no
-        #: matter how the driver splits the advance into windows.
-        self.target = 0.0
-        self.result: Optional[RunResult] = None
-        self.done = False
-        #: Cached interval-hook decomposition (rebuilt when the hook
-        #: list changes, e.g. when instrumentation starts or stops).
-        self.hooks_sig: tuple = ()
-        self.roles = None
-        self.role_sig: tuple = ()
 
 
 class SeedBank:
-    """Drives up to ``width`` runs of one scenario in lockstep.
+    """``runner.run_batch(scenario, indices, on_run)`` under its old name."""
 
-    Parameters
-    ----------
-    runner:
-        The owning :class:`~repro.experiments.runner.ScenarioRunner`.
-    scenario:
-        The (already validated) scenario.
-    indices:
-        Distinct run indices, in result order (need not be contiguous —
-        cache holes bank just as well; each run's seed depends only on
-        its own index).
-    width:
-        Maximum runs banked concurrently; longer spans run as
-        consecutive full-width banks.
-    on_run:
-        Optional per-run callback, invoked in ``indices`` order as a
-        growing prefix of finished runs (so incremental cache deposits
-        and progress events keep the per-run loop's ordering contract).
-    """
-
-    def __init__(
-        self,
-        runner,
-        scenario,
-        indices: list[int],
-        width: int,
-        on_run: Optional[Callable[[RunResult], None]] = None,
-    ) -> None:
+    def __init__(self, runner, scenario, indices, on_run=None) -> None:
         self.runner = runner
         self.scenario = scenario
         self.indices = list(indices)
-        self.width = max(int(width), 2)
         self.on_run = on_run
 
-    # ------------------------------------------------------------------
-    def execute(self) -> list[RunResult]:
-        """Run every index; returns results in ``indices`` order."""
-        results: dict[int, RunResult] = {}
-        fired = 0
-        for pos in range(0, len(self.indices), self.width):
-            chunk = self.indices[pos:pos + self.width]
-            for run in self._run_chunk(chunk):
-                results[run.run_index] = run
-                if self.on_run is not None:
-                    # Fire the completed prefix, preserving index order.
-                    while (
-                        fired < len(self.indices)
-                        and self.indices[fired] in results
-                    ):
-                        self.on_run(results[self.indices[fired]])
-                        fired += 1
-        return [results[index] for index in self.indices]
-
-    # ------------------------------------------------------------------
-    def _run_chunk(self, chunk: list[int]):
-        """Drive one bank of runs to completion; yields finished runs.
-
-        All runs in a chunk start at the same simulated instant and are
-        advanced along one *shared timeline*: each window runs every
-        live run forward to the earliest protocol resume point
-        (``min(run.target)``) — banked where the window is event-free,
-        through the engine otherwise — and only the runs whose own
-        target was reached resume their protocol generator.  Splitting
-        a run's requested advance across several windows is bits-neutral
-        (anchor-based tick grids and block-split RNG draws make window
-        boundaries invisible to the samples), and each run's clock lands
-        on the exact ``float(now + duration)`` values ``run_once`` would
-        produce because targets are carried as absolute floats, never
-        re-accumulated.
-        """
-        runner = self.runner
-        scenario = self.scenario
-        live: list[_BankedRun] = []
-        for index in chunk:
-            bed = runner.build_testbed(scenario, index)
-            gen = runner._run_protocol(bed, scenario, index)
-            live.append(_BankedRun(index, bed, gen))
-        ready = list(live)
-        while True:
-            self._assign_targets(ready)
-            done = [run for run in live if run.done]
-            live = [run for run in live if not run.done]
-            for run in done:
-                yield run.result
-            if not live:
-                return
-            t1 = min(run.target for run in live)
-            self._advance_window(live, t1)
-            ready = [run for run in live if run.target <= t1]
-
-    def _assign_targets(self, ready: list[_BankedRun]) -> None:
-        """Give every run that reached its target a new resume target.
-
-        Runs inside a ``("stabilise", budget)`` wait are *coordinated*:
-        each computes the deficit look-ahead skip :meth:`ScenarioRunner.
-        _run_until_stable` would take from this check, and all of them
-        advance by the cohort-wide **minimum** — so stabilising runs
-        share every subsequent check boundary and stack into one bank.
-        Taking fewer steps than a run's own look-ahead allows only adds
-        checks the look-ahead proved false (the deficit bound is sound
-        at every boundary), so each run still leaves the wait at exactly
-        the check ``run_once`` leaves it at, and budget exhaustion lands
-        on the same total (each skip is capped by the remaining budget,
-        mirroring ``_run_until_stable``'s cap).
-        """
-        runner = self.runner
-        check = runner.settings.check_interval_s
-        rule = runner.stabilization
-        waiting: list[tuple[_BankedRun, int]] = []
-        for run in ready:
-            while True:
-                if run.stab_spent is not None:
-                    bed = run.bed
-                    if run.stab_spent >= run.stab_budget or (
-                        bed.source_meter.stabilised(rule)
-                        and bed.target_meter.stabilised(rule)
-                    ):
-                        run.stab_spent = None  # wait over: resume protocol
-                    else:
-                        deficit = max(
-                            bed.source_meter.stabilisation_deficit(rule),
-                            bed.target_meter.stabilisation_deficit(rule),
-                        )
-                        period = min(
-                            bed.source_meter.period_s,
-                            bed.target_meter.period_s,
-                        )
-                        max_steps = max(1, math.ceil(
-                            (run.stab_budget - run.stab_spent) / check
-                        ))
-                        steps = 1
-                        while (
-                            steps < max_steps
-                            and math.floor(steps * check / period) + 1 < deficit
-                        ):
-                            steps += 1
-                        waiting.append((run, steps))
-                        break
-                try:
-                    step = next(run.gen)
-                except StopIteration as stop:
-                    run.result = stop.value
-                    run.done = True
-                    break
-                if isinstance(step, tuple):  # ("stabilise", budget_s)
-                    run.stab_spent = 0.0
-                    run.stab_budget = step[1]
-                    continue
-                if step <= 0:  # pragma: no cover - defensive: no-op advance
-                    run.bed.sim.run_for(step)
-                    continue
-                run.target = run.bed.sim._now + step
-                break
-        if waiting:
-            steps = min(s for _run, s in waiting)
-            advance = check * steps
-            for run, _s in waiting:
-                run.target = run.bed.sim._now + advance
-                run.stab_spent += advance
-
-    # ------------------------------------------------------------------
-    # Window advancement
-    # ------------------------------------------------------------------
-    def _advance_window(self, live: list[_BankedRun], t1: float) -> None:
-        """Advance every live run to the shared boundary ``t1``.
-
-        Runs whose window is bankable advance through the stacked
-        kernels; the rest take the per-run engine path (``run(until)``)
-        — including singleton "banks", where stacking buys nothing.
-        """
-        subgroups: dict[tuple, list[tuple[_BankedRun, list]]] = {}
-        solo: list[_BankedRun] = []
-        for run in live:
-            plan = (
-                self._window_plan(run, t1) if self._bankable(run, t1) else None
-            )
-            if plan is None:
-                solo.append(run)
-                continue
-            key = (run.role_sig, tuple(
-                0 if grid is None else grid.size for grid, _k in plan
-            ))
-            subgroups.setdefault(key, []).append((run, plan))
-        for members in subgroups.values():
-            if len(members) < 2:
-                solo.extend(run for run, _plan in members)
-                continue
-            self._advance_banked(members, t1)
-        for run in solo:
-            run.bed.sim.run(until=t1)
-
-    def _bankable(self, run: _BankedRun, t1: float) -> bool:
-        """Whether the run's window up to ``t1`` can leave the engine loop.
-
-        The banked window replays ``Simulator.run(until)`` for the case
-        it is specialised to: no control hooks registered, no heap event
-        at or before the window end, and no active power transients
-        (their lazy pruning is the one stateful read inside the power
-        pipeline; expired entries are pruned here — at the window start,
-        where an expired transient contributes zero everywhere in the
-        window — which the scalar path would do on its next read
-        anyway).
-        """
-        bed = run.bed
-        if bed._compute_resolved == "python":
-            return False
-        sim = bed.sim
-        if sim._control_hooks:
-            return False
-        head = sim.peek()
-        if head is not None and head <= t1:
-            return False
-        for host in (bed.source, bed.target):
-            pool = host.power_model.transients
-            if pool.active_count:
-                pool.value(sim.now)  # prune transients already expired
-                if pool.active_count:
-                    return False
-        return True
-
-    def _window_plan(self, run: _BankedRun, t1: float):
-        """Per-hook tick grids for the run's window ending at ``t1``.
-
-        Computes, for every registered interval hook in registration
-        order, the exact tick grid ``advance_to`` would deliver (and the
-        tick index it would leave behind) without committing anything.
-        The hook decomposition — role tags, instruments and their static
-        parameters — is cached on the run and revalidated by hook-list
-        identity, so steady-state windows only pay for the grids; an
-        unsupported hook type returns ``None`` and the run advances
-        per-run instead.
-        """
-        sim = run.bed.sim
-        hooks = sim._interval_hooks
-        sig = tuple(map(id, hooks))
-        if sig != run.hooks_sig:
-            run.hooks_sig = sig
-            run.roles = self._resolve_roles(run, hooks)
-        if run.roles is None:
-            return None
-        plan = []
-        for _tag, hook, _instrument in run.roles:
-            if hook._anchor is None:
-                run.hooks_sig = ()  # a stopped sampler: re-resolve
-                return None
-            plan.append(sampler_tick_grid(
-                hook._anchor + hook._phase, hook._tick_index, hook._period, t1
-            ))
-        return plan
-
-    def _resolve_roles(self, run: _BankedRun, hooks) -> Optional[list]:
-        """Decompose the hook list into banked roles (or ``None``).
-
-        Also rebuilds ``run.role_sig``, the static uniformity signature
-        two runs must share to stack: role tags in registration order
-        plus each instrument's measurement parameters and its kernels'
-        :func:`host_bank_key` statics.  Subgrouping by this signature
-        makes every bank uniform by construction.
-        """
-        roles = []
-        sig = []
-        for hook in hooks:
-            if type(hook) is not PeriodicSampler:
-                return None
-            callback = hook._batch_callback
-            if callback is None:
-                return None
-            instrument = getattr(callback, "__self__", None)
-            tag = _ROLE_TAGS.get(type(instrument))
-            if tag is None:
-                return None
-            if tag == "meter":
-                kernel = instrument.host.attach_kernel(mode=instrument._compute)
-                sig.append((
-                    tag, instrument._compute, instrument._accuracy,
-                    instrument._quantisation, host_bank_key(kernel),
-                ))
-            elif tag == "dstat":
-                kernel = instrument.host.attach_kernel(mode=instrument._compute)
-                sig.append((tag, instrument._compute, host_bank_key(kernel)))
-            else:
-                src = instrument.source.attach_kernel(mode=instrument._compute)
-                tgt = instrument.target.attach_kernel(mode=instrument._compute)
-                vm_kernel = instrument.vm.attach_kernel()
-                sig.append((
-                    tag, instrument._compute, host_bank_key(src),
-                    host_bank_key(tgt), vm_kernel._quantum,
-                ))
-            roles.append((tag, hook, instrument))
-        run.role_sig = tuple(sig)
-        return roles
-
-    def _advance_banked(
-        self, members: list[tuple[_BankedRun, list]], t1: float
-    ) -> None:
-        """One banked window across ``members`` (same role/grid shapes).
-
-        Replays what ``run(until=t1)`` does under the bankability
-        preconditions: every interval hook advances across the window in
-        registration order (tick index committed, then the block
-        delivered), and the clock lands on exactly ``float(t1)``.  The
-        per-role blocks are evaluated across the stacked bank.
-        """
-        roles = members[0][0].roles
-        for role, (tag, _hook, _inst) in enumerate(roles):
-            grids = []
-            for run, plan in members:
-                grid, k_next = plan[role]
-                run.roles[role][1]._tick_index = k_next
-                grids.append(grid)
-            if grids[0] is None:
-                continue  # no tick in this window for this role
-            times_bank = np.stack(grids)
-            instruments = [run.roles[role][2] for run, _plan in members]
-            if tag == "meter":
-                self._meter_block_bank(instruments, times_bank)
-            elif tag == "dstat":
-                self._dstat_block_bank(instruments, times_bank)
-            else:
-                self._recorder_block_bank(instruments, times_bank)
-        for run, _plan in members:
-            run.bed.sim._now = float(t1)
-
-    # ------------------------------------------------------------------
-    # Banked instrument blocks (one role, all runs)
-    # ------------------------------------------------------------------
-    def _meter_block_bank(
-        self, meters: list[PowerMeter], times_bank: np.ndarray
-    ) -> None:
-        """Banked `PowerMeter._sample_block` across stacked grids.
-
-        Uniformity (same compute mode, accuracy, quantisation and
-        kernel statics across the bank) is guaranteed by the role-
-        signature subgrouping in :meth:`_advance_window`.
-        """
-        n = times_bank.shape[1]
-        m0 = meters[0]
-        kernels = [
-            meter.host.attach_kernel(mode=meter._compute) for meter in meters
-        ]
-        true_power = power_block_bank(kernels, times_bank)
-        if m0._accuracy:
-            noise_sigma = m0._accuracy / 3.0 * true_power
-            if not np.all(noise_sigma > 0):  # pragma: no cover - defensive
-                for meter, row in zip(meters, times_bank):
-                    meter._sample_block(row)
-                return
-            draws = np.empty_like(true_power)
-            for b, meter in enumerate(meters):
-                draws[b] = meter._rng.standard_normal(n)
-            readings = true_power + noise_sigma * draws
-        else:  # pragma: no cover - meters always carry accuracy
-            readings = true_power
-        if m0._quantisation > 0:
-            readings = np.round(readings / m0._quantisation) * m0._quantisation
-        readings = np.maximum(readings, 0.0)
-        for b, meter in enumerate(meters):
-            row = times_bank[b]
-            buf_t, buf_w, start = meter.trace._reserve(n, float(row[0]))
-            buf_t[start:start + n] = row
-            buf_w[start:start + n] = readings[b]
-            meter.trace._commit(n)
-            for tracker in meter._trackers.values():
-                tracker.observe_block(readings[b])
-
-    def _dstat_block_bank(
-        self, monitors: list[DstatMonitor], times_bank: np.ndarray
-    ) -> None:
-        """Banked `DstatMonitor._sample_block` across stacked grids.
-
-        Uniformity across the bank is guaranteed by the role-signature
-        subgrouping in :meth:`_advance_window`.
-        """
-        n = times_bank.shape[1]
-        kernels = [
-            monitor.host.attach_kernel(mode=monitor._compute)
-            for monitor in monitors
-        ]
-        cpu = util_block_bank(kernels, times_bank) * 100.0
-        for b, monitor in enumerate(monitors):
-            row = times_bank[b]
-            host = monitor.host
-            buf_t, (b_cpu, b_mem, b_tx, b_rx), start = (
-                monitor.trace._reserve(n, float(row[0]))
-            )
-            end = start + n
-            buf_t[start:end] = row
-            b_cpu[start:end] = cpu[b]
-            b_mem[start:end] = host.memory_activity_fraction()
-            b_tx[start:end] = host.nic_tx_bps()
-            b_rx[start:end] = host.nic_rx_bps()
-            monitor.trace._commit(n)
-
-    def _recorder_block_bank(
-        self, recorders: list[FeatureRecorder], times_bank: np.ndarray
-    ) -> None:
-        """Banked `FeatureRecorder._sample_block` across stacked grids.
-
-        Uniformity across the bank is guaranteed by the role-signature
-        subgrouping in :meth:`_advance_window`.
-        """
-        n = times_bank.shape[1]
-        src_kernels = [
-            rec.source.attach_kernel(mode=rec._compute) for rec in recorders
-        ]
-        tgt_kernels = [
-            rec.target.attach_kernel(mode=rec._compute) for rec in recorders
-        ]
-        vm_kernels = [rec.vm.attach_kernel() for rec in recorders]
-        # The jittered utilisations are recomputed from the (pure) noise
-        # grids rather than read through the hosts' per-timestamp memo;
-        # a fresh compute equals a cached read bit for bit.
-        src_pct = util_block_bank(src_kernels, times_bank) * 100.0
-        tgt_pct = util_block_bank(tgt_kernels, times_bank) * 100.0
-        vm_pct = cpu_percent_block_bank(vm_kernels, times_bank)
-        for b, recorder in enumerate(recorders):
-            row = times_bank[b]
-            on_target = 1.0 if recorder.vm.host is recorder.target else 0.0
-            job = recorder._current_job()
-            bw = job.current_bandwidth_bps if job is not None else 0.0
-            dr = recorder.vm.dirtying_ratio_percent()
-            buf_t, (b_src, b_tgt, b_vm, b_on, b_bw, b_dr), start = (
-                recorder.trace._reserve(n, float(row[0]))
-            )
-            end = start + n
-            buf_t[start:end] = row
-            b_src[start:end] = src_pct[b]
-            b_tgt[start:end] = tgt_pct[b]
-            b_vm[start:end] = vm_pct[b]
-            b_on[start:end] = on_target
-            b_bw[start:end] = bw
-            b_dr[start:end] = dr
-            recorder.trace._commit(n)
+    def execute(self) -> list:
+        """The batch's results, in ``indices`` order."""
+        return self.runner.run_batch(self.scenario, self.indices, on_run=self.on_run)

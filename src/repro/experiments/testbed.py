@@ -23,7 +23,7 @@ from repro.hypervisor.toolstack import Toolstack
 from repro.hypervisor.vm import VirtualMachine
 from repro.hypervisor.vmm import XenHypervisor
 from repro.simulator.engine import Simulator
-from repro.simulator.kernels import KernelArena, resolve_compute, validate_compute
+from repro.simulator.kernels import validate_compute
 from repro.simulator.rng import RandomStreams, derive_seed
 from repro.simulator.sampling import SCALAR_BLOCK_MAX, PeriodicSampler
 from repro.telemetry.dstat import DstatMonitor
@@ -67,7 +67,7 @@ class FeatureRecorder:
         self.trace = SeriesTrace(FEATURE_COLUMNS, label="features")
         self._job: Optional[MigrationJob] = None
         self._job_provider: Optional[Callable[[], Optional[MigrationJob]]] = None
-        self._compute = resolve_compute(compute)
+        self._compute = validate_compute(compute)
         self._sampler = PeriodicSampler(
             sim,
             period_s,
@@ -159,17 +159,16 @@ class FeatureRecorder:
             return
         n = times.size
         times_list = times.tolist()
-        mode = self._compute
         buf_t, (b_src, b_tgt, b_vm, b_on, b_bw, b_dr), start = (
             self.trace._reserve(n, times_list[0])
         )
         end = start + n
         buf_t[start:end] = times
         b_src[start:end] = (
-            self.source.attach_kernel(mode=mode).util_block(times, times_list) * 100.0
+            self.source.attach_kernel().util_block(times, times_list) * 100.0
         )
         b_tgt[start:end] = (
-            self.target.attach_kernel(mode=mode).util_block(times, times_list) * 100.0
+            self.target.attach_kernel().util_block(times, times_list) * 100.0
         )
         b_vm[start:end] = self.vm.attach_kernel().cpu_percent_block(times, times_list)
         b_on[start:end] = on_target
@@ -197,10 +196,8 @@ class Testbed:
     compute:
         Kernel implementation of the batched blocks: ``"python"`` is the
         all-scalar reference, ``"numpy"`` (default) the adaptive hybrid
-        with array kernels on long blocks, ``"numba"`` the hybrid with
-        njit-compiled loops (silently resolved to ``"numpy"`` when numba
-        is missing).  Traces are bit-identical across all modes (see
-        :mod:`repro.simulator.kernels`).
+        with array kernels on long blocks.  Traces are bit-identical
+        across both modes (see :mod:`repro.simulator.kernels`).
     """
 
     def __init__(
@@ -215,13 +212,10 @@ class Testbed:
             raise ConfigurationError(
                 f"telemetry must be 'batched' or 'events', got {telemetry!r}"
             )
-        validate_compute(compute)
         self.family = family
         self.seed = int(seed)
         self.telemetry = telemetry
-        self.compute = compute
-        resolved = resolve_compute(compute)
-        self._compute_resolved = resolved
+        self.compute = validate_compute(compute)
         batched = telemetry == "batched"
         self.streams = RandomStreams(seed)
         self.sim = Simulator()
@@ -229,15 +223,6 @@ class Testbed:
         source_spec, target_spec = machine_pair(family)
         self.source = PhysicalHost(source_spec, noise_seed=derive_seed(seed, "host:src"))
         self.target = PhysicalHost(target_spec, noise_seed=derive_seed(seed, "host:tgt"))
-        # Shared SoA arena: the host pair's kernel rows sit in one
-        # structured array, and VMs created on these hosts draw their
-        # rows from the same arena (VirtualMachine.attach_kernel).
-        if resolved != "python":
-            self.kernel_arena: Optional[KernelArena] = KernelArena()
-            self.source.attach_kernel(self.kernel_arena, mode=resolved)
-            self.target.attach_kernel(self.kernel_arena, mode=resolved)
-        else:
-            self.kernel_arena = None
         self.path = NetworkPath(
             self.source,
             self.target,
@@ -253,17 +238,17 @@ class Testbed:
         )
         self.source_meter = PowerMeter(
             self.sim, self.source, self.streams.stream("meter:src"),
-            period_s=meter_period_s, batched=batched, compute=resolved,
+            period_s=meter_period_s, batched=batched, compute=compute,
         )
         self.target_meter = PowerMeter(
             self.sim, self.target, self.streams.stream("meter:tgt"),
-            period_s=meter_period_s, batched=batched, compute=resolved,
+            period_s=meter_period_s, batched=batched, compute=compute,
         )
         self.source_dstat = DstatMonitor(
-            self.sim, self.source, batched=batched, compute=resolved
+            self.sim, self.source, batched=batched, compute=compute
         )
         self.target_dstat = DstatMonitor(
-            self.sim, self.target, batched=batched, compute=resolved
+            self.sim, self.target, batched=batched, compute=compute
         )
 
     # ------------------------------------------------------------------
@@ -283,7 +268,7 @@ class Testbed:
             self.sim, self.source, self.target, vm,
             period_s=self.source_meter.period_s,
             batched=self.telemetry == "batched",
-            compute=self._compute_resolved,
+            compute=self.compute,
         )
 
     def start_instrumentation(self) -> None:

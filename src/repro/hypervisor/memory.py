@@ -21,7 +21,6 @@ writes while staying O(working set) per pre-copy round.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -94,42 +93,7 @@ class VmMemory:
         # Resizing the working set while pages are logged is rejected
         # (see set_dirty_process): page identity is gone, so the
         # inside/outside split could not be reconstructed.
-        #
-        # The counter lives in a plain int until a compute-mode kernel
-        # row adopts it (bind_dirty_slot), after which reads and writes
-        # go through the row's int64 ``dirty_logged`` slot — the log
-        # state then rides the same structured array as the VM's
-        # vectorized CPU feature.
-        self._dirty_local = 0
-        self._dirty_row: Optional[np.ndarray] = None
-
-    # ------------------------------------------------------------------
-    # Dirty-counter storage (plain int, or a kernel SoA row slot)
-    # ------------------------------------------------------------------
-    @property
-    def _dirty_logged(self) -> int:
-        row = self._dirty_row
-        if row is None:
-            return self._dirty_local
-        return int(row["dirty_logged"][0])
-
-    @_dirty_logged.setter
-    def _dirty_logged(self, value: int) -> None:
-        row = self._dirty_row
-        if row is None:
-            self._dirty_local = value
-        else:
-            row["dirty_logged"] = value
-
-    def bind_dirty_slot(self, row: np.ndarray) -> None:
-        """Move the dirty counter into a kernel row's ``dirty_logged`` slot.
-
-        Carries the current count over, so binding mid-run (the kernels
-        attach lazily) is transparent; page counts are far below int64
-        range.  Called by :meth:`VirtualMachine.attach_kernel`.
-        """
-        row["dirty_logged"] = self._dirty_local
-        self._dirty_row = row
+        self._dirty_logged = 0
 
     # ------------------------------------------------------------------
     # Workload coupling

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import VMStateError
 from repro.hypervisor.memory import VmMemory
-from repro.simulator.kernels import KernelArena, VmKernel
+from repro.simulator.kernels import VmKernel
 from repro.simulator.noise import (
     ou_like_noise,
     ou_like_noise_cached,
@@ -103,33 +103,22 @@ class VirtualMachine:
         # PhysicalHost's tick caches for the rationale).
         self._noise_cache: dict[int, float] = {}
         self._vmcpu_noise_key = f"vmcpu:{name}"
-        # Compute-mode SoA kernel (repro.simulator.kernels); attached
-        # lazily by the first vectorized feature read.
+        # Compute-mode kernel (repro.simulator.kernels); attached lazily
+        # by the first vectorized feature read.
         self._kernel: VmKernel | None = None
         self._sync_dirty_process()
 
     # ------------------------------------------------------------------
-    # Compute-mode kernel (SoA fast path)
+    # Compute-mode kernel (vectorized fast path)
     # ------------------------------------------------------------------
-    def attach_kernel(self, arena: KernelArena | None = None) -> VmKernel:
-        """Attach (idempotently) the vectorized compute kernel.
-
-        Allocates the VM's structured-array row — from the host kernel's
-        shared arena when the VM is placed on an instrumented testbed —
-        and moves the dirty-page counter into the row's ``dirty_logged``
-        slot, so migration log state rides the same array as the CPU
-        feature the kernel vectorizes.
-        """
+    def attach_kernel(self) -> VmKernel:
+        """Attach (idempotently) the vectorized compute kernel."""
         if self._kernel is None:
-            if arena is None and self.host is not None and self.host._kernel is not None:
-                arena = self.host._kernel.arena
             self._kernel = VmKernel(
                 self,
-                arena,
                 jitter_quantum=_JITTER_QUANTUM_S,
                 jitter_sigma_pct=_VM_CPU_JITTER_PCT,
             )
-            self.memory.bind_dirty_slot(self._kernel.row)
         return self._kernel
 
     # ------------------------------------------------------------------

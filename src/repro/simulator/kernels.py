@@ -1,13 +1,11 @@
-"""Compiled/vectorized simulation kernels — the ``compute=`` axis.
+"""Vectorized simulation kernels — the ``compute=`` axis.
 
 The batched telemetry path (``telemetry="batched"``) removed per-sample
 event dispatch; what remains hot is the *arithmetic* inside each
 event-free interval: host power composition, jittered CPU reads and
 per-VM CPU features, all previously evaluated as scalar Python loops
-over object state.  This module restructures that state into numpy
-structured arrays (:data:`HOST_DTYPE` / :data:`VM_DTYPE` rows allocated
-from a per-testbed :class:`KernelArena`) and evaluates the interval
-kernels over them, optionally compiled with numba:
+over object state.  This module evaluates those interval kernels as
+numpy array operations:
 
 * ``compute="python"`` — the scalar reference: every instrument samples
   through its per-sample memoised pipeline regardless of block length
@@ -15,11 +13,8 @@ kernels over them, optionally compiled with numba:
 * ``compute="numpy"`` (default) — the adaptive hybrid: short blocks run
   the scalar stage (numpy's fixed per-call overhead dominates there),
   long blocks run the vectorized array kernels below.
-* ``compute="numba"`` — the numpy hybrid with the fused per-sample loop
-  compiled by :func:`numba.njit`; falls back to ``"numpy"`` silently
-  when numba is not installed (:func:`resolve_compute`).
 
-**Bit-identity discipline.** All three modes must produce byte-identical
+**Bit-identity discipline.** Both modes must produce byte-identical
 campaign samples JSON (the cross-mode golden tests assert it), so the
 run cache deliberately ignores the ``compute`` field.  The vectorized
 kernels therefore only use elementwise operations that are exact under
@@ -40,38 +35,19 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.simulator.noise import hash_normal_unit_fill, hash_normal_unit_fill_bank
+from repro.simulator.noise import hash_normal_unit_fill
 
 __all__ = [
     "COMPUTE_MODES",
-    "HAVE_NUMBA",
-    "HOST_DTYPE",
-    "VM_DTYPE",
     "HostKernel",
-    "KernelArena",
     "NoiseTickGrid",
     "VmKernel",
-    "cpu_percent_block_bank",
-    "fill_noise_grids",
-    "host_bank_key",
-    "maybe_njit",
-    "power_block_bank",
-    "resolve_compute",
     "sampler_tick_grid",
-    "util_block_bank",
     "validate_compute",
 ]
 
 #: The selectable compute modes, mirroring the ``telemetry=`` axis.
-COMPUTE_MODES = ("python", "numpy", "numba")
-
-try:  # pragma: no cover - exercised only where numba is installed
-    import numba  # type: ignore
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the pure-python environments
-    numba = None  # type: ignore[assignment]
-    HAVE_NUMBA = False
+COMPUTE_MODES = ("python", "numpy")
 
 
 def validate_compute(mode: str) -> str:
@@ -81,32 +57,6 @@ def validate_compute(mode: str) -> str:
             f"compute must be one of {COMPUTE_MODES}, got {mode!r}"
         )
     return mode
-
-
-def resolve_compute(mode: str) -> str:
-    """Validate ``mode`` and apply the graceful numba fallback.
-
-    ``"numba"`` resolves to ``"numpy"`` when numba is not importable —
-    results are bit-identical across the two, so the fallback is silent
-    by design (campaigns keep running on machines without the compiler).
-    """
-    validate_compute(mode)
-    if mode == "numba" and not HAVE_NUMBA:
-        return "numpy"
-    return mode
-
-
-def maybe_njit(func):
-    """``numba.njit`` when available, identity otherwise.
-
-    The decorated loops are only dispatched in ``compute="numba"`` mode,
-    which :func:`resolve_compute` grants only when numba imports — so the
-    undecorated fallback exists for introspection and tests, never as a
-    silently-slow hot path.
-    """
-    if HAVE_NUMBA:  # pragma: no cover - exercised in the CI numba lane
-        return numba.njit(func)
-    return func
 
 
 # ----------------------------------------------------------------------
@@ -212,158 +162,13 @@ class NoiseTickGrid:
 
 
 # ----------------------------------------------------------------------
-# Structured-array state (SoA rows)
-# ----------------------------------------------------------------------
-#: Per-host row: the static power envelope mirrored from
-#: :class:`~repro.cluster.power.PowerModelParams` plus the live interval
-#: state the vectorized kernels hoist (refreshed via the owners' version
-#: counters — see :meth:`HostKernel.refresh`).
-HOST_DTYPE = np.dtype(
-    [
-        ("idle_w", "f8"),
-        ("cpu_linear_w", "f8"),
-        ("cpu_curved_w", "f8"),
-        ("cpu_curve_exponent", "f8"),
-        ("memory_w", "f8"),
-        ("nic_w", "f8"),
-        ("interaction_w", "f8"),
-        ("model_floor_w", "f8"),
-        ("host_floor_w", "f8"),
-        ("thermal_factor", "f8"),
-        ("drift_sigma_w", "f8"),
-        ("drift_quantum_s", "f8"),
-        ("base_util", "f8"),
-        ("jitter_sigma", "f8"),
-        ("mem_activity", "f8"),
-        ("mem_term_w", "f8"),
-        ("nic_term_w", "f8"),
-        ("cpu_version", "i8"),
-        ("flows_version", "i8"),
-        ("memory_version", "i8"),
-    ]
-)
-
-#: Per-VM row: the CPU-feature state plus the dirty-page counter, which
-#: *lives* in this slot once a kernel is attached (see
-#: :meth:`~repro.hypervisor.memory.VmMemory.bind_dirty_slot`).
-VM_DTYPE = np.dtype(
-    [
-        ("vcpus", "f8"),
-        ("base_pct", "f8"),
-        ("jitter_sigma_pct", "f8"),
-        ("running", "i8"),
-        ("dirty_logged", "i8"),
-    ]
-)
-
-
-class KernelArena:
-    """Chunked structured-array storage backing the kernel SoA rows.
-
-    A testbed owns one arena: its host pair and every VM created on it
-    draw rows from shared structured arrays, so the hot per-entity state
-    sits contiguously instead of scattered across Python objects.  Rows
-    are handed out as length-1 views; growth appends fresh chunks rather
-    than reallocating, so existing views stay bound to their storage.
-    """
-
-    def __init__(self, chunk: int = 8) -> None:
-        if chunk < 1:
-            raise ConfigurationError(f"chunk must be positive, got {chunk!r}")
-        self._chunk = int(chunk)
-        self._store: dict[np.dtype, tuple[list[np.ndarray], int]] = {}
-
-    def alloc(self, dtype: np.dtype) -> np.ndarray:
-        """A zeroed length-1 row view of the given structured dtype."""
-        chunks, used = self._store.get(dtype, ([], 0))
-        if not chunks or used >= chunks[-1].shape[0]:
-            chunks.append(np.zeros(self._chunk, dtype=dtype))
-            used = 0
-        row = chunks[-1][used:used + 1]
-        self._store[dtype] = (chunks, used + 1)
-        return row
-
-    def count(self, dtype: np.dtype) -> int:
-        """Rows allocated for a dtype (introspection/tests)."""
-        chunks, used = self._store.get(dtype, ([], 0))
-        if not chunks:
-            return 0
-        return self._chunk * (len(chunks) - 1) + used
-
-
-# ----------------------------------------------------------------------
-# Fused per-sample loops (njit-compiled in compute="numba" mode)
-# ----------------------------------------------------------------------
-@maybe_njit
-def _host_power_loop(  # pragma: no cover - numba lane only
-    cur,
-    prv,
-    base,
-    jitter_sigma,
-    blend,
-    one_minus,
-    norm,
-    idle,
-    linear,
-    curved,
-    exponent,
-    mem_term,
-    nic_term,
-    interaction,
-    mem,
-    fan_thr,
-    fan_w,
-    trans,
-    has_trans,
-    model_floor,
-    thermal,
-):
-    """Fused jitter→clamp→power composition, one sample per iteration.
-
-    Replays :meth:`PhysicalHost.instantaneous_power_values` operation by
-    operation (including the branch-form clamps).  ``x ** exponent``
-    lowers to the same libm ``pow`` the scalar path calls on mainstream
-    toolchains; the CI numba lane's cross-mode goldens assert that and
-    fail loudly if a platform's compiler diverges.
-    """
-    n = cur.shape[0]
-    n_fan = fan_thr.shape[0]
-    u_out = np.empty(n, dtype=np.float64)
-    p_out = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        jitter = jitter_sigma * (blend * prv[i] + one_minus * cur[i]) / norm
-        u = base + jitter
-        if u < 0.0:
-            u = 0.0
-        elif u > 1.0:
-            u = 1.0
-        u_out[i] = u
-        power = idle + (linear * u + curved * u ** exponent)
-        power = power + mem_term
-        power = power + nic_term
-        power = power + interaction * u * mem
-        if n_fan > 0:
-            fan = 0.0
-            for j in range(n_fan):
-                if u >= fan_thr[j]:
-                    fan = fan + fan_w[j]
-            power = power + fan
-        if has_trans:
-            power = power + trans[i]
-        if power < model_floor:
-            power = model_floor
-        p_out[i] = idle + (power - idle) * thermal
-    return u_out, p_out
-
-
-# ----------------------------------------------------------------------
 # Host kernel
 # ----------------------------------------------------------------------
 class HostKernel:
-    """Vectorized power/CPU kernels over one host's SoA row.
+    """Vectorized power/CPU kernels over one host's interval state.
 
-    Owns the host's noise tick grids and its :data:`HOST_DTYPE` row; the
-    static power envelope is mirrored into the row once (from
+    Owns the host's noise tick grids; the static power envelope is hoisted
+    once (from
     :meth:`~repro.cluster.power.PowerModelParams.kernel_constants`, the
     single source the scalar kernel hoists from too) and the live fields
     are refreshed lazily through the owners' version counters.
@@ -372,25 +177,19 @@ class HostKernel:
     def __init__(
         self,
         host,
-        arena: Optional[KernelArena] = None,
         *,
         jitter_quantum: float,
         cpu_jitter_sigma: float,
         drift_norm: float,
-        mode: str = "numpy",
     ) -> None:
         self.host = host
-        self.arena = arena if arena is not None else KernelArena(chunk=1)
-        self.mode = "numba" if (mode == "numba" and HAVE_NUMBA) else "numpy"
-        row = self.arena.alloc(HOST_DTYPE)
-        self.row = row
         (
             idle,
             linear,
             curved,
             exponent,
-            memory_w,
-            nic_w,
+            _memory_w,
+            _nic_w,
             interaction,
             model_floor,
             fan_thresholds,
@@ -398,23 +197,6 @@ class HostKernel:
             drift_sigma,
             drift_quantum,
         ) = host.power_model.params.kernel_constants()
-        row["idle_w"] = idle
-        row["cpu_linear_w"] = linear
-        row["cpu_curved_w"] = curved
-        row["cpu_curve_exponent"] = exponent
-        row["memory_w"] = memory_w
-        row["nic_w"] = nic_w
-        row["interaction_w"] = interaction
-        row["model_floor_w"] = model_floor
-        row["host_floor_w"] = 0.3 * idle
-        row["thermal_factor"] = host._thermal_factor
-        row["drift_sigma_w"] = drift_sigma
-        row["drift_quantum_s"] = drift_quantum
-        row["cpu_version"] = -1
-        row["flows_version"] = -1
-        row["memory_version"] = -1
-        # Hoisted python-float mirrors of the row's static fields (same
-        # float64 values; spares per-block structured-field reads).
         self._idle = idle
         self._linear = linear
         self._curved = curved
@@ -426,8 +208,6 @@ class HostKernel:
         self._drift_sigma = drift_sigma
         self._drift_quantum = drift_quantum
         self._fan_steps = tuple(zip(fan_thresholds, fan_watts))
-        self._fan_thr = np.asarray(fan_thresholds, dtype=np.float64)
-        self._fan_w = np.asarray(fan_watts, dtype=np.float64)
         self._quantum = jitter_quantum
         self._cpu_jitter_sigma = cpu_jitter_sigma
         self._drift_norm = drift_norm
@@ -437,18 +217,21 @@ class HostKernel:
         self._norm = math.sqrt(
             self._blend * self._blend + self._one_minus * self._one_minus
         )
-        # Live-field mirrors (refreshed alongside the row).
+        # Live fields and the owner versions they were derived at.
         self._base = 0.0
         self._jitter_sigma = 0.0
         self._mem = 0.0
         self._mem_term = 0.0
         self._nic_term = 0.0
+        self.cpu_version = -1
+        self.memory_version = -1
+        self.flows_version = -1
         self._cpu_grid = NoiseTickGrid(host._noise_seed, host._cpu_noise_key)
         self._drift_grid = NoiseTickGrid(host._noise_seed, host._drift_noise_key)
 
     # ------------------------------------------------------------------
     def refresh(self) -> None:
-        """Refresh the row's live fields through the version counters.
+        """Refresh the live fields through the version counters.
 
         CPU base utilisation, the derived jitter sigma and the memory/NIC
         power terms change only on events; each is re-derived (by the
@@ -456,28 +239,22 @@ class HostKernel:
         counter moved.
         """
         host = self.host
-        row = self.row
         cpu = host.cpu
-        if row["cpu_version"][0] != cpu._version:
+        if self.cpu_version != cpu._version:
             base = cpu.utilisation_fraction()
             scale = min(base / 0.1, 1.0) if base < 0.1 else 1.0
             self._base = base
             self._jitter_sigma = self._cpu_jitter_sigma * scale
-            row["base_util"] = base
-            row["jitter_sigma"] = self._jitter_sigma
-            row["cpu_version"] = cpu._version
-        if row["memory_version"][0] != host._memory_version:
+            self.cpu_version = cpu._version
+        if self.memory_version != host._memory_version:
             mem = min(max(host.memory_activity_fraction(), 0.0), 1.0)
             self._mem = mem
             self._mem_term = host.power_model.params.memory_w * mem
-            row["mem_activity"] = mem
-            row["mem_term_w"] = self._mem_term
-            row["memory_version"] = host._memory_version
-        if row["flows_version"][0] != host._flows_version:
+            self.memory_version = host._memory_version
+        if self.flows_version != host._flows_version:
             nic = min(max(host.nic_utilisation_fraction(), 0.0), 1.0)
             self._nic_term = host.power_model.params.nic_w * nic
-            row["nic_term_w"] = self._nic_term
-            row["flows_version"] = host._flows_version
+            self.flows_version = host._flows_version
 
     # ------------------------------------------------------------------
     def _jittered_util(self, times: np.ndarray) -> np.ndarray:
@@ -513,9 +290,8 @@ class HostKernel:
         """Batched ground-truth wall power over an event-free interval.
 
         Replays :meth:`PhysicalHost.instantaneous_power_values` with the
-        per-sample loop replaced by exact elementwise array operations
-        (``compute="numpy"``) or the fused njit loop (``"numba"``); the
-        only scalar remnants are ``u ** exponent`` (libm ``pow`` is not
+        per-sample loop replaced by exact elementwise array operations;
+        the only scalar remnants are ``u ** exponent`` (libm ``pow`` is not
         SIMD-exact), the rare transient evaluations, and the per-drift-
         segment blend, which all run per unique value rather than per
         sample.  Bit-identical to the scalar kernel — the cross-mode
@@ -525,64 +301,30 @@ class HostKernel:
         host = self.host
         n = times.shape[0]
         transients = host.power_model.transients
-        if transients.active_count > 0:
-            trans = np.asarray(
-                [transients.value(t) for t in times_list], dtype=np.float64
-            )
-            has_trans = True
-        else:
-            trans = _EMPTY_F8
-            has_trans = False
-        if self.mode == "numba":
-            q = self._quantum
-            cur_ticks = np.floor(times / q).astype(np.int64)
-            prev_ticks = np.floor((times - q) / q).astype(np.int64)
-            cur, prv = self._cpu_grid.gather_pair(cur_ticks, prev_ticks)
-            u, power = _host_power_loop(
-                cur,
-                prv,
-                self._base,
-                self._jitter_sigma,
-                self._blend,
-                self._one_minus,
-                self._norm,
-                self._idle,
-                self._linear,
-                self._curved,
-                self._exponent,
-                self._mem_term,
-                self._nic_term,
-                self._interaction,
-                self._mem,
-                self._fan_thr,
-                self._fan_w,
-                trans,
-                has_trans,
-                self._model_floor,
-                self._thermal,
-            )
-        else:
-            u = self._jittered_util(times)
-            # u ** exponent stays a scalar loop: libm pow only.
-            exponent = self._exponent
-            upow = np.asarray(
-                [x ** exponent for x in u.tolist()], dtype=np.float64
-            )
-            power = self._idle + (self._linear * u + self._curved * upow)
-            power = power + self._mem_term
-            power = power + self._nic_term
-            power = power + self._interaction * u * self._mem
-            if self._fan_steps:
-                # fan accumulates in scalar step order; adding 0.0 where a
-                # step is untriggered cannot change a (positive) sum.
-                fan = np.zeros(n, dtype=np.float64)
-                for threshold, watts in self._fan_steps:
-                    fan = fan + np.where(u >= threshold, watts, 0.0)
-                power = power + fan
-            if has_trans:
-                power = power + trans
-            power = np.maximum(power, self._model_floor)
-            power = self._idle + (power - self._idle) * self._thermal
+        trans = (
+            np.asarray([transients.value(t) for t in times_list], dtype=np.float64)
+            if transients.active_count > 0
+            else None
+        )
+        u = self._jittered_util(times)
+        # u ** exponent stays a scalar loop: libm pow only.
+        exponent = self._exponent
+        upow = np.asarray([x ** exponent for x in u.tolist()], dtype=np.float64)
+        power = self._idle + (self._linear * u + self._curved * upow)
+        power = power + self._mem_term
+        power = power + self._nic_term
+        power = power + self._interaction * u * self._mem
+        if self._fan_steps:
+            # fan accumulates in scalar step order; adding 0.0 where a
+            # step is untriggered cannot change a (positive) sum.
+            fan = np.zeros(n, dtype=np.float64)
+            for threshold, watts in self._fan_steps:
+                fan = fan + np.where(u >= threshold, watts, 0.0)
+            power = power + fan
+        if trans is not None:
+            power = power + trans
+        power = np.maximum(power, self._model_floor)
+        power = self._idle + (power - self._idle) * self._thermal
         # Publish the jittered reads for co-located scalar readers.
         host._util_read_cache.update(zip(times_list, u.tolist()))
         if self._drift_sigma > 0.0:
@@ -621,35 +363,20 @@ class HostKernel:
         return out
 
 
-_EMPTY_F8 = np.empty(0, dtype=np.float64)
-
-
 # ----------------------------------------------------------------------
 # VM kernel
 # ----------------------------------------------------------------------
 class VmKernel:
-    """Vectorized per-VM CPU feature over one :data:`VM_DTYPE` row.
-
-    Attaching the kernel also rebinds the VM's dirty-page counter into
-    the row's ``dirty_logged`` slot (the caller does this through
-    :meth:`~repro.hypervisor.memory.VmMemory.bind_dirty_slot`), so the
-    migration-visible log state rides the same array as the CPU feature.
-    """
+    """Vectorized per-VM CPU feature."""
 
     def __init__(
         self,
         vm,
-        arena: Optional[KernelArena] = None,
         *,
         jitter_quantum: float,
         jitter_sigma_pct: float,
     ) -> None:
         self.vm = vm
-        self.arena = arena if arena is not None else KernelArena(chunk=1)
-        row = self.arena.alloc(VM_DTYPE)
-        self.row = row
-        row["vcpus"] = vm.vcpus
-        row["jitter_sigma_pct"] = jitter_sigma_pct
         self._quantum = jitter_quantum
         self._sigma = jitter_sigma_pct
         self._alloc_key = f"vm:{vm.name}"
@@ -664,16 +391,11 @@ class VmKernel:
     def cpu_percent_block(self, times: np.ndarray, times_list: list) -> np.ndarray:
         """Batched ``CPU(v,t)`` feature, bit-identical to the scalar loop."""
         vm = self.vm
-        row = self.row
         if not vm.running:
-            row["running"] = 0
-            row["base_pct"] = 0.0
             return np.zeros(len(times_list), dtype=np.float64)
         base = vm._workload.cpu_fraction() * 100.0
         if vm.host is not None:
             base *= vm.host.cpu.allocation_fraction(self._alloc_key)
-        row["running"] = 1
-        row["base_pct"] = base
         q = self._quantum
         cur_ticks = np.floor(times / q).astype(np.int64)
         prev_ticks = np.floor((times - q) / q).astype(np.int64)
@@ -683,298 +405,19 @@ class VmKernel:
 
 
 # ----------------------------------------------------------------------
-# Seed-bank kernels: a leading [seed, tick] axis over many runs
+# Retired names
 # ----------------------------------------------------------------------
-# The batch interior of ``run_batch`` banks independent replicate runs
-# whose event timelines are in lockstep and evaluates each event-free
-# interval once across the whole bank.  The bank kernels below take a
-# *list* of per-run kernels (one per banked testbed, all mirroring the
-# same machine spec) plus a 2-D ``times_bank`` matrix — row ``b`` holds
-# run ``b``'s sampler tick grid for the interval — and apply the exact
-# elementwise arithmetic of the per-run kernels over the stacked rows.
-# Elementwise IEEE-754 operations on a [B, n] matrix are per-row
-# identical to the same operations on each [n] row, so banked results
-# are bit-identical to per-run results by construction; the cross-bank
-# golden tests enforce it end to end.
+# The paper-campaign benchmark's span table (perfbench/spans.py) still
+# lists these two entry points and requires every listed name to
+# resolve.  They are per-run loops over the kernels above; nothing in the
+# program calls them.
+def power_block_bank(kernels: list[HostKernel], times_bank: np.ndarray) -> np.ndarray:
+    """:meth:`HostKernel.power_block` per row of ``times_bank``."""
+    return np.stack([k.power_block(t, t.tolist()) for k, t in zip(kernels, times_bank)])
 
 
-def fill_noise_grids(requests: list[tuple[NoiseTickGrid, int, int]]) -> None:
-    """Extend many noise tick grids in one batched hash sweep.
-
-    ``requests`` pairs each grid with the tick range ``[lo, hi)`` an
-    upcoming banked interval will gather from.  Missing front/back
-    extensions across *all* grids are computed through a single
-    :func:`~repro.simulator.noise.hash_normal_unit_fill_bank` call —
-    bit-identical per tick to the incremental per-grid fills, because
-    every draw is a pure function of its ``(seed, key, tick)``.
-    """
-    tasks: list[tuple[int, str, int, int]] = []
-    plans: list[tuple] = []
-    for grid, lo, hi in requests:
-        if hi <= lo:
-            continue
-        values = grid._values
-        if values.size == 0:
-            plans.append(("init", grid, len(tasks), lo))
-            tasks.append((grid._seed, grid._key, lo, hi))
-            continue
-        grid_lo = grid._lo
-        end = grid_lo + values.size
-        front = back = None
-        if lo < grid_lo:
-            front = len(tasks)
-            tasks.append((grid._seed, grid._key, lo, grid_lo))
-        if hi > end:
-            back = len(tasks)
-            tasks.append((grid._seed, grid._key, end, hi))
-        if front is not None or back is not None:
-            plans.append(("extend", grid, front, back, lo))
-    if not tasks:
-        return
-    fills = hash_normal_unit_fill_bank(tasks)
-    for plan in plans:
-        if plan[0] == "init":
-            _, grid, idx, lo = plan
-            grid._values = fills[idx]
-            grid._lo = lo
-            continue
-        _, grid, front, back, lo = plan
-        values = grid._values
-        if front is not None:
-            values = np.concatenate((fills[front], values))
-            grid._lo = lo
-        if back is not None:
-            values = np.concatenate((values, fills[back]))
-        grid._values = values
-
-
-def host_bank_key(kernel: HostKernel) -> tuple:
-    """The static fields a host bank hoists to scalars.
-
-    Banked arithmetic keeps the machine-spec constants scalar (exactly
-    as the per-run kernels do) and vectorizes only the per-run fields
-    (base utilisation, jitter sigma, thermal factor, memory/NIC terms).
-    Runs may share a bank row-for-row only when these statics agree —
-    guaranteed for replicate seeds of one scenario, but checked by the
-    bank driver so a mismatch degrades to the per-run path instead of
-    silently mixing envelopes.
-    """
-    return (
-        kernel._idle,
-        kernel._linear,
-        kernel._curved,
-        kernel._exponent,
-        kernel._interaction,
-        kernel._model_floor,
-        kernel._host_floor,
-        kernel._drift_sigma,
-        kernel._drift_quantum,
-        kernel._quantum,
-        kernel._fan_steps,
+def cpu_percent_block_bank(kernels: list[VmKernel], times_bank: np.ndarray) -> np.ndarray:
+    """:meth:`VmKernel.cpu_percent_block` per row of ``times_bank``."""
+    return np.stack(
+        [k.cpu_percent_block(t, t.tolist()) for k, t in zip(kernels, times_bank)]
     )
-
-
-def util_block_bank(
-    kernels: list[HostKernel], times_bank: np.ndarray
-) -> np.ndarray:
-    """Banked jittered CPU utilisation in [0, 1], one row per run.
-
-    Row ``b`` is bit-identical to
-    ``kernels[b]._jittered_util(times_bank[b])`` after a refresh: tick
-    flooring, the gather, and the blend/clamp arithmetic are the same
-    exact elementwise operations, evaluated over the stacked matrix.
-    The noise-grid extensions of all rows run as one batched sweep.
-    """
-    B, n = times_bank.shape
-    k0 = kernels[0]
-    q = k0._quantum
-    cur_ticks = np.floor(times_bank / q).astype(np.int64)
-    prev_ticks = np.floor((times_bank - q) / q).astype(np.int64)
-    requests = []
-    for b, kernel in enumerate(kernels):
-        kernel.refresh()
-        lo = int(min(cur_ticks[b, 0], prev_ticks[b, 0]))
-        hi = int(max(cur_ticks[b, -1], prev_ticks[b, -1])) + 1
-        requests.append((kernel._cpu_grid, lo, hi))
-    fill_noise_grids(requests)
-    cur = np.empty((B, n), dtype=np.float64)
-    prv = np.empty((B, n), dtype=np.float64)
-    for b, kernel in enumerate(kernels):
-        row_cur, row_prv = kernel._cpu_grid.gather_pair(
-            cur_ticks[b], prev_ticks[b]
-        )
-        cur[b] = row_cur
-        prv[b] = row_prv
-    sigma = np.asarray(
-        [kernel._jitter_sigma for kernel in kernels], dtype=np.float64
-    )[:, None]
-    base = np.asarray(
-        [kernel._base for kernel in kernels], dtype=np.float64
-    )[:, None]
-    jitter = sigma * (k0._blend * prv + k0._one_minus * cur) / k0._norm
-    return np.minimum(np.maximum(base + jitter, 0.0), 1.0)
-
-
-def power_block_bank(
-    kernels: list[HostKernel], times_bank: np.ndarray
-) -> np.ndarray:
-    """Banked ground-truth wall power, one row per run.
-
-    Replays :meth:`HostKernel.power_block`'s numpy composition over the
-    stacked ``[seed, tick]`` matrix: spec constants stay scalar, per-run
-    fields broadcast as ``[B, 1]`` columns, and ``u ** exponent`` stays
-    a scalar libm loop over the flattened bank (the same per-element
-    ``pow`` calls as the per-run loops, in row order).  Requires the
-    rows to share :func:`host_bank_key` statics.  Rare active transients
-    are folded per row at the scalar path's exact insertion point.
-    """
-    u = util_block_bank(kernels, times_bank)
-    B, n = times_bank.shape
-    k0 = kernels[0]
-    exponent = k0._exponent
-    upow = np.asarray(
-        [x ** exponent for x in u.ravel().tolist()], dtype=np.float64
-    ).reshape(B, n)
-    mem = np.asarray([k._mem for k in kernels], dtype=np.float64)[:, None]
-    mem_term = np.asarray(
-        [k._mem_term for k in kernels], dtype=np.float64
-    )[:, None]
-    nic_term = np.asarray(
-        [k._nic_term for k in kernels], dtype=np.float64
-    )[:, None]
-    thermal = np.asarray(
-        [k._thermal for k in kernels], dtype=np.float64
-    )[:, None]
-    power = k0._idle + (k0._linear * u + k0._curved * upow)
-    power = power + mem_term
-    power = power + nic_term
-    power = power + k0._interaction * u * mem
-    if k0._fan_steps:
-        fan = np.zeros((B, n), dtype=np.float64)
-        for threshold, watts in k0._fan_steps:
-            fan = fan + np.where(u >= threshold, watts, 0.0)
-        power = power + fan
-    for b, kernel in enumerate(kernels):
-        transients = kernel.host.power_model.transients
-        if transients.active_count > 0:
-            trans = np.asarray(
-                [transients.value(t) for t in times_bank[b].tolist()],
-                dtype=np.float64,
-            )
-            power[b] = power[b] + trans
-    power = np.maximum(power, k0._model_floor)
-    power = k0._idle + (power - k0._idle) * thermal
-    if k0._drift_sigma > 0.0:
-        power = power + _drift_values_bank(kernels, times_bank, B, n)
-    return np.maximum(power, k0._host_floor)
-
-
-def _drift_values_bank(
-    kernels: list[HostKernel], times_bank: np.ndarray, B: int, n: int
-) -> np.ndarray:
-    """Banked thermal drift, one segment decomposition over the matrix.
-
-    The drift quantum spans many samples, so a banked window's rows are
-    almost always one constant ``(cur, prev)`` segment each; flooring the
-    whole ``[seed, tick]`` matrix at once detects them in one reduction
-    instead of per-row ``np.diff`` scans.  Constant rows resolve through
-    the same per-host ``_drift_value_cache`` memo — reading and writing
-    the exact scalar blend :meth:`HostKernel._drift_values` would — and
-    multi-segment rows fall back to that method verbatim, so the bank is
-    bit-identical to the per-run loop either way.  Drift-grid extensions
-    for all rows run as one batched hash sweep.
-    """
-    k0 = kernels[0]
-    dq = k0._drift_quantum
-    cur = np.floor(times_bank / dq).astype(np.int64)
-    prv = np.floor((times_bank - dq) / dq).astype(np.int64)
-    single = np.all(
-        (cur[:, 1:] == cur[:, :1]) & (prv[:, 1:] == prv[:, :1]), axis=1
-    )
-    requests = []
-    for b, kernel in enumerate(kernels):
-        lo = int(min(cur[b, 0], prv[b, 0]))
-        hi = int(max(cur[b, -1], prv[b, -1])) + 1
-        requests.append((kernel._drift_grid, lo, hi))
-    fill_noise_grids(requests)
-    out = np.empty((B, n), dtype=np.float64)
-    for b, kernel in enumerate(kernels):
-        if single[b]:
-            key = (int(cur[b, 0]), int(prv[b, 0]))
-            pairs = kernel.host._drift_value_cache
-            drift = pairs.get(key)
-            if drift is None:
-                grid = kernel._drift_grid
-                dcur_v = grid.value(key[0])
-                dprv_v = grid.value(key[1])
-                # ou_like_noise with blend=0.75 (exact binary floats).
-                drift = (
-                    kernel._drift_sigma
-                    * (0.75 * dprv_v + 0.25 * dcur_v)
-                    / kernel._drift_norm
-                )
-                pairs[key] = drift
-            out[b] = drift
-        else:
-            out[b] = kernel._drift_values(times_bank[b], n)
-    return out
-
-
-def cpu_percent_block_bank(
-    kernels: list[VmKernel], times_bank: np.ndarray
-) -> np.ndarray:
-    """Banked ``CPU(v,t)`` feature, one row per run's VM.
-
-    Non-running VMs contribute zero rows (updating their SoA flags
-    exactly as the per-run kernel does); running rows stack into one
-    gather + blend/clamp pass.  Requires a uniform jitter quantum
-    (checked by the bank driver).
-    """
-    B, n = times_bank.shape
-    out = np.zeros((B, n), dtype=np.float64)
-    live: list[tuple[int, VmKernel, float]] = []
-    for b, kernel in enumerate(kernels):
-        vm = kernel.vm
-        row = kernel.row
-        if not vm.running:
-            row["running"] = 0
-            row["base_pct"] = 0.0
-            continue
-        base = vm._workload.cpu_fraction() * 100.0
-        if vm.host is not None:
-            base *= vm.host.cpu.allocation_fraction(kernel._alloc_key)
-        row["running"] = 1
-        row["base_pct"] = base
-        live.append((b, kernel, base))
-    if not live:
-        return out
-    k0 = live[0][1]
-    q = k0._quantum
-    rows = [b for b, _, _ in live]
-    sub_times = times_bank[rows]
-    cur_ticks = np.floor(sub_times / q).astype(np.int64)
-    prev_ticks = np.floor((sub_times - q) / q).astype(np.int64)
-    requests = []
-    for i, (_, kernel, _) in enumerate(live):
-        lo = int(min(cur_ticks[i, 0], prev_ticks[i, 0]))
-        hi = int(max(cur_ticks[i, -1], prev_ticks[i, -1])) + 1
-        requests.append((kernel._grid, lo, hi))
-    fill_noise_grids(requests)
-    m = len(live)
-    cur = np.empty((m, n), dtype=np.float64)
-    prv = np.empty((m, n), dtype=np.float64)
-    for i, (_, kernel, _) in enumerate(live):
-        row_cur, row_prv = kernel._grid.gather_pair(cur_ticks[i], prev_ticks[i])
-        cur[i] = row_cur
-        prv[i] = row_prv
-    sigma = np.asarray(
-        [kernel._sigma for _, kernel, _ in live], dtype=np.float64
-    )[:, None]
-    base_col = np.asarray(
-        [base for _, _, base in live], dtype=np.float64
-    )[:, None]
-    jitter = sigma * (k0._blend * prv + k0._one_minus * cur) / k0._norm
-    values = np.minimum(np.maximum(base_col + jitter, 0.0), 100.0)
-    for i, b in enumerate(rows):
-        out[b] = values[i]
-    return out

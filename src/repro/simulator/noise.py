@@ -34,7 +34,6 @@ __all__ = [
     "hash_normal",
     "hash_normal_unit",
     "hash_normal_unit_fill",
-    "hash_normal_unit_fill_bank",
     "ou_like_noise",
     "ou_like_noise_block",
     "ou_like_noise_cached",
@@ -164,45 +163,12 @@ def hash_normal_unit_fill(seed: int, key: str, lo: int, hi: int) -> np.ndarray:
 def hash_normal_unit_fill_bank(
     requests: list[tuple[int, str, int, int]],
 ) -> list[np.ndarray]:
-    """One batched :func:`hash_normal_unit_fill` sweep over many streams.
+    """:func:`hash_normal_unit_fill` per ``(seed, key, lo, hi)`` request.
 
-    ``requests`` is a list of ``(seed, key, lo, hi)`` fill requests — one
-    per noise tick grid being extended.  The seed-bank execution path
-    collects the grid extensions of *every* banked run's hosts and VMs for
-    an upcoming event-free window and performs them here as one pass, so
-    the fixed per-fill costs (comprehension setup, digest join, frombuffer
-    views) are paid once per bank rather than once per run.
-
-    Bit-identical per element to :func:`hash_normal_unit_fill`: each
-    digest is a pure function of its own ``(seed, key, tick)`` prefix, so
-    concatenating the digests of *all* requests before the strided
-    ``frombuffer`` read yields exactly the same leading-u64 words as
-    per-request joins, and the Box–Muller transform runs through the same
-    scalar ``math`` calls in the same order.  Returns one float64 array
-    per request, in request order.
+    A retired name, kept only because the paper-campaign benchmark's span
+    table (``perfbench/spans.py``) still lists it; nothing here calls it.
     """
-    prefixes: list[bytes] = []
-    spans: list[tuple[int, int]] = []
-    for seed, key, lo, hi in requests:
-        head = f"{seed}:{key}#".encode("utf-8")
-        start = len(prefixes)
-        prefixes.extend(head + b"%d#" % tick for tick in range(lo, hi))
-        spans.append((start, len(prefixes)))
-    if not prefixes:
-        return [np.empty(0, dtype=np.float64) for _ in requests]
-    sha = _sha256
-    sqrt = math.sqrt
-    log = math.log
-    cos = math.cos
-    d1 = b"".join([sha(p + b"1").digest() for p in prefixes])
-    d2 = b"".join([sha(p + b"2").digest() for p in prefixes])
-    u1s = ((np.frombuffer(d1, dtype="<u8")[::4] + 0.5) / _U64).tolist()
-    u2s = ((np.frombuffer(d2, dtype="<u8")[::4] + 0.5) / _U64).tolist()
-    values = np.asarray(
-        [sqrt(-2.0 * log(u1)) * cos(_TWO_PI * u2) for u1, u2 in zip(u1s, u2s)],
-        dtype=np.float64,
-    )
-    return [values[start:stop].copy() for start, stop in spans]
+    return [hash_normal_unit_fill(*request) for request in requests]
 
 
 def ou_like_noise_values(

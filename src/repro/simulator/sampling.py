@@ -70,7 +70,7 @@ class PeriodicSampler(ControlLoop):
         Generate long batched tick grids through the analytic array
         expression (:func:`repro.simulator.kernels.sampler_tick_grid`)
         instead of the scalar accumulation loop.  Purely a performance
-        knob of the ``compute="numpy"|"numba"`` modes: the grid holds the
+        knob of the ``compute="numpy"`` mode: the grid holds the
         same float64 timestamps bit for bit.
 
     Notes

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.cluster.host import PhysicalHost
 from repro.simulator.engine import Simulator
-from repro.simulator.kernels import resolve_compute
+from repro.simulator.kernels import validate_compute
 from repro.simulator.sampling import SCALAR_BLOCK_MAX, PeriodicSampler
 from repro.telemetry.traces import SeriesTrace
 
@@ -45,7 +45,7 @@ class DstatMonitor:
     compute:
         Kernel selection for batched blocks (see
         :mod:`repro.simulator.kernels`); ``"python"`` keeps every block
-        on the scalar memoised pipeline.  Same bits in every mode.
+        on the scalar memoised pipeline.  Same bits in both modes.
     """
 
     def __init__(
@@ -58,7 +58,7 @@ class DstatMonitor:
     ) -> None:
         self.host = host
         self.trace = SeriesTrace(COLUMNS, label=f"dstat:{host.name}")
-        self._compute = resolve_compute(compute)
+        self._compute = validate_compute(compute)
         self._sampler = PeriodicSampler(
             sim,
             period_s,
@@ -114,7 +114,7 @@ class DstatMonitor:
             return
         n = times.size
         times_list = times.tolist()
-        kernel = self.host.attach_kernel(mode=self._compute)
+        kernel = self.host.attach_kernel()
         buf_t, (b_cpu, b_mem, b_tx, b_rx), start = (
             self.trace._reserve(n, times_list[0])
         )

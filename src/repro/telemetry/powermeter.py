@@ -33,7 +33,7 @@ import numpy as np
 from repro.cluster.host import PhysicalHost
 from repro.errors import ConfigurationError
 from repro.simulator.engine import Simulator
-from repro.simulator.kernels import resolve_compute
+from repro.simulator.kernels import validate_compute
 from repro.simulator.sampling import SCALAR_BLOCK_MAX, PeriodicSampler
 from repro.telemetry.stabilization import StabilizationRule, StabilizationTracker
 from repro.telemetry.traces import PowerTrace
@@ -64,11 +64,11 @@ class PowerMeter:
         Select the vectorized interval-hook fast path (bit-identical to
         event mode; see the module docstring).
     compute:
-        Kernel selection for batched blocks (``"python"`` | ``"numpy"``
-        | ``"numba"``; see :mod:`repro.simulator.kernels`).  ``"python"``
-        replays the event-mode scalar pipeline per sample regardless of
-        block length; the other modes run the array kernels on long
-        blocks.  Same bits in every mode.
+        Kernel selection for batched blocks (``"python"`` | ``"numpy"``;
+        see :mod:`repro.simulator.kernels`).  ``"python"`` replays the
+        event-mode scalar pipeline per sample regardless of block length;
+        ``"numpy"`` runs the array kernels on long blocks.  Same bits in
+        both modes.
     """
 
     def __init__(
@@ -94,7 +94,7 @@ class PowerMeter:
         self._quantisation = float(quantisation_w)
         self.trace = PowerTrace(label=f"power:{host.name}")
         self._trackers: dict[StabilizationRule, StabilizationTracker] = {}
-        self._compute = resolve_compute(compute)
+        self._compute = validate_compute(compute)
         self._sampler = PeriodicSampler(
             sim,
             period_s,
@@ -159,7 +159,7 @@ class PowerMeter:
             # Ground truth through the compute-mode array kernel (the
             # host's SoA row + noise tick grids); bit-identical to the
             # scalar kernel below, which short blocks keep using.
-            kernel = self.host.attach_kernel(mode=self._compute)
+            kernel = self.host.attach_kernel()
             tp_arr = kernel.power_block(times, times_list)
             if self._accuracy:
                 noise_sigma = self._accuracy / 3.0 * tp_arr

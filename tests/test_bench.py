@@ -4,9 +4,9 @@ import json
 
 import pytest
 
+import repro.bench
 from repro.bench import (
     BENCH_SCHEMA,
-    bench_campaign,
     bench_compute,
     bench_simulator,
     bench_telemetry,
@@ -19,10 +19,23 @@ from repro.cli import build_parser, main
 from repro.errors import ReproError
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture(scope="session")
 def quick_payload():
-    """One tiny full-suite run shared by the module's tests."""
+    """The one tiny full-suite run of the session, shared by every test."""
     return run_benchmarks(quick=True, repeats=1)
+
+
+@pytest.fixture
+def bench_calls(quick_payload, monkeypatch):
+    """Serve ``wavm3 bench`` from the shared payload; records each call."""
+    calls = []
+
+    def fake_run_benchmarks(quick=False, repeats=None):
+        calls.append({"quick": quick, "repeats": repeats})
+        return quick_payload
+
+    monkeypatch.setattr(repro.bench, "run_benchmarks", fake_run_benchmarks)
+    return calls
 
 
 class TestBenchmarks:
@@ -51,11 +64,17 @@ class TestBenchmarks:
             assert compute[mode]["samples_per_s"] > 0
         assert compute["speedup"] > 0  # ratio exists; the floor is guarded
 
-    def test_campaign_modes_measure_identical_workloads(self):
-        campaign = bench_campaign(runs=2, repeats=1)
+    def test_campaign_modes_measure_identical_workloads(self, quick_payload):
+        campaign = quick_payload["results"]["campaign"]
         # same scenario, same runs: the sample counts divide out of the
         # throughput comparison
         assert campaign["runs"] == 2
+        assert (
+            campaign["batched"]["wall_s"] * campaign["batched"]["samples_per_s"]
+            == pytest.approx(
+                campaign["events"]["wall_s"] * campaign["events"]["samples_per_s"]
+            )
+        )
         assert campaign["batched"]["samples_per_s"] > campaign["events"]["samples_per_s"]
 
     def test_simulator_bench_counts_events(self):
@@ -123,7 +142,6 @@ class TestRegressionGate:
         assert baseline["guarded"]["campaign.speedup"] >= 5.0
         assert baseline["guarded"]["consolidation.speedup"] >= 4.0
         assert baseline["guarded"]["compute.speedup"] >= 2.0
-        assert baseline["guarded"]["seedbank.speedup"] >= 3.0
 
 
 class TestBenchCli:
@@ -139,7 +157,7 @@ class TestBenchCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "--repeats", "0"])
 
-    def test_cli_end_to_end(self, tmp_path, capsys):
+    def test_cli_end_to_end(self, tmp_path, capsys, bench_calls, quick_payload):
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps({"guarded": {"campaign.speedup": 1.1}}))
         code = main(
@@ -148,14 +166,20 @@ class TestBenchCli:
         )
         out = capsys.readouterr().out
         assert code == 0
+        assert bench_calls == [{"quick": True, "repeats": 1}]
         assert "speedup" in out and "perf-smoke ok" in out
-        assert list(tmp_path.glob("BENCH_*.json"))
+        (written,) = tmp_path.glob("BENCH_*.json")
+        assert written.name == f"BENCH_{quick_payload['revision']}.json"
+        assert json.loads(written.read_text(encoding="utf-8")) == json.loads(
+            json.dumps(quick_payload)
+        )
 
-    def test_cli_regression_exit_code(self, tmp_path):
+    def test_cli_regression_exit_code(self, tmp_path, capsys, bench_calls):
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps({"guarded": {"campaign.speedup": 9999.0}}))
         code = main(
-            ["bench", "--quick", "--repeats", "1",
-             "--output-dir", str(tmp_path), "--check", str(baseline)]
+            ["bench", "--output-dir", str(tmp_path), "--check", str(baseline)]
         )
         assert code == 1
+        assert bench_calls == [{"quick": False, "repeats": None}]
+        assert "campaign.speedup" in capsys.readouterr().out

@@ -1,14 +1,13 @@
 """The ``compute=`` kernel axis: bit-identity and its building blocks.
 
 The tentpole guarantee: ``RunnerSettings(compute="python")`` (the
-all-scalar reference), ``"numpy"`` (the vectorized default) and
-``"numba"`` (the JIT-compiled hybrid, where numba is installed) produce
+all-scalar reference) and ``"numpy"`` (the vectorized default) produce
 **byte-identical** campaign samples JSON — same RNG stream consumption,
 same float operations, on every scenario archetype and on serial and
 distributed backends alike.  The unit tests pin the equivalences the
 array kernels rest on: the vectorized sampler tick grid, the contiguous
-noise tick grids, the SoA arena's view stability, the host/VM kernels
-against their scalar counterparts, and the dirty-counter slot binding.
+noise tick grids, and the host/VM kernels against their scalar
+counterparts.
 """
 
 import threading
@@ -23,16 +22,10 @@ from repro.experiments.executor import CampaignExecutor, RunCache
 from repro.experiments.queue_backend import run_worker
 from repro.experiments.runner import RunnerSettings, ScenarioRunner
 from repro.hypervisor import VirtualMachine
-from repro.hypervisor.memory import VmMemory
 from repro.io import save_samples_json
 from repro.simulator.kernels import (
     COMPUTE_MODES,
-    HAVE_NUMBA,
-    HOST_DTYPE,
-    VM_DTYPE,
-    KernelArena,
     NoiseTickGrid,
-    resolve_compute,
     sampler_tick_grid,
     validate_compute,
 )
@@ -61,8 +54,7 @@ ARCHETYPES = [
     ),
 ]
 
-#: Every mode testable in this environment ("numba" covered in its CI lane).
-MODES = ["python", "numpy"] + (["numba"] if HAVE_NUMBA else [])
+MODES = list(COMPUTE_MODES)
 
 
 def _runner(mode: str, seed: int, **overrides) -> ScenarioRunner:
@@ -71,7 +63,7 @@ def _runner(mode: str, seed: int, **overrides) -> ScenarioRunner:
 
 
 class TestGoldenCrossMode:
-    """python vs numpy (vs numba): the same bits, per sample, per artifact."""
+    """python vs numpy: the same bits, per sample, per artifact."""
 
     @pytest.mark.parametrize("seed", [0, 20150901])
     def test_campaign_samples_json_byte_identical(self, tmp_path, seed):
@@ -169,13 +161,6 @@ class TestModeSelection:
             validate_compute("cython")
         assert validate_compute("python") == "python"
 
-    def test_resolve_applies_numba_fallback(self):
-        assert resolve_compute("python") == "python"
-        assert resolve_compute("numpy") == "numpy"
-        assert resolve_compute("numba") == ("numba" if HAVE_NUMBA else "numpy")
-        with pytest.raises(ConfigurationError):
-            resolve_compute("fortran")
-
     def test_testbed_rejects_unknown_mode(self):
         from repro.experiments.testbed import Testbed
 
@@ -266,29 +251,6 @@ class TestNoiseTickGrid:
             assert prv_v[i] == hash_normal_unit(5, "cpu:m01", int(prv[i]))
 
 
-class TestKernelArena:
-    def test_rows_are_zeroed_length_one_views(self):
-        arena = KernelArena(chunk=4)
-        row = arena.alloc(HOST_DTYPE)
-        assert row.shape == (1,) and row.dtype == HOST_DTYPE
-        assert row["idle_w"][0] == 0.0
-        assert arena.count(HOST_DTYPE) == 1
-
-    def test_growth_preserves_existing_views(self):
-        arena = KernelArena(chunk=2)
-        rows = [arena.alloc(VM_DTYPE) for _ in range(5)]
-        for i, row in enumerate(rows):
-            row["dirty_logged"] = 100 + i
-        # Growth appended chunks; earlier views must still see their slot.
-        assert [int(r["dirty_logged"][0]) for r in rows] == [100, 101, 102, 103, 104]
-        assert arena.count(VM_DTYPE) == 5
-        assert arena.count(HOST_DTYPE) == 0
-
-    def test_rejects_bad_chunk(self):
-        with pytest.raises(ConfigurationError):
-            KernelArena(chunk=0)
-
-
 class TestKernelVsScalar:
     """Direct array-kernel vs scalar-kernel equality on live state."""
 
@@ -303,7 +265,7 @@ class TestKernelVsScalar:
         bed = self._bed()
         times_list = [1.0 + 0.5 * k for k in range(1, 40)]
         times = np.asarray(times_list, dtype=np.float64)
-        kernel = bed.source.attach_kernel(mode="numpy")
+        kernel = bed.source.attach_kernel()
         vec = kernel.power_block(times, times_list)
         scalar = bed.source.instantaneous_power_values(times_list)
         assert vec.tolist() == scalar  # exact float equality
@@ -312,7 +274,7 @@ class TestKernelVsScalar:
         bed = self._bed()
         times_list = [1.0 + 0.5 * k for k in range(1, 40)]
         times = np.asarray(times_list, dtype=np.float64)
-        kernel = bed.target.attach_kernel(mode="numpy")
+        kernel = bed.target.attach_kernel()
         u = kernel.util_block(times, times_list)
         # The block published every read into the host's per-timestamp
         # memo, which the scalar short-block readers consume.
@@ -339,62 +301,28 @@ class TestKernelVsScalar:
         times_list = [0.5, 1.0, 1.5]
         times = np.asarray(times_list, dtype=np.float64)
         assert kernel.cpu_percent_block(times, times_list).tolist() == [0.0, 0.0, 0.0]
-        assert int(kernel.row["running"][0]) == 0
-
-
-class TestDirtySlotBinding:
-    def test_counter_rides_the_bound_row(self):
-        mem = VmMemory(64)
-        mem.enable_logging()
-        mem._dirty_logged = 7
-        row = KernelArena(chunk=1).alloc(VM_DTYPE)
-        mem.bind_dirty_slot(row)
-        # The bind carried the count over; reads and writes go through
-        # the row's int64 slot from now on.
-        assert int(row["dirty_logged"][0]) == 7
-        assert mem._dirty_logged == 7
-        mem._dirty_logged += 5
-        assert int(row["dirty_logged"][0]) == 12
-        assert mem.dirty_count() == 12
-
-    def test_vm_attach_binds_the_slot(self):
-        vm = VirtualMachine("dsb", 1, 64, noise_seed=2)
-        vm.memory.enable_logging()
-        vm.memory._dirty_logged = 3
-        kernel = vm.attach_kernel()
-        assert int(kernel.row["dirty_logged"][0]) == 3
-        vm.memory._dirty_logged = 9
-        assert int(kernel.row["dirty_logged"][0]) == 9
-
-    def test_unbound_counter_still_local(self):
-        mem = VmMemory(64)
-        mem.enable_logging()
-        mem._dirty_logged = 4
-        assert mem.dirty_count() == 4
 
 
 class TestHostKernelRefresh:
     def test_static_envelope_mirrors_power_params(self):
         host = PhysicalHost(machine_spec("m01"), noise_seed=3)
-        kernel = host.attach_kernel(mode="numpy")
+        kernel = host.attach_kernel()
         params = host.power_model.params
-        row = kernel.row
-        assert row["idle_w"][0] == params.idle_w
-        assert row["memory_w"][0] == params.memory_w
-        assert row["nic_w"][0] == params.nic_w
-        assert row["drift_sigma_w"][0] == params.drift_sigma_w
+        assert kernel._idle == params.idle_w
+        assert kernel._host_floor == 0.3 * params.idle_w
+        assert kernel._drift_sigma == params.drift_sigma_w
 
     def test_attach_is_idempotent(self):
         host = PhysicalHost(machine_spec("m01"), noise_seed=3)
-        assert host.attach_kernel(mode="numpy") is host.attach_kernel(mode="numpy")
+        assert host.attach_kernel() is host.attach_kernel()
 
     def test_refresh_tracks_cpu_version(self):
         host = PhysicalHost(machine_spec("m01"), noise_seed=3)
-        kernel = host.attach_kernel(mode="numpy")
+        kernel = host.attach_kernel()
         kernel.refresh()
         idle_base = kernel._base
         host.cpu.set_demand("load", 4.0)
         kernel.refresh()
         assert kernel._base > idle_base
         assert kernel._base == host.cpu.utilisation_fraction()
-        assert int(kernel.row["cpu_version"][0]) == host.cpu._version
+        assert kernel.cpu_version == host.cpu._version

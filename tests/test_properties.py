@@ -343,14 +343,13 @@ class TestRunCacheKeyProperties:
         assert json.loads(proc.stdout) == [t.key for t in tasks]
 
 
-class TestSeedBankProperties:
-    """Bank partitioning invariants of the seed-bank batch interior.
+class TestRunBatchProperties:
+    """Invariants of ``run_batch``'s per-run interior.
 
     ``run_batch`` may receive any hole pattern a partially-warmed cache
-    leaves behind and any ``seed_bank`` width; the bank must cover
-    exactly those indices, in order, whatever the chunking — and a run
-    forced out of the bank at an arbitrary tick must still reproduce the
-    per-run scalar suffix bit for bit.
+    leaves behind; it must run exactly those indices, in order — and an
+    extra heap event at an arbitrary tick, which splits the batched
+    sampling intervals differently, must not change a sample.
     """
 
     @settings(max_examples=80, deadline=None)
@@ -359,39 +358,27 @@ class TestSeedBankProperties:
             st.integers(min_value=0, max_value=200), min_size=2, max_size=40,
             unique=True,
         ),
-        width=st.integers(min_value=2, max_value=12),
     )
-    def test_bank_chunks_cover_exactly_the_holes_in_order(self, holes, width):
-        """Chunks tile the index list: no index lost, duplicated or
-        reordered, no chunk wider than the bank, results and ``on_run``
-        deposits in ``indices`` order."""
-        from repro.experiments import seedbank
-        from repro.experiments.seedbank import SeedBank
-
-        chunks = []
+    def test_batch_covers_exactly_the_holes_in_order(self, holes):
+        """No index lost, duplicated or reordered: results and ``on_run``
+        deposits come back in ``indices`` order."""
+        executed = []
         fired = []
 
         class _FakeRun:
             def __init__(self, index):
                 self.run_index = index
 
-        def fake_chunk(self, chunk):
-            chunks.append(list(chunk))
-            yield from (_FakeRun(index) for index in chunk)
+        class _Runner(ScenarioRunner):
+            def run_once(self, scenario, run_index=0):
+                executed.append(run_index)
+                return _FakeRun(run_index)
 
-        bank = SeedBank(
-            ScenarioRunner(seed=0),
-            MigrationScenario("CPULOAD-SOURCE", "prop/bank", live=True),
-            holes, width=width, on_run=lambda run: fired.append(run.run_index),
+        results = _Runner(seed=0).run_batch(
+            MigrationScenario("CPULOAD-SOURCE", "prop/batch", live=True),
+            holes, on_run=lambda run: fired.append(run.run_index),
         )
-        original = seedbank.SeedBank._run_chunk
-        seedbank.SeedBank._run_chunk = fake_chunk
-        try:
-            results = bank.execute()
-        finally:
-            seedbank.SeedBank._run_chunk = original
-        assert [r for chunk in chunks for r in chunk] == holes
-        assert all(len(chunk) <= max(width, 2) for chunk in chunks)
+        assert executed == holes
         assert [r.run_index for r in results] == holes
         assert fired == holes
 
@@ -400,12 +387,10 @@ class TestSeedBankProperties:
         victim=st.integers(min_value=0, max_value=2),
         event_time=st.floats(min_value=0.5, max_value=40.0, allow_nan=False),
     )
-    def test_drop_out_at_any_tick_reproduces_the_scalar_suffix(
-        self, victim, event_time
-    ):
-        """An extra heap event at an arbitrary tick forces one run out of
-        the bank for that window (and solo through the engine from there
-        to the boundary); its samples must still match ``run_once``."""
+    def test_extra_event_at_any_tick_reproduces_run_once(self, victim, event_time):
+        """An extra no-op heap event at an arbitrary tick splits one run's
+        event-free intervals elsewhere; its samples must still match the
+        undisturbed ``run_once``."""
         from repro.experiments.runner import ScenarioRunner as Runner
 
         scenario = MigrationScenario(
@@ -415,9 +400,7 @@ class TestSeedBankProperties:
             min_warmup_s=2.0, max_warmup_s=6.0, min_post_s=2.0, max_post_s=6.0,
             check_interval_s=1.0,
         )
-        banked_runner = Runner(
-            seed=5, settings=RunnerSettings(seed_bank=8, **fast)
-        )
+        disturbed_runner = Runner(seed=5, settings=RunnerSettings(**fast))
         build = Runner.build_testbed
 
         def build_with_event(self, scn, run_index):
@@ -426,12 +409,12 @@ class TestSeedBankProperties:
                 bed.sim.schedule(event_time, lambda: None)
             return bed
 
-        banked_runner.build_testbed = build_with_event.__get__(banked_runner)
-        banked = banked_runner.run_batch(scenario, range(3))
-        reference = Runner(
-            seed=5, settings=RunnerSettings(seed_bank=0, **fast)
-        ).run_batch(scenario, range(3))
-        for a, b in zip(reference, banked):
+        disturbed_runner.build_testbed = build_with_event.__get__(disturbed_runner)
+        disturbed = disturbed_runner.run_batch(scenario, range(3))
+        reference = Runner(seed=5, settings=RunnerSettings(**fast)).run_batch(
+            scenario, range(3)
+        )
+        for a, b in zip(reference, disturbed):
             assert np.array_equal(a.source_trace.times, b.source_trace.times)
             assert np.array_equal(a.source_trace.watts, b.source_trace.watts)
             assert np.array_equal(a.target_trace.watts, b.target_trace.watts)
@@ -450,9 +433,9 @@ class TestSeedBankProperties:
             unique=True,
         ),
     )
-    def test_derived_seeds_independent_of_bank_shape(self, master, label, indices):
+    def test_derived_seeds_independent_of_batch_shape(self, master, label, indices):
         """``derive_seed(master, "label#index")`` is a pure per-index
-        function: the same seed whatever order or grouping the bank
+        function: the same seed whatever order or grouping a batch
         evaluates it in, and collision-free across the span."""
         from repro.simulator.rng import derive_seed
 

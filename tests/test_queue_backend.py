@@ -388,24 +388,24 @@ class TestFaultInjection:
             )
 
 
-class TestSeedBankFaultInjection:
-    """A worker dies mid-bank: deposits survive, only the holes recompute."""
+class TestBatchFaultInjection:
+    """A worker dies mid-batch: deposits survive, only the holes recompute."""
 
     _FAST = dict(
         min_warmup_s=2.0, max_warmup_s=6.0, min_post_s=2.0, max_post_s=6.0,
         check_interval_s=1.0,
     )
-    _BANK_SCENARIO = MigrationScenario(
-        "CPULOAD-SOURCE", "queue/bank/nl", live=False, load_vm_count=0
+    _BATCH_SCENARIO = MigrationScenario(
+        "CPULOAD-SOURCE", "queue/batch/nl", live=False, load_vm_count=0
     )
 
-    def _bank_task(self, run_count: int = 5) -> RunBatchTask:
-        settings = RunnerSettings(seed_bank=8, **self._FAST)
+    def _batch_task(self, run_count: int = 5) -> RunBatchTask:
+        settings = RunnerSettings(**self._FAST)
         rule = StabilizationRule()
-        key = RunCache.scenario_key(SEED, self._BANK_SCENARIO, settings, None, rule)
+        key = RunCache.scenario_key(SEED, self._BATCH_SCENARIO, settings, None, rule)
         return RunBatchTask(
             seed=SEED, settings=settings, migration_config=None,
-            stabilization=rule, scenario=self._BANK_SCENARIO,
+            stabilization=rule, scenario=self._BATCH_SCENARIO,
             run_start=0, run_count=run_count, key=key,
         )
 
@@ -424,21 +424,21 @@ class TestSeedBankFaultInjection:
         thread.start()
         return thread, box
 
-    def test_worker_killed_mid_bank_preserves_deposits_and_refills_holes(
+    def test_worker_killed_mid_batch_preserves_deposits_and_refills_holes(
         self, tmp_path
     ):
-        """Acceptance: kill a queue worker mid-bank.  The per-run cache
+        """Acceptance: kill a queue worker mid-batch.  The per-run cache
         entries and progress lines it already flushed survive the requeue,
-        the rescuing worker recomputes only the holes (banked), the final
-        results are bit-identical to the per-run interior, and a warm
-        rerun performs zero runs."""
-        task = self._bank_task(run_count=5)
+        the rescuing worker recomputes only the holes, the final results
+        are bit-identical to an uninterrupted batch, and a warm rerun
+        performs zero runs."""
+        task = self._batch_task(run_count=5)
         backend = _backend(tmp_path, stale_timeout=0.5)
         future = backend.submit(task)
 
-        # The doomed worker claims the bank and deposits runs 0 and 1 —
+        # The doomed worker claims the batch and deposits runs 0 and 1 —
         # cache entries and progress lines hit the spool per run, not per
-        # bank, so a mid-bank death loses only the unfinished tail.  Then
+        # batch, so a mid-batch death loses only the unfinished tail.  Then
         # it dies: the claim's heartbeat freezes in the past.
         claim = _claim_next_task(backend.spool)
         assert claim is not None
@@ -480,9 +480,9 @@ class TestSeedBankFaultInjection:
         results = future.result()
         assert [run.run_index for run in results] == [0, 1, 2, 3, 4]
 
-        # Banked recovery is bit-identical to the per-run interior.
+        # The recovery is bit-identical to an uninterrupted batch.
         reference = ScenarioRunner(
-            seed=SEED, settings=RunnerSettings(seed_bank=0, **self._FAST)
+            seed=SEED, settings=RunnerSettings(**self._FAST)
         ).run_batch(task.scenario, range(5))
         for expected, actual in zip(reference, results):
             assert expected.timeline.ms == actual.timeline.ms
@@ -502,7 +502,7 @@ class TestSeedBankFaultInjection:
         drained = backend.drain_progress()
         assert sorted(event.run_index for event in drained) == [0, 1, 2, 3, 4]
 
-        # Warm rerun: every index is already deposited, so the whole bank
+        # Warm rerun: every index is already deposited, so the whole batch
         # short-circuits to cache hits and zero runs execute.  The worker
         # runs synchronously (max_tasks=1) before the coordinator polls,
         # otherwise the coordinator resolves straight from the cache and
