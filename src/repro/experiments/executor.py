@@ -101,7 +101,9 @@ __all__ = [
 #: existing cache entry after a change to run semantics.
 #: /2: MigrationScenario gained the ``driver`` field (consolidation-manager
 #: scenarios), which changes the canonical scenario payload.
-CACHE_KEY_SCHEMA = "wavm3-run-cache/2"
+#: /3: the dirty-page model draws one binomial per step (no discarded
+#: page-permutation draw), which changes every live run's random stream.
+CACHE_KEY_SCHEMA = "wavm3-run-cache/3"
 
 
 def _execute_run(

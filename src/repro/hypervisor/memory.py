@@ -2,20 +2,17 @@
 
 Xen's live migration tracks dirtying at 4 KiB page granularity through a
 log-dirty bitmap; each pre-copy round clears the log and re-sends pages
-dirtied during the previous round.  This module reproduces that mechanism
-with two levels of fidelity:
+dirtied during the previous round.  Only the *number* of dirty pages is
+observable to the migration (what a round must re-send), so the log here
+is a counter, and the dirtying process follows the occupancy statistics of
+random writes: a workload issuing ``N`` uniform writes over a working set of
+``W`` pages leaves a given page untouched with probability
+``(1 - 1/W)^N``, so the expected number of distinct pages dirtied is
+``W · (1 - (1 - 1/W)^N)`` — the classic coupon-collector saturation.
 
-* a **bitmap** (numpy bool array) for exact per-round accounting, and
-* the **occupancy formula** for the distinct-page statistics of random
-  writes: a workload issuing ``N`` uniform writes over a working set of
-  ``W`` pages leaves a given page untouched with probability
-  ``(1 - 1/W)^N``, so the expected number of distinct pages dirtied is
-  ``W · (1 - (1 - 1/W)^N)`` — the classic coupon-collector saturation.
-
-The stochastic update draws the number of *newly* dirtied pages from a
-binomial over the currently clean working pages, then marks uniformly
-chosen clean pages.  This is faithful to ``pagedirtier``'s random-order
-writes while staying O(working set) per pre-copy round.
+Each stochastic update draws the number of *newly* dirtied pages as one
+binomial over the currently clean working pages, which is faithful to
+``pagedirtier``'s random-order writes at O(1) cost per pre-copy step.
 """
 
 from __future__ import annotations
@@ -60,7 +57,7 @@ def expected_distinct_pages(writes: float, working_pages: int) -> float:
 
 
 class VmMemory:
-    """Guest memory image with a log-dirty bitmap.
+    """Guest memory image with a log-dirty page counter.
 
     Parameters
     ----------
@@ -82,16 +79,9 @@ class VmMemory:
         # wholesale by clear_dirty(), so while the working set stays
         # fixed (which every migration path guarantees: the dirty
         # process is only re-synced on suspend/resume, with the same
-        # workload) the log reduces exactly to a counter: every
-        # observable (dirty_count, clean-set size, the RNG draws) is a
-        # function of counts alone.  This makes the whole log O(1)
-        # instead of O(n_pages) bitmap passes per pre-copy round, and
-        # advance() still consumes the generator identically to the
-        # explicit-bitmap implementation it replaced
-        # (``Generator.choice`` draws the same variates for an int
-        # population as for an index array of the same size).
-        # Resizing the working set while pages are logged is rejected
-        # (see set_dirty_process): page identity is gone, so the
+        # workload) the log reduces exactly to a counter.  Resizing the
+        # working set while pages are logged is rejected (see
+        # set_dirty_process): page identity is gone, so the
         # inside/outside split could not be reconstructed.
         self._dirty_logged = 0
 
@@ -116,10 +106,9 @@ class VmMemory:
         ):
             # The counter log cannot attribute already-dirty pages to a
             # *resized* working set (page identity is gone), so fail
-            # loudly rather than silently diverge from the bitmap
-            # semantics.  No migration path resizes the set while
-            # logging: the dirty process is only re-synced on
-            # suspend/resume, with the same workload.
+            # loudly rather than silently miscount.  No migration path
+            # resizes the set while logging: the dirty process is only
+            # re-synced on suspend/resume, with the same workload.
             raise ConfigurationError(
                 "cannot resize the working set while dirty pages are "
                 f"logged ({self._dirty_logged} dirty, "
@@ -195,11 +184,6 @@ class VmMemory:
         if clean <= 0:
             return 0
         n_new = int(rng.binomial(clean, min(max(p_touched, 0.0), 1.0)))
-        if n_new == 0:
-            return 0
-        # Draw the page choice exactly as the explicit-bitmap version did
-        # (uniform distinct clean pages); only the count is observable.
-        rng.choice(clean, size=n_new, replace=False)
         self._dirty_logged += n_new
         return n_new
 

@@ -158,12 +158,14 @@ class TestRunCacheKeyPins:
     and bump ``CACHE_KEY_SCHEMA``.
     """
 
+    # Re-pinned for the ``wavm3-run-cache/3`` bump (one binomial per
+    # dirty-page step): the schema tag is part of every key.
     PINNED = {
         "cpuload-source/nonlive/0vm/m": (
-            "b20716cd9b1213e063c801414b4c2461212e4109a3f77e09b405fb1a4aab18ee"
+            "35909d9fb7227b454702da0fb32a74b31fb93f7e5127407c5bdb224ed259810f"
         ),
         "consolidation-cpu/nonlive/0vm/m": (
-            "77f271dfe047fa5a6b0e9b7160babab2185fad18ec4856166f492416dd720ff9"
+            "ed334aab05260e765994092224dc52ca78abc5226136bb30ee013a5a260ad362"
         ),
     }
 
@@ -189,6 +191,33 @@ class TestRunCacheKeyPins:
             for mode in COMPUTE_MODES
         }
         assert keys == {self.PINNED[scenario.label]}
+
+    def test_schema_2_entries_are_recomputed_never_served(self, tmp_path, monkeypatch):
+        """Runs cached under ``wavm3-run-cache/2`` predate the one-binomial
+        dirty-page model: a cache warmed at /2 (keys and ``meta.json`` both
+        carry the old tag) is recomputed by a /3 campaign, never served."""
+        import json
+
+        from repro.experiments import executor as executor_module
+
+        scenarios = [ARCHETYPES[3]]
+
+        def campaign():
+            runner = CampaignExecutor(_runner(), jobs=1, cache_dir=tmp_path)
+            runner.run_campaign(scenarios, min_runs=2, max_runs=2)
+            return runner.stats
+
+        with monkeypatch.context() as patch:
+            patch.setattr(executor_module, "CACHE_KEY_SCHEMA", "wavm3-run-cache/2")
+            assert campaign().runs_executed == 2
+        metas = list(tmp_path.glob("*/*/meta.json"))
+        assert metas
+        assert {json.loads(meta.read_text(encoding="utf-8"))["schema"] for meta in metas} == {
+            "wavm3-run-cache/2"
+        }
+        stats = campaign()
+        assert (stats.runs_executed, stats.runs_cached) == (2, 0)
+        assert campaign().runs_cached == 2
 
 
 class TestRunBatchContracts:
