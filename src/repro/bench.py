@@ -96,17 +96,27 @@ _CONSOLIDATION_SCENARIO = dict(
 
 
 def current_revision() -> str:
-    """Short git revision of the working tree, or ``"untracked"``."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+    """Short git revision of the working tree, or ``"untracked"``.
+
+    A tree whose tracked files differ from ``HEAD`` is labelled
+    ``<rev>-dirty``: its numbers measure uncommitted code, not ``<rev>``.
+    """
+    def git(*args: str):
+        return subprocess.run(
+            ["git", *args],
             capture_output=True, text=True, timeout=10,
             cwd=pathlib.Path(__file__).resolve().parent,
         )
+
+    try:
+        out = git("rev-parse", "--short", "HEAD")
+        rev = out.stdout.strip()
+        if out.returncode != 0 or not rev:
+            return "untracked"
+        dirty = git("diff", "--quiet", "HEAD", "--").returncode != 0
     except (OSError, subprocess.TimeoutExpired):
         return "untracked"
-    rev = out.stdout.strip()
-    return rev if out.returncode == 0 and rev else "untracked"
+    return f"{rev}-dirty" if dirty else rev
 
 
 def _best_of(repeats: int, fn) -> float:
@@ -507,10 +517,9 @@ def bench_scheduler(runs: int = 12, repeats: int = 3, seed: int = _CAMPAIGN_SEED
                 if item is None:
                     return
                 task, future = item
-                n_runs = getattr(task, "run_count", 1)
                 started = time.perf_counter()
                 try:
-                    time.sleep(lane_delays[lane] * n_runs)
+                    time.sleep(lane_delays[lane] * task.run_count)
                     result = _execute_task(task)
                 except BaseException as exc:  # noqa: BLE001 - mirrored to caller
                     future.set_exception(exc)

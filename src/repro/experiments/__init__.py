@@ -51,7 +51,6 @@ from repro.experiments.executor import (
     ExecutorBackend,
     ExecutorStats,
     ProcessBackend,
-    RunBatchTask,
     RunCache,
     RunTask,
     SerialBackend,
@@ -110,7 +109,6 @@ __all__ = [
     "ProcessBackend",
     "QueueBackend",
     "QueueStats",
-    "RunBatchTask",
     "RunCache",
     "RunTask",
     "SerialBackend",

@@ -36,10 +36,12 @@ embarrassingly parallel at run granularity.  This module exploits that:
       <cache-dir>/<key[:2]>/<key>/run-0003.pkl  # one RunResult per run
 
 * :class:`ExecutorBackend` is the formal protocol the wave scheduler
-  drives: ``submit()`` a :class:`RunTask`, ``wait()`` for completions,
-  ``shutdown()`` when the campaign is over, with :attr:`capacity`
-  introspection feeding the default wave size.  Any object implementing
-  it (a cluster scheduler, an RPC fan-out, …) can back a campaign.
+  drives: ``submit()`` a :class:`RunTask` (a contiguous seed range of
+  one scenario; its future resolves to the range's runs), ``wait()`` for
+  completions, ``shutdown()`` when the campaign is over, with
+  :attr:`capacity` introspection feeding the default wave size.  Any
+  object implementing it (a cluster scheduler, an RPC fan-out, …) can
+  back a campaign.
 
 See ``docs/parallel_campaigns.md`` for the full design discussion.
 """
@@ -89,7 +91,6 @@ __all__ = [
     "ExecutorBackend",
     "ExecutorStats",
     "ProcessBackend",
-    "RunBatchTask",
     "RunCache",
     "RunTask",
     "SerialBackend",
@@ -106,82 +107,6 @@ __all__ = [
 CACHE_KEY_SCHEMA = "wavm3-run-cache/3"
 
 
-def _execute_run(
-    seed: int,
-    settings: RunnerSettings,
-    migration_config: Optional[MigrationConfig],
-    stabilization: StabilizationRule,
-    scenario: MigrationScenario,
-    run_index: int,
-) -> RunResult:
-    """Worker entry point: one instrumented run, self-contained and picklable."""
-    chaos_trip("execute", tag=f"{scenario.label}#{run_index}")
-    runner = ScenarioRunner(
-        seed=seed,
-        settings=settings,
-        migration_config=migration_config,
-        stabilization=stabilization,
-    )
-    return runner.run_once(scenario, run_index=run_index)
-
-
-# ---------------------------------------------------------------------------
-# Run task spec
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class RunTask:
-    """Everything a backend needs to execute one run, picklable/serialisable.
-
-    A task is the unit of dispatch of every backend: the process backend
-    pickles it to a worker process, the queue backend serialises it to a
-    JSON spool file (:func:`repro.io.save_task_spec`) claimed by remote
-    ``campaign-worker`` processes.  ``key`` carries the scenario's
-    :class:`RunCache` key when a cache is in play, so workers can deposit
-    results straight into the shared cache.
-    """
-
-    seed: int
-    settings: RunnerSettings
-    migration_config: Optional[MigrationConfig]
-    stabilization: StabilizationRule
-    scenario: MigrationScenario
-    run_index: int
-    key: Optional[str] = None
-
-    def execute(self) -> RunResult:
-        """Run this task in the current process (the pure serial code path).
-
-        Returns
-        -------
-        RunResult
-            The instrumented run — identical bytes for every backend,
-            because the run's seed depends only on
-            ``(seed, scenario.label, run_index)``.
-        """
-        return _execute_run(
-            self.seed,
-            self.settings,
-            self.migration_config,
-            self.stabilization,
-            self.scenario,
-            self.run_index,
-        )
-
-    def key_payload(self) -> dict:
-        """The cache-key ingredients of this task (see :class:`RunCache`).
-
-        Returns
-        -------
-        dict
-            The canonical key payload; its SHA-256 digest must equal
-            :attr:`key` for a trustworthy task spec.
-        """
-        return RunCache._key_payload(
-            self.seed, self.scenario, self.settings,
-            self.migration_config, self.stabilization,
-        )
-
-
 def execute_batch(
     seed: int,
     settings: RunnerSettings,
@@ -191,13 +116,13 @@ def execute_batch(
     run_indices: Sequence[int],
     on_run=None,
 ) -> list[RunResult]:
-    """Worker entry point for a whole seed wave through one runner.
+    """Worker entry point: a seed wave of one scenario through one runner.
 
-    One :class:`ScenarioRunner` instance executes every index of the
-    batch (scenario validation hoisted, per-run RNG streams still derived
-    independently via ``derive_seed``), so the per-run interpreter and
-    setup cost is paid once per batch rather than once per run.  Each
-    run's bytes are identical to :func:`_execute_run` for the same index.
+    One :class:`ScenarioRunner` instance executes every index (scenario
+    validation hoisted, per-run RNG streams still derived independently
+    via ``derive_seed``), so the per-run interpreter and setup cost is
+    paid once per task rather than once per run.  Each run's bytes are
+    identical to :meth:`ScenarioRunner.run_once` for the same index.
 
     Parameters
     ----------
@@ -205,7 +130,7 @@ def execute_batch(
         The shared run-stream parameters (see :class:`RunTask`).
     run_indices:
         The indices to execute, in order (not necessarily contiguous: a
-        worker resuming a partially-cached batch passes only the holes).
+        worker resuming a partially-cached task passes only the holes).
     on_run:
         Optional per-run callback (progress announcement, incremental
         cache deposit); forwarded to
@@ -216,8 +141,8 @@ def execute_batch(
     list[RunResult]
         One result per index, in ``run_indices`` order.
     """
-    # The "execute" chaos seam, tripped once per run of the batch (an
-    # injected crash fails the whole claim, exactly like a real one).
+    # The "execute" chaos seam, tripped once per run (an injected crash
+    # fails the whole claim, exactly like a real one).
     for index in run_indices:
         chaos_trip("execute", tag=f"{scenario.label}#{index}")
     runner = ScenarioRunner(
@@ -229,19 +154,25 @@ def execute_batch(
     return runner.run_batch(scenario, run_indices, on_run=on_run)
 
 
+# ---------------------------------------------------------------------------
+# Run task spec
+# ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class RunBatchTask:
-    """A contiguous seed range of one scenario, dispatched as one unit.
+class RunTask:
+    """A contiguous seed range of one scenario: the unit of dispatch.
 
-    The batch variant of :class:`RunTask` (``wavm3-taskspec/2`` on the
-    wire): same scenario, same settings, runs ``run_start`` through
-    ``run_start + run_count - 1``.  Executing it routes the whole wave
-    through a single :class:`ScenarioRunner` (:func:`execute_batch`), so
-    dispatch and setup overhead is amortised across the batch while every
-    run's seed — and therefore its bytes — stays exactly what the per-run
-    path produces.  Cache entries remain **per-run** (``run-NNNN.pkl``
-    under the same scenario key), so warm reruns and per-run progress are
-    unchanged.
+    Every backend executes tasks: the process backend pickles one to a
+    worker process, the queue backend serialises it to a JSON spool file
+    (:func:`repro.io.save_task_spec`, ``wavm3-taskspec/2``) claimed by
+    remote ``campaign-worker`` processes, the HTTP backend hands the same
+    JSON out on ``POST /claim``.  The task covers runs ``run_start``
+    through ``run_start + run_count - 1``; executing it routes them all
+    through a single :class:`ScenarioRunner` (:func:`execute_batch`),
+    while every run's seed — and therefore its bytes — depends only on
+    ``(seed, scenario.label, run_index)``.  ``key`` carries the
+    scenario's :class:`RunCache` key when a cache is in play, so workers
+    can deposit results (per run, ``run-NNNN.pkl``) straight into the
+    shared cache.
     """
 
     seed: int
@@ -250,7 +181,7 @@ class RunBatchTask:
     stabilization: StabilizationRule
     scenario: MigrationScenario
     run_start: int
-    run_count: int
+    run_count: int = 1
     key: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -261,11 +192,34 @@ class RunBatchTask:
 
     @property
     def run_indices(self) -> range:
-        """The run indices this batch covers, in execution order."""
+        """The run indices this task covers, in execution order."""
         return range(self.run_start, self.run_start + self.run_count)
 
+    def run_id(self, index: int) -> str:
+        """The per-run id of ``index``.
+
+        ``<key16>-NNNN``, or ``label#N`` for a task without a key.
+        Progress events and the failure ledger name runs by it, whatever
+        the task's size, so the campaign summary and ``campaign-status``
+        are batching-agnostic.
+        """
+        if self.key is None:
+            return f"{self.scenario.label}#{index}"
+        return f"{self.key[:16]}-{index:04d}"
+
+    @property
+    def task_id(self) -> str:
+        """The stable id of the task (spool file stem, HTTP lease id).
+
+        A one-run task is named like its run; a larger one appends its
+        run count (``<key16>-NNNNxC``), so a task and its first run never
+        collide.
+        """
+        first = self.run_id(self.run_start)
+        return first if self.run_count == 1 else f"{first}x{self.run_count}"
+
     def execute(self, on_run=None) -> list[RunResult]:
-        """Run the whole batch in the current process.
+        """Run the task in the current process (the pure serial code path).
 
         Parameters
         ----------
@@ -275,7 +229,8 @@ class RunBatchTask:
         Returns
         -------
         list[RunResult]
-            One result per index, in ascending index order.
+            One result per index, in ascending index order — identical
+            bytes for every backend.
         """
         return execute_batch(
             self.seed,
@@ -288,18 +243,32 @@ class RunBatchTask:
         )
 
     def key_payload(self) -> dict:
-        """The cache-key ingredients (identical to the per-run task's)."""
+        """The cache-key ingredients of this task (see :class:`RunCache`)."""
         return RunCache._key_payload(
             self.seed, self.scenario, self.settings,
             self.migration_config, self.stabilization,
         )
 
+    def verify_key(self) -> None:
+        """Check that :attr:`key` hashes back to the task's contents.
+
+        Raises
+        ------
+        PersistenceError
+            If the embedded key does not match — a corrupted or tampered
+            spec that a worker must refuse rather than execute.
+        """
+        if self.key != RunCache._payload_digest(self.key_payload()):
+            raise PersistenceError(
+                f"embedded cache key {self.key!r} does not match the spec"
+            )
+
 
 def _contiguous_spans(indices: Sequence[int]) -> list[list[int]]:
     """Split ascending ``indices`` into maximal contiguous runs.
 
-    Batch tasks carry a (start, count) range, so a gap — e.g. a cache
-    hit in the middle of a wave — forces a span break.
+    Tasks carry a (start, count) range, so a gap — e.g. a cache hit in
+    the middle of a wave — forces a span break.
     """
     spans: list[list[int]] = []
     for index in indices:
@@ -310,18 +279,17 @@ def _contiguous_spans(indices: Sequence[int]) -> list[list[int]]:
     return spans
 
 
-def _execute_task(task, run_timeout: Optional[float] = None) -> Union[RunResult, list]:
-    """Module-level trampoline so task dispatch can pickle (both
-    :class:`RunTask` and :class:`RunBatchTask`).
+def _execute_task(task: RunTask, run_timeout: Optional[float] = None) -> list[RunResult]:
+    """Module-level trampoline so task dispatch can pickle.
 
     ``run_timeout`` arms the per-run watchdog
-    (:func:`~repro.experiments.faults.run_with_deadline`): a batch task's
+    (:func:`~repro.experiments.faults.run_with_deadline`): a task's
     deadline is ``run_timeout`` times its run count, so the budget scales
     with the dispatched work.
     """
     if run_timeout is None:
         return task.execute()
-    count = int(getattr(task, "run_count", 1) or 1)
+    count = task.run_count
     return run_with_deadline(
         task.execute,
         run_timeout * count,
@@ -574,13 +542,15 @@ class ExecutorBackend(abc.ABC):
         Parameters
         ----------
         task:
-            The self-contained run spec to execute.
+            The self-contained task to execute (one or more runs).
 
         Returns
         -------
         concurrent.futures.Future
-            Resolves to the task's :class:`~repro.experiments.results.RunResult`;
-            a worker-side failure surfaces as the future's exception.
+            Resolves to the task's runs, a ``list`` of
+            :class:`~repro.experiments.results.RunResult` in
+            ``task.run_indices`` order; a worker-side failure surfaces as
+            the future's exception.
         """
 
     def wait(
@@ -608,7 +578,7 @@ class ExecutorBackend(abc.ABC):
         done, _ = wait(pending, timeout=timeout, return_when=FIRST_COMPLETED)
         return set(done)
 
-    def quarantine(self, task, task_id: str) -> bool:
+    def quarantine(self, task: RunTask) -> bool:
         """Move a task whose retry budget is exhausted into quarantine.
 
         Distributed backends persist the spec (queue: the
@@ -620,9 +590,7 @@ class ExecutorBackend(abc.ABC):
         Parameters
         ----------
         task:
-            The failed :class:`RunTask`/:class:`RunBatchTask`.
-        task_id:
-            Its stable task id (ledger/spool naming).
+            The failed :class:`RunTask` (stored under its ``task_id``).
 
         Returns
         -------
@@ -722,7 +690,7 @@ class ProcessBackend(ExecutorBackend):
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         inner = self._pool.submit(_execute_task_timed, task, self.run_timeout)
-        # Unwrap (run, wall) into a RunResult future carrying the
+        # Unwrap (runs, wall) into a run-list future carrying the
         # worker-side wall time as an attribute, mirroring _SerialFuture.
         outer: Future = Future()
 
@@ -731,9 +699,9 @@ class ProcessBackend(ExecutorBackend):
             if exc is not None:
                 outer.set_exception(exc)
             else:
-                run, wall = done.result()
+                runs, wall = done.result()
                 outer.wall_s = wall
-                outer.set_result(run)
+                outer.set_result(runs)
 
         inner.add_done_callback(_unwrap)
         return outer
@@ -776,18 +744,33 @@ class ExecutorStats:
 
 
 class _ScenarioState:
-    """Book-keeping of one scenario's adaptive run stream."""
+    """Book-keeping of one scenario's adaptive run stream.
 
-    __slots__ = ("scenario", "key", "runs", "inflight", "abandoned", "target", "resolved")
+    ``first`` is the task of the stream's run 0; a dispatched chunk is
+    the same task over another range (:meth:`task`).
+    """
 
-    def __init__(self, scenario: MigrationScenario, key: Optional[str], target: int) -> None:
-        self.scenario = scenario
-        self.key = key
+    __slots__ = ("first", "runs", "inflight", "abandoned", "target", "resolved")
+
+    def __init__(self, first: RunTask, target: int) -> None:
+        self.first = first
         self.runs: dict[int, RunResult] = {}
         self.inflight: set[int] = set()
         self.abandoned: set[int] = set()  # indices lost to exhausted retry budgets
         self.target = target            # runs [0, target) currently wanted
         self.resolved: Optional[int] = None  # final kept count once decided
+
+    @property
+    def scenario(self) -> MigrationScenario:
+        return self.first.scenario
+
+    @property
+    def key(self) -> Optional[str]:
+        return self.first.key
+
+    def task(self, chunk: Sequence[int]) -> RunTask:
+        """The task covering the contiguous run indices ``chunk``."""
+        return dataclasses.replace(self.first, run_start=chunk[0], run_count=len(chunk))
 
 
 class CampaignExecutor:
@@ -819,10 +802,9 @@ class CampaignExecutor:
         (falling back to ``jobs``).  Affects only how much speculative
         work may run, never the returned result.
     batch_size:
-        Runs per dispatched task.  ``1`` (default) keeps the classic
-        one-:class:`RunTask`-per-run dispatch; larger values chunk each
-        scenario's contiguous missing-index spans into
-        :class:`RunBatchTask` units of at most this many runs; ``None``
+        Runs per dispatched :class:`RunTask`.  ``1`` (default) dispatches
+        one task per run; larger values chunk each scenario's contiguous
+        missing-index spans into tasks of at most this many runs; ``None``
         sizes chunks automatically at dispatch time — the missing runs
         divided evenly across the backend's current capacity (falling
         back to ``jobs`` while capacity is unknown), so a late-growing
@@ -1146,9 +1128,7 @@ class CampaignExecutor:
         self.progress_events = []
         self.ledger.reset()
         self._attempts = {}
-        states = [
-            _ScenarioState(s, self._key_for(s), target=lo) for s in scenarios
-        ]
+        states = [_ScenarioState(self._first_task(s), target=lo) for s in scenarios]
         try:
             self._drive(states, lo, hi)
         finally:
@@ -1196,52 +1176,23 @@ class CampaignExecutor:
         return ExperimentResult(results)
 
     # ------------------------------------------------------------------
-    def _key_for(self, scenario: MigrationScenario) -> Optional[str]:
-        if self.cache is None:
-            return None
-        return RunCache.scenario_key(
-            self.runner.seed,
-            scenario,
-            self.runner.settings,
-            self.runner.migration_config,
-            self.runner.stabilization,
-        )
-
-    def _task_for(self, state: _ScenarioState, index: int) -> RunTask:
+    def _first_task(self, scenario: MigrationScenario) -> RunTask:
+        runner = self.runner
+        key = None
+        if self.cache is not None:
+            key = RunCache.scenario_key(
+                runner.seed, scenario, runner.settings,
+                runner.migration_config, runner.stabilization,
+            )
         return RunTask(
-            seed=self.runner.seed,
-            settings=self.runner.settings,
-            migration_config=self.runner.migration_config,
-            stabilization=self.runner.stabilization,
-            scenario=state.scenario,
-            run_index=index,
-            key=state.key,
+            seed=runner.seed,
+            settings=runner.settings,
+            migration_config=runner.migration_config,
+            stabilization=runner.stabilization,
+            scenario=scenario,
+            run_start=0,
+            key=key,
         )
-
-    def _batch_task_for(
-        self, state: _ScenarioState, start: int, count: int
-    ) -> RunBatchTask:
-        return RunBatchTask(
-            seed=self.runner.seed,
-            settings=self.runner.settings,
-            migration_config=self.runner.migration_config,
-            stabilization=self.runner.stabilization,
-            scenario=state.scenario,
-            run_start=start,
-            run_count=count,
-            key=state.key,
-        )
-
-    def _task_progress_id(self, state: _ScenarioState, index: int) -> str:
-        if state.key is not None:
-            return f"{state.key[:16]}-{index:04d}"
-        return f"{state.scenario.label}#{index}"
-
-    def _chunk_task_id(self, state: _ScenarioState, chunk: Sequence[int]) -> str:
-        """The stable task id of a dispatched chunk (matches the
-        distributed backends' ``task_id_for`` naming)."""
-        base = self._task_progress_id(state, chunk[0])
-        return base if len(chunk) == 1 else f"{base}x{len(chunk)}"
 
     def _resolve_degraded(self, state: _ScenarioState, lo: int, hi: int) -> None:
         """Resolve a scenario whose wave completed with abandoned holes.
@@ -1271,19 +1222,19 @@ class CampaignExecutor:
         """The wave scheduler: dispatch, collect, evaluate, top up.
 
         Task failures are routed through the retry budget: a failed
-        chunk re-dispatches after :attr:`retry_policy` backoff until it
+        task re-dispatches after :attr:`retry_policy` backoff until it
         has failed :attr:`max_retries` times, then :attr:`on_failure`
-        decides between aborting (``raise``) and abandoning the chunk's
+        decides between aborting (``raise``) and abandoning the task's
         indices (``skip``/``quarantine``), with every attempt recorded
         in :attr:`ledger`.
         """
-        pending: dict[Future, tuple[_ScenarioState, tuple[int, ...], object]] = {}
+        pending: dict[Future, tuple[_ScenarioState, RunTask]] = {}
         submitted_at: dict[Future, float] = {}
-        #: Chunks sitting out their backoff: (ready_at, state, chunk).
-        retry_queue: list[tuple[float, _ScenarioState, tuple[int, ...]]] = []
-        #: (id(state), chunk) -> live futures racing for that chunk.
-        #: A chunk normally has one; a speculated straggler has two.
-        clone_groups: dict[tuple[int, tuple[int, ...]], set[Future]] = {}
+        #: Tasks sitting out their backoff: (ready_at, state, task).
+        retry_queue: list[tuple[float, _ScenarioState, RunTask]] = []
+        #: (id(state), task_id) -> live futures racing for that task.
+        #: A task normally has one; a speculated straggler has two.
+        clone_groups: dict[tuple[int, str], set[Future]] = {}
         policy = self.speculation
         speculation_armed = policy is not None and policy.enabled
         #: Only pay for mid-drive progress drains when something consumes
@@ -1298,29 +1249,24 @@ class CampaignExecutor:
 
         def dispatch(
             state: _ScenarioState,
-            chunk: Sequence[int],
+            task: RunTask,
             speculative: bool = False,
         ) -> None:
-            """Submit one chunk (fresh, retry, or clone); count the attempt."""
-            state.inflight.update(chunk)
-            if len(chunk) == 1:
-                task = self._task_for(state, chunk[0])
-            else:
-                task = self._batch_task_for(state, chunk[0], len(chunk))
-            task_id = self._chunk_task_id(state, chunk)
+            """Submit one task (fresh, retry, or clone); count the attempt."""
+            state.inflight.update(task.run_indices)
             if speculative:
                 # Clones are free re-dispatches, not attempts: the retry
-                # budget keeps counting the original chunk only.
+                # budget keeps counting the original task only.
                 self.stats.tasks_speculated += 1
             else:
-                self._attempts[task_id] = self._attempts.get(task_id, 0) + 1
+                self._attempts[task.task_id] = self._attempts.get(task.task_id, 0) + 1
             # Clock starts before submit: the serial backend executes
             # inside submit(), and its wall time must not read as zero.
             t_submit = time.perf_counter()
             future = self._backend.submit(task)
-            pending[future] = (state, tuple(chunk), task)
+            pending[future] = (state, task)
             submitted_at[future] = t_submit
-            clone_groups.setdefault((id(state), tuple(chunk)), set()).add(future)
+            clone_groups.setdefault((id(state), task.task_id), set()).add(future)
 
         def feed_model(now: float) -> None:
             """Throttled drain of live worker progress into the model.
@@ -1341,7 +1287,7 @@ class CampaignExecutor:
             self.throughput.observe_all(events)
 
         def maybe_speculate() -> None:
-            """Clone straggling chunks onto idle lanes (first result wins)."""
+            """Clone straggling tasks onto idle lanes (first result wins)."""
             if not speculation_armed:
                 return
             median = self.throughput.median_run_wall()
@@ -1352,10 +1298,10 @@ class CampaignExecutor:
             if budget <= 0:
                 return
             now_perf = time.perf_counter()
-            for future, (state, indices, _task) in list(pending.items()):
+            for future, (state, task) in list(pending.items()):
                 if budget <= 0:
                     break
-                group = clone_groups.get((id(state), indices))
+                group = clone_groups.get((id(state), task.task_id))
                 if group is not None and len(group) > 1:
                     continue  # already racing a clone
                 submitted = submitted_at.get(future)
@@ -1363,9 +1309,9 @@ class CampaignExecutor:
                     continue
                 done_frac = len(state.runs) / max(state.target, 1)
                 if policy.is_straggler(
-                    now_perf - submitted, len(indices), median, done_frac
+                    now_perf - submitted, task.run_count, median, done_frac
                 ):
-                    dispatch(state, indices, speculative=True)
+                    dispatch(state, task, speculative=True)
                     budget -= 1
 
         def advance(state: _ScenarioState) -> None:
@@ -1390,7 +1336,7 @@ class CampaignExecutor:
                     else:
                         missing.append(index)
                 for chunk in self._plan_wave_chunks(missing):
-                    dispatch(state, chunk)
+                    dispatch(state, state.task(chunk))
                 if state.inflight:
                     return  # evaluate when the wave completes
                 if any(i in state.abandoned for i in range(state.target)):
@@ -1408,20 +1354,15 @@ class CampaignExecutor:
                     return
                 state.target = min(hi, state.target + self.wave_size)
 
-        def fail(
-            state: _ScenarioState,
-            chunk: tuple[int, ...],
-            task,
-            exc: BaseException,
-        ) -> None:
+        def fail(state: _ScenarioState, task: RunTask, exc: BaseException) -> None:
             """One failed attempt: retry under budget, else fate it."""
-            task_id = self._chunk_task_id(state, chunk)
+            task_id = task.task_id
             attempt = self._attempts.get(task_id, 1)
             failure = failure_from_exception(
                 exc,
                 task_id=task_id,
                 scenario=state.scenario.label,
-                run_indices=chunk,
+                run_indices=tuple(task.run_indices),
                 attempt=attempt,
                 worker=self.backend,
             )
@@ -1431,21 +1372,19 @@ class CampaignExecutor:
                 self.ledger.record(failure.with_fate("retried"))
                 self.stats.tasks_retried += 1
                 delay = self.retry_policy.delay_s(attempt, task_id)
-                retry_queue.append((time.monotonic() + delay, state, chunk))
+                retry_queue.append((time.monotonic() + delay, state, task))
                 return  # indices stay inflight until the re-dispatch
             if self.on_failure == "raise":
                 self.ledger.record(failure.with_fate("fatal"))
                 raise exc
             fate = "skipped"
-            if self.on_failure == "quarantine" and self._backend.quarantine(
-                task, task_id
-            ):
+            if self.on_failure == "quarantine" and self._backend.quarantine(task):
                 fate = "quarantined"
                 self.stats.tasks_quarantined += 1
             self.ledger.record(failure.with_fate(fate))
-            state.inflight.difference_update(chunk)
-            state.abandoned.update(chunk)
-            self.stats.runs_abandoned += len(chunk)
+            state.inflight.difference_update(task.run_indices)
+            state.abandoned.update(task.run_indices)
+            self.stats.runs_abandoned += task.run_count
             if not state.inflight:
                 advance(state)
 
@@ -1461,8 +1400,8 @@ class CampaignExecutor:
                 due = [entry for entry in retry_queue if entry[0] <= now]
                 if due:
                     retry_queue[:] = [e for e in retry_queue if e[0] > now]
-                    for _, state, chunk in due:
-                        dispatch(state, chunk)
+                    for _, state, task in due:
+                        dispatch(state, task)
             if not pending:
                 # Only backoff timers outstanding: nap (bounded, so the
                 # campaign deadline stays responsive) until one is due.
@@ -1478,7 +1417,7 @@ class CampaignExecutor:
                 bounds.append(deadline - now)
             if speculation_armed:
                 # Wake periodically even with nothing due, so straggler
-                # checks run while a slow chunk is the only work left.
+                # checks run while a slow task is the only work left.
                 bounds.append(0.25)
             if bounds:
                 timeout = max(min(bounds), 0.0)
@@ -1486,10 +1425,10 @@ class CampaignExecutor:
             for future in done:
                 if future not in pending:
                     continue  # a speculation sibling already covered it
-                state, indices, task = pending.pop(future)
-                group_key = (id(state), indices)
+                state, task = pending.pop(future)
+                group_key = (id(state), task.task_id)
                 try:
-                    result = future.result()
+                    runs = future.result()
                 except Exception as exc:  # noqa: BLE001 - routed through the budget
                     submitted_at.pop(future, None)
                     # Failure fates the whole clone group: whether a
@@ -1502,17 +1441,16 @@ class CampaignExecutor:
                     for sibling in siblings:
                         pending.pop(sibling, None)
                         submitted_at.pop(sibling, None)
-                    fail(state, indices, task, exc)
+                    fail(state, task, exc)
                     continue
-                runs = result if isinstance(result, list) else [result]
-                if len(runs) != len(indices):
+                if len(runs) != task.run_count:
                     raise ExperimentError(
-                        f"batch for {state.scenario.label!r} returned "
-                        f"{len(runs)} runs, expected {len(indices)}"
+                        f"task {task.task_id} for {state.scenario.label!r} returned "
+                        f"{len(runs)} runs, expected {task.run_count}"
                     )
                 submitted = submitted_at.pop(future, None)
                 # First valid result wins: the loser's futures (and any
-                # backoff retry of the same chunk) are dropped here, and
+                # backoff retry of the same task) are dropped here, and
                 # its eventual publication deduplicates through the
                 # per-run cache keys / the backend's duplicate handling.
                 siblings = clone_groups.pop(group_key, set())
@@ -1520,30 +1458,30 @@ class CampaignExecutor:
                 for sibling in siblings:
                     if pending.pop(sibling, None) is not None:
                         submitted_at.pop(sibling, None)
-                        self.stats.runs_deduped += len(indices)
+                        self.stats.runs_deduped += task.run_count
                 if siblings:
                     retry_queue[:] = [
                         entry
                         for entry in retry_queue
-                        if not (entry[1] is state and entry[2] == indices)
+                        if not (entry[1] is state and entry[2].task_id == task.task_id)
                     ]
                 total_wall = getattr(future, "wall_s", None)
                 if total_wall is None:
                     total_wall = time.perf_counter() - (
                         submitted or time.perf_counter()
                     )
-                # Per-run accounting for a batch splits the batch wall
+                # Per-run accounting for a multi-run task splits its wall
                 # evenly: individual run walls are not observable from
                 # the coordinator side of a batched dispatch.
                 wall = max(total_wall / len(runs), 1e-9)
                 worker = getattr(future, "worker", None) or self._backend.name
-                for index, run in zip(indices, runs):
+                for index, run in zip(task.run_indices, runs):
                     state.runs[index] = run
                     state.inflight.discard(index)
                     self.stats.runs_executed += 1
                     samples = run_sample_count(run)
                     event = ProgressEvent(
-                        task_id=self._task_progress_id(state, index),
+                        task_id=task.run_id(index),
                         scenario=state.scenario.label,
                         run_index=index,
                         worker=worker,
@@ -1566,28 +1504,16 @@ class CampaignExecutor:
                         and not getattr(future, "result_in_cache", False)
                     ):
                         try:
-                            self.cache.put(
-                                state.key,
-                                run,
-                                key_payload=RunCache._key_payload(
-                                    self.runner.seed,
-                                    state.scenario,
-                                    self.runner.settings,
-                                    self.runner.migration_config,
-                                    self.runner.stabilization,
-                                ),
-                            )
+                            self.cache.put(state.key, run, key_payload=task.key_payload())
                         except (PersistenceError, OSError, ChaosError) as exc:
                             # A failed cache write must never take the
                             # campaign down: the run is already in hand.
                             self.ledger.record(
                                 RunFailure(
-                                    task_id=self._task_progress_id(state, index),
+                                    task_id=task.run_id(index),
                                     scenario=state.scenario.label,
                                     run_indices=(index,),
-                                    attempt=self._attempts.get(
-                                        self._chunk_task_id(state, indices), 1
-                                    ),
+                                    attempt=self._attempts.get(task.task_id, 1),
                                     worker=self.backend,
                                     kind=type(exc).__name__,
                                     message=f"cache put failed: {exc}",
@@ -1602,17 +1528,16 @@ class CampaignExecutor:
     def _abort_on_deadline(self, pending: dict, retry_queue: list) -> None:
         """Record every outstanding task and abort: deadlines never hang."""
         stamp = time.time()
-        outstanding = [
-            (state, indices) for (state, indices, _task) in pending.values()
-        ] + [(state, chunk) for (_ready, state, chunk) in retry_queue]
-        for state, indices in outstanding:
-            task_id = self._chunk_task_id(state, indices)
+        outstanding = [task for (_state, task) in pending.values()] + [
+            task for (_ready, _state, task) in retry_queue
+        ]
+        for task in outstanding:
             self.ledger.record(
                 RunFailure(
-                    task_id=task_id,
-                    scenario=state.scenario.label,
-                    run_indices=tuple(indices),
-                    attempt=self._attempts.get(task_id, 1),
+                    task_id=task.task_id,
+                    scenario=task.scenario.label,
+                    run_indices=tuple(task.run_indices),
+                    attempt=self._attempts.get(task.task_id, 1),
                     worker=self.backend,
                     kind="CampaignTimeout",
                     message=(

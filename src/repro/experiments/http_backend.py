@@ -7,13 +7,14 @@ that requirement.  The coordinator embeds a tiny stdlib HTTP service
 and remote workers need nothing but its URL:
 
 * ``POST /claim`` — a worker asks for work; the coordinator leases the
-  oldest open task and answers with its ``wavm3-taskspec/1`` JSON (the
-  same spec format the spool backend writes to disk);
+  oldest open :class:`~repro.experiments.executor.RunTask` (one or more
+  runs of one scenario) and answers with its ``wavm3-taskspec/2`` JSON
+  (the same spec format the spool backend writes to disk);
 * ``POST /heartbeat`` — the worker renews its lease while executing;
-* ``POST /result`` — the worker uploads the finished run (the
-  ``wavm3-runresult/1`` pickle envelope, exactly the run-cache file
-  format) or a JSON failure record; the coordinator validates the upload
-  and deposits it straight into its own content-addressed
+* ``POST /result`` — the worker uploads the task's finished runs (one
+  ``wavm3-runbatch/1`` pickle envelope, whatever the run count) or a
+  JSON failure record; the coordinator validates the upload and
+  deposits each run straight into its own content-addressed
   :class:`~repro.experiments.executor.RunCache`;
 * ``POST /progress`` — the worker announces a completed run (the
   ``wavm3-progress/1`` JSON document: task id, runs completed,
@@ -69,19 +70,12 @@ from repro.experiments.faults import (
     run_with_deadline,
     traceback_digest,
 )
-from repro.experiments.queue_backend import (
-    STATUS_SCHEMA,
-    QueueStats,
-    WorkerStats,
-    task_id_for,
-)
+from repro.experiments.queue_backend import STATUS_SCHEMA, QueueStats, WorkerStats
 from repro.experiments.results import ProgressEvent, run_sample_count
 from repro.io import (
     PersistenceError,
     dump_run_batch_bytes,
-    dump_run_result_bytes,
     load_run_batch_bytes,
-    load_run_result_bytes,
     progress_event_from_dict,
     progress_event_to_dict,
     task_spec_from_dict,
@@ -428,29 +422,30 @@ class HttpBackend(ExecutorBackend):
         return self.active_workers() or None
 
     # -- ExecutorBackend protocol ----------------------------------------
-    def submit(self, task) -> Future:
-        """Queue one task (single run or batch) for remote execution.
+    def submit(self, task: RunTask) -> Future:
+        """Queue one task for remote execution.
 
         Parameters
         ----------
         task:
-            The :class:`~repro.experiments.executor.RunTask` or
-            :class:`~repro.experiments.executor.RunBatchTask` to execute;
+            The :class:`~repro.experiments.executor.RunTask` to execute;
             must carry its cache ``key`` (the HTTP backend always runs
             with a coordinator-side cache).
 
         Returns
         -------
         Future
-            Resolved by the service threads when a worker uploads the
-            run (or its failure record).
+            Resolved by the service threads with the task's runs when a
+            worker uploads them (or with its failure record).
 
         Raises
         ------
         ExperimentError
             If the task has no cache key.
         """
-        task_id = task_id_for(task)
+        if task.key is None:
+            raise ExperimentError("queue tasks need a cache key")
+        task_id = task.task_id
         future = _HttpFuture(task, task_id)
         with self._state.lock:
             self._state.open[task_id] = task
@@ -476,7 +471,7 @@ class HttpBackend(ExecutorBackend):
         self._server.server_close()
         self._thread.join(timeout=5.0)
 
-    def quarantine(self, task, task_id: str) -> bool:
+    def quarantine(self, task: RunTask) -> bool:
         """Retire a task whose retry budget is exhausted.
 
         The HTTP analogue of the spool's ``quarantine/`` directory: the
@@ -484,9 +479,9 @@ class HttpBackend(ExecutorBackend):
         ``GET /status``) and leaves the open/lease bookkeeping for good.
         """
         with self._state.lock:
-            self._state.open.pop(task_id, None)
-            self._state.leases.pop(task_id, None)
-            self._state.quarantined.add(task_id)
+            self._state.open.pop(task.task_id, None)
+            self._state.leases.pop(task.task_id, None)
+            self._state.quarantined.add(task.task_id)
             self.stats.tasks_quarantined += 1
         return True
 
@@ -516,15 +511,10 @@ class HttpBackend(ExecutorBackend):
                 self.stats.leases_failed += 1
                 self._state.failed += 1
                 task = future.task
-                indices = tuple(
-                    task.run_indices
-                    if getattr(task, "run_count", None) is not None
-                    else (task.run_index,)
-                )
                 failure = RunFailure(
                     task_id=task_id,
                     scenario=task.scenario.label,
-                    run_indices=indices,
+                    run_indices=tuple(task.run_indices),
                     attempt=1,  # placeholder; the coordinator tracks attempts
                     worker=lease.worker,
                     kind="StaleLease",
@@ -624,29 +614,17 @@ class HttpBackend(ExecutorBackend):
         if future is None:
             return 404, {"error": f"unknown task {task_id!r}"}
         task = future.task
-        is_batch = getattr(task, "run_count", None) is not None
         try:
-            if is_batch:
-                runs = load_run_batch_bytes(
-                    body, origin=f"batch upload from {worker}"
+            runs = load_run_batch_bytes(body, origin=f"result upload from {worker}")
+            uploaded = [r.run_index for r in runs]
+            if uploaded != list(task.run_indices) or any(
+                r.scenario != task.scenario for r in runs
+            ):
+                raise PersistenceError(
+                    f"uploaded runs {uploaded} do not cover task {task_id} "
+                    f"({task.scenario.label!r} runs {task.run_start}"
+                    f"..{task.run_start + task.run_count - 1})"
                 )
-                expected = list(task.run_indices)
-                if [r.run_index for r in runs] != expected or any(
-                    r.scenario != task.scenario for r in runs
-                ):
-                    raise PersistenceError(
-                        f"uploaded batch does not cover "
-                        f"{task.scenario.label!r}#{task.run_start}"
-                        f"..{task.run_start + task.run_count - 1}"
-                    )
-            else:
-                run = load_run_result_bytes(body, origin=f"result upload from {worker}")
-                if run.scenario != task.scenario or run.run_index != task.run_index:
-                    raise PersistenceError(
-                        f"uploaded run is for {run.scenario.label!r}#{run.run_index}, "
-                        f"task is {task.scenario.label!r}#{task.run_index}"
-                    )
-                runs = [run]
         except PersistenceError as exc:
             with self._state.lock:
                 self.stats.corrupt_results += 1
@@ -672,7 +650,7 @@ class HttpBackend(ExecutorBackend):
                 return 200, {"ok": True, "duplicate": True}
             self._state.completed += 1
             future.worker = worker  # executor-side progress attribution
-            future.set_result(runs if is_batch else runs[0])
+            future.set_result(runs)
         return 200, {"ok": True}
 
     def _record_failure(
@@ -698,15 +676,10 @@ class HttpBackend(ExecutorBackend):
             if trace:
                 message = f"{message}\n{trace}"
             task = future.task
-            indices = tuple(
-                task.run_indices
-                if getattr(task, "run_count", None) is not None
-                else (task.run_index,)
-            )
             failure = RunFailure(
                 task_id=task_id,
                 scenario=task.scenario.label,
-                run_indices=indices,
+                run_indices=tuple(task.run_indices),
                 attempt=1,  # placeholder; the coordinator tracks attempts
                 worker=worker,
                 kind=kind or "WorkerFailure",
@@ -886,8 +859,8 @@ def _upload_result(
     url: str, worker: str, task_id: str, payload: bytes,
     timeout: float = 10.0,
 ) -> None:
-    """POST a finished result envelope (run or batch pickle bytes); an
-    HTTP 400 (rejected upload) raises."""
+    """POST a finished ``wavm3-runbatch/1`` envelope; an HTTP 400
+    (rejected upload) raises."""
     _request(
         url,
         "/result",
@@ -979,8 +952,8 @@ def run_http_worker(
         Exit (successfully) after this long of consecutive connection
         failures — the coordinator finished and went away.
     run_timeout:
-        Watchdog deadline per run, in seconds: a claimed batch may take
-        at most ``run_timeout * len(batch)`` of wall clock before the
+        Watchdog deadline per run, in seconds: a claimed task may take
+        at most ``run_timeout`` times its run count of wall clock before the
         worker abandons it with a failure upload instead of hanging the
         lease forever.  ``None`` disables the watchdog.
     http_timeout:
@@ -1068,14 +1041,7 @@ def _process_http_claim(
     try:
         task = task_spec_from_dict(reply.get("spec") or {})
         if verify_keys:
-            expected = RunCache.scenario_key(
-                task.seed, task.scenario, task.settings,
-                task.migration_config, task.stabilization,
-            )
-            if task.key != expected:
-                raise PersistenceError(
-                    f"embedded cache key {task.key!r} does not match the spec"
-                )
+            task.verify_key()
     except PersistenceError as exc:
         _upload_failure(
             url, worker_id, task_id, str(exc), "",
@@ -1084,7 +1050,6 @@ def _process_http_claim(
         stats.failed += 1
         return
 
-    is_batch = getattr(task, "run_count", None) is not None
     done_in_claim = 0
 
     def _announce(run) -> None:
@@ -1092,7 +1057,7 @@ def _process_http_claim(
         coordinator drains its /progress history the moment the final
         /result resolves the campaign, and the announcement for every
         run must already be there.  Each run announces under its own
-        per-run id (equal to the claim's task id for single-run tasks),
+        per-run id (equal to the claim's task id for one-run tasks),
         so batching is invisible to the stream.  (A subsequently
         rejected upload leaves surplus announcements in the
         observational stream — harmless by design.)"""
@@ -1102,7 +1067,7 @@ def _process_http_claim(
         done_in_claim += 1
         samples = run_sample_count(run)
         event = ProgressEvent(
-            task_id=f"{task.key[:16]}-{run.run_index:04d}" if task.key else task_id,
+            task_id=task.run_id(run.run_index),
             scenario=task.scenario.label,
             run_index=run.run_index,
             worker=worker_id,
@@ -1124,21 +1089,16 @@ def _process_http_claim(
     heartbeat = _HttpHeartbeat(url, worker_id, task_id, heartbeat_s, timeout=http_timeout)
     heartbeat.start()
     mark = time.perf_counter()
-    run_count = int(getattr(task, "run_count", 1) or 1)
-    deadline = None if run_timeout is None else run_timeout * run_count
+    deadline = None if run_timeout is None else run_timeout * task.run_count
 
     def _execute() -> bytes:
-        if is_batch:
-            # One runner instance serves the whole seed wave; runs are
-            # announced as they finish and uploaded as one envelope.
-            return dump_run_batch_bytes(task.execute(on_run=_announce))
-        run = task.execute()
-        _announce(run)
-        return dump_run_result_bytes(run)
+        # One runner instance serves the whole seed wave; runs are
+        # announced as they finish and uploaded as one envelope.
+        return dump_run_batch_bytes(task.execute(on_run=_announce))
 
     try:
         payload = run_with_deadline(
-            _execute, deadline, label=f"task {task_id} ({run_count} runs)"
+            _execute, deadline, label=f"task {task_id} ({task.run_count} runs)"
         )
     except Exception as exc:  # noqa: BLE001 - any failure must reach the coordinator
         _upload_failure(

@@ -6,7 +6,8 @@ span machines with nothing more exotic than a directory both sides can
 see (local disk for co-located workers, NFS for a cluster):
 
 * the **coordinator** (:class:`QueueBackend`) serialises each
-  :class:`~repro.experiments.executor.RunTask` to a JSON spec file in
+  :class:`~repro.experiments.executor.RunTask` (one or more runs of one
+  scenario) to a ``wavm3-taskspec/2`` JSON spec file in
   ``<spool>/tasks/`` and then polls the shared content-addressed
   :class:`~repro.experiments.executor.RunCache` for the result — the
   variance-stopping rule keeps running centrally, so results stay
@@ -14,8 +15,10 @@ see (local disk for co-located workers, NFS for a cluster):
 * any number of **workers** (:func:`run_worker`, CLI subcommand
   ``campaign-worker``) claim specs by atomically renaming them into
   ``<spool>/claims/`` (``os.rename`` — atomic on POSIX, including NFS),
-  execute them through the same pure ``_execute_run`` path every other
-  backend uses, and deposit results into the shared cache.
+  execute them through the same pure
+  :func:`~repro.experiments.executor.execute_batch` path every other
+  backend uses, and deposit results, one cache file per run, into the
+  shared cache.
 
 Fault tolerance is lease-based: a worker heartbeats its claim file's
 mtime while executing; the coordinator requeues claims whose heartbeat
@@ -34,7 +37,7 @@ renders it, and the coordinator folds it into the campaign summary.
 Spool layout::
 
     <spool>/
-      tasks/      open task specs (one JSON file per run)
+      tasks/      open task specs (one JSON file per task)
       claims/     specs claimed by a worker; mtime = worker heartbeat
       failed/     terminal task failures (error + traceback JSON)
       quarantine/ specs parked after an exhausted retry budget
@@ -95,7 +98,6 @@ __all__ = [
     "run_worker",
     "spool_gc",
     "spool_status",
-    "task_id_for",
 ]
 
 #: Schema tag of the ``failed/`` error records.
@@ -104,39 +106,6 @@ TASK_FAILURE_SCHEMA = "wavm3-taskfailure/1"
 #: Schema tag of the campaign-status documents (shared by
 #: :func:`spool_status` and the HTTP service's ``GET /status``).
 STATUS_SCHEMA = "wavm3-campaign-status/1"
-
-
-def task_id_for(task) -> str:
-    """Stable spool identifier of a task: cache key prefix + run range.
-
-    Single-run tasks keep the historical ``<key16>-NNNN`` shape; batch
-    tasks append the run count (``<key16>-NNNNxC``) so a batch and its
-    first run never collide in the spool.
-    """
-    if task.key is None:
-        raise ExperimentError("queue tasks need a cache key")
-    if getattr(task, "run_count", None) is not None:
-        return f"{task.key[:16]}-{task.run_start:04d}x{task.run_count}"
-    return f"{task.key[:16]}-{task.run_index:04d}"
-
-
-def _task_run_indices(task) -> list[int]:
-    """The run indices a task covers (one for :class:`RunTask`)."""
-    if getattr(task, "run_count", None) is not None:
-        return list(task.run_indices)
-    return [task.run_index]
-
-
-def _progress_ids_for(task) -> list[str]:
-    """Per-run progress task ids for a task.
-
-    Progress stays per-run even for batch tasks: each run announces
-    under the id its single-run dispatch would have used, so the
-    campaign summary and ``campaign-status`` are batching-agnostic.
-    """
-    if task.key is None:
-        raise ExperimentError("queue tasks need a cache key")
-    return [f"{task.key[:16]}-{index:04d}" for index in _task_run_indices(task)]
 
 
 class _Spool:
@@ -340,8 +309,10 @@ class QueueBackend(ExecutorBackend):
         return self.active_workers() or None
 
     # -- protocol --------------------------------------------------------
-    def submit(self, task) -> Future:
-        task_id = task_id_for(task)
+    def submit(self, task: RunTask) -> Future:
+        if task.key is None:
+            raise ExperimentError("queue tasks need a cache key")
+        task_id = task.task_id
         # A failure record from an earlier campaign must not resolve the
         # fresh attempt, so clear it before the spec becomes claimable;
         # a fresh attempt also gets a fresh stale-requeue budget.
@@ -349,9 +320,9 @@ class QueueBackend(ExecutorBackend):
         self._requeue_counts.pop(task_id, None)
         save_task_spec(task, self.spool.task_path(task_id))
         self.stats.tasks_submitted += 1
-        # Workers announce progress per *run*, so a batch task owns one
+        # Workers announce progress per *run*, so a task owns one
         # progress id per covered index.
-        self._session_task_ids.update(_progress_ids_for(task))
+        self._session_task_ids.update(task.run_id(i) for i in task.run_indices)
         return _QueueFuture(task, task_id)
 
     def drain_progress(self) -> list:
@@ -394,7 +365,7 @@ class QueueBackend(ExecutorBackend):
         if self.stop_workers_on_shutdown:
             self.spool.stop.touch()
 
-    def quarantine(self, task, task_id: str) -> bool:
+    def quarantine(self, task: RunTask) -> bool:
         """Park a budget-exhausted task's spec in ``quarantine/``.
 
         The spec is preserved verbatim for post-mortem inspection (and
@@ -403,9 +374,9 @@ class QueueBackend(ExecutorBackend):
         of the final attempt is left in place — ``spool_status()``
         reports both.
         """
-        save_task_spec(task, self.spool.quarantine_path(task_id))
-        self.spool.task_path(task_id).unlink(missing_ok=True)
-        self.spool.claim_path(task_id).unlink(missing_ok=True)
+        save_task_spec(task, self.spool.quarantine_path(task.task_id))
+        self.spool.task_path(task.task_id).unlink(missing_ok=True)
+        self.spool.claim_path(task.task_id).unlink(missing_ok=True)
         self.stats.tasks_quarantined += 1
         return True
 
@@ -413,8 +384,8 @@ class QueueBackend(ExecutorBackend):
     def _poll(self, future: _QueueFuture) -> bool:
         """Resolve a future from the shared cache / failure records."""
         task = future.task
-        indices = _task_run_indices(task)
-        # A batch resolves only once *every* covered run is deposited and
+        indices = task.run_indices
+        # A task resolves only once *every* covered run is deposited and
         # valid; a corrupt run invalidates just that one cache file.
         runs = []
         complete = True
@@ -441,10 +412,7 @@ class QueueBackend(ExecutorBackend):
             self.stats.corrupt_results += 1
             complete = False
         if complete and len(runs) == len(indices):
-            if getattr(task, "run_count", None) is not None:
-                future.set_result(runs)
-            else:
-                future.set_result(runs[0])
+            future.set_result(runs)
             return True
         failure = self.spool.failure_path(future.task_id)
         if failure.exists():
@@ -880,8 +848,8 @@ def run_worker(
         Recompute each spec's cache key and refuse mismatching specs
         (defence against corrupted or tampered spool files).
     run_timeout:
-        Watchdog deadline per run, in seconds: a claimed batch may take
-        at most ``run_timeout * len(batch)`` of wall clock before the
+        Watchdog deadline per run, in seconds: a claimed task may take
+        at most ``run_timeout`` times its run count of wall clock before the
         worker abandons it with a failure record instead of hanging the
         lease forever.  ``None`` disables the watchdog.
 
@@ -951,14 +919,7 @@ def _process_claim(
     try:
         task = load_task_spec(claim)
         if verify_keys:
-            expected = RunCache.scenario_key(
-                task.seed, task.scenario, task.settings,
-                task.migration_config, task.stabilization,
-            )
-            if task.key != expected:
-                raise PersistenceError(
-                    f"embedded cache key {task.key!r} does not match the spec"
-                )
+            task.verify_key()
     except PersistenceError as exc:
         if not claim.exists():
             return  # lease lost (requeued mid-read) — not this worker's task
@@ -974,13 +935,13 @@ def _process_claim(
         the cache: a coordinator that resolves the final run and drains the
         sidecars immediately must still see every announcement.  Each run
         announces under its own per-run id (which equals the claim stem
-        for single-run tasks), so batching is invisible to the stream."""
+        for one-run tasks), so batching is invisible to the stream."""
         nonlocal mark
         wall = max(time.perf_counter() - mark, 1e-9)
         mark = time.perf_counter()
         samples = run_sample_count(run)
         event = ProgressEvent(
-            task_id=f"{task.key[:16]}-{run.run_index:04d}",
+            task_id=task.run_id(run.run_index),
             scenario=task.scenario.label,
             run_index=run.run_index,
             worker=worker_id,
@@ -1006,10 +967,10 @@ def _process_claim(
     mark = time.perf_counter()
     try:
         # Runs already in the cache (a requeued-but-actually-completed
-        # task, or part of a batch a previous worker half-finished)
+        # task, or part of one a previous worker half-finished)
         # short-circuit here instead of re-simulating.
         missing = []
-        for index in _task_run_indices(task):
+        for index in task.run_indices:
             run = cache.get(task.key, task.scenario, index)
             if run is not None:
                 stats.cached += 1
@@ -1019,8 +980,8 @@ def _process_claim(
         if missing:
             # One runner instance serves the whole seed wave — scenario
             # validation is hoisted, per-run seeds stay derive_seed-exact.
-            # The watchdog deadline scales with the batch: every run gets
-            # its run_timeout allowance.
+            # The watchdog deadline scales with the missing runs: every
+            # run gets its run_timeout allowance.
             run_with_deadline(
                 lambda: execute_batch(
                     task.seed, task.settings, task.migration_config,

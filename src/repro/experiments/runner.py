@@ -302,7 +302,7 @@ class ScenarioRunner:
     ) -> list[RunResult]:
         """Execute several runs of one scenario through this runner.
 
-        The batch-of-runs execution path (``RunBatchTask``): scenario
+        The execution path of a dispatched ``RunTask``: scenario
         validation — family machine pair, switch spec, instance-catalog
         membership — is hoisted out of the per-run loop and paid once per
         batch, while each run still derives its own independent seed via
@@ -555,7 +555,7 @@ class ScenarioRunner:
         batch_size:
             Runs per dispatched task: ``1`` (default) keeps the classic
             one-task-per-run dispatch, larger values batch contiguous
-            seed ranges into ``RunBatchTask`` units, and ``None`` sizes
+            seed ranges into one ``RunTask`` each, and ``None`` sizes
             batches automatically from backend capacity.  Results are
             bit-identical for every value.
         speculation:

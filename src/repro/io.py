@@ -31,7 +31,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from repro.errors import ReproError
+from repro.errors import ExperimentError, ReproError
 from repro.models.features import HostRole, MigrationSample
 from repro.regression.metrics import ErrorReport
 from repro.telemetry.traces import PowerTrace
@@ -73,10 +73,9 @@ ERRORS_SCHEMA = "wavm3-errors/1"
 # state changed shape); old /1 cache entries are rejected and recomputed.
 RUN_RESULT_SCHEMA = "wavm3-runresult/2"
 RUN_BATCH_SCHEMA = "wavm3-runbatch/1"
-TASK_SPEC_SCHEMA = "wavm3-taskspec/1"
-# /2: a batch task spec — identical fields except the single run_index
-# becomes a contiguous (run_start, run_count) range.
-TASK_BATCH_SCHEMA = "wavm3-taskspec/2"
+# /2: a task covers a contiguous (run_start, run_count) range instead of
+# one run_index; specs of the older single-run schema are rejected.
+TASK_SPEC_SCHEMA = "wavm3-taskspec/2"
 PROGRESS_SCHEMA = "wavm3-progress/1"
 FAILURE_SCHEMA = "wavm3-failure/1"
 #: The streaming columnar campaign-sample store: one compressed ``.npz``
@@ -189,9 +188,8 @@ def dump_run_result_bytes(run) -> bytes:
     artifact read back by the same codebase, and the campaign executor's
     bit-identity guarantee requires an exact round-trip of every trace
     sample, timeline instant and round record.  The payload is wrapped in
-    a :data:`RUN_RESULT_SCHEMA` envelope.  These bytes are both the
-    run-cache file format (:func:`save_run_result`) and the body of the
-    HTTP backend's ``POST /result`` requests.
+    a :data:`RUN_RESULT_SCHEMA` envelope.  These bytes are the run-cache
+    file format (:func:`save_run_result`).
 
     Parameters
     ----------
@@ -258,9 +256,8 @@ def load_run_result_bytes(data: bytes, origin: str = "run result"):
 def dump_run_batch_bytes(runs) -> bytes:
     """Serialise a list of run results as one batch-result envelope.
 
-    The counterpart of :func:`dump_run_result_bytes` for a
-    ``wavm3-taskspec/2`` batch task: an HTTP worker uploads all runs of
-    a batch as a single body instead of one request per run.
+    The body of the HTTP backend's ``POST /result`` requests: a worker
+    uploads all runs of a task as a single body, whatever their number.
 
     Parameters
     ----------
@@ -386,7 +383,7 @@ def load_run_result(path: _PathLike):
 # Run task specs <-> JSON (the distributed queue's wire format)
 # ---------------------------------------------------------------------------
 def task_spec_to_dict(task) -> dict:
-    """Serialise a run task (single or batch) to plain JSON.
+    """Serialise a :class:`~repro.experiments.executor.RunTask` to plain JSON.
 
     Every constituent is a flat dataclass of scalars, so the canonical
     JSON of a task is also exactly the cache-key payload the executor
@@ -398,17 +395,15 @@ def task_spec_to_dict(task) -> dict:
     Parameters
     ----------
     task:
-        A :class:`~repro.experiments.executor.RunTask` or
-        :class:`~repro.experiments.executor.RunBatchTask` to serialise.
+        The :class:`~repro.experiments.executor.RunTask` to serialise.
 
     Returns
     -------
     dict
-        A JSON-ready ``wavm3-taskspec/1`` document for a single-run
-        task, ``wavm3-taskspec/2`` for a batch (``run_index`` replaced
-        by ``run_start``/``run_count``).
+        A JSON-ready :data:`TASK_SPEC_SCHEMA` document.
     """
-    spec = {
+    return {
+        "schema": TASK_SPEC_SCHEMA,
         "key": task.key,
         "seed": int(task.seed),
         "scenario": dataclasses.asdict(task.scenario),
@@ -419,72 +414,61 @@ def task_spec_to_dict(task) -> dict:
             else None
         ),
         "stabilization": dataclasses.asdict(task.stabilization),
+        "run_start": int(task.run_start),
+        "run_count": int(task.run_count),
     }
-    if getattr(task, "run_count", None) is not None:
-        spec["schema"] = TASK_BATCH_SCHEMA
-        spec["run_start"] = int(task.run_start)
-        spec["run_count"] = int(task.run_count)
-    else:
-        spec["schema"] = TASK_SPEC_SCHEMA
-        spec["run_index"] = int(task.run_index)
-    return spec
 
 
 def task_spec_from_dict(payload: dict):
-    """Rebuild a run task (single or batch) from JSON data.
+    """Rebuild a :class:`~repro.experiments.executor.RunTask` from JSON data.
 
     Parameters
     ----------
     payload:
-        A ``wavm3-taskspec/1`` or ``wavm3-taskspec/2`` document
-        (:func:`task_spec_to_dict` output).
+        A :data:`TASK_SPEC_SCHEMA` document (:func:`task_spec_to_dict`
+        output).
 
     Returns
     -------
-    RunTask or RunBatchTask
-        The reconstructed task, matching the schema tag.
+    RunTask
+        The reconstructed task.
 
     Raises
     ------
     PersistenceError
-        On a wrong schema tag or any missing/mistyped field — a worker
+        On a wrong schema tag (including the retired single-run schema
+        of the previous version) or any missing/mistyped field — a worker
         should fail such a task explicitly rather than guess.
     """
     from repro.experiments.design import MigrationScenario  # local: avoid cycle
-    from repro.experiments.executor import RunBatchTask, RunTask
+    from repro.experiments.executor import RunTask
     from repro.experiments.runner import RunnerSettings
     from repro.hypervisor.migration import MigrationConfig
     from repro.telemetry.stabilization import StabilizationRule
 
     schema = payload.get("schema") if isinstance(payload, dict) else None
-    if schema not in (TASK_SPEC_SCHEMA, TASK_BATCH_SCHEMA):
+    if schema != TASK_SPEC_SCHEMA:
         raise PersistenceError(
             f"unexpected task-spec schema "
             f"{schema if isinstance(payload, dict) else type(payload)!r} "
-            f"(want {TASK_SPEC_SCHEMA!r} or {TASK_BATCH_SCHEMA!r})"
+            f"(want {TASK_SPEC_SCHEMA!r})"
         )
     try:
-        migration_config = (
-            MigrationConfig(**payload["migration_config"])
-            if payload["migration_config"] is not None
-            else None
-        )
-        common = dict(
+        return RunTask(
             seed=int(payload["seed"]),
             settings=RunnerSettings(**payload["settings"]),
-            migration_config=migration_config,
+            migration_config=(
+                MigrationConfig(**payload["migration_config"])
+                if payload["migration_config"] is not None
+                else None
+            ),
             stabilization=StabilizationRule(**payload["stabilization"]),
             scenario=MigrationScenario(**payload["scenario"]),
+            run_start=int(payload["run_start"]),
+            run_count=int(payload["run_count"]),
             key=payload.get("key"),
         )
-        if schema == TASK_BATCH_SCHEMA:
-            return RunBatchTask(
-                run_start=int(payload["run_start"]),
-                run_count=int(payload["run_count"]),
-                **common,
-            )
-        return RunTask(run_index=int(payload["run_index"]), **common)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ExperimentError) as exc:
         raise PersistenceError(f"malformed task spec: {exc}") from exc
 
 

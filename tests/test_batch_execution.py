@@ -1,6 +1,6 @@
-"""Seed-batched run execution: RunBatchTask, the wavm3-taskspec/2 wire
-format, worker-side execute_batch, and golden byte-identity between
-batched and per-run dispatch on every backend.
+"""Seed-batched run execution: RunTask over a run range, the
+wavm3-taskspec/2 wire format, worker-side execute_batch, and golden
+byte-identity between batched and per-run dispatch on every backend.
 """
 
 import threading
@@ -13,18 +13,13 @@ from repro.errors import ExperimentError
 from repro.experiments.design import MigrationScenario
 from repro.experiments.executor import (
     CampaignExecutor,
-    RunBatchTask,
     RunCache,
     RunTask,
     _contiguous_spans,
     execute_batch,
 )
 from repro.experiments.http_backend import run_http_worker
-from repro.experiments.queue_backend import (
-    QueueBackend,
-    run_worker,
-    task_id_for,
-)
+from repro.experiments.queue_backend import QueueBackend, run_worker
 from repro.experiments.runner import RunnerSettings, ScenarioRunner
 from repro.io import (
     PersistenceError,
@@ -48,7 +43,7 @@ def _batch_task(run_start=0, run_count=3, scenario=_SCENARIO, with_key=True):
         if with_key
         else None
     )
-    return RunBatchTask(
+    return RunTask(
         seed=SEED, settings=settings, migration_config=None,
         stabilization=rule, scenario=scenario,
         run_start=run_start, run_count=run_count, key=key,
@@ -91,13 +86,14 @@ class TestRunBatchTask:
         assert [r.run_index for r in runs] == [0, 1]
 
     def test_key_payload_matches_single_run_task(self):
-        batch = _batch_task()
-        single = RunTask(
-            seed=batch.seed, settings=batch.settings, migration_config=None,
-            stabilization=batch.stabilization, scenario=batch.scenario,
-            run_index=0, key=batch.key,
-        )
+        """The run range is not a cache-key ingredient: every task of a
+        scenario files its runs under the one scenario key."""
+        batch = _batch_task(run_start=0, run_count=3)
+        single = _batch_task(run_start=4, run_count=1)
         assert batch.key_payload() == single.key_payload()
+        assert RunCache._payload_digest(single.key_payload()) == single.key
+        batch.verify_key()
+        single.verify_key()
 
     def test_run_batch_rejects_empty_and_negative_indices(self):
         runner = ScenarioRunner(seed=SEED)
@@ -126,26 +122,18 @@ class TestContiguousSpans:
 
 
 class TestTaskSpecWireFormat:
-    def test_batch_spec_round_trips_as_taskspec_2(self):
-        task = _batch_task(run_start=1, run_count=4)
+    @pytest.mark.parametrize(
+        "run_start,run_count", [(2, 1), (1, 4)], ids=["one-run", "four-runs"]
+    )
+    def test_spec_round_trips_as_taskspec_2(self, run_start, run_count):
+        task = _batch_task(run_start=run_start, run_count=run_count)
         spec = task_spec_to_dict(task)
         assert spec["schema"] == "wavm3-taskspec/2"
-        assert spec["run_start"] == 1 and spec["run_count"] == 4
+        assert spec["run_start"] == run_start and spec["run_count"] == run_count
         assert "run_index" not in spec
         rebuilt = task_spec_from_dict(spec)
-        assert isinstance(rebuilt, RunBatchTask)
+        assert isinstance(rebuilt, RunTask)
         assert rebuilt == task
-
-    def test_single_spec_still_taskspec_1(self):
-        task = RunTask(
-            seed=SEED, settings=RunnerSettings(), migration_config=None,
-            stabilization=StabilizationRule(), scenario=_SCENARIO,
-            run_index=2, key="ab" * 32,
-        )
-        spec = task_spec_to_dict(task)
-        assert spec["schema"] == "wavm3-taskspec/1"
-        assert spec["run_index"] == 2
-        assert task_spec_from_dict(spec) == task
 
     def test_unknown_schema_rejected(self):
         spec = task_spec_to_dict(_batch_task())
@@ -153,9 +141,35 @@ class TestTaskSpecWireFormat:
         with pytest.raises(PersistenceError, match="unexpected task-spec schema"):
             task_spec_from_dict(spec)
 
+    def test_retired_single_run_spec_rejected(self):
+        """A spec in the retired single-run schema (one ``run_index``)
+        is refused, naming the schema a worker wants."""
+        spec = task_spec_to_dict(_batch_task(run_start=2, run_count=1))
+        del spec["run_start"], spec["run_count"]
+        spec.update(schema="wavm3-taskspec/1", run_index=2)
+        with pytest.raises(PersistenceError, match="want 'wavm3-taskspec/2'"):
+            task_spec_from_dict(spec)
+
+    def test_invalid_range_in_spec_rejected(self):
+        spec = task_spec_to_dict(_batch_task())
+        spec["run_count"] = 0
+        with pytest.raises(PersistenceError, match="invalid batch range"):
+            task_spec_from_dict(spec)
+
     def test_batch_task_id_encodes_range(self):
         task = _batch_task(run_start=3, run_count=5)
-        assert task_id_for(task) == f"{task.key[:16]}-0003x5"
+        assert task.task_id == f"{task.key[:16]}-0003x5"
+        # A one-run task is named like its run: no count suffix.
+        single = _batch_task(run_start=3, run_count=1)
+        assert single.task_id == single.run_id(3) == f"{task.key[:16]}-0003"
+        assert [task.run_id(i) for i in task.run_indices] == [
+            f"{task.key[:16]}-{i:04d}" for i in range(3, 8)
+        ]
+
+    def test_keyless_ids_fall_back_to_the_label(self):
+        task = _batch_task(run_start=1, run_count=2, with_key=False)
+        assert task.run_id(1) == "batch/nl/0vm#1"
+        assert task.task_id == "batch/nl/0vm#1x2"
 
     def test_run_batch_envelope_round_trips(self):
         runs = _batch_task(run_count=2).execute()
@@ -304,16 +318,10 @@ class TestChunkedDispatch:
 
         assert executor.stats.runs_cached == 1
         assert executor.stats.runs_executed == 3
-        kinds = sorted(
-            (type(task).__name__, getattr(task, "run_index", None),
-             getattr(task, "run_start", None), getattr(task, "run_count", None))
-            for task in submitted
-        )
-        # Index 1 came from cache: span [0] dispatches as a single task,
-        # span [2, 3] as one batch.
-        assert kinds == [
-            ("RunBatchTask", None, 2, 2),
-            ("RunTask", 0, None, None),
+        # Index 1 came from cache: span [0] dispatches as a one-run task,
+        # span [2, 3] as one two-run task.
+        assert sorted((task.run_start, task.run_count) for task in submitted) == [
+            (0, 1), (2, 2),
         ]
         serial = ScenarioRunner(seed=SEED).run_campaign([_SCENARIO], min_runs=4, max_runs=4)
         for a, b in zip(serial.scenario_results[0].runs, result.scenario_results[0].runs):
@@ -327,11 +335,7 @@ class TestChunkedDispatch:
         original = executor._backend.submit
         executor._backend.submit = lambda task: (submitted.append(task), original(task))[1]
         executor.run_campaign([_SCENARIO], min_runs=5, max_runs=5)
-        shapes = sorted(
-            (getattr(task, "run_start", getattr(task, "run_index", None)),
-             getattr(task, "run_count", 1))
-            for task in submitted
-        )
+        shapes = sorted((task.run_start, task.run_count) for task in submitted)
         assert shapes == [(0, 2), (2, 2), (4, 1)]
 
     def test_batch_size_validation(self):

@@ -109,6 +109,26 @@ class TestBenchmarks:
     def test_current_revision_is_stringy(self):
         assert isinstance(current_revision(), str) and current_revision()
 
+    def test_current_revision_marks_uncommitted_edits_dirty(self, tmp_path, monkeypatch):
+        import subprocess
+
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@example.org", *args],
+                cwd=tmp_path, check=True, capture_output=True, text=True,
+            ).stdout.strip()
+
+        git("init", "-q")
+        module = tmp_path / "bench.py"
+        module.write_text("x = 1\n", encoding="utf-8")
+        git("add", "bench.py")
+        git("commit", "-q", "-m", "seed")
+        rev = git("rev-parse", "--short", "HEAD")
+        monkeypatch.setattr(repro.bench, "__file__", str(module))
+        assert current_revision() == rev
+        module.write_text("x = 2\n", encoding="utf-8")
+        assert current_revision() == f"{rev}-dirty"
+
 
 class TestRegressionGate:
     def test_passes_within_tolerance(self, quick_payload):

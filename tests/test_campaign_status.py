@@ -114,7 +114,7 @@ class TestCampaignStatusCli:
             key = RunCache.scenario_key(SEED, _SCENARIO, settings, None, rule)
             backend.submit(RunTask(
                 seed=SEED, settings=settings, migration_config=None,
-                stabilization=rule, scenario=_SCENARIO, run_index=0, key=key,
+                stabilization=rule, scenario=_SCENARIO, run_start=0, key=key,
             ))
             code = main(["campaign-status", "--connect", backend.url])
         finally:

@@ -225,7 +225,7 @@ class TestWatchdog:
     def test_execute_task_watchdog_trips_on_slow_task(self):
         class _SlowTask:
             scenario = _HEALTHY
-            run_index = 0
+            run_count = 1
 
             def execute(self):
                 time.sleep(5.0)
@@ -250,7 +250,7 @@ class _PoisonBackend(SerialBackend):
 
     def submit(self, task) -> Future:
         if task.scenario.label == self.poison_label:
-            token = f"{task.scenario.label}#{task.run_index}"
+            token = task.task_id
             self.attempts[token] = self.attempts.get(token, 0) + 1
             if self.fail_times is None or self.attempts[token] <= self.fail_times:
                 future = Future()
@@ -258,8 +258,8 @@ class _PoisonBackend(SerialBackend):
                 return future
         return super().submit(task)
 
-    def quarantine(self, task, task_id: str) -> bool:
-        self.quarantined.append(task_id)
+    def quarantine(self, task) -> bool:
+        self.quarantined.append(task.task_id)
         return True
 
 
@@ -348,7 +348,7 @@ class TestExecutorRetries:
 
         class _TailPoison(_PoisonBackend):
             def submit(self, task):
-                if task.scenario.label == self.poison_label and task.run_index == 1:
+                if task.scenario.label == self.poison_label and task.run_start == 1:
                     return super().submit(task)
                 return SerialBackend.submit(self, task)
 
@@ -427,7 +427,7 @@ class TestExecutorRetries:
 
 
 class TestQueueQuarantine:
-    def _task(self, run_index: int = 0):
+    def _task(self, run_start: int = 0):
         from repro.experiments.executor import RunTask
         from repro.experiments.runner import RunnerSettings
         from repro.telemetry.stabilization import StabilizationRule
@@ -437,7 +437,7 @@ class TestQueueQuarantine:
         key = RunCache.scenario_key(SEED, _HEALTHY, settings, None, rule)
         return RunTask(
             seed=SEED, settings=settings, migration_config=None,
-            stabilization=rule, scenario=_HEALTHY, run_index=run_index, key=key,
+            stabilization=rule, scenario=_HEALTHY, run_start=run_start, key=key,
         )
 
     def test_quarantine_moves_spec_and_status_reports_it(self, tmp_path):
@@ -446,7 +446,7 @@ class TestQueueQuarantine:
         )
         task = self._task()
         future = backend.submit(task)
-        assert backend.quarantine(task, future.task_id) is True
+        assert backend.quarantine(task) is True
         spec_path = backend.spool.quarantine / f"{future.task_id}.json"
         assert spec_path.is_file()
         assert not (backend.spool.tasks / f"{future.task_id}.json").exists()
@@ -465,7 +465,7 @@ class TestQueueQuarantine:
         )
         task = self._task()
         future = backend.submit(task)
-        backend.quarantine(task, future.task_id)
+        backend.quarantine(task)
         spec_path = backend.spool.quarantine / f"{future.task_id}.json"
         long_ago = time.time() - 7200
         os.utime(spec_path, (long_ago, long_ago))
@@ -481,7 +481,7 @@ class TestQueueQuarantine:
 
         # Young quarantined specs survive the sweep.
         future2 = backend.submit(self._task(1))
-        backend.quarantine(self._task(1), future2.task_id)
+        backend.quarantine(self._task(1))
         report = spool_gc(tmp_path / "spool", max_age_s=3600.0)
         assert report["quarantine"] == 0
 

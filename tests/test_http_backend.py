@@ -28,9 +28,8 @@ from repro.experiments.http_backend import (
     parse_address,
     run_http_worker,
 )
-from repro.experiments.queue_backend import task_id_for
 from repro.experiments.runner import RunnerSettings, ScenarioRunner
-from repro.io import dump_run_result_bytes, save_samples_json
+from repro.io import dump_run_batch_bytes, dump_run_result_bytes, save_samples_json
 from repro.models.features import HostRole
 from repro.telemetry.stabilization import StabilizationRule
 
@@ -39,13 +38,13 @@ SEED = 20150901
 _SCENARIO = MigrationScenario("CPULOAD-SOURCE", "http/lv/1vm", live=True, load_vm_count=1)
 
 
-def _task(run_index: int = 0, seed: int = SEED) -> RunTask:
+def _task(run_start: int = 0, seed: int = SEED) -> RunTask:
     settings = RunnerSettings()
     rule = StabilizationRule()
     key = RunCache.scenario_key(seed, _SCENARIO, settings, None, rule)
     return RunTask(
         seed=seed, settings=settings, migration_config=None,
-        stabilization=rule, scenario=_SCENARIO, run_index=run_index, key=key,
+        stabilization=rule, scenario=_SCENARIO, run_start=run_start, key=key,
     )
 
 
@@ -108,11 +107,11 @@ class TestWireProtocol:
         for task in tasks:
             backend.submit(task)
         reply = _claim(backend.url)
-        assert reply["task_id"] == task_id_for(tasks[0])
-        assert reply["spec"]["run_index"] == 0
+        assert reply["task_id"] == tasks[0].task_id
+        assert reply["spec"]["run_start"] == 0 and reply["spec"]["run_count"] == 1
         assert reply["lease_timeout_s"] == backend.stale_timeout
         # The second claim gets the second task; the third gets nothing.
-        assert _claim(backend.url)["task_id"] == task_id_for(tasks[1])
+        assert _claim(backend.url)["task_id"] == tasks[1].task_id
         assert _claim(backend.url)["task_id"] is None
 
     def test_heartbeat_renews_only_own_lease(self, backend):
@@ -181,7 +180,7 @@ class TestWorkerLifecycle:
         done = backend.wait(futures)
         assert done == set(futures)
         expected = ScenarioRunner(seed=SEED).run_once(_SCENARIO, run_index=0)
-        got = futures[0].result()
+        (got,) = futures[0].result()
         assert np.array_equal(got.source_trace.watts, expected.source_trace.watts)
         # The coordinator deposited the upload into its own cache.
         task = futures[0].task
@@ -224,8 +223,11 @@ class TestFaultInjection:
     def test_stale_lease_requeued_and_completed(self, tmp_path):
         """A worker killed mid-task: its lease's heartbeat goes stale, the
         coordinator requeues the task, and a live worker finishes it."""
+        # The phantom "dead" client never polls again, so shutdown waits
+        # out the whole stop grace for it: keep that short.
         backend = HttpBackend(
             "127.0.0.1:0", RunCache(tmp_path / "cache"), stale_timeout=0.3,
+            stop_grace_s=0.5,
         )
         workers = []
         try:
@@ -236,7 +238,7 @@ class TestFaultInjection:
             done = backend.wait([future])
             assert done == {future}
             assert backend.stats.tasks_requeued >= 1
-            assert future.result().run_index == 0
+            assert [run.run_index for run in future.result()] == [0]
         finally:
             backend.stop_workers_on_shutdown = True
             backend.shutdown()
@@ -247,7 +249,11 @@ class TestFaultInjection:
         """Garbage POSTed to /result must never resolve a future: the
         coordinator answers 400, requeues the task, and a real worker
         recomputes the correct result."""
-        backend = HttpBackend("127.0.0.1:0", RunCache(tmp_path / "cache"))
+        # The phantom "liar" client never polls again, so shutdown waits
+        # out the whole stop grace for it: keep that short.
+        backend = HttpBackend(
+            "127.0.0.1:0", RunCache(tmp_path / "cache"), stop_grace_s=0.5,
+        )
         workers = []
         try:
             task = _task()
@@ -267,7 +273,7 @@ class TestFaultInjection:
             done = backend.wait([future])
             assert done == {future}
             expected = ScenarioRunner(seed=SEED).run_once(_SCENARIO, run_index=0)
-            assert np.array_equal(future.result().source_trace.watts,
+            assert np.array_equal(future.result()[0].source_trace.watts,
                                   expected.source_trace.watts)
         finally:
             backend.stop_workers_on_shutdown = True
@@ -275,15 +281,35 @@ class TestFaultInjection:
             for thread in workers:
                 thread.join(timeout=30)
 
+    def test_bare_run_result_upload_rejected_and_reopened(self, backend):
+        """``/result`` takes one ``wavm3-runbatch/1`` envelope per task,
+        whatever its run count: a bare ``wavm3-runresult/2`` body (the
+        retired single-run upload) answers 400 and re-opens the task."""
+        future = backend.submit(_task(run_start=0))
+        reply = _claim(backend.url, worker="old")
+        run = ScenarioRunner(seed=SEED).run_once(_SCENARIO, run_index=0)
+        with pytest.raises(urllib.error.HTTPError) as info:
+            _post(backend.url, "/result", dump_run_result_bytes(run),
+                  "application/octet-stream",
+                  headers={"X-Wavm3-Task-Id": reply["task_id"],
+                           "X-Wavm3-Worker": "old"})
+        assert info.value.code == 400
+        assert "wavm3-runbatch/1" in json.loads(info.value.read())["error"]
+        assert backend.stats.corrupt_results == 1
+        assert not future.done()
+        status = fetch_status(backend.url)
+        assert status["tasks_open"] == 1 and status["tasks_leased"] == 0
+        assert _claim(backend.url, worker="next")["task_id"] == reply["task_id"]
+
     def test_mismatched_result_upload_rejected(self, backend):
         """An upload whose run is for a different task is refused even
         though it is a perfectly valid pickle."""
-        task = _task(run_index=0)
+        task = _task(run_start=0)
         backend.submit(task)
         reply = _claim(backend.url)
         wrong = ScenarioRunner(seed=SEED).run_once(_SCENARIO, run_index=1)
         with pytest.raises(urllib.error.HTTPError) as info:
-            _post(backend.url, "/result", dump_run_result_bytes(wrong),
+            _post(backend.url, "/result", dump_run_batch_bytes([wrong]),
                   "application/octet-stream",
                   headers={"X-Wavm3-Task-Id": reply["task_id"],
                            "X-Wavm3-Worker": "t"})
@@ -322,11 +348,11 @@ class TestFaultInjection:
                 backend._requeue_stale_locked()  # the sweep /claim would run
             assert fetch_status(backend.url)["tasks_open"] == 1  # requeued
             run = ScenarioRunner(seed=SEED).run_once(_SCENARIO, run_index=0)
-            _post(backend.url, "/result", dump_run_result_bytes(run),
+            _post(backend.url, "/result", dump_run_batch_bytes([run]),
                   "application/octet-stream",
                   headers={"X-Wavm3-Task-Id": reply["task_id"],
                            "X-Wavm3-Worker": "slow"})
-            assert future.done() and future.result().run_index == 0
+            assert future.done() and future.result()[0].run_index == 0
             status = fetch_status(backend.url)
             assert status["tasks_open"] == 0 and status["tasks_completed"] == 1
             # A fresh claim must not be handed the completed task.
@@ -397,7 +423,7 @@ class TestFaultInjection:
                 seed=task.seed + 1,  # contents no longer match task.key
                 settings=task.settings, migration_config=None,
                 stabilization=task.stabilization, scenario=task.scenario,
-                run_index=task.run_index, key=task.key,
+                run_start=task.run_start, key=task.key,
             )
             future = backend.submit(tampered)
             stats = run_http_worker(
@@ -532,11 +558,11 @@ class TestDuplicatePublication:
     acknowledged as a duplicate, and the cache deposit is idempotent."""
 
     def test_second_valid_upload_acknowledged_as_duplicate(self, backend, tmp_path):
-        task = _task(run_index=0)
+        task = _task(run_start=0)
         future = backend.submit(task)
         reply = _claim(backend.url, worker="w1")
         expected = ScenarioRunner(seed=SEED).run_once(_SCENARIO, run_index=0)
-        body = dump_run_result_bytes(expected)
+        body = dump_run_batch_bytes([expected])
 
         # A worker that lost the race to claim still holds the right
         # bytes (runs are deterministic): its upload wins the task.
@@ -564,7 +590,7 @@ class TestDuplicatePublication:
         roles = (HostRole.SOURCE, HostRole.TARGET)
         paths = []
         for tag, run in (
-            ("expected", expected), ("cached", cached), ("future", future.result()),
+            ("expected", expected), ("cached", cached), ("future", future.result()[0]),
         ):
             path = tmp_path / f"{tag}.json"
             save_samples_json([run.sample_for(role) for role in roles], path)
@@ -573,11 +599,11 @@ class TestDuplicatePublication:
         assert all(path.read_bytes() == reference for path in paths[1:])
 
     def test_status_surfaces_cache_counters(self, backend):
-        task = _task(run_index=0)
+        task = _task(run_start=0)
         backend.submit(task)
         reply = _claim(backend.url, worker="w1")
-        body = dump_run_result_bytes(
-            ScenarioRunner(seed=SEED).run_once(_SCENARIO, run_index=0)
+        body = dump_run_batch_bytes(
+            [ScenarioRunner(seed=SEED).run_once(_SCENARIO, run_index=0)]
         )
         _post(backend.url, "/result", body, "application/octet-stream",
               headers={"X-Wavm3-Task-Id": reply["task_id"],

@@ -138,7 +138,7 @@ class TestErrorGridJson:
 
 
 class TestTaskSpecJson:
-    """The distributed queue's wire format: one JSON spec per run."""
+    """The distributed queue's wire format: one JSON spec per task."""
 
     def _task(self, migration_config=None):
         scenario = MigrationScenario(
@@ -152,7 +152,7 @@ class TestTaskSpecJson:
             migration_config=migration_config,
             stabilization=rule,
             scenario=scenario,
-            run_index=3,
+            run_start=3,
             key=RunCache.scenario_key(77, scenario, settings, migration_config, rule),
         )
 

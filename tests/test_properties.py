@@ -317,7 +317,7 @@ class TestRunCacheKeyProperties:
         ]
         tasks = [
             RunTask(seed=seed, settings=cfg, migration_config=mig,
-                    stabilization=rule, scenario=scn, run_index=0,
+                    stabilization=rule, scenario=scn, run_start=0,
                     key=RunCache.scenario_key(seed, scn, cfg, mig, rule))
             for seed, scn, cfg, mig in combos
         ]

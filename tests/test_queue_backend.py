@@ -19,18 +19,12 @@ import pytest
 import repro
 from repro.errors import ExperimentError
 from repro.experiments.design import MigrationScenario
-from repro.experiments.executor import (
-    CampaignExecutor,
-    RunBatchTask,
-    RunCache,
-    RunTask,
-)
+from repro.experiments.executor import CampaignExecutor, RunCache, RunTask
 from repro.experiments.queue_backend import (
     QueueBackend,
     _claim_next_task,
     _Spool,
     run_worker,
-    task_id_for,
 )
 from repro.experiments.results import ProgressEvent
 from repro.experiments.runner import RunnerSettings, ScenarioRunner
@@ -50,13 +44,13 @@ SEED = 20150901
 _SCENARIO = MigrationScenario("CPULOAD-SOURCE", "queue/lv/1vm", live=True, load_vm_count=1)
 
 
-def _task(run_index: int = 0, seed: int = SEED, scenario: MigrationScenario = _SCENARIO) -> RunTask:
+def _task(run_start: int = 0, seed: int = SEED, scenario: MigrationScenario = _SCENARIO) -> RunTask:
     settings = RunnerSettings()
     rule = StabilizationRule()
     key = RunCache.scenario_key(seed, scenario, settings, None, rule)
     return RunTask(
         seed=seed, settings=settings, migration_config=None,
-        stabilization=rule, scenario=scenario, run_index=run_index, key=key,
+        stabilization=rule, scenario=scenario, run_start=run_start, key=key,
     )
 
 
@@ -88,18 +82,18 @@ class TestSpoolProtocol:
         backend = _backend(tmp_path)
         task = _task()
         backend.submit(task)
-        spec_path = backend.spool.task_path(task_id_for(task))
+        spec_path = backend.spool.task_path(task.task_id)
         assert spec_path.exists()
         assert load_task_spec(spec_path) == task
         assert backend.stats.tasks_submitted == 1
 
-    def test_task_id_requires_cache_key(self):
+    def test_task_id_requires_cache_key(self, tmp_path):
         keyless = RunTask(
             seed=SEED, settings=RunnerSettings(), migration_config=None,
-            stabilization=StabilizationRule(), scenario=_SCENARIO, run_index=0,
+            stabilization=StabilizationRule(), scenario=_SCENARIO, run_start=0,
         )
-        with pytest.raises(ExperimentError):
-            task_id_for(keyless)
+        with pytest.raises(ExperimentError, match="need a cache key"):
+            _backend(tmp_path).submit(keyless)
 
     def test_claim_is_exclusive(self, tmp_path):
         backend = _backend(tmp_path)
@@ -186,7 +180,7 @@ class TestWorkerLifecycle:
         done = backend.wait(futures)
         assert done == set(futures)
         expected = ScenarioRunner(seed=SEED).run_once(_SCENARIO, run_index=0)
-        got = futures[0].result()
+        (got,) = futures[0].result()
         assert np.array_equal(got.source_trace.watts, expected.source_trace.watts)
 
     def test_worker_short_circuits_cached_tasks(self, tmp_path):
@@ -262,7 +256,7 @@ class TestFaultInjection:
                 thread.join(timeout=30)
         assert done == {future}
         assert backend.stats.tasks_requeued == 1
-        assert future.result().run_index == 0
+        assert [run.run_index for run in future.result()] == [0]
 
     def test_fresh_claim_not_requeued(self, tmp_path):
         backend = _backend(tmp_path, stale_timeout=3600.0)
@@ -279,8 +273,8 @@ class TestFaultInjection:
         task = _task()
         future = backend.submit(task)
         # The spec vanishes (as after a claim) and a corrupt result appears.
-        backend.spool.task_path(task_id_for(task)).unlink()
-        run_path = backend.cache._run_path(task.key, task.run_index)
+        backend.spool.task_path(task.task_id).unlink()
+        run_path = backend.cache._run_path(task.key, task.run_start)
         run_path.parent.mkdir(parents=True, exist_ok=True)
         run_path.write_bytes(b"not a pickle")
 
@@ -295,7 +289,7 @@ class TestFaultInjection:
         assert backend.stats.corrupt_results == 1
         assert backend.stats.tasks_resubmitted == 1
         expected = ScenarioRunner(seed=SEED).run_once(_SCENARIO, run_index=0)
-        assert np.array_equal(future.result().source_trace.watts,
+        assert np.array_equal(future.result()[0].source_trace.watts,
                               expected.source_trace.watts)
 
     def test_tampered_spec_fails_the_task(self, tmp_path):
@@ -308,9 +302,9 @@ class TestFaultInjection:
             seed=task.seed + 1,  # contents no longer match task.key
             settings=task.settings, migration_config=None,
             stabilization=task.stabilization, scenario=task.scenario,
-            run_index=task.run_index, key=task.key,
+            run_start=task.run_start, key=task.key,
         )
-        save_task_spec(tampered, backend.spool.task_path(task_id_for(task)))
+        save_task_spec(tampered, backend.spool.task_path(task.task_id))
 
         stats = run_worker(
             tmp_path / "spool", tmp_path / "cache",
@@ -322,11 +316,39 @@ class TestFaultInjection:
         with pytest.raises(ExperimentError, match="does not match"):
             future.result()
 
+    def test_retired_single_run_spec_fails_the_task(self, tmp_path):
+        """A spec in the retired single-run schema (as an older
+        coordinator would spool it) is failed with a ``failed/`` record
+        naming the wanted schema; the worker keeps serving."""
+        backend = _backend(tmp_path)
+        task = _task()
+        future = backend.submit(task)
+        spec = task_spec_to_dict(task)
+        del spec["run_start"], spec["run_count"]
+        spec.update(schema="wavm3-taskspec/1", run_index=0)
+        backend.spool.task_path(task.task_id).write_text(
+            json.dumps(spec), encoding="utf-8"
+        )
+        stats = run_worker(
+            tmp_path / "spool", tmp_path / "cache",
+            poll_interval=0.02, idle_exit_s=0.2,
+        )
+        assert stats.claimed == 1 and stats.failed == 1 and stats.executed == 0
+        record = json.loads(
+            backend.spool.failure_path(task.task_id).read_text(encoding="utf-8")
+        )
+        assert record["kind"] == "PersistenceError"
+        assert "want 'wavm3-taskspec/2'" in record["error"]
+        assert not backend.spool.claim_path(task.task_id).exists()
+        backend.wait([future])
+        with pytest.raises(ExperimentError, match="taskspec/2"):
+            future.result()
+
     def test_unreadable_spec_fails_the_task(self, tmp_path):
         backend = _backend(tmp_path)
         task = _task()
         future = backend.submit(task)
-        backend.spool.task_path(task_id_for(task)).write_text("{", encoding="utf-8")
+        backend.spool.task_path(task.task_id).write_text("{", encoding="utf-8")
         stats = run_worker(
             tmp_path / "spool", tmp_path / "cache",
             poll_interval=0.02, idle_exit_s=0.2,
@@ -341,7 +363,7 @@ class TestFaultInjection:
         fresh submission of the same task."""
         backend = _backend(tmp_path)
         task = _task()
-        backend.spool.failure_path(task_id_for(task)).write_text(
+        backend.spool.failure_path(task.task_id).write_text(
             json.dumps({"error": "old failure"}), encoding="utf-8"
         )
         future = backend.submit(task)
@@ -399,11 +421,11 @@ class TestBatchFaultInjection:
         "CPULOAD-SOURCE", "queue/batch/nl", live=False, load_vm_count=0
     )
 
-    def _batch_task(self, run_count: int = 5) -> RunBatchTask:
+    def _batch_task(self, run_count: int = 5) -> RunTask:
         settings = RunnerSettings(**self._FAST)
         rule = StabilizationRule()
         key = RunCache.scenario_key(SEED, self._BATCH_SCENARIO, settings, None, rule)
-        return RunBatchTask(
+        return RunTask(
             seed=SEED, settings=settings, migration_config=None,
             stabilization=rule, scenario=self._BATCH_SCENARIO,
             run_start=0, run_count=run_count, key=key,
@@ -449,7 +471,7 @@ class TestBatchFaultInjection:
             cache.put(task.key, run, key_payload=task.key_payload())
             append_progress_event(
                 ProgressEvent(
-                    task_id=f"{task.key[:16]}-{run.run_index:04d}",
+                    task_id=task.run_id(run.run_index),
                     scenario=task.scenario.label, run_index=run.run_index,
                     worker="doomed", runs_completed=run.run_index + 1,
                     samples=1, wall_s=1.0, samples_per_s=1.0, at=time.time(),
@@ -704,11 +726,11 @@ class TestDuplicatePublication:
     single per run, and both publications must serialise byte-identical
     samples."""
 
-    def _batch_task(self, run_count: int = 2) -> RunBatchTask:
+    def _batch_task(self, run_count: int = 2) -> RunTask:
         settings = RunnerSettings()
         rule = StabilizationRule()
         key = RunCache.scenario_key(SEED, _SCENARIO, settings, None, rule)
-        return RunBatchTask(
+        return RunTask(
             seed=SEED, settings=settings, migration_config=None,
             stabilization=rule, scenario=_SCENARIO,
             run_start=0, run_count=run_count, key=key,

@@ -1,6 +1,6 @@
 """``run_batch``: one per-run interior, bit for bit ``run_once``.
 
-A batch task (``RunBatchTask``) executes its span through
+A multi-run task (``RunTask``) executes its span through
 :meth:`ScenarioRunner.run_batch`, which runs every index through
 :meth:`ScenarioRunner.run_once`.  These goldens pin that a batch changes
 **no byte** of any artifact: every recorded array matches the per-index

@@ -278,12 +278,7 @@ class _OneStallBackend(ExecutorBackend):
         return 2
 
     def submit(self, task):
-        run_index = getattr(task, "run_index", None)
-        if run_index is not None:
-            indices = [run_index]
-        else:
-            indices = list(task.run_indices)
-        if self.stalled_future is None and self._stall_index in indices:
+        if self.stalled_future is None and self._stall_index in task.run_indices:
             self.stalled_future = Future()  # never resolves
             return self.stalled_future
         future = _SerialFuture(_execute_task, task, None)
