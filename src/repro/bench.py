@@ -19,10 +19,6 @@ microbenchmarks over the three hot layers —
   events/sec;
 * **telemetry** — one instrumented testbed sampled over a long event-free
   window per mode, reporting samples/sec;
-* **compute** — the same sampling window per ``compute=`` kernel mode
-  (all-scalar ``python`` reference vs the vectorized ``numpy`` default),
-  reporting samples/sec and the guarded
-  ``compute.speedup``;
 * **sched** — the identical ``--batch-size auto`` campaign on a
   deterministic two-lane fleet with an induced straggler, even-split
   cold planning vs throughput-adaptive spans, reporting the guarded
@@ -61,7 +57,6 @@ __all__ = [
     "bench_aggregate",
     "bench_batch",
     "bench_campaign",
-    "bench_compute",
     "bench_consolidation",
     "bench_scheduler",
     "bench_simulator",
@@ -391,49 +386,6 @@ def bench_telemetry(sim_seconds: float = 300.0, repeats: int = 3) -> dict:
     return out
 
 
-def bench_compute(sim_seconds: float = 1000.0, repeats: int = 3) -> dict:
-    """Instrumented-testbed sampling throughput per ``compute=`` mode.
-
-    One long event-free sampling window (all instruments on the batched
-    path, a single ``run_for`` stride so the interval kernels see full
-    batches instead of 10 s slivers), once per compute kernel: the
-    all-scalar ``"python"`` reference and the vectorized ``"numpy"``
-    default.  Testbed construction happens outside the timed span — this
-    measures sampling arithmetic, not cluster setup.  Both modes are
-    bit-identical (the cross-mode golden tests assert it), so the honest
-    number is the dimensionless ``speedup`` — python wall time over numpy
-    wall time.
-    """
-    from repro.experiments.testbed import Testbed
-
-    modes = ["python", "numpy"]
-    out: dict[str, object] = {"modes": modes}
-    walls = {mode: float("inf") for mode in modes}
-    samples = {mode: 0 for mode in modes}
-    # Interleave the modes inside each repeat (like the cross-telemetry
-    # bench): a noisy scheduler slice then lands on every mode's same
-    # repeat instead of sinking one mode's whole best-of series.
-    for _ in range(max(1, repeats)):
-        for mode in modes:
-            bed = Testbed(seed=1, compute=mode)
-            bed.start_instrumentation()
-            t0 = time.perf_counter()
-            bed.sim.run_for(sim_seconds)
-            walls[mode] = min(walls[mode], time.perf_counter() - t0)
-            bed.stop_instrumentation()
-            samples[mode] = (
-                len(bed.source_meter.trace) + len(bed.target_meter.trace)
-                + len(bed.source_dstat.trace) + len(bed.target_dstat.trace)
-            )
-    for mode in modes:
-        out[mode] = {
-            "wall_s": walls[mode],
-            "samples_per_s": samples[mode] / walls[mode],
-        }
-    out["speedup"] = out["python"]["wall_s"] / out["numpy"]["wall_s"]  # type: ignore[index]
-    return out
-
-
 def bench_scheduler(runs: int = 12, repeats: int = 3, seed: int = _CAMPAIGN_SEED) -> dict:
     """Even-split vs throughput-adaptive wave planning on a skewed fleet.
 
@@ -707,9 +659,6 @@ def run_benchmarks(quick: bool = False, repeats: Optional[int] = None) -> dict:
             "telemetry": bench_telemetry(
                 sim_seconds=100.0 if quick else 300.0, repeats=reps
             ),
-            "compute": bench_compute(
-                sim_seconds=1000.0 if quick else 2000.0, repeats=reps
-            ),
             "sched": bench_scheduler(
                 runs=12 if quick else 16, repeats=reps
             ),
@@ -800,7 +749,7 @@ def render_bench_history(payloads: list[dict]) -> str:
     header = (
         f"{'revision':12s} {'quick':5s} {'runs/s':>8s} {'events/s':>12s} "
         f"{'campaign x':>10s} {'consol x':>9s} {'telemetry x':>11s} "
-        f"{'batch x':>8s} {'compute x':>9s} "
+        f"{'batch x':>8s} "
         f"{'sched x':>8s} {'agg mem x':>9s}"
     )
     lines = [header, "-" * len(header)]
@@ -816,7 +765,6 @@ def render_bench_history(payloads: list[dict]) -> str:
             f"{_metric(payload, 'consolidation.speedup'):>9s} "
             f"{_metric(payload, 'telemetry.speedup'):>11s} "
             f"{_metric(payload, 'batch.overhead_x'):>8s} "
-            f"{_metric(payload, 'compute.speedup'):>9s} "
             f"{_metric(payload, 'sched.tail_x'):>8s} "
             f"{_metric(payload, 'agg.mem_x'):>9s}"
         )

@@ -87,14 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="content-addressed run cache directory (re-running an "
         "unchanged campaign then performs zero simulation runs)",
     )
-    parser.add_argument(
-        "--compute",
-        choices=("python", "numpy"),
-        default="numpy",
-        help="simulation compute kernel: 'python' is the all-scalar "
-        "reference, 'numpy' the vectorized default; results are "
-        "bit-identical in both modes",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     quick = sub.add_parser("quickstart", help="run one instrumented migration")
@@ -456,12 +448,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
     from repro.analysis.comparison import compare_models
     from repro.analysis.validation import fit_wavm3_per_kind, validate_wavm3
     from repro.experiments.design import all_scenarios
-    from repro.experiments.runner import RunnerSettings, ScenarioRunner
+    from repro.experiments.runner import ScenarioRunner
 
-    runner = ScenarioRunner(
-        seed=args.seed,
-        settings=RunnerSettings(compute=args.compute),
-    )
+    runner = ScenarioRunner(seed=args.seed)
     if args.table_id in ("3", "4"):
         result = runner.run_campaign(
             all_scenarios(args.family), min_runs=args.runs, max_runs=args.runs,
@@ -516,7 +505,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
     from repro.experiments import design
     from repro.experiments.executor import CampaignExecutor
-    from repro.experiments.runner import RunnerSettings, ScenarioRunner
+    from repro.experiments.runner import ScenarioRunner
     from repro.models.features import HostRole
 
     if args.gc_spool:
@@ -568,10 +557,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             wave_fraction=args.speculate_wave_fraction,
             slowdown=args.speculate_slowdown,
         )
-    settings = RunnerSettings(compute=args.compute)
     if args.spool_dir is not None:
         executor = CampaignExecutor(
-            ScenarioRunner(seed=args.seed, settings=settings),
+            ScenarioRunner(seed=args.seed),
             backend="queue",
             cache_dir=args.cache_dir,
             spool_dir=args.spool_dir,
@@ -584,7 +572,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         )
     elif args.serve is not None:
         executor = CampaignExecutor(
-            ScenarioRunner(seed=args.seed, settings=settings),
+            ScenarioRunner(seed=args.seed),
             backend="http",
             cache_dir=args.cache_dir,
             serve=args.serve,
@@ -600,7 +588,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(f"serving campaign tasks on {executor.serve_url}", flush=True)
     else:
         executor = CampaignExecutor(
-            ScenarioRunner(seed=args.seed, settings=settings),
+            ScenarioRunner(seed=args.seed),
             jobs=args.jobs,
             cache_dir=args.cache_dir,
             batch_size=args.batch_size,
@@ -875,13 +863,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"{results['telemetry']['batched']['samples_per_s']:,.0f} samples/s | "
         f"events {results['telemetry']['events']['samples_per_s']:,.0f} | "
         f"speedup {results['telemetry']['speedup']:.2f}x"
-    )
-    compute = results["compute"]
-    print(
-        f"  compute: numpy "
-        f"{compute['numpy']['samples_per_s']:,.0f} samples/s | "
-        f"python {compute['python']['samples_per_s']:,.0f} | "
-        f"speedup {compute['speedup']:.2f}x"
     )
     if "sched" in results:
         sched = results["sched"]

@@ -15,18 +15,12 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-import numpy as np
-
 from repro.cluster.cpu import CpuAccountant
 from repro.cluster.machines import MachineSpec
 from repro.cluster.power import HostPowerModel
 from repro.errors import CapacityError
 from repro.simulator.kernels import HostKernel
-from repro.simulator.noise import (
-    hash_normal_unit,
-    ou_like_noise,
-    ou_like_noise_cached,
-)
+from repro.simulator.noise import hash_normal_unit, ou_like_noise
 
 __all__ = ["PhysicalHost"]
 
@@ -64,13 +58,9 @@ class PhysicalHost:
         # tick -> N(0,1) hash draw (one table per noise key), shared by
         # every batched telemetry reader of this host (meter, dstat,
         # feature recorder): the noise is a pure function, so memoisation
-        # is free of read-order effects and bounds SHA-256 work per
-        # unique tick.
+        # is free of read-order effects and hashes each tick once.
         self._cpu_tick_cache: dict[int, float] = {}
         self._drift_tick_cache: dict[int, float] = {}
-        # (cur_tick, prev_tick) -> blended drift value; the drift quantum
-        # spans many samples, so the blend result repeats across reads.
-        self._drift_value_cache: dict[tuple[int, int], float] = {}
         self._cpu_noise_key = f"cpu:{spec.name}"
         self._drift_noise_key = f"drift:{spec.name}"
         # t -> jittered utilisation read, valid because every telemetry
@@ -90,32 +80,19 @@ class PhysicalHost:
         self._memory_cache = 0.0
         # Per-run thermal state: constant for this host instance's lifetime
         # (a fresh host is built per experimental run), clamped to ±2.5 σ.
+        # This is ou_like_noise(seed, key, 0.0, 1e9, sigma, blend=0.0): with
+        # blend 0 the previous tick is weighted 0.0 and the norm is 1.0, so
+        # the value is sigma times the tick-0 draw, bit for bit.
         sigma = spec.power.thermal_sigma
-        raw = ou_like_noise(self._noise_seed, f"thermal:{spec.name}", 0.0, 1e9, sigma=sigma, blend=0.0) if sigma else 0.0
+        raw = sigma * hash_normal_unit(self._noise_seed, f"thermal:{spec.name}", 0) if sigma else 0.0
         self._thermal_factor = 1.0 + min(max(raw, -2.5 * sigma), 2.5 * sigma)
-        # Compute-mode kernel (repro.simulator.kernels); attached lazily by
-        # the first vectorized instrument read.  None under compute="python".
-        self._kernel: HostKernel | None = None
-
-    # ------------------------------------------------------------------
-    # Compute-mode kernel (vectorized fast path)
-    # ------------------------------------------------------------------
-    def attach_kernel(self) -> HostKernel:
-        """Attach (idempotently) the vectorized compute kernel.
-
-        The kernel hoists this host's static power envelope and live
-        interval state and serves the batched power/utilisation reads of
-        ``compute="numpy"`` — bit-identical to the scalar pipelines, which
-        stay authoritative for short blocks and ``compute="python"``.
-        """
-        if self._kernel is None:
-            self._kernel = HostKernel(
-                self,
-                jitter_quantum=_JITTER_QUANTUM_S,
-                cpu_jitter_sigma=_CPU_JITTER_SIGMA,
-                drift_norm=_DRIFT_NORM,
-            )
-        return self._kernel
+        #: The batched telemetry reads of this host (repro.simulator.kernels).
+        self.kernel = HostKernel(
+            self,
+            jitter_quantum=_JITTER_QUANTUM_S,
+            cpu_jitter_sigma=_CPU_JITTER_SIGMA,
+            drift_norm=_DRIFT_NORM,
+        )
 
     # ------------------------------------------------------------------
     # Identity
@@ -223,84 +200,6 @@ class PhysicalHost:
         """Host CPU utilisation in percent [0, 100] (model feature units)."""
         return self.cpu_utilisation_fraction(t) * 100.0
 
-    def _cpu_utilisation_fraction_values(self, times: list[float]) -> list[float]:
-        """Batched jittered utilisation reads (plain floats, loop core).
-
-        Serves each timestamp from the per-timestamp read memo when a
-        co-located instrument (typically the power meter, which samples
-        first) already computed it in this interval.
-        """
-        read_cache = self._util_read_cache
-        get = read_cache.get
-        values = [get(t) for t in times]
-        if None in values:
-            base = self.cpu.utilisation_fraction()
-            scale = min(base / 0.1, 1.0) if base < 0.1 else 1.0
-            sigma = _CPU_JITTER_SIGMA * scale
-            for i, value in enumerate(values):
-                if value is None:
-                    t = times[i]
-                    jitter = ou_like_noise_cached(
-                        self._noise_seed,
-                        self._cpu_noise_key,
-                        t,
-                        _JITTER_QUANTUM_S,
-                        sigma,
-                        0.6,
-                        self._cpu_tick_cache,
-                    )
-                    value = min(max(base + jitter, 0.0), 1.0)
-                    read_cache[t] = value
-                    values[i] = value
-        return values
-
-    def cpu_utilisation_fraction_cached(self, t: float) -> float:
-        """Scalar :meth:`cpu_utilisation_fraction` through the noise memo.
-
-        The single-sample core of the batched kernel, used when an
-        event-free interval holds too few samples for array operations to
-        pay off.  Bit-identical to ``cpu_utilisation_fraction(t)``.
-
-        The value is additionally memoised per timestamp: all batched
-        instruments reading one timestamp do so inside the same
-        event-free interval (the simulator advances every hook before
-        firing the boundary event), so the host state they observe is
-        identical and timestamps never recur.
-        """
-        value = self._util_read_cache.get(t)
-        if value is None:
-            base = self.cpu.utilisation_fraction()
-            scale = min(base / 0.1, 1.0) if base < 0.1 else 1.0
-            jitter = ou_like_noise_cached(
-                self._noise_seed,
-                self._cpu_noise_key,
-                t,
-                _JITTER_QUANTUM_S,
-                _CPU_JITTER_SIGMA * scale,
-                0.6,
-                self._cpu_tick_cache,
-            )
-            value = min(max(base + jitter, 0.0), 1.0)
-            self._util_read_cache[t] = value
-        return value
-
-    def cpu_utilisation_fraction_block(self, times: np.ndarray) -> np.ndarray:
-        """Batched :meth:`cpu_utilisation_fraction` over an event-free interval.
-
-        The accounting base is constant between events; only the
-        deterministic read jitter varies per sample, served from the
-        host's per-tick noise memo.  Bit-identical to per-sample scalar
-        calls.
-        """
-        times = np.asarray(times, dtype=np.float64)
-        return np.asarray(
-            self._cpu_utilisation_fraction_values(times.tolist()), dtype=np.float64
-        )
-
-    def cpu_utilisation_percent_block(self, times: np.ndarray) -> np.ndarray:
-        """Batched :meth:`cpu_utilisation_percent` (see the block variant)."""
-        return self.cpu_utilisation_fraction_block(times) * 100.0
-
     # ------------------------------------------------------------------
     # Power
     # ------------------------------------------------------------------
@@ -334,119 +233,11 @@ class PhysicalHost:
     def instantaneous_power_values(self, times: list[float]) -> list[float]:
         """Batched :meth:`instantaneous_power` over an event-free interval.
 
-        The batched telemetry kernel's core read: CPU jitter and thermal
-        drift come from the per-tick noise memo, the deterministic power
-        terms are evaluated in the scalar method's exact operation order
-        with interval constants hoisted, and memory/NIC activity are
-        interval constants.  Bit-identical to calling
-        :meth:`instantaneous_power` per sample.
+        ``times`` are ascending sample times inside one event-free
+        interval; the host's :class:`~repro.simulator.kernels.HostKernel`
+        evaluates them bit-identically to per-sample calls.
         """
-        model = self.power_model
-        p = model.params
-        # -- cpu read-jitter constants (cpu_utilisation_fraction) ---------
-        base = self.cpu.utilisation_fraction()
-        scale = min(base / 0.1, 1.0) if base < 0.1 else 1.0
-        jitter_sigma = _CPU_JITTER_SIGMA * scale
-        quantum = _JITTER_QUANTUM_S
-        seed = self._noise_seed
-        cpu_key = self._cpu_noise_key
-        cpu_cache = self._cpu_tick_cache
-        cpu_get = cpu_cache.get
-        blend = 0.6
-        one_minus = 1.0 - blend
-        norm = math.sqrt(blend * blend + one_minus * one_minus)
-        util_cache = self._util_read_cache
-        # -- power-model constants (HostPowerModel.instantaneous_power) ---
-        mem = min(max(self.memory_activity_fraction(), 0.0), 1.0)
-        mem_term = p.memory_w * mem
-        nic_term = p.nic_w * min(max(self.nic_utilisation_fraction(), 0.0), 1.0)
-        model_floor = 0.35 * p.idle_w
-        idle = p.idle_w
-        linear = p.cpu_linear_w
-        curved = p.cpu_curved_w
-        exponent = p.cpu_curve_exponent
-        interaction = p.interaction_w
-        fan_steps = p.fan_steps
-        transients = model.transients
-        has_transients = transients.active_count > 0
-        # -- host-envelope constants --------------------------------------
-        thermal = self._thermal_factor
-        host_floor = 0.3 * idle
-        drift_sigma = p.drift_sigma_w
-        if drift_sigma > 0:
-            drift_quantum = p.drift_quantum_s
-            drift_key = self._drift_noise_key
-            drift_cache = self._drift_tick_cache
-            drift_pairs = self._drift_value_cache
-        floor_fn = math.floor
-        out = []
-        for t in times:
-            # cpu_utilisation_fraction(t): base + OU hash jitter, clamped
-            tick = floor_fn(t / quantum)
-            current = cpu_get(tick)
-            if current is None:
-                current = hash_normal_unit(seed, cpu_key, tick)
-                cpu_cache[tick] = current
-            tick = floor_fn((t - quantum) / quantum)
-            previous = cpu_get(tick)
-            if previous is None:
-                previous = hash_normal_unit(seed, cpu_key, tick)
-                cpu_cache[tick] = previous
-            jitter = jitter_sigma * (blend * previous + one_minus * current) / norm
-            # min(max(x, 0, 1)) unrolled; ties keep the same float anyway
-            u = base + jitter
-            if u < 0.0:
-                u = 0.0
-            elif u > 1.0:
-                u = 1.0
-            util_cache[t] = u
-            # HostPowerModel.instantaneous_power term sequence (u is
-            # already in [0, 1]; the model's re-clamp is idempotent)
-            power = idle + (linear * u + curved * u ** exponent)
-            power = power + mem_term
-            power = power + nic_term
-            power = power + interaction * u * mem
-            if fan_steps:
-                # fan_power's sum() unrolled: same additions, same order
-                # (an int-0 start and a float-0.0 start add identically).
-                fan = 0.0
-                for threshold, watts in fan_steps:
-                    if u >= threshold:
-                        fan = fan + watts
-                power = power + fan
-            if has_transients:
-                power = power + transients.value(t)
-            if power < model_floor:
-                power = model_floor
-            # host envelope: thermal scaling, drift, PSU floor
-            power = idle + (power - idle) * thermal
-            if drift_sigma > 0:
-                dtick = floor_fn(t / drift_quantum)
-                dprev = floor_fn((t - drift_quantum) / drift_quantum)
-                drift = drift_pairs.get((dtick, dprev))
-                if drift is None:
-                    dcur_v = drift_cache.get(dtick)
-                    if dcur_v is None:
-                        dcur_v = hash_normal_unit(seed, drift_key, dtick)
-                        drift_cache[dtick] = dcur_v
-                    dprev_v = drift_cache.get(dprev)
-                    if dprev_v is None:
-                        dprev_v = hash_normal_unit(seed, drift_key, dprev)
-                        drift_cache[dprev] = dprev_v
-                    # ou_like_noise with blend=0.75 (0.75/0.25 are exact
-                    # binary floats, so the literals match 1.0 - blend)
-                    drift = drift_sigma * (0.75 * dprev_v + 0.25 * dcur_v) / _DRIFT_NORM
-                    drift_pairs[(dtick, dprev)] = drift
-                power = power + drift
-            out.append(power if power > host_floor else host_floor)
-        return out
-
-    def instantaneous_power_block(self, times: np.ndarray) -> np.ndarray:
-        """Array wrapper of :meth:`instantaneous_power_values`."""
-        times = np.asarray(times, dtype=np.float64)
-        return np.asarray(
-            self.instantaneous_power_values(times.tolist()), dtype=np.float64
-        )
+        return self.kernel.power_block(times)
 
     def idle_power_w(self) -> float:
         """Catalogued idle draw of the machine."""

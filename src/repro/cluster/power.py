@@ -132,21 +132,20 @@ class PowerModelParams:
             + self.fan_power(1.0)
         )
 
-    # NOTE: the batched telemetry kernels
-    # (PhysicalHost.instantaneous_power_values and the vectorized
-    # compute-mode kernels in repro.simulator.kernels) replay this
-    # model's term sequence operation-by-operation with hoisted
-    # constants for speed.  Any change to
-    # cpu_power/fan_power/instantaneous_power below must be mirrored
-    # there; the cross-path golden tests (tests/test_telemetry_batched.py,
-    # tests/test_compute_modes.py) fail on any divergence.
+    # NOTE: the batched telemetry kernel (HostKernel.power_block in
+    # repro.simulator.kernels) replays this model's term sequence
+    # operation-by-operation with hoisted constants for speed.  Any
+    # change to cpu_power/fan_power/instantaneous_power below must be
+    # mirrored there; the cross-path golden tests
+    # (tests/test_telemetry_batched.py, tests/test_compute_modes.py) fail
+    # on any divergence.
     def kernel_constants(self) -> tuple:
         """Per-type constants of the fused power kernels.
 
         Returns the hoisted scalar terms plus the fan-step thresholds and
         watts as parallel tuples, in exactly the composition order of
         :meth:`HostPowerModel.instantaneous_power` — the single source the
-        array kernels in :mod:`repro.simulator.kernels` initialise from.
+        interval kernels in :mod:`repro.simulator.kernels` initialise from.
         """
         thresholds = tuple(threshold for threshold, _ in self.fan_steps)
         watts = tuple(watts for _, watts in self.fan_steps)

@@ -372,12 +372,10 @@ class RunCache:
         stabilization: StabilizationRule,
     ) -> dict:
         settings_payload = dataclasses.asdict(settings)
-        # The telemetry implementation ("batched" vs "events") and the
-        # compute kernel ("python"/"numpy") are proven bit-identical
-        # (cross-path and cross-mode golden tests), so they must not
-        # split the cache: a campaign warmed in one mode serves the other.
+        # The telemetry implementation ("batched" vs "events") is proven
+        # bit-identical (cross-path golden tests), so it must not split
+        # the cache: a campaign warmed in one mode serves the other.
         settings_payload.pop("telemetry", None)
-        settings_payload.pop("compute", None)
         return {
             "schema": CACHE_KEY_SCHEMA,
             "seed": int(seed),

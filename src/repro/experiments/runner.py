@@ -117,14 +117,11 @@ class RunnerSettings:
     """Execution-protocol knobs (defaults = the paper's protocol).
 
     ``telemetry`` selects the sampling implementation, not the protocol:
-    ``"batched"`` (default) drives all instruments through the vectorized
+    ``"batched"`` (default) drives all instruments through the
     interval-hook fast path, ``"events"`` keeps the one-heap-event-per-
-    sample reference path.  ``compute`` selects the kernel implementation
-    inside the batched blocks the same way: ``"python"`` is the all-
-    scalar reference, ``"numpy"`` (default) the adaptive array-kernel
-    hybrid.  Results are bit-identical along both axes (the cross-path
-    golden tests assert byte-identical campaign samples JSON), which is
-    why the run cache deliberately ignores both fields.
+    sample reference path.  Results are bit-identical either way (the
+    cross-path golden tests assert byte-identical campaign samples JSON),
+    which is why the run cache deliberately ignores the field.
     """
 
     min_warmup_s: float = 12.0          # before the stabilisation check starts
@@ -137,16 +134,11 @@ class RunnerSettings:
     max_runs: int = 16                  # safety cap on the variance loop
     variance_delta: float = 0.10        # paper: "less than 10 %"
     telemetry: str = "batched"          # "batched" fast path | "events" reference
-    compute: str = "numpy"              # "python" reference | "numpy"
 
     def __post_init__(self) -> None:
         if self.telemetry not in ("batched", "events"):
             raise ExperimentError(
                 f"telemetry must be 'batched' or 'events', got {self.telemetry!r}"
-            )
-        if self.compute not in ("python", "numpy"):
-            raise ExperimentError(
-                f"compute must be 'python' or 'numpy', got {self.compute!r}"
             )
 
 
@@ -189,7 +181,6 @@ class ScenarioRunner:
             family=scenario.family,
             seed=run_seed,
             telemetry=cfg.telemetry,
-            compute=cfg.compute,
         )
 
     def run_once(self, scenario: MigrationScenario, run_index: int = 0) -> RunResult:

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-import numpy as np
-
 from repro.cluster.host import PhysicalHost
 from repro.cluster.machines import machine_pair, switch_spec
 from repro.cluster.network import NetworkPath
@@ -23,9 +21,8 @@ from repro.hypervisor.toolstack import Toolstack
 from repro.hypervisor.vm import VirtualMachine
 from repro.hypervisor.vmm import XenHypervisor
 from repro.simulator.engine import Simulator
-from repro.simulator.kernels import validate_compute
 from repro.simulator.rng import RandomStreams, derive_seed
-from repro.simulator.sampling import SCALAR_BLOCK_MAX, PeriodicSampler
+from repro.simulator.sampling import PeriodicSampler
 from repro.telemetry.dstat import DstatMonitor
 from repro.telemetry.powermeter import PowerMeter
 from repro.telemetry.traces import SeriesTrace
@@ -59,7 +56,6 @@ class FeatureRecorder:
         vm: VirtualMachine,
         period_s: float = 0.5,
         batched: bool = False,
-        compute: str = "numpy",
     ) -> None:
         self.source = source
         self.target = target
@@ -67,14 +63,12 @@ class FeatureRecorder:
         self.trace = SeriesTrace(FEATURE_COLUMNS, label="features")
         self._job: Optional[MigrationJob] = None
         self._job_provider: Optional[Callable[[], Optional[MigrationJob]]] = None
-        self._compute = validate_compute(compute)
         self._sampler = PeriodicSampler(
             sim,
             period_s,
             self._sample,
             batched=batched,
             batch_callback=self._sample_block if batched else None,
-            vectorized=batched and self._compute != "python",
         )
 
     def attach_job(self, job: MigrationJob) -> None:
@@ -124,53 +118,26 @@ class FeatureRecorder:
             dr_pct=self.vm.dirtying_ratio_percent(),
         )
 
-    def _sample_block(self, times: np.ndarray) -> None:
-        """Vectorized feature rows over one event-free interval.
+    def _sample_block(self, times: list[float]) -> None:
+        """Feature rows over one event-free interval.
 
         Placement, bandwidth and dirtying ratio are piecewise constant
         between events; the jittered CPU reads come from the hosts' and
-        VM's vectorized block methods.  Bit-identical to per-tick rows.
-        Short blocks loop the scalar memoised pipeline — same bits,
-        less fixed numpy overhead.
+        VM's interval kernels.  Bit-identical to per-tick rows.
         """
         on_target = 1.0 if self.vm.host is self.target else 0.0
         job = self._current_job()
         bw = job.current_bandwidth_bps if job is not None else 0.0
         dr = self.vm.dirtying_ratio_percent()
-        if self._compute == "python" or times.size <= SCALAR_BLOCK_MAX:
-            times_list = times.tolist()
-            source_cached = self.source.cpu_utilisation_fraction_cached
-            target_cached = self.target.cpu_utilisation_fraction_cached
-            vm_values = self.vm.cpu_percent_values(times_list)
-            n = len(times_list)
-            buf_t, (b_src, b_tgt, b_vm, b_on, b_bw, b_dr), start = (
-                self.trace._reserve(n, times_list[0])
-            )
-            for i, t in enumerate(times_list):
-                j = start + i
-                buf_t[j] = t
-                b_src[j] = source_cached(t) * 100.0
-                b_tgt[j] = target_cached(t) * 100.0
-                b_vm[j] = vm_values[i]
-                b_on[j] = on_target
-                b_bw[j] = bw
-                b_dr[j] = dr
-            self.trace._commit(n)
-            return
-        n = times.size
-        times_list = times.tolist()
+        n = len(times)
         buf_t, (b_src, b_tgt, b_vm, b_on, b_bw, b_dr), start = (
-            self.trace._reserve(n, times_list[0])
+            self.trace._reserve(n, times[0])
         )
         end = start + n
         buf_t[start:end] = times
-        b_src[start:end] = (
-            self.source.attach_kernel().util_block(times, times_list) * 100.0
-        )
-        b_tgt[start:end] = (
-            self.target.attach_kernel().util_block(times, times_list) * 100.0
-        )
-        b_vm[start:end] = self.vm.attach_kernel().cpu_percent_block(times, times_list)
+        b_src[start:end] = [u * 100.0 for u in self.source.kernel.util_block(times)]
+        b_tgt[start:end] = [u * 100.0 for u in self.target.kernel.util_block(times)]
+        b_vm[start:end] = self.vm.cpu_percent_values(times)
         b_on[start:end] = on_target
         b_bw[start:end] = bw
         b_dr[start:end] = dr
@@ -190,14 +157,10 @@ class Testbed:
         Power-meter sampling interval (0.5 s = the PM1000+'s 2 Hz).
     telemetry:
         ``"batched"`` (default) samples all instruments through the
-        vectorized interval-hook fast path; ``"events"`` keeps one heap
+        interval-hook fast path and its interval kernels
+        (:mod:`repro.simulator.kernels`); ``"events"`` keeps one heap
         event per sample.  Traces are bit-identical either way (see
         ``docs/performance.md``).
-    compute:
-        Kernel implementation of the batched blocks: ``"python"`` is the
-        all-scalar reference, ``"numpy"`` (default) the adaptive hybrid
-        with array kernels on long blocks.  Traces are bit-identical
-        across both modes (see :mod:`repro.simulator.kernels`).
     """
 
     def __init__(
@@ -206,7 +169,6 @@ class Testbed:
         seed: int = 0,
         meter_period_s: float = 0.5,
         telemetry: str = "batched",
-        compute: str = "numpy",
     ) -> None:
         if telemetry not in ("batched", "events"):
             raise ConfigurationError(
@@ -215,7 +177,6 @@ class Testbed:
         self.family = family
         self.seed = int(seed)
         self.telemetry = telemetry
-        self.compute = validate_compute(compute)
         batched = telemetry == "batched"
         self.streams = RandomStreams(seed)
         self.sim = Simulator()
@@ -238,17 +199,17 @@ class Testbed:
         )
         self.source_meter = PowerMeter(
             self.sim, self.source, self.streams.stream("meter:src"),
-            period_s=meter_period_s, batched=batched, compute=compute,
+            period_s=meter_period_s, batched=batched,
         )
         self.target_meter = PowerMeter(
             self.sim, self.target, self.streams.stream("meter:tgt"),
-            period_s=meter_period_s, batched=batched, compute=compute,
+            period_s=meter_period_s, batched=batched,
         )
         self.source_dstat = DstatMonitor(
-            self.sim, self.source, batched=batched, compute=compute
+            self.sim, self.source, batched=batched
         )
         self.target_dstat = DstatMonitor(
-            self.sim, self.target, batched=batched, compute=compute
+            self.sim, self.target, batched=batched
         )
 
     # ------------------------------------------------------------------
@@ -268,7 +229,6 @@ class Testbed:
             self.sim, self.source, self.target, vm,
             period_s=self.source_meter.period_s,
             batched=self.telemetry == "batched",
-            compute=self.compute,
         )
 
     def start_instrumentation(self) -> None:

@@ -19,16 +19,10 @@ from __future__ import annotations
 import enum
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from repro.errors import VMStateError
 from repro.hypervisor.memory import VmMemory
 from repro.simulator.kernels import VmKernel
-from repro.simulator.noise import (
-    ou_like_noise,
-    ou_like_noise_cached,
-    ou_like_noise_values,
-)
+from repro.simulator.noise import ou_like_noise
 from repro.workloads.base import Workload
 from repro.workloads.idle import IdleWorkload
 
@@ -103,23 +97,13 @@ class VirtualMachine:
         # PhysicalHost's tick caches for the rationale).
         self._noise_cache: dict[int, float] = {}
         self._vmcpu_noise_key = f"vmcpu:{name}"
-        # Compute-mode kernel (repro.simulator.kernels); attached lazily
-        # by the first vectorized feature read.
-        self._kernel: VmKernel | None = None
+        #: The batched feature reads of this VM (repro.simulator.kernels).
+        self.kernel = VmKernel(
+            self,
+            jitter_quantum=_JITTER_QUANTUM_S,
+            jitter_sigma_pct=_VM_CPU_JITTER_PCT,
+        )
         self._sync_dirty_process()
-
-    # ------------------------------------------------------------------
-    # Compute-mode kernel (vectorized fast path)
-    # ------------------------------------------------------------------
-    def attach_kernel(self) -> VmKernel:
-        """Attach (idempotently) the vectorized compute kernel."""
-        if self._kernel is None:
-            self._kernel = VmKernel(
-                self,
-                jitter_quantum=_JITTER_QUANTUM_S,
-                jitter_sigma_pct=_VM_CPU_JITTER_PCT,
-            )
-        return self._kernel
 
     # ------------------------------------------------------------------
     # Workload
@@ -216,45 +200,11 @@ class VirtualMachine:
         )
         return float(min(max(base + jitter, 0.0), 100.0))
 
-    def cpu_percent_block(self, times: np.ndarray) -> np.ndarray:
-        """Batched :meth:`cpu_percent` over an event-free interval.
-
-        The workload share and scheduler allocation are constant between
-        events; only the deterministic read jitter varies per sample.
-        Bit-identical to per-sample scalar calls.
-        """
-        times = np.asarray(times, dtype=np.float64)
-        return np.asarray(self.cpu_percent_values(times.tolist()), dtype=np.float64)
-
-    def cpu_percent_cached(self, t: float) -> float:
-        """Scalar :meth:`cpu_percent` through the per-tick noise memo.
-
-        The single-sample core of :meth:`cpu_percent_block`; bit-identical
-        to ``cpu_percent(t)``.
-        """
-        if not self.running:
-            return 0.0
-        base = self._workload.cpu_fraction() * 100.0
-        if self.host is not None:
-            base *= self.host.cpu.allocation_fraction(f"vm:{self.name}")
-        jitter = ou_like_noise_cached(
-            self._noise_seed, self._vmcpu_noise_key, t, _JITTER_QUANTUM_S,
-            _VM_CPU_JITTER_PCT, 0.6, self._noise_cache,
-        )
-        return float(min(max(base + jitter, 0.0), 100.0))
-
     def cpu_percent_values(self, times: list[float]) -> list[float]:
-        """Batched :meth:`cpu_percent` (plain floats, loop core)."""
-        if not self.running:
-            return [0.0] * len(times)
-        base = self._workload.cpu_fraction() * 100.0
-        if self.host is not None:
-            base *= self.host.cpu.allocation_fraction(f"vm:{self.name}")
-        jitter = ou_like_noise_values(
-            self._noise_seed, self._vmcpu_noise_key, times, _JITTER_QUANTUM_S,
-            sigma=_VM_CPU_JITTER_PCT, cache=self._noise_cache,
-        )
-        return [float(min(max(base + j, 0.0), 100.0)) for j in jitter]
+        """Batched :meth:`cpu_percent` over ascending times of one
+        event-free interval (plain floats; see
+        :class:`~repro.simulator.kernels.VmKernel`)."""
+        return self.kernel.cpu_percent_block(times)
 
     def dirtying_ratio_percent(self) -> float:
         """``DR(v,t)``: steady-state dirtying ratio in percent (Eq. 1)."""

@@ -19,8 +19,6 @@ import math
 import struct
 from typing import Dict
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.simulator.rng import derive_seed
 
@@ -34,9 +32,8 @@ __all__ = [
     "hash_normal",
     "hash_normal_unit",
     "hash_normal_unit_fill",
+    "memoise_ticks",
     "ou_like_noise",
-    "ou_like_noise_block",
-    "ou_like_noise_cached",
     "ou_like_noise_values",
 ]
 
@@ -87,15 +84,13 @@ def hash_normal_unit(seed: int, key: str, tick: int) -> float:
     This is the ``sigma=1`` core of :func:`hash_normal` keyed directly by
     tick: ``hash_normal(seed, key, tick * quantum, quantum, 1.0)`` equals
     ``hash_normal_unit(seed, key, tick)`` bit for bit (``1.0 * x == x``
-    for every float).  The batched telemetry kernel memoises these per
-    ``(key, tick)`` — consecutive samples and co-located instruments
-    reuse the same ticks, so the expensive SHA-256 evaluations drop from
-    per-read to per-unique-tick.
+    for every float).  The batched kernels memoise these per tick in one
+    dict per ``(seed, key)`` stream and fill a block's missing ticks
+    through :func:`hash_normal_unit_fill`, which hashes the same bytes.
 
     The two hash uniforms are built inline (one formatted string and one
     SHA-256 each, exactly :func:`_hash_unit`'s bytes) rather than through
-    the scalar helper chain — this memo-miss path is the fast path's hot
-    spot.
+    the scalar helper chain.
     """
     prefix = f"{seed}:{key}#{tick}#".encode("utf-8")
     raw1 = _u64_prefix(_sha256(prefix + b"1").digest())[0]
@@ -105,70 +100,59 @@ def hash_normal_unit(seed: int, key: str, tick: int) -> float:
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
 
 
-def hash_normal_unit_fill(seed: int, key: str, lo: int, hi: int) -> np.ndarray:
-    """Contiguous block of :func:`hash_normal_unit` draws for ticks ``[lo, hi)``.
+def hash_normal_unit_fill(seed: int, key: str, lo: int, hi: int) -> list[float]:
+    """:func:`hash_normal_unit` draws for the ticks ``[lo, hi)``, in order.
 
     Bit-identical per element to the scalar function: the hashed bytes are
     the same ``f"{seed}:{key}#{tick}#"`` prefix (the ``(seed, key)`` head is
     hoisted out of the loop and the tick rendered with bytes ``%``-
-    formatting, which produces the identical ASCII decimal — including the
+    formatting, which produces the identical ASCII decimal, including the
     sign of negative ticks), and the Box–Muller transform runs through the
-    same scalar ``math`` calls.  ``log``/``cos`` stay *scalar* deliberately:
-    numpy's SIMD transcendentals are not bit-identical to libm on every
-    platform, and these draws feed the cross-mode golden tests.
-
-    This is the fill primitive of the compute-mode noise tick grids
-    (:class:`repro.simulator.kernels.NoiseTickGrid`): the SHA-256 work is
-    the same per unique tick as the memo-dict path, but the draws land in a
-    contiguous array the vectorized kernels can gather from.
-
-    The digest-to-uniform step is batched: each SHA-256 digest is 32 bytes
-    = four little-endian u64 words, so joining the digests and striding a
-    ``frombuffer`` view by 4 reads the same leading-8-byte word the scalar
-    path unpacks.  ``uint64 -> float64`` conversion, ``+ 0.5`` and the
-    division by ``2**64`` (a power of two) are all exactly-rounded IEEE
-    ops, identical elementwise to the scalar arithmetic.
+    same scalar ``math`` calls.
     """
     head = f"{seed}:{key}#".encode("utf-8")
     sha = _sha256
+    unpack = _u64_prefix
     sqrt = math.sqrt
     log = math.log
     cos = math.cos
-    n = hi - lo
-    if n < 32:
-        # Grid-edge extensions arrive one or two ticks at a time; the
-        # batched path's fixed cost (comprehensions + frombuffer views)
-        # only pays for itself on real blocks.
-        out = np.empty(n, dtype=np.float64)
-        unpack = _u64_prefix
-        for i in range(n):
-            prefix = head + b"%d#" % (lo + i)
-            raw1 = unpack(sha(prefix + b"1").digest())[0]
-            raw2 = unpack(sha(prefix + b"2").digest())[0]
-            u1 = (raw1 + 0.5) / _U64
-            u2 = (raw2 + 0.5) / _U64
-            out[i] = sqrt(-2.0 * log(u1)) * cos(_TWO_PI * u2)
-        return out
-    prefixes = [head + b"%d#" % tick for tick in range(lo, hi)]
-    d1 = b"".join([sha(p + b"1").digest() for p in prefixes])
-    d2 = b"".join([sha(p + b"2").digest() for p in prefixes])
-    u1s = ((np.frombuffer(d1, dtype="<u8")[::4] + 0.5) / _U64).tolist()
-    u2s = ((np.frombuffer(d2, dtype="<u8")[::4] + 0.5) / _U64).tolist()
-    return np.asarray(
-        [sqrt(-2.0 * log(u1)) * cos(_TWO_PI * u2) for u1, u2 in zip(u1s, u2s)],
-        dtype=np.float64,
-    )
+    out = []
+    for tick in range(lo, hi):
+        prefix = head + b"%d#" % tick
+        u1 = (unpack(sha(prefix + b"1").digest())[0] + 0.5) / _U64
+        u2 = (unpack(sha(prefix + b"2").digest())[0] + 0.5) / _U64
+        out.append(sqrt(-2.0 * log(u1)) * cos(_TWO_PI * u2))
+    return out
 
 
 def hash_normal_unit_fill_bank(
     requests: list[tuple[int, str, int, int]],
-) -> list[np.ndarray]:
+) -> list[list[float]]:
     """:func:`hash_normal_unit_fill` per ``(seed, key, lo, hi)`` request.
 
     A retired name, kept only because the paper-campaign benchmark's span
     table (``perfbench/spans.py``) still lists it; nothing here calls it.
     """
     return [hash_normal_unit_fill(*request) for request in requests]
+
+
+def memoise_ticks(seed: int, key: str, cache: NoiseCache, lo: int, hi: int) -> None:
+    """Put the draws of every tick in ``[lo, hi]`` that ``cache`` lacks into it.
+
+    Each contiguous run of missing ticks is filled by one
+    :func:`hash_normal_unit_fill` call, so a tick is hashed at most once
+    per memo however the blocks that read it are split.
+    """
+    tick = lo
+    while tick <= hi:
+        if tick in cache:
+            tick += 1
+            continue
+        end = tick + 1
+        while end <= hi and end not in cache:
+            end += 1
+        cache.update(zip(range(tick, end), hash_normal_unit_fill(seed, key, tick, end)))
+        tick = end
 
 
 def ou_like_noise_values(
@@ -187,10 +171,12 @@ def ou_like_noise_values(
     *previous* tick via ``(t - quantum) / quantum``, which is not always
     ``tick - 1`` in floats), the per-tick standard normals are the same
     Box–Muller hash draws, and the blend/renormalisation arithmetic is
-    the same float64 operations.  A tight scalar loop beats elementwise
-    numpy here: telemetry blocks are typically a handful of samples, and
-    the dominant cost is the per-unique-tick SHA-256 — which the memo
-    ``cache`` bounds across calls and across instruments sharing a key.
+    the same float64 operations.  The block's tick range runs from the
+    earliest sample's previous tick to the latest sample's current tick
+    (``floor`` is monotone), and :func:`memoise_ticks` hashes whatever of
+    it the memo ``cache`` (shared across calls and instruments) still
+    lacks — every tick in between, so pass the times of one block, not
+    samples scattered over a long span.
 
     Parameters
     ----------
@@ -199,7 +185,8 @@ def ou_like_noise_values(
     times:
         Sample times (plain floats).
     cache:
-        Optional ``(key, tick) -> draw`` memo shared across calls.
+        Optional ``tick -> draw`` memo of this ``(seed, key)`` stream,
+        shared across calls.
     """
     if quantum <= 0:
         raise ConfigurationError(f"quantum must be positive, got {quantum!r}")
@@ -207,75 +194,20 @@ def ou_like_noise_values(
         raise ConfigurationError(f"blend must be in [0, 1), got {blend!r}")
     if cache is None:
         cache = {}
-    get = cache.get
+    if not times:
+        return []
     floor = math.floor
-    one_minus = 1.0 - blend
-    norm = math.sqrt(blend * blend + one_minus * one_minus)
-    out = []
-    for t in times:
-        tick = floor(t / quantum)
-        current = get(tick)
-        if current is None:
-            current = hash_normal_unit(seed, key, tick)
-            cache[tick] = current
-        tick = floor((t - quantum) / quantum)
-        previous = get(tick)
-        if previous is None:
-            previous = hash_normal_unit(seed, key, tick)
-            cache[tick] = previous
-        mixed = blend * previous + one_minus * current
-        out.append(sigma * mixed / norm)
-    return out
-
-
-def ou_like_noise_block(
-    seed: int,
-    key: str,
-    times: np.ndarray,
-    quantum: float,
-    sigma: float,
-    blend: float = 0.6,
-    cache: NoiseCache | None = None,
-) -> np.ndarray:
-    """Array wrapper of :func:`ou_like_noise_values`."""
-    times = np.asarray(times, dtype=np.float64)
-    values = ou_like_noise_values(
-        seed, key, times.tolist(), quantum, sigma, blend, cache
+    memoise_ticks(
+        seed, key, cache, floor((min(times) - quantum) / quantum), floor(max(times) / quantum)
     )
-    return np.asarray(values, dtype=np.float64)
-
-
-def ou_like_noise_cached(
-    seed: int,
-    key: str,
-    t: float,
-    quantum: float,
-    sigma: float,
-    blend: float,
-    cache: NoiseCache,
-) -> float:
-    """Scalar :func:`ou_like_noise` through a per-tick memo.
-
-    The single-sample core of :func:`ou_like_noise_values`, used by the
-    batched telemetry kernel when an event-free interval holds too few
-    samples for array operations to pay off.  Bit-identical to the
-    uncached scalar function (memoised draws are pure).
-    """
-    get = cache.get
-    cur_tick = math.floor(t / quantum)
-    current = get(cur_tick)
-    if current is None:
-        current = hash_normal_unit(seed, key, cur_tick)
-        cache[cur_tick] = current
-    prev_tick = math.floor((t - quantum) / quantum)
-    previous = get(prev_tick)
-    if previous is None:
-        previous = hash_normal_unit(seed, key, prev_tick)
-        cache[prev_tick] = previous
     one_minus = 1.0 - blend
-    mixed = blend * previous + one_minus * current
     norm = math.sqrt(blend * blend + one_minus * one_minus)
-    return sigma * mixed / norm
+    return [
+        sigma
+        * (blend * cache[floor((t - quantum) / quantum)] + one_minus * cache[floor(t / quantum)])
+        / norm
+        for t in times
+    ]
 
 
 def ou_like_noise(
@@ -288,9 +220,8 @@ def ou_like_noise(
 ) -> float:
     """Correlated noise approximating an Ornstein–Uhlenbeck process.
 
-    NOTE: the batched kernels (:func:`ou_like_noise_values`,
-    :func:`ou_like_noise_cached`, and the fused drift block in
-    ``PhysicalHost.instantaneous_power_values``) replay this blend
+    NOTE: the batched kernels (:func:`ou_like_noise_values` and the
+    interval kernels of :mod:`repro.simulator.kernels`) replay this blend
     arithmetic bit for bit; mirror any change there (the cross-path
     golden tests fail on divergence).
 

@@ -13,7 +13,7 @@ cadence, in one of two modes:
   simulator (:meth:`repro.simulator.engine.Simulator.add_interval_hook`)
   and, whenever the clock advances across an event-free interval,
   computes **all** of its tick timestamps in that interval analytically
-  and delivers them in one vectorized block.  Because simulation state is
+  and delivers them in one block.  Because simulation state is
   piecewise constant between events, the block observes exactly what the
   per-tick events would have — the tick grid (and therefore every
   timestamp, bit for bit) is the same ``anchor + phase + k * period``
@@ -29,21 +29,10 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-import numpy as np
-
 from repro.simulator.control import ControlLoop
 from repro.simulator.engine import Simulator
-from repro.simulator.kernels import sampler_tick_grid
 
-__all__ = ["PeriodicSampler", "SCALAR_BLOCK_MAX"]
-
-#: Block size below which batched instruments sample through their scalar
-#: memoised pipelines: numpy's fixed per-call overhead (array RNG
-#: broadcasting, reductions) only pays off on longer event-free
-#: intervals.  Any threshold yields the same bits — array draws consume
-#: the identical RNG stream as scalar draws — so this is purely a
-#: performance knob, shared by every batched instrument.
-SCALAR_BLOCK_MAX = 12
+__all__ = ["PeriodicSampler"]
 
 
 class PeriodicSampler(ControlLoop):
@@ -63,15 +52,9 @@ class PeriodicSampler(ControlLoop):
     batched:
         Select the interval-hook fast path instead of per-tick heap events.
     batch_callback:
-        Called with a float64 array of tick timestamps per interval in
-        batched mode.  When omitted, batched mode falls back to invoking
-        ``callback`` per tick (still avoiding the event heap).
-    vectorized:
-        Generate long batched tick grids through the analytic array
-        expression (:func:`repro.simulator.kernels.sampler_tick_grid`)
-        instead of the scalar accumulation loop.  Purely a performance
-        knob of the ``compute="numpy"`` mode: the grid holds the
-        same float64 timestamps bit for bit.
+        Called with the list of tick timestamps (ascending floats) per
+        interval in batched mode.  When omitted, batched mode falls back
+        to invoking ``callback`` per tick (still avoiding the event heap).
 
     Notes
     -----
@@ -95,13 +78,11 @@ class PeriodicSampler(ControlLoop):
         callback: Callable[[float], Any],
         phase: Optional[float] = None,
         batched: bool = False,
-        batch_callback: Optional[Callable[[np.ndarray], Any]] = None,
-        vectorized: bool = False,
+        batch_callback: Optional[Callable[[list[float]], Any]] = None,
     ) -> None:
         super().__init__(sim, period, phase=phase, batched=batched, label="sampler")
         self._callback = callback
         self._batch_callback = batch_callback
-        self._vectorized = vectorized
 
     # ------------------------------------------------------------------
     def _fire_tick(self, t: float) -> None:
@@ -127,19 +108,6 @@ class PeriodicSampler(ControlLoop):
         next_time = base + k * period
         if next_time > t1:
             return  # no tick in this interval (the common case)
-        if self._vectorized and t1 - next_time >= SCALAR_BLOCK_MAX * period:
-            # Long interval: build the identical grid analytically (the
-            # threshold only picks which bit-identical generator runs).
-            grid, k_next = sampler_tick_grid(base, k, period, t1)
-            if grid is not None:
-                self._tick_index = k_next
-                if self._batch_callback is not None:
-                    self._batch_callback(grid)
-                else:
-                    callback = self._callback
-                    for t in grid.tolist():
-                        callback(t)
-                return
         ticks = []
         while next_time <= t1:
             ticks.append(next_time)
@@ -147,7 +115,7 @@ class PeriodicSampler(ControlLoop):
             next_time = base + k * period
         self._tick_index = k
         if self._batch_callback is not None:
-            self._batch_callback(np.asarray(ticks, dtype=np.float64))
+            self._batch_callback(ticks)
         else:
             callback = self._callback
             for t in ticks:

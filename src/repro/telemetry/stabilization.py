@@ -131,34 +131,19 @@ class StabilizationTracker:
         self._last = watts
         self._count += 1
 
-    def observe_block(self, watts: np.ndarray) -> None:
-        """Feed a block of new readings (amortised O(1) per reading)."""
-        watts = np.asarray(watts, dtype=np.float64)
-        if watts.size == 0:
-            return
-        if self._count == 0 and watts.size == 1:
-            self._last = float(watts[0])
-            self._count = 1
-            return
-        if self._count:
-            extended = np.concatenate(([self._last], watts))
-        else:
-            extended = watts
-        prev = extended[:-1]
-        if prev.all():
-            # No zero predecessors (the meter floors readings well above
-            # zero): same booleans as _consecutive_ok without its
-            # division-guard machinery.
-            ok = np.abs(np.diff(extended)) / np.abs(prev) < self.rule.rel_tolerance
-        else:
-            ok = _consecutive_ok(extended, self.rule)
-        bad = np.flatnonzero(~ok)
-        if bad.size == 0:
-            self._streak += int(ok.size)
-        else:
-            self._streak = int(ok.size - 1 - bad[-1])
-        self._last = float(watts[-1])
-        self._count += int(watts.size)
+    def observe_block(self, watts) -> None:
+        """Feed a block of new readings: :meth:`observe` per reading, in order."""
+        if isinstance(watts, np.ndarray):
+            watts = watts.tolist()
+        tol = self.rule.rel_tolerance
+        count, last, streak = self._count, self._last, self._streak
+        for w in watts:
+            if count:
+                ok = last != 0.0 and abs(w - last) / abs(last) < tol
+                streak = streak + 1 if ok else 0
+            last = w
+            count += 1
+        self._count, self._last, self._streak = count, float(last), streak
 
     @property
     def count(self) -> int:

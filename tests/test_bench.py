@@ -7,7 +7,6 @@ import pytest
 import repro.bench
 from repro.bench import (
     BENCH_SCHEMA,
-    bench_compute,
     bench_simulator,
     bench_telemetry,
     check_regression,
@@ -57,12 +56,6 @@ class TestBenchmarks:
         assert consolidation["scenario"].startswith("bench/consolidation")
         assert results["simulator"]["events_per_s"] > 0
         assert results["telemetry"]["speedup"] > 1.0
-        compute = results["compute"]
-        assert compute["modes"][:2] == ["python", "numpy"]
-        for mode in compute["modes"]:
-            assert compute[mode]["wall_s"] > 0
-            assert compute[mode]["samples_per_s"] > 0
-        assert compute["speedup"] > 0  # ratio exists; the floor is guarded
 
     def test_campaign_modes_measure_identical_workloads(self, quick_payload):
         campaign = quick_payload["results"]["campaign"]
@@ -85,19 +78,6 @@ class TestBenchmarks:
     def test_telemetry_bench_modes(self):
         result = bench_telemetry(sim_seconds=50.0, repeats=1)
         assert result["batched"]["samples_per_s"] > result["events"]["samples_per_s"]
-
-    def test_compute_bench_modes(self):
-        result = bench_compute(sim_seconds=200.0, repeats=1)
-        # Identical windows per mode: equal sample counts, so walls compare.
-        assert (
-            result["python"]["wall_s"] * result["python"]["samples_per_s"]
-            == pytest.approx(
-                result["numpy"]["wall_s"] * result["numpy"]["samples_per_s"]
-            )
-        )
-        assert result["speedup"] == pytest.approx(
-            result["python"]["wall_s"] / result["numpy"]["wall_s"]
-        )
 
     def test_write_bench_json(self, quick_payload, tmp_path):
         path = write_bench_json(quick_payload, tmp_path)
@@ -161,7 +141,6 @@ class TestRegressionGate:
         )
         assert baseline["guarded"]["campaign.speedup"] >= 5.0
         assert baseline["guarded"]["consolidation.speedup"] >= 4.0
-        assert baseline["guarded"]["compute.speedup"] >= 2.0
 
 
 class TestBenchCli:

@@ -63,8 +63,8 @@ def test_cli_checker_catches_stale_commands(tmp_path):
         "\n"
         "```bash\n"
         "python -m repro.cli table 7 --runs 2 --seed 1   # global flag too late\n"
-        "python -m repro.cli --compute fortran \\\n"
-        "    campaign --runs 2 | tee log\n"
+        "python -m repro.cli --seed 1 \\\n"
+        "    campaign --family fortran --runs 2 | tee log\n"
         "python -m repro.cli --seed 1 table 7 --runs 2 > table7.txt\n"
         "```\n"
         "The `python -m repro.cli` form is only mentioned here.\n",

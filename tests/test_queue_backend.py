@@ -344,6 +344,36 @@ class TestFaultInjection:
         with pytest.raises(ExperimentError, match="taskspec/2"):
             future.result()
 
+    def test_spec_with_retired_compute_setting_fails_the_task(self, tmp_path):
+        """A spec whose settings still carry ``compute`` (as an older
+        coordinator would spool it) is failed as a malformed task spec;
+        the worker keeps serving the next task."""
+        backend = _backend(tmp_path)
+        stale, fresh = _task(0), _task(1)
+        stale_future = backend.submit(stale)
+        spec = task_spec_to_dict(stale)
+        spec["settings"]["compute"] = "numpy"
+        backend.spool.task_path(stale.task_id).write_text(
+            json.dumps(spec), encoding="utf-8"
+        )
+        fresh_future = backend.submit(fresh)
+        stats = run_worker(
+            tmp_path / "spool", tmp_path / "cache",
+            poll_interval=0.02, idle_exit_s=0.2,
+        )
+        assert stats.claimed == 2 and stats.failed == 1 and stats.executed == 1
+        record = json.loads(
+            backend.spool.failure_path(stale.task_id).read_text(encoding="utf-8")
+        )
+        assert record["kind"] == "PersistenceError"
+        assert "malformed task spec" in record["error"]
+        assert "'compute'" in record["error"]
+        assert backend.wait([stale_future, fresh_future]) == {stale_future, fresh_future}
+        with pytest.raises(ExperimentError, match="malformed task spec"):
+            stale_future.result()
+        (run,) = fresh_future.result()
+        assert run.run_index == 1
+
     def test_unreadable_spec_fails_the_task(self, tmp_path):
         backend = _backend(tmp_path)
         task = _task()

@@ -5,7 +5,7 @@ A multi-run task (``RunTask``) executes its span through
 :meth:`ScenarioRunner.run_once`.  These goldens pin that a batch changes
 **no byte** of any artifact: every recorded array matches the per-index
 ``run_once`` reference on every scenario archetype (including the
-manager-driven consolidation drain), in every ``compute=`` mode, on the
+manager-driven consolidation drain), in both telemetry modes, on the
 serial and distributed-queue backends, for non-contiguous index lists
 (cache holes) and singleton batches.  The cache keys are pinned to their
 published hex digests, so a settings field that comes or goes cannot
@@ -26,7 +26,6 @@ from repro.experiments.executor import CampaignExecutor, RunCache
 from repro.experiments.queue_backend import run_worker
 from repro.experiments.runner import RunnerSettings, ScenarioRunner
 from repro.io import save_samples_json
-from repro.simulator.kernels import COMPUTE_MODES
 from repro.telemetry.stabilization import StabilizationRule
 
 #: Fast protocol settings (shape preserved: warmup, stabilisation checks,
@@ -57,8 +56,10 @@ ARCHETYPES = [
 ]
 
 
-def _runner(seed: int = 3, mode: str = "numpy") -> ScenarioRunner:
-    return ScenarioRunner(seed=seed, settings=RunnerSettings(compute=mode, **FAST))
+def _runner(seed: int = 3, telemetry: str = "batched") -> ScenarioRunner:
+    return ScenarioRunner(
+        seed=seed, settings=RunnerSettings(telemetry=telemetry, **FAST)
+    )
 
 
 def _assert_runs_identical(a, b):
@@ -90,13 +91,12 @@ class TestGoldenBatchVsRunOnce:
         for index, run in enumerate(batch):
             _assert_runs_identical(_runner().run_once(scenario, run_index=index), run)
 
-    @pytest.mark.parametrize("mode", COMPUTE_MODES)
-    def test_compute_modes_batch_identically(self, mode):
+    def test_events_telemetry_batches_identically(self):
         scenario = ARCHETYPES[0]
-        batch = _runner(mode=mode).run_batch(scenario, range(2))
+        batch = _runner(telemetry="events").run_batch(scenario, range(2))
         for index, run in enumerate(batch):
             _assert_runs_identical(
-                _runner(mode=mode).run_once(scenario, run_index=index), run
+                _runner(telemetry="events").run_once(scenario, run_index=index), run
             )
 
     def test_campaign_samples_json_byte_identical(self, tmp_path):
@@ -184,11 +184,10 @@ class TestRunCacheKeyPins:
         keys = {
             RunCache.scenario_key(
                 20150901, scenario,
-                RunnerSettings(telemetry=telemetry, compute=mode),
+                RunnerSettings(telemetry=telemetry),
                 None, StabilizationRule(),
             )
             for telemetry in ("batched", "events")
-            for mode in COMPUTE_MODES
         }
         assert keys == {self.PINNED[scenario.label]}
 

@@ -25,8 +25,7 @@ from repro.simulator.noise import (
     hash_normal,
     hash_normal_unit,
     ou_like_noise,
-    ou_like_noise_block,
-    ou_like_noise_cached,
+    ou_like_noise_values,
 )
 from repro.simulator.sampling import PeriodicSampler
 from repro.telemetry.stabilization import (
@@ -167,22 +166,21 @@ class TestNoiseMemo:
             )
 
     def test_block_matches_scalar_ou(self):
-        times = np.arange(0.5, 40.0, 0.5)
+        times = np.arange(0.5, 40.0, 0.5).tolist()
         for quantum, blend in ((0.5, 0.6), (20.0, 0.75)):
-            block = ou_like_noise_block(
+            block = ou_like_noise_values(
                 42, "drift:m01", times, quantum, sigma=3.0, blend=blend, cache={}
             )
-            scalar = np.array(
-                [ou_like_noise(42, "drift:m01", t, quantum, 3.0, blend) for t in times]
-            )
-            assert np.array_equal(block, scalar)
+            scalar = [ou_like_noise(42, "drift:m01", t, quantum, 3.0, blend) for t in times]
+            assert block == scalar
 
     def test_cached_matches_scalar_ou(self):
+        """One memo shared across calls, read at single samples in any order."""
         cache = {}
-        for t in (0.25, 0.5, 1.0, 19.9, 20.0, 20.1):
-            assert ou_like_noise_cached(
-                13, "k", t, 0.5, 2.0, 0.6, cache
-            ) == ou_like_noise(13, "k", t, 0.5, 2.0, 0.6)
+        for t in (0.25, 0.5, 1.0, 19.9, 20.0, 20.1, 0.75):
+            assert ou_like_noise_values(
+                13, "k", [t], 0.5, 2.0, 0.6, cache
+            ) == [ou_like_noise(13, "k", t, 0.5, 2.0, 0.6)]
         assert cache  # the memo actually filled
 
     def test_host_power_block_matches_scalar(self):
@@ -202,7 +200,7 @@ class TestNoiseMemo:
         fresh.set_nic_flow("f", tx_bps=2e8, rx_bps=1e8)
         fresh.set_memory_activity("m", 0.2)
         fresh.power_model.transients.add_peak(1.0, 4.0, 12.0)
-        block = fresh.instantaneous_power_block(times)
+        block = fresh.instantaneous_power_values(times.tolist())
         assert np.array_equal(scalar, block)
 
     def test_vm_cpu_block_matches_scalar(self):
@@ -214,7 +212,7 @@ class TestNoiseMemo:
         scalar = np.array([vm.cpu_percent(t) for t in times])
         fresh = make_instance_vm("load-cpu", name="v", noise_seed=5)
         fresh.mark_running()
-        block = fresh.cpu_percent_block(times)
+        block = fresh.cpu_percent_values(times.tolist())
         assert np.array_equal(scalar, block)
 
 
