@@ -355,26 +355,33 @@ def bench_simulator(n_events: int = 50_000, repeats: int = 3) -> dict:
 def bench_telemetry(sim_seconds: float = 300.0, repeats: int = 3) -> dict:
     """Instrumented-testbed sampling throughput per telemetry mode.
 
-    One testbed per pass, all instruments running, no migration events:
-    measures the pure sampling kernels over a ``sim_seconds`` window,
-    advanced in 10 s strides — the interval length the runner's
-    stabilisation look-ahead typically produces during a campaign's
-    measurement phases.
+    One testbed per pass with both power meters and a dstat monitor per
+    host running, no migration events: measures the pure sampling
+    kernels over a ``sim_seconds`` window, advanced in 10 s strides.
     """
     from repro.experiments.testbed import Testbed
+    from repro.telemetry.dstat import DstatMonitor
 
     out: dict[str, dict] = {}
     for mode in ("events", "batched"):
         def sample_window() -> None:
             bed = Testbed(seed=1, telemetry=mode)
+            dstats = [
+                DstatMonitor(bed.sim, host, batched=mode == "batched")
+                for host in (bed.source, bed.target)
+            ]
             bed.start_instrumentation()
+            for dstat in dstats:
+                dstat.start()
             steps = int(sim_seconds / 10.0)
             for _ in range(steps):
                 bed.sim.run_for(10.0)
             bed.stop_instrumentation()
+            for dstat in dstats:
+                dstat.stop()
             sample_window.samples = (  # type: ignore[attr-defined]
                 len(bed.source_meter.trace) + len(bed.target_meter.trace)
-                + len(bed.source_dstat.trace) + len(bed.target_dstat.trace)
+                + sum(len(dstat.trace) for dstat in dstats)
             )
 
         wall = _best_of(repeats, sample_window)

@@ -242,6 +242,14 @@ class TransientPool:
         self._items = keep
         return total
 
+    def snapshot(self) -> tuple:
+        """The pool's items, for :meth:`restore` after a look-ahead read."""
+        return tuple(self._items)
+
+    def restore(self, items: tuple) -> None:
+        """Reset the pool to a :meth:`snapshot`, undoing later pruning."""
+        self._items = list(items)
+
     @property
     def active_count(self) -> int:
         """Number of transients not yet pruned."""

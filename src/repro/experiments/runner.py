@@ -19,6 +19,7 @@ reproducible and runs are statistically independent.
 
 from __future__ import annotations
 
+import bisect
 import math
 import pathlib
 from dataclasses import dataclass
@@ -190,10 +191,12 @@ class ScenarioRunner:
         try:
             while True:
                 step = next(protocol)
-                if isinstance(step, tuple):  # ("stabilise", budget_s)
-                    self._run_until_stable(bed, step[1])
-                else:
+                if not isinstance(step, tuple):
                     bed.sim.run_for(step)
+                elif step[0] == "stabilise":
+                    self._run_until_stable(bed, step[1])
+                else:  # ("migration", job)
+                    self._run_until_finished(bed, step[1])
         except StopIteration as stop:
             return stop.value
 
@@ -204,12 +207,15 @@ class ScenarioRunner:
 
         Performs every protocol action on ``bed`` but *yields* instead of
         advancing simulated time: plain floats ask the driver to advance
-        that many seconds, and ``("stabilise", budget_s)`` marks a
-        stabilisation wait.  :meth:`run_once`, the only driver, delegates
-        such a wait to :meth:`_run_until_stable` (the look-ahead loop),
-        which takes the same samples and detects stabilisation at the
-        same check as a single-check walk of the grid would
-        (``tests/test_telemetry_batched.py`` pins the equivalence).
+        that many seconds, ``("stabilise", budget_s)`` marks a
+        stabilisation wait and ``("migration", job)`` the wait for the
+        migration.  :meth:`run_once`, the only driver, delegates the
+        waits to :meth:`_run_until_stable` (the look-ahead loop), which
+        takes the same samples and detects stabilisation at the same
+        check as a single-check walk of the grid would
+        (``tests/test_telemetry_batched.py`` pins the equivalence), and
+        to :meth:`_run_until_finished`, which ends at the check-grid
+        instant a poll of ``job.finished`` would.
         """
         cfg = self.settings
         run_seed = bed.seed
@@ -257,14 +263,12 @@ class ScenarioRunner:
                 config=self.migration_config,
             )
         recorder.attach_job(job)
-        deadline = bed.sim.now + cfg.migration_timeout_s
-        while not job.finished:
-            if bed.sim.now >= deadline:
-                raise ExperimentError(
-                    f"migration did not finish within {cfg.migration_timeout_s}s "
-                    f"({scenario.label}#{run_index})"
-                )
-            yield cfg.check_interval_s
+        yield ("migration", job)
+        if not job.finished:
+            raise ExperimentError(
+                f"migration did not finish within {cfg.migration_timeout_s}s "
+                f"({scenario.label}#{run_index})"
+            )
 
         # --- post-migration stabilisation ----------------------------------
         yield cfg.min_post_s
@@ -427,6 +431,46 @@ class ScenarioRunner:
         assert job is not None
         return job
 
+    def _run_until_finished(self, bed: Testbed, job) -> None:
+        """Advance to the first check-grid instant at which ``job`` has finished.
+
+        The grid is ``now, now + check, …`` built by the same repeated
+        float additions a ``run_for(check)`` poll makes, and the wait
+        gives up at the first grid instant at or after the
+        ``migration_timeout_s`` deadline (the caller raises).  Rather than
+        polling, one run is stopped by the job's completion
+        (:meth:`Simulator.stop <repro.simulator.engine.Simulator.stop>`)
+        and a second one reaches the grid instant, so the clock, the
+        events fired and the samples taken equal the poll's.
+        """
+        if job.finished:
+            return
+        sim = bed.sim
+        check = self.settings.check_interval_s
+        start = sim.now
+        deadline = start + self.settings.migration_timeout_s
+        last = start
+        while last < deadline:
+            last = last + check
+        if last == start:
+            return  # no poll: the deadline has already passed
+
+        def stop(_job) -> None:
+            sim.stop()
+
+        job.on_complete.append(stop)
+        try:
+            sim.run(until=last)
+        finally:
+            job.on_complete.remove(stop)
+        if not job.finished:
+            return
+        t = start
+        while t < sim.now:
+            t = t + check
+        # Also fires the events left pending at the completion instant.
+        sim.run(until=t)
+
     def _run_until_stable(self, bed: Testbed, budget_s: float) -> None:
         """Advance simulation until both meters satisfy the rule (or budget).
 
@@ -437,20 +481,42 @@ class ScenarioRunner:
         by advancing several intervals at once.  The elision changes
         neither the samples taken nor the check at which stabilisation is
         first detected (only no-op checks are skipped), and it is
-        evaluated identically under both telemetry modes — it simply
-        lets the batched fast path process longer event-free intervals.
+        evaluated identically under both telemetry modes.
+
+        With batched telemetry and nothing that could change state before
+        the furthest check the wait can reach (no pending event, no
+        control hook), the loop does not run the simulator per check: the
+        meters read the whole window ahead (:meth:`PowerMeter.read_ahead
+        <repro.telemetry.powermeter.PowerMeter.read_ahead>`), the checks
+        are replayed on copies of their trackers, and one run advances
+        the clock to the check where the wait ends — to the same float a
+        run per check reaches, with the same samples.
         """
+        sim = bed.sim
         spent = 0.0
         check = self.settings.check_interval_s
         rule = self.stabilization
-        period = min(bed.source_meter.period_s, bed.target_meter.period_s)
+        meters = (bed.source_meter, bed.target_meter)
+        period = min(meter.period_s for meter in meters)
+        trackers = [meter.tracker(rule) for meter in meters]
+        t = sim.now
+        # The furthest check: steps never sum beyond the initial max_steps.
+        horizon = t + check * max(1, math.ceil(budget_s / check))
+        ahead = None
+        next_event = sim.peek()
+        if (
+            bed.telemetry == "batched"
+            and all(meter.running for meter in meters)
+            and not sim.has_control_hooks
+            and (next_event is None or next_event > horizon)
+        ):
+            ahead = [meter.read_ahead(horizon) for meter in meters]
+            trackers = [tracker.copy() for tracker in trackers]
+            fed = [0] * len(meters)
         while spent < budget_s:
-            if bed.source_meter.stabilised(rule) and bed.target_meter.stabilised(rule):
-                return
-            deficit = max(
-                bed.source_meter.stabilisation_deficit(rule),
-                bed.target_meter.stabilisation_deficit(rule),
-            )
+            if all(tracker.stable for tracker in trackers):
+                break
+            deficit = max(tracker.deficit for tracker in trackers)
             # The original loop would run ceil(remaining / check) more
             # checks; never skip beyond that.
             max_steps = max(1, math.ceil((budget_s - spent) / check))
@@ -462,10 +528,36 @@ class ScenarioRunner:
                 and math.floor(steps * check / period) + 1 < deficit
             ):
                 steps += 1
-            bed.sim.run_for(check * steps)
+            if ahead is not None:
+                t_next = t + check * steps
+                if t_next <= horizon:
+                    for i, (times, readings) in enumerate(ahead):
+                        j = bisect.bisect_right(times, t_next, fed[i])
+                        trackers[i].observe_block(readings[fed[i]:j])
+                        fed[i] = j
+                    t = t_next
+                    spent += check * steps
+                    continue
+                # Float rounding carried the check past the read-ahead.
+                self._advance_read_ahead(sim, meters, t)
+                ahead = None
+                trackers = [meter.tracker(rule) for meter in meters]
+            sim.run_for(check * steps)
             spent += check * steps
+        if ahead is not None:
+            self._advance_read_ahead(sim, meters, t)
         # Budget exhausted: proceed — matching lab practice where a run is
         # not discarded for residual ripple, just measured longer.
+
+    @staticmethod
+    def _advance_read_ahead(sim, meters, t: float) -> None:
+        """Run to ``t``, serving the meters' blocks from their read-ahead."""
+        try:
+            if t > sim.now:
+                sim.run(until=t)
+        finally:
+            for meter in meters:
+                meter.end_read_ahead()
 
     # ------------------------------------------------------------------
     def run_scenario(

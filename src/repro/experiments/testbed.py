@@ -2,10 +2,11 @@
 
 A :class:`Testbed` bundles everything one experimental run needs: the
 simulator, the homogeneous host pair with their switch, per-host Xen
-instances, the toolstack, two power meters on the AC side, two dstat
-monitors, and the feature recorder that stands in for the paper's network
-instrumentation.  Every stochastic element draws from streams derived
-from the run's master seed.
+instances, the toolstack, two power meters on the AC side, and the
+feature recorder that stands in for the paper's dstat and network
+instrumentation (a :class:`~repro.telemetry.dstat.DstatMonitor` can be
+attached to either host; nothing in a run reads one).  Every stochastic
+element draws from streams derived from the run's master seed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from repro.hypervisor.vmm import XenHypervisor
 from repro.simulator.engine import Simulator
 from repro.simulator.rng import RandomStreams, derive_seed
 from repro.simulator.sampling import PeriodicSampler
-from repro.telemetry.dstat import DstatMonitor
 from repro.telemetry.powermeter import PowerMeter
 from repro.telemetry.traces import SeriesTrace
 
@@ -205,12 +205,6 @@ class Testbed:
             self.sim, self.target, self.streams.stream("meter:tgt"),
             period_s=meter_period_s, batched=batched,
         )
-        self.source_dstat = DstatMonitor(
-            self.sim, self.source, batched=batched
-        )
-        self.target_dstat = DstatMonitor(
-            self.sim, self.target, batched=batched
-        )
 
     # ------------------------------------------------------------------
     @property
@@ -232,15 +226,11 @@ class Testbed:
         )
 
     def start_instrumentation(self) -> None:
-        """Start both meters and both dstat monitors."""
+        """Start both power meters."""
         self.source_meter.start()
         self.target_meter.start()
-        self.source_dstat.start()
-        self.target_dstat.start()
 
     def stop_instrumentation(self) -> None:
-        """Stop both meters and both dstat monitors."""
+        """Stop both power meters."""
         self.source_meter.stop()
         self.target_meter.stop()
-        self.source_dstat.stop()
-        self.target_dstat.stop()

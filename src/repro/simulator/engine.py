@@ -41,6 +41,9 @@ class Simulator:
         self._now = float(start_time)
         self._heap: list[Event] = []
         self._running = False
+        # Set by stop() while run() is executing; run() checks it after
+        # every event (and control action) and clears it on exit.
+        self._stop_requested = False
         self._processed = 0
         # Live pending-event count: incremented on schedule, decremented on
         # fire and on cancel (via the event's owner back-reference), so the
@@ -77,6 +80,16 @@ class Simulator:
         """Time of the next pending event, or ``None`` if the heap is empty."""
         self._drop_cancelled_head()
         return self._heap[0].time if self._heap else None
+
+    @property
+    def has_control_hooks(self) -> bool:
+        """Whether a control hook may act between events (see :meth:`add_interval_hook`).
+
+        Without control hooks and without pending events, nothing can
+        change simulation state before the clock next moves past an
+        event: observers may read ahead.
+        """
+        return bool(self._control_hooks)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -257,6 +270,8 @@ class Simulator:
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the heap drains, ``until`` passes, or the budget ends.
 
+        A :meth:`stop` request from an event callback ends the run early.
+
         Parameters
         ----------
         until:
@@ -273,9 +288,10 @@ class Simulator:
                 f"cannot run to the past: until={until!r} < now={self._now!r}"
             )
         self._running = True
+        self._stop_requested = False
         fired = 0
         try:
-            while True:
+            while not self._stop_requested:
                 self._drop_cancelled_head()
                 if self._heap and (until is None or self._heap[0].time <= until):
                     if max_events is not None and fired >= max_events:
@@ -311,6 +327,20 @@ class Simulator:
                 break
         finally:
             self._running = False
+            self._stop_requested = False
+
+    def stop(self) -> None:
+        """End the executing :meth:`run` right after the current event.
+
+        Meant for event callbacks (or control actions): the run returns
+        once the callback that asked for the stop has finished, with the
+        clock at that event's time and every later event still pending —
+        including events due at the same instant.  Outside :meth:`run`
+        this does nothing, so a request never carries over into the next
+        run, and :meth:`step` ignores it.
+        """
+        if self._running:
+            self._stop_requested = True
 
     def run_for(self, duration: float, max_events: Optional[int] = None) -> None:
         """Run for a relative ``duration`` seconds of simulated time."""

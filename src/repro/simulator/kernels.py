@@ -9,10 +9,9 @@ version counters move), and the noise draws, which a block memoises for
 its whole tick range (:func:`~repro.simulator.noise.memoise_ticks`) before
 it loops.
 
-Each kernel is a plain scalar loop.  Event-free blocks are short: on the
-paper campaign no instrument sees more than 24 samples between two
-events, where numpy's fixed per-call cost exceeds the loop it would
-replace.
+Each kernel is a plain scalar loop.  On the paper campaign a block holds
+27.7 samples on average and at most 240 (a whole 120 s post-migration
+stabilisation wait, which the runner advances in one engine call).
 
 **Bit-identity discipline.** Every read equals the event-mode read at the
 same instant bit for bit (the cross-path golden tests assert byte-identical
@@ -165,20 +164,22 @@ class HostKernel:
                 values[i] = u
         return values
 
-    def power_block(self, times: list[float]) -> list[float]:
+    def power_block(self, times: list[float], reads: dict | None = None) -> list[float]:
         """Ground-truth wall power at each of ``times`` (ascending).
 
         Replays :meth:`PhysicalHost.instantaneous_power` per sample in its
         exact operation order, with the interval constants hoisted and
         the CPU-jitter and thermal-drift draws memoised; publishes each
-        jittered CPU read into the host's per-timestamp read memo.
+        jittered CPU read into ``reads`` (default: the host's
+        per-timestamp read memo).
         """
         self.refresh()
         self._memoise_cpu(times)
         transients = self.host.power_model.transients
         has_transients = transients.active_count > 0
         cpu_ticks = self._cpu_ticks
-        reads = self._reads
+        if reads is None:
+            reads = self._reads
         base = self._base
         jitter_sigma = self._jitter_sigma
         q = self._quantum
@@ -248,6 +249,37 @@ class HostKernel:
                 power = power + drift
             out.append(power if power > host_floor else host_floor)
         return out
+
+    def power_ahead(self, times: list[float]) -> tuple[list[float], list[float]]:
+        """:meth:`power_block` over a block the simulator has not reached yet.
+
+        Returns the powers and the jittered CPU reads at ``times`` and
+        leaves behind nothing a later read could see: the reads are not
+        published into the host's read memo (a state change before
+        ``times`` are reached would make them stale), and the transient
+        pool's pruning is undone (it depends on the order of reads).
+        :meth:`deliver_ahead` performs both effects once the simulator
+        reaches the samples.
+        """
+        transients = self.host.power_model.transients
+        items = transients.snapshot()
+        reads: dict[float, float] = {}
+        try:
+            power = self.power_block(times, reads)
+        finally:
+            transients.restore(items)
+        return power, list(reads.values())
+
+    def deliver_ahead(self, times: list[float], utils: list[float]) -> None:
+        """The side effects :meth:`power_block` would have had on ``times``.
+
+        ``utils`` are the matching reads from :meth:`power_ahead`.
+        """
+        self._reads.update(zip(times, utils))
+        transients = self.host.power_model.transients
+        if transients.active_count:
+            # Prunes what the block's reads, the last one included, would.
+            transients.value(times[-1])
 
 
 # ----------------------------------------------------------------------

@@ -92,6 +92,25 @@ class PeriodicSampler(ControlLoop):
     # ------------------------------------------------------------------
     # Batched mode (simulator interval hook)
     # ------------------------------------------------------------------
+    def pending_ticks(self, t1: float) -> list[float]:
+        """Timestamps of the ticks ``<= t1`` not yet delivered (none consumed).
+
+        The same float64 expression and ``<= t1`` rule as
+        :meth:`advance_to`, so a reader can compute now the block a later
+        :meth:`advance_to` will deliver.
+        """
+        assert self._anchor is not None
+        base = self._anchor + self._phase
+        period = self._period
+        k = self._tick_index
+        ticks = []
+        next_time = base + k * period
+        while next_time <= t1:
+            ticks.append(next_time)
+            k += 1
+            next_time = base + k * period
+        return ticks
+
     def advance_to(self, t1: float) -> None:
         """Generate every tick with timestamp ``<= t1`` not yet delivered.
 
@@ -101,19 +120,10 @@ class PeriodicSampler(ControlLoop):
         comparison mirrors the engine's ``heap[0].time > until`` stop
         rule, so both modes fire exactly the same ticks.
         """
-        assert self._anchor is not None
-        base = self._anchor + self._phase
-        period = self._period
-        k = self._tick_index
-        next_time = base + k * period
-        if next_time > t1:
-            return  # no tick in this interval (the common case)
-        ticks = []
-        while next_time <= t1:
-            ticks.append(next_time)
-            k += 1
-            next_time = base + k * period
-        self._tick_index = k
+        ticks = self.pending_ticks(t1)
+        if not ticks:
+            return  # no tick in this interval
+        self._tick_index += len(ticks)
         if self._batch_callback is not None:
             self._batch_callback(ticks)
         else:

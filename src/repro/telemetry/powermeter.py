@@ -24,6 +24,11 @@ Two sampling modes share one semantics (``batched=`` selects):
 Both modes produce bit-identical traces; the batched mode additionally
 feeds incremental stabilisation trackers so :meth:`PowerMeter.stabilised`
 is O(1) per check (event mode gets the same trackers).
+
+A batched meter can also read ahead (:meth:`PowerMeter.read_ahead`): the
+runner's stabilisation wait asks for a whole quiet window's readings,
+replays its checks on them, and then advances the clock once, with the
+meter serving that block from the buffer.
 """
 
 from __future__ import annotations
@@ -86,6 +91,10 @@ class PowerMeter:
         self._quantisation = float(quantisation_w)
         self.trace = PowerTrace(label=f"power:{host.name}")
         self._trackers: dict[StabilizationRule, StabilizationTracker] = {}
+        # Read-ahead buffer (see read_ahead): tick times, readings, the
+        # host's jittered CPU reads, and how many ticks were delivered.
+        self._ahead: tuple[list[float], list[float], list[float]] | None = None
+        self._ahead_pos = 0
         self._sampler = PeriodicSampler(
             sim,
             period_s,
@@ -130,23 +139,22 @@ class PowerMeter:
         for tracker in self._trackers.values():
             tracker.observe(reading)
 
-    def _sample_block(self, times: list[float]) -> None:
-        """One event-free interval's worth of readings, batched.
+    def _readings(self, true_power: list[float]) -> list[float]:
+        """Noisy, quantised readings of a block of ground truth.
 
-        Mirrors :meth:`_sample` per element over the host's block of
-        ground truth.  The draws come from one ``standard_normal`` block
-        scaled per sample: ``Generator.normal(0, s)`` is exactly
-        ``0.0 + s * z`` with ``z`` the next standard draw, so the scaled
-        block consumes the same stream and yields the same readings bit
-        for bit (``0.0 + x`` cannot change a reading added to a positive
-        power).  A zero sigma takes no draw in :meth:`_sample`; ground
-        truth is floored above zero, so that only happens with
-        ``accuracy=0``, where no sample draws.
+        Mirrors :meth:`_sample` per element.  The draws come from one
+        ``standard_normal`` block scaled per sample:
+        ``Generator.normal(0, s)`` is exactly ``0.0 + s * z`` with ``z``
+        the next standard draw, so the scaled block consumes the same
+        stream and yields the same readings bit for bit (``0.0 + x``
+        cannot change a reading added to a positive power).  A zero sigma
+        takes no draw in :meth:`_sample`; ground truth is floored above
+        zero, so that only happens with ``accuracy=0``, where no sample
+        draws.
         """
-        true_power = self.host.instantaneous_power_values(times)
         acc3 = self._accuracy / 3.0
         quantisation = self._quantisation
-        n = len(times)
+        n = len(true_power)
         draws = self._rng.standard_normal(n).tolist() if acc3 else [0.0] * n
         readings = []
         for tp, z in zip(true_power, draws):
@@ -154,12 +162,69 @@ class PowerMeter:
             if quantisation > 0:
                 reading = round(reading / quantisation) * quantisation
             readings.append(max(reading, 0.0))
+        return readings
+
+    def _sample_block(self, times: list[float]) -> None:
+        """One event-free interval's worth of readings, batched.
+
+        A block inside the read-ahead buffer is served from it: the
+        buffered readings, the host's deferred read effects, and the same
+        noise draws again, so the generator moves exactly as computing
+        the block would move it.
+        """
+        n = len(times)
+        ahead = self._ahead
+        pos = self._ahead_pos
+        if ahead is not None and pos + n <= len(ahead[0]) and ahead[0][pos] == times[0]:
+            end = pos + n
+            readings = ahead[1][pos:end]
+            self.host.kernel.deliver_ahead(times, ahead[2][pos:end])
+            if self._accuracy / 3.0:  # the draw condition of _readings
+                self._rng.standard_normal(n)
+            self._ahead_pos = end
+        else:
+            readings = self._readings(self.host.instantaneous_power_values(times))
         buf_t, buf_w, start = self.trace._reserve(n, times[0])
         buf_t[start:start + n] = times
         buf_w[start:start + n] = readings
         self.trace._commit(n)
         for tracker in self._trackers.values():
             tracker.observe_block(readings)
+
+    # ------------------------------------------------------------------
+    def read_ahead(self, until: float) -> tuple[list[float], list[float]]:
+        """The readings this meter will take over ``(now, until]``.
+
+        Valid only if nothing changes simulation state before ``until``
+        (no pending event, no control hook), and only for a batched,
+        running meter.  Computing them leaves no trace a later read could
+        see: the generator is rewound and the host's read effects are
+        deferred (:meth:`HostKernel.power_ahead
+        <repro.simulator.kernels.HostKernel.power_ahead>`).  The block is
+        buffered, and the samples the simulator then delivers inside it
+        are served from the buffer until :meth:`end_read_ahead`.
+
+        Returns
+        -------
+        tuple[list[float], list[float]]
+            Tick times and readings, ascending.
+        """
+        times = self._sampler.pending_ticks(until)
+        if not times:
+            self._ahead = None
+            return [], []
+        power, utils = self.host.kernel.power_ahead(times)
+        state = self._rng.bit_generator.state
+        readings = self._readings(power)
+        self._rng.bit_generator.state = state
+        self._ahead = (times, readings, utils)
+        self._ahead_pos = 0
+        return times, readings
+
+    def end_read_ahead(self) -> None:
+        """Drop the read-ahead buffer; later blocks are computed again."""
+        self._ahead = None
+        self._ahead_pos = 0
 
     # ------------------------------------------------------------------
     def stabilised(self, rule: StabilizationRule = StabilizationRule()) -> bool:
@@ -169,18 +234,10 @@ class PowerMeter:
         incremental :class:`~repro.telemetry.stabilization.StabilizationTracker`
         from the recorded trace; subsequent samples update it in place.
         """
-        return self._tracker(rule).stable
+        return self.tracker(rule).stable
 
-    def stabilisation_deficit(self, rule: StabilizationRule = StabilizationRule()) -> int:
-        """Minimum further readings before :meth:`stabilised` can flip true.
-
-        Exposes the incremental tracker's
-        :attr:`~repro.telemetry.stabilization.StabilizationTracker.deficit`
-        for the runner's look-ahead (0 when already stable).
-        """
-        return self._tracker(rule).deficit
-
-    def _tracker(self, rule: StabilizationRule) -> StabilizationTracker:
+    def tracker(self, rule: StabilizationRule = StabilizationRule()) -> StabilizationTracker:
+        """The live incremental tracker of ``rule`` (created on first use)."""
         tracker = self._trackers.get(rule)
         if tracker is None:
             tracker = StabilizationTracker.from_signal(rule, self.trace.watts)

@@ -120,19 +120,28 @@ class TestGoldenCrossMode:
     def test_dstat_traces_bit_identical(self):
         """One 25 s block, ten 2.5 s blocks and per-second events agree."""
         from repro.experiments.testbed import Testbed
+        from repro.telemetry.dstat import DstatMonitor
 
-        beds = {}
+        traces = {}
         for mode, strides in (("events", 10), ("batched", 10), ("long", 1)):
             bed = Testbed(seed=11, telemetry="events" if mode == "events" else "batched")
+            dstats = [
+                DstatMonitor(bed.sim, host, batched=mode != "events")
+                for host in (bed.source, bed.target)
+            ]
             bed.start_instrumentation()
+            for dstat in dstats:
+                dstat.start()
             for _ in range(strides):
                 bed.sim.run_for(25.0 / strides)
             bed.stop_instrumentation()
-            beds[mode] = bed
-        for attr in ("source_dstat", "target_dstat"):
-            ref = getattr(beds["events"], attr).trace
+            for dstat in dstats:
+                dstat.stop()
+            traces[mode] = [dstat.trace for dstat in dstats]
+        for i, ref in enumerate(traces["events"]):
+            assert len(ref) == 25
             for mode in ("batched", "long"):
-                other = getattr(beds[mode], attr).trace
+                other = traces[mode][i]
                 assert np.array_equal(ref.times, other.times)
                 for column in ref.columns:
                     assert np.array_equal(ref.column(column), other.column(column))

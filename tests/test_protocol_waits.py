@@ -1,0 +1,277 @@
+"""The measurement protocol's three waits, against per-check reference walks.
+
+A run waits three times (Section V-B): for power to stabilise before the
+migration, for the migration to finish, and for power to stabilise after
+it.  The runner drives each wait as few engine calls: the migration wait
+stops on the job's completion, and a stabilisation wait with nothing
+pending reads the meters ahead and replays its checks.  These tests pin
+that every wait ends at the same clock value, with the same samples and
+the same leftover state, as a walk that runs the simulator once per check.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from repro.errors import ExperimentError
+from repro.experiments.design import MigrationScenario, all_scenarios
+from repro.experiments.runner import RunnerSettings, ScenarioRunner
+from repro.simulator.engine import Simulator
+from repro.telemetry.stabilization import StabilizationRule
+
+LIVE = MigrationScenario("CPULOAD-SOURCE", "waits/lv/1vm", live=True, load_vm_count=1)
+NON_LIVE = MigrationScenario("CPULOAD-SOURCE", "waits/nl/0vm", live=False, load_vm_count=0)
+MEMLOAD = MigrationScenario("MEMLOAD-VM", "waits/lv/dr55", live=True, dirty_percent=55.0)
+
+
+def reference_stabilisation_wait(runner):
+    """The stabilisation wait as one engine run per check it makes.
+
+    The look-ahead loop (its step choices fix the clock's float value)
+    with no read-ahead: the simulator runs to every check.
+    """
+    def wait(bed, budget_s):
+        spent = 0.0
+        check = runner.settings.check_interval_s
+        rule = runner.stabilization
+        meters = (bed.source_meter, bed.target_meter)
+        period = min(meter.period_s for meter in meters)
+        while spent < budget_s:
+            if all(meter.stabilised(rule) for meter in meters):
+                return
+            deficit = max(meter.tracker(rule).deficit for meter in meters)
+            max_steps = max(1, math.ceil((budget_s - spent) / check))
+            steps = 1
+            while steps < max_steps and math.floor(steps * check / period) + 1 < deficit:
+                steps += 1
+            bed.sim.run_for(check * steps)
+            spent += check * steps
+    return wait
+
+
+def reference_migration_wait(runner):
+    """The migration wait as a poll of ``job.finished`` on the check grid."""
+    def wait(bed, job):
+        deadline = bed.sim.now + runner.settings.migration_timeout_s
+        while not job.finished and bed.sim.now < deadline:
+            bed.sim.run_for(runner.settings.check_interval_s)
+    return wait
+
+
+class ReferenceRunner(ScenarioRunner):
+    """A runner whose waits walk the check grid one engine run at a time."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._run_until_stable = reference_stabilisation_wait(self)
+        self._run_until_finished = reference_migration_wait(self)
+
+
+def _state(bed):
+    """Everything a later read of the testbed could see, copied."""
+    return {
+        "now": bed.sim.now,
+        "traces": [
+            (meter.trace.times.copy(), meter.trace.watts.copy())
+            for meter in (bed.source_meter, bed.target_meter)
+        ],
+        "rng": [
+            meter._rng.bit_generator.state for meter in (bed.source_meter, bed.target_meter)
+        ],
+        "reads": [dict(host._util_read_cache) for host in (bed.source, bed.target)],
+        "transients": [
+            host.power_model.transients.snapshot() for host in (bed.source, bed.target)
+        ],
+    }
+
+
+def _assert_same_state(a, b):
+    assert a["now"] == b["now"]
+    for (ta, wa), (tb, wb) in zip(a["traces"], b["traces"]):
+        assert np.array_equal(ta, tb)
+        assert np.array_equal(wa, wb)
+    assert a["rng"] == b["rng"]
+    assert a["reads"] == b["reads"]
+    assert a["transients"] == b["transients"]
+
+
+def _assert_same_run(a, b):
+    for trace in ("source_trace", "target_trace"):
+        assert np.array_equal(getattr(a, trace).times, getattr(b, trace).times)
+        assert np.array_equal(getattr(a, trace).watts, getattr(b, trace).watts)
+    assert np.array_equal(a.features.times, b.features.times)
+    for column in a.features.columns:
+        assert np.array_equal(a.features.column(column), b.features.column(column))
+    assert a.timeline.ms == b.timeline.ms
+    assert a.timeline.me == b.timeline.me
+
+
+def _drive(runner, scenario, first_wait, before_wait=None):
+    """Run the protocol with ``first_wait`` as the pre-migration wait.
+
+    Returns the testbed state right after that wait, the wait's start
+    time and the finished run.
+    """
+    bed = runner.build_testbed(scenario, 0)
+    protocol = runner._run_protocol(bed, scenario, 0)
+    after_wait = start = None
+    try:
+        step = next(protocol)
+        while True:
+            if not isinstance(step, tuple):
+                bed.sim.run_for(step)
+            elif step[0] == "migration":
+                runner._run_until_finished(bed, step[1])
+            elif after_wait is None:
+                if before_wait is not None:
+                    before_wait(bed)
+                start = bed.sim.now
+                first_wait(bed, step[1])
+                after_wait = _state(bed)
+            else:
+                runner._run_until_stable(bed, step[1])
+            step = next(protocol)
+    except StopIteration as stop:
+        return after_wait, start, stop.value
+
+
+class TestStabilisationWait:
+    def test_budget_exhausted_wait_matches_reference(self):
+        """The paper campaign's case: the rule never holds within the budget."""
+        runner = ScenarioRunner(seed=7)
+        ref, start, ref_run = _drive(runner, LIVE, reference_stabilisation_wait(runner))
+        assert ref["now"] - start == runner.settings.max_warmup_s
+        got, _, run = _drive(runner, LIVE, runner._run_until_stable)
+        _assert_same_state(ref, got)
+        _assert_same_run(ref_run, run)
+
+    def test_early_stabilisation_then_state_change_matches_reference(self):
+        """A wait ending early leaves nothing of the window it read ahead.
+
+        The rule holds a few checks into a 90 s budget; a transient that
+        expires inside the rest of that window is still active when the
+        migration starts.  Publishing read-ahead CPU reads, pruning that
+        transient or leaving the meters' generators advanced would each
+        change the state after the wait or the samples after it.
+        """
+        runner = ScenarioRunner(
+            seed=3,
+            settings=RunnerSettings(min_warmup_s=0.5),
+            stabilization=StabilizationRule(n_readings=20, rel_tolerance=0.1),
+        )
+
+        def add_transient(bed):
+            bed.source.power_model.transients.add_peak(
+                bed.sim.now, 15.0, 1.0, shape="rect"
+            )
+
+        ref, start, ref_run = _drive(
+            runner, LIVE, reference_stabilisation_wait(runner), add_transient
+        )
+        # stable a few checks in; the transient outlives the wait but
+        # expires well inside the 90 s window
+        assert start < ref["now"] < start + 15.0 < start + runner.settings.max_warmup_s
+        assert len(ref["transients"][0]) == 1
+        got, _, run = _drive(runner, LIVE, runner._run_until_stable, add_transient)
+        _assert_same_state(ref, got)
+        _assert_same_run(ref_run, run)
+
+    def test_pending_event_falls_back_to_a_run_per_check(self):
+        """An event inside the window: the same samples, run check by check."""
+        runner = ScenarioRunner(seed=3)
+
+        def schedule_event(bed):
+            bed.sim.schedule(40.0, lambda: None)
+
+        ref, _, ref_run = _drive(
+            runner, LIVE, reference_stabilisation_wait(runner), schedule_event
+        )
+        got, _, run = _drive(runner, LIVE, runner._run_until_stable, schedule_event)
+        _assert_same_state(ref, got)
+        _assert_same_run(ref_run, run)
+
+
+    def test_rounding_past_the_read_ahead_falls_back(self, monkeypatch):
+        """Three 0.3 s checks sum to 0.8999… < 0.9: a fourth check follows.
+
+        It lies past the read-ahead window (0.3 × 3), so the wait runs to
+        the checks replayed so far and continues one run per check.
+        """
+        runner = ScenarioRunner(
+            seed=3,
+            settings=RunnerSettings(
+                min_warmup_s=0.3, max_warmup_s=0.9, check_interval_s=0.3
+            ),
+        )
+        ref, start, ref_run = _drive(runner, LIVE, reference_stabilisation_wait(runner))
+        assert ref["now"] - start > runner.settings.max_warmup_s
+        polls = []
+        run_for = Simulator.run_for
+
+        def counting_run_for(self, *args, **kwargs):
+            polls.append(args)
+            return run_for(self, *args, **kwargs)
+
+        def wait(bed, budget_s):
+            monkeypatch.setattr(Simulator, "run_for", counting_run_for)
+            runner._run_until_stable(bed, budget_s)
+            monkeypatch.undo()
+
+        got, _, run = _drive(runner, LIVE, wait)
+        assert len(polls) == 1
+        _assert_same_state(ref, got)
+        _assert_same_run(ref_run, run)
+
+
+class TestMigrationWait:
+    @pytest.mark.parametrize("scenario", [LIVE, NON_LIVE, MEMLOAD], ids=lambda s: s.label)
+    def test_run_matches_per_check_reference(self, scenario):
+        a = ReferenceRunner(seed=11).run_once(scenario, 0)
+        b = ScenarioRunner(seed=11).run_once(scenario, 0)
+        _assert_same_run(a, b)
+
+    def test_timeout_still_raises(self):
+        runner = ScenarioRunner(seed=1, settings=RunnerSettings(migration_timeout_s=3.0))
+        with pytest.raises(ExperimentError, match=r"migration did not finish within 3\.0s"):
+            runner.run_once(LIVE, 0)
+
+    def test_timeout_ends_on_the_first_grid_instant_past_the_deadline(self):
+        runner = ScenarioRunner(seed=1, settings=RunnerSettings(migration_timeout_s=3.0))
+        bed = runner.build_testbed(LIVE, 0)
+        protocol = runner._run_protocol(bed, LIVE, 0)
+        step = next(protocol)
+        while not (isinstance(step, tuple) and step[0] == "migration"):
+            if isinstance(step, tuple):
+                runner._run_until_stable(bed, step[1])
+            else:
+                bed.sim.run_for(step)
+            step = next(protocol)
+        start = bed.sim.now
+        runner._run_until_finished(bed, step[1])
+        assert not step[1].finished
+        assert bed.sim.now == start + 2.5 + 2.5
+
+
+class TestEngineCalls:
+    def test_paper_run_makes_six_engine_runs(self, monkeypatch):
+        """Two fixed waits, two stabilisation waits, two migration runs."""
+        calls = []
+        run = Simulator.run
+
+        def counting_run(self, *args, **kwargs):
+            calls.append(args or kwargs)
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "run", counting_run)
+        ScenarioRunner(seed=7).run_once(all_scenarios("m")[0], 0)
+        assert len(calls) == 6
+
+    def test_testbed_runs_only_the_meters(self):
+        runner = ScenarioRunner(seed=7)
+        bed = runner.build_testbed(LIVE, 0)
+        bed.start_instrumentation()
+        assert bed.sim._interval_hooks == [
+            bed.source_meter._sampler, bed.target_meter._sampler
+        ]
+        assert not hasattr(bed, "source_dstat") and not hasattr(bed, "target_dstat")

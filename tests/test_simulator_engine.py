@@ -1,5 +1,6 @@
 """Discrete-event engine: ordering, cancellation, budgets, clocks."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
@@ -166,3 +167,87 @@ class TestGuards:
             sim.schedule(float(i + 1), lambda: None)
         sim.run()
         assert sim.processed_events == 5
+
+
+class _Recorder:
+    """Observer hook remembering every interval end it is advanced to."""
+
+    def __init__(self):
+        self.reached = []
+
+    def advance_to(self, t1):
+        self.reached.append(t1)
+
+
+class TestStop:
+    def test_stop_ends_run_after_the_calling_event(self):
+        sim, out = Simulator(), []
+        hook = _Recorder()
+        sim.add_interval_hook(hook)
+
+        def stopping(tag):
+            out.append(tag)
+            sim.stop()
+
+        sim.schedule(1.0, out.append, "a")
+        sim.schedule(2.0, stopping, "b")
+        sim.schedule(2.0, out.append, "c")  # same instant, still pending
+        sim.schedule(3.0, out.append, "d")
+        sim.run(until=10.0)
+        assert out == ["a", "b"]
+        assert sim.now == 2.0
+        assert hook.reached == [1.0, 2.0]
+        assert sim.pending_events == 2
+        sim.run(until=10.0)
+        assert out == ["a", "b", "c", "d"]
+        assert sim.now == 10.0
+
+    def test_resumed_run_samples_like_one_uninterrupted_run(self):
+        from repro.experiments.testbed import Testbed
+
+        traces = []
+        for stop in (True, False):
+            bed = Testbed(seed=5)
+            bed.start_instrumentation()
+            bed.sim.schedule(7.3, bed.sim.stop if stop else (lambda: None))
+            bed.sim.run(until=20.0)
+            assert bed.sim.now == (7.3 if stop else 20.0)
+            bed.sim.run(until=20.0)
+            traces.append(bed.source_meter.trace)
+        assert len(traces[0]) == 40
+        assert np.array_equal(traces[0].times, traces[1].times)
+        assert np.array_equal(traces[0].watts, traces[1].watts)
+
+    def test_request_does_not_leak_into_the_next_run(self):
+        sim, out = Simulator(), []
+        sim.stop()  # outside run(): ignored
+        sim.schedule(1.0, out.append, 1)
+        sim.schedule(2.0, out.append, 2)
+        sim.run(until=1.5)
+        assert out == [1]
+
+        def last_event():
+            out.append("last")
+            sim.stop()  # the run ends here anyway
+
+        sim.schedule(0.5, last_event)  # t=2.0, after the event at 2.0
+        sim.run(until=2.0)
+        sim.schedule(1.0, out.append, 3)
+        sim.schedule(2.0, out.append, 4)
+        sim.run()
+        assert out == [1, 2, "last", 3, 4]
+        assert sim.now == 4.0
+
+    def test_step_ignores_stop(self):
+        sim, out = Simulator(), []
+
+        def stopping():
+            out.append("stop")
+            sim.stop()
+
+        sim.schedule(1.0, stopping)
+        sim.schedule(2.0, out.append, "after")
+        sim.schedule(3.0, out.append, "end")
+        assert sim.step() is True
+        sim.run()
+        assert out == ["stop", "after", "end"]

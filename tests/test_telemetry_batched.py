@@ -95,17 +95,26 @@ class TestGoldenCrossPath:
 
     def test_dstat_traces_bit_identical(self):
         from repro.experiments.testbed import Testbed
+        from repro.telemetry.dstat import DstatMonitor
 
-        beds = {}
+        traces = {}
         for mode in ("events", "batched"):
             bed = Testbed(seed=11, telemetry=mode)
+            dstats = [
+                DstatMonitor(bed.sim, host, batched=mode == "batched")
+                for host in (bed.source, bed.target)
+            ]
             bed.start_instrumentation()
+            for dstat in dstats:
+                dstat.start()
             for _ in range(10):
                 bed.sim.run_for(2.5)
             bed.stop_instrumentation()
-            beds[mode] = bed
-        for attr in ("source_dstat", "target_dstat"):
-            ta, tb = getattr(beds["events"], attr).trace, getattr(beds["batched"], attr).trace
+            for dstat in dstats:
+                dstat.stop()
+            traces[mode] = [dstat.trace for dstat in dstats]
+        for ta, tb in zip(traces["events"], traces["batched"]):
+            assert len(ta) == 25
             assert np.array_equal(ta.times, tb.times)
             for column in ta.columns:
                 assert np.array_equal(ta.column(column), tb.column(column))
