@@ -18,14 +18,7 @@ microbenchmarks over the three hot layers —
 * **simulator** — a pure event-heap storm (schedule + fire), reporting
   events/sec;
 * **telemetry** — one instrumented testbed sampled over a long event-free
-  window per mode, reporting samples/sec;
-* **sched** — the identical ``--batch-size auto`` campaign on a
-  deterministic two-lane fleet with an induced straggler, even-split
-  cold planning vs throughput-adaptive spans, reporting the guarded
-  wave-tail collapse ``sched.tail_x``;
-* **agg** — a >= 10k-run synthetic campaign through both aggregation
-  paths, one-shot samples JSON vs the streaming columnar store,
-  reporting the guarded peak-memory ratio ``agg.mem_x``.
+  window per mode, reporting samples/sec.
 
 Results are written as machine-readable ``BENCH_<rev>.json`` so the repo
 accumulates a perf trajectory, and :func:`check_regression` compares the
@@ -49,16 +42,13 @@ from repro._version import __version__
 from repro.errors import ReproError
 from repro.experiments.design import MigrationScenario
 from repro.experiments.runner import RunnerSettings, ScenarioRunner
-from repro.models.features import HostRole
 from repro.simulator.engine import Simulator
 
 __all__ = [
     "BENCH_SCHEMA",
-    "bench_aggregate",
     "bench_batch",
     "bench_campaign",
     "bench_consolidation",
-    "bench_scheduler",
     "bench_simulator",
     "bench_telemetry",
     "check_regression",
@@ -393,247 +383,6 @@ def bench_telemetry(sim_seconds: float = 300.0, repeats: int = 3) -> dict:
     return out
 
 
-def bench_scheduler(runs: int = 12, repeats: int = 3, seed: int = _CAMPAIGN_SEED) -> dict:
-    """Even-split vs throughput-adaptive wave planning on a skewed fleet.
-
-    A deterministic two-lane backend executes real runs in worker
-    threads, with a fixed per-run dispatch delay per lane — lane1's is
-    an induced straggler an order of magnitude slower than lane0's.
-    Chunks go to lanes round-robin in dispatch order, mirroring an idle
-    fleet claiming the executor's fastest-lane-first dispatch.  Two
-    ``--batch-size auto`` arms run the identical campaign:
-
-    * **static** — a cold :class:`~repro.experiments.scheduler.
-      ThroughputModel`, so the wave falls back to the legacy even split
-      and finishes at the slow lane's pace;
-    * **adaptive** — a model pre-warmed by an untimed per-run campaign
-      over the same lanes, so spans are sized proportional to observed
-      lane throughput and both lanes finish together.
-
-    The guarded ``tail_x = static wall / adaptive wall`` is the wave-tail
-    collapse bought by adaptive planning; with lane rates ``f >> s`` it
-    approaches ``(f + s) / 2s``.  Results are bit-identical across arms
-    (same seeds, same runs — only dispatch shape differs).
-
-    Parameters
-    ----------
-    runs:
-        Runs per campaign pass (``min_runs == max_runs``).
-    repeats:
-        Interleaved repetitions per arm; the best time counts.
-    seed:
-        Campaign master seed.
-
-    Returns
-    -------
-    dict
-        Per-arm wall time and runs/sec plus the guarded ``tail_x``,
-        lane delays, ``runs`` and the scenario label.
-    """
-    import queue as queue_mod
-    import threading
-    from concurrent.futures import Future
-
-    from repro.experiments.executor import (
-        CampaignExecutor,
-        ExecutorBackend,
-        _execute_task,
-    )
-    from repro.experiments.scheduler import ThroughputModel
-
-    lane_delays = (0.002, 0.05)
-    scenario = MigrationScenario(**_CAMPAIGN_SCENARIO)
-
-    class _LaneBackend(ExecutorBackend):
-        """Thread lanes with per-run dispatch delays; round-robin claims."""
-
-        name = "bench-lanes"
-
-        def __init__(self) -> None:
-            self._queues = [queue_mod.Queue() for _ in lane_delays]
-            self._next = 0
-            self._threads = [
-                threading.Thread(target=self._serve, args=(i,), daemon=True)
-                for i in range(len(lane_delays))
-            ]
-            for thread in self._threads:
-                thread.start()
-
-        @property
-        def capacity(self) -> int:
-            return len(lane_delays)
-
-        def submit(self, task) -> Future:
-            future: Future = Future()
-            lane = self._next
-            self._next = (self._next + 1) % len(lane_delays)
-            self._queues[lane].put((task, future))
-            return future
-
-        def _serve(self, lane: int) -> None:
-            while True:
-                item = self._queues[lane].get()
-                if item is None:
-                    return
-                task, future = item
-                started = time.perf_counter()
-                try:
-                    time.sleep(lane_delays[lane] * task.run_count)
-                    result = _execute_task(task)
-                except BaseException as exc:  # noqa: BLE001 - mirrored to caller
-                    future.set_exception(exc)
-                else:
-                    future.wall_s = time.perf_counter() - started
-                    future.worker = f"lane{lane}"
-                    future.set_result(result)
-
-        def shutdown(self) -> None:
-            for lane_queue in self._queues:
-                lane_queue.put(None)
-            for thread in self._threads:
-                thread.join(timeout=10.0)
-
-    def arm(batch_size, model) -> float:
-        executor = CampaignExecutor(
-            ScenarioRunner(seed=seed, settings=RunnerSettings(**_BATCH_SETTINGS)),
-            batch_size=batch_size,
-            **({} if model is None else {"throughput": model}),
-        )
-        executor._backend = _LaneBackend()
-        t0 = time.perf_counter()
-        executor.run_campaign([scenario], min_runs=runs, max_runs=runs)
-        return time.perf_counter() - t0
-
-    model = ThroughputModel()
-    arm(1, model)  # untimed warm-up: the model learns the lane rates
-    times = {"static": float("inf"), "adaptive": float("inf")}
-    for _ in range(max(1, repeats)):
-        times["static"] = min(times["static"], arm(None, None))
-        times["adaptive"] = min(times["adaptive"], arm(None, model))
-    return {
-        "static": {
-            "wall_s": times["static"],
-            "runs_per_s": runs / times["static"],
-        },
-        "adaptive": {
-            "wall_s": times["adaptive"],
-            "runs_per_s": runs / times["adaptive"],
-        },
-        "tail_x": times["static"] / times["adaptive"],
-        "runs": runs,
-        "lanes": len(lane_delays),
-        "lane_delays_s": list(lane_delays),
-        "scenario": scenario.label,
-    }
-
-
-def bench_aggregate(
-    runs: int = 10_000, flush_window: int = 256, readings: int = 16, seed: int = 0
-) -> dict:
-    """Peak coordinator memory: one-shot samples JSON vs streaming columnar.
-
-    A synthetic campaign of ``runs`` runs (two samples each, realistic
-    array/scalar shapes) flows through both aggregation paths while
-    ``tracemalloc`` tracks the peak:
-
-    * **json** — the classic path: materialise the full sample list,
-      then :func:`repro.io.save_samples_json` (which additionally builds
-      every record dict and the final dump string);
-    * **columnar** — :class:`~repro.experiments.aggregate.ColumnarStore`
-      streaming the same sample generator, holding only one flush
-      window plus the online moments.
-
-    The guarded ``mem_x = json peak / columnar peak`` is the working-set
-    reduction of the streaming path; it grows with campaign size since
-    the columnar peak is O(flush window), not O(runs).
-
-    Parameters
-    ----------
-    runs:
-        Synthetic campaign size (two samples per run).
-    flush_window:
-        Samples per columnar shard.
-    readings:
-        Per-sample array length.
-    seed:
-        RNG seed of the synthetic sample stream.
-
-    Returns
-    -------
-    dict
-        Per-arm peak memory (MB) plus the guarded ``mem_x`` and the
-        stream's shape parameters.
-    """
-    import tempfile
-    import tracemalloc
-
-    import numpy as np
-
-    from repro.experiments.aggregate import ColumnarStore
-    from repro.io import save_samples_json
-    from repro.models.features import MigrationSample
-
-    def synth_samples():
-        rng = np.random.default_rng(seed)
-        for index in range(runs):
-            for role in (HostRole.SOURCE, HostRole.TARGET):
-                yield MigrationSample(
-                    scenario=f"bench/agg/{index}",
-                    experiment="CPULOAD-SOURCE",
-                    live=False,
-                    family="m",
-                    role=role,
-                    run_index=index,
-                    times=np.arange(1, readings + 1, dtype=np.float64),
-                    power_w=rng.uniform(40.0, 90.0, readings),
-                    phase=rng.integers(0, 4, readings).astype(np.int64),
-                    cpu_host_pct=rng.uniform(0.0, 100.0, readings),
-                    cpu_vm_pct=rng.uniform(0.0, 100.0, readings),
-                    bw_bps=rng.uniform(0.0, 1.18e9, readings),
-                    dr_pct=rng.uniform(0.0, 30.0, readings),
-                    data_bytes=float(rng.integers(1, 1 << 33)),
-                    mem_mb=4096.0,
-                    mean_bw_bps=9.0e8,
-                    energy_initiation_j=float(rng.uniform(1.0, 10.0)),
-                    energy_transfer_j=float(rng.uniform(10.0, 400.0)),
-                    energy_activation_j=float(rng.uniform(1.0, 10.0)),
-                    downtime_s=float(rng.uniform(0.0, 3.0)),
-                )
-
-    def peak_mb_of(fn) -> float:
-        tracemalloc.start()
-        try:
-            fn()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return peak / 1e6
-
-    with tempfile.TemporaryDirectory() as tmp:
-        root = pathlib.Path(tmp)
-
-        def json_arm() -> None:
-            save_samples_json(list(synth_samples()), root / "samples.json")
-
-        def columnar_arm() -> None:
-            store = ColumnarStore(root / "columnar", flush_window=flush_window)
-            store.extend(synth_samples())
-            store.finalize()
-
-        json_peak = peak_mb_of(json_arm)
-        columnar_peak = peak_mb_of(columnar_arm)
-
-    return {
-        "json": {"peak_mb": json_peak},
-        "columnar": {"peak_mb": columnar_peak},
-        "mem_x": json_peak / max(columnar_peak, 1e-9),
-        "runs": runs,
-        "samples": runs * 2,
-        "flush_window": flush_window,
-        "readings": readings,
-    }
-
-
 def run_benchmarks(quick: bool = False, repeats: Optional[int] = None) -> dict:
     """Run the full suite and assemble the ``BENCH_<rev>.json`` payload.
 
@@ -666,13 +415,6 @@ def run_benchmarks(quick: bool = False, repeats: Optional[int] = None) -> dict:
             "telemetry": bench_telemetry(
                 sim_seconds=100.0 if quick else 300.0, repeats=reps
             ),
-            "sched": bench_scheduler(
-                runs=12 if quick else 16, repeats=reps
-            ),
-            # Not shrunk in quick mode: the memory ratio is guarded on a
-            # >= 10k-run campaign, where the O(runs) json peak dwarfs the
-            # O(flush window) columnar peak.
-            "agg": bench_aggregate(runs=10_000),
         },
     }
     return payload
@@ -756,13 +498,12 @@ def render_bench_history(payloads: list[dict]) -> str:
     header = (
         f"{'revision':12s} {'quick':5s} {'runs/s':>8s} {'events/s':>12s} "
         f"{'campaign x':>10s} {'consol x':>9s} {'telemetry x':>11s} "
-        f"{'batch x':>8s} "
-        f"{'sched x':>8s} {'agg mem x':>9s}"
+        f"{'batch x':>8s}"
     )
     lines = [header, "-" * len(header)]
     for payload in payloads:
         # _metric renders "-" for absent metrics, so payloads predating
-        # the sched/agg benchmarks still render instead of raising.
+        # a benchmark still render instead of raising.
         lines.append(
             f"{str(payload.get('revision', '?')):12s} "
             f"{('yes' if payload.get('quick') else 'no'):5s} "
@@ -771,9 +512,7 @@ def render_bench_history(payloads: list[dict]) -> str:
             f"{_metric(payload, 'campaign.speedup'):>10s} "
             f"{_metric(payload, 'consolidation.speedup'):>9s} "
             f"{_metric(payload, 'telemetry.speedup'):>11s} "
-            f"{_metric(payload, 'batch.overhead_x'):>8s} "
-            f"{_metric(payload, 'sched.tail_x'):>8s} "
-            f"{_metric(payload, 'agg.mem_x'):>9s}"
+            f"{_metric(payload, 'batch.overhead_x'):>8s}"
         )
     return "\n".join(lines)
 

@@ -132,46 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
         "capacity (default: auto; results are bit-identical either way)",
     )
     camp.add_argument(
-        "--speculate",
-        action="store_true",
-        help="clone straggling tasks onto idle lanes once a wave is "
-        "mostly done and a task has been out far longer than the "
-        "median run (first valid result wins; duplicates dedupe "
-        "through the run cache, so results stay bit-identical)",
-    )
-    camp.add_argument(
-        "--speculate-slowdown",
-        type=_positive_float,
-        default=2.0,
-        metavar="X",
-        help="straggler threshold: speculate when a task has been out "
-        "longer than X times its expected duration (default 2.0)",
-    )
-    camp.add_argument(
-        "--speculate-wave-fraction",
-        type=float,
-        default=0.5,
-        metavar="F",
-        help="only speculate once this fraction of the scenario's wave "
-        "has completed (default 0.5)",
-    )
-    camp.add_argument(
         "--samples",
         default=None,
         metavar="PATH",
-        help="also write every kept sample: with --aggregate json a "
-        "single samples JSON file (byte-identical to the library "
-        "writer), with --aggregate columnar a directory of compressed "
-        "npz shards plus an NDJSON manifest",
-    )
-    camp.add_argument(
-        "--aggregate",
-        choices=("json", "columnar"),
-        default="json",
-        help="sample aggregation format for --samples: 'json' streams "
-        "the classic samples JSON document (default), 'columnar' "
-        "streams wavm3-columnar/1 shards with O(flush-window) "
-        "coordinator memory and online mean/var summaries",
+        help="also write every kept sample to this samples JSON file "
+        "(wavm3-samples/1, streamed one sample at a time)",
     )
     camp_mode = camp.add_mutually_exclusive_group()
     camp_mode.add_argument(
@@ -550,13 +515,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         run_timeout=args.run_timeout,
         campaign_timeout=args.campaign_timeout,
     )
-    if args.speculate:
-        from repro.experiments.scheduler import SpeculationPolicy
-
-        fault_knobs["speculation"] = SpeculationPolicy(
-            wave_fraction=args.speculate_wave_fraction,
-            slowdown=args.speculate_slowdown,
-        )
     if args.spool_dir is not None:
         executor = CampaignExecutor(
             ScenarioRunner(seed=args.seed),
@@ -627,11 +585,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             f"{counters['bytes_read']:,} B read, "
             f"{counters['bytes_written']:,} B written"
         )
-    if stats.tasks_speculated:
-        print(
-            f"speculation: {stats.tasks_speculated} tasks re-dispatched, "
-            f"{stats.runs_deduped} duplicate runs ignored"
-        )
     print(executor.ledger.summary_line())
     if stats.degraded:
         print(
@@ -652,26 +605,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             f"{total_samples:,} samples at {rate:,.0f} samples/s"
         )
     if args.samples is not None:
-        import pathlib
+        from repro.io import save_samples_json
 
-        path = pathlib.Path(args.samples)
-        if args.aggregate == "columnar":
-            from repro.experiments.aggregate import ColumnarStore
-
-            store = ColumnarStore(path)
-            store.extend(result.iter_samples())
-            summary = store.finalize()
-            print(
-                f"samples: {summary['samples']} samples in "
-                f"{summary['shards']} columnar shards -> {path}"
-            )
-        else:
-            from repro.experiments.aggregate import (
-                write_samples_json_streaming,
-            )
-
-            count = write_samples_json_streaming(result.iter_samples(), path)
-            print(f"samples: {count} samples (json) -> {path}")
+        count = save_samples_json(result.iter_samples(), args.samples)
+        print(f"samples: {count} samples (json) -> {args.samples}")
     return _EXIT_DEGRADED if stats.degraded else 0
 
 
@@ -864,23 +801,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"events {results['telemetry']['events']['samples_per_s']:,.0f} | "
         f"speedup {results['telemetry']['speedup']:.2f}x"
     )
-    if "sched" in results:
-        sched = results["sched"]
-        print(
-            f"  sched [{sched['scenario']} x{sched['runs']}, "
-            f"{sched['lanes']} lanes]: "
-            f"static {sched['static']['wall_s']:.2f}s | "
-            f"adaptive {sched['adaptive']['wall_s']:.2f}s | "
-            f"tail collapse {sched['tail_x']:.2f}x"
-        )
-    if "agg" in results:
-        agg = results["agg"]
-        print(
-            f"  agg [{agg['runs']:,} runs, {agg['samples']:,} samples]: "
-            f"json peak {agg['json']['peak_mb']:.1f} MB | "
-            f"columnar peak {agg['columnar']['peak_mb']:.1f} MB | "
-            f"memory ratio {agg['mem_x']:.2f}x"
-        )
     path = write_bench_json(payload, args.output_dir)
     print(f"wrote {path}")
     if args.check is not None:

@@ -11,7 +11,8 @@
   measurement protocol (stabilise → migrate → stabilise; repeat until the
   run-variance delta drops under 10 %, at least ten runs);
 * :mod:`repro.experiments.executor` — fans campaign runs out across
-  pluggable execution backends (serial / process pool) and caches run
+  pluggable execution backends (serial / process pool / queue / http)
+  in waves split evenly over the backend's lanes, and caches run
   results on disk, bit-identical to the serial path (see
   ``docs/parallel_campaigns.md``);
 * :mod:`repro.experiments.queue_backend` — the distributed backend: a

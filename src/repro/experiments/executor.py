@@ -20,8 +20,11 @@ embarrassingly parallel at run granularity.  This module exploits that:
   criterion is evaluated on the completed, index-ordered energies
   (:func:`~repro.experiments.runner.resolve_run_count` — the same pure
   function the serial path uses), and unsatisfied scenarios are topped up
-  wave by wave until ``max_runs``.  Speculative top-up runs beyond the
-  stopping point are discarded from the result (but kept in the cache),
+  wave by wave until ``max_runs``.  Each wave's missing runs go out as
+  :class:`RunTask` chunks split evenly across the backend's lanes
+  (:meth:`CampaignExecutor._plan_wave_chunks`), a pure function of the
+  wave and the lane count.  Top-up runs beyond the stopping
+  point are discarded from the result (but kept in the cache),
   so the returned :class:`~repro.experiments.results.ExperimentResult` is
   **bit-identical** to the serial path for any worker count.
 
@@ -80,7 +83,6 @@ from repro.experiments.results import (
     run_sample_count,
 )
 from repro.experiments.runner import RunnerSettings, ScenarioRunner, resolve_run_count
-from repro.experiments.scheduler import SpeculationPolicy, ThroughputModel
 from repro.hypervisor.migration import MigrationConfig
 from repro.io import PersistenceError, load_run_result, save_run_result
 from repro.models.features import HostRole
@@ -327,8 +329,8 @@ class RunCache:
         self.hits = 0
         self.misses = 0
         #: Payload bytes served from / persisted into the cache — the
-        #: warm-rerun and speculation-dedup observability counters
-        #: surfaced by the campaign summary and ``campaign-status``.
+        #: warm-rerun observability counters surfaced by the campaign
+        #: summary and ``campaign-status``.
         self.bytes_read = 0
         self.bytes_written = 0
         #: Per-key memo of the meta.json validation verdict.
@@ -721,14 +723,12 @@ class ExecutorStats:
     runs_kept: int = 0        # runs in the returned ExperimentResult
     runs_executed: int = 0    # runs actually simulated (cache misses + no-cache)
     runs_cached: int = 0      # runs served from the cache
-    runs_discarded: int = 0   # speculative runs beyond the stopping point
+    runs_discarded: int = 0   # top-up runs beyond the stopping point
     failures: int = 0         # failed task attempts (see the failure ledger)
     tasks_retried: int = 0    # failed attempts re-dispatched under the budget
     tasks_quarantined: int = 0  # tasks captured in a backend quarantine store
     runs_abandoned: int = 0   # run indices given up after budget exhaustion
     scenarios_dropped: int = 0  # scenarios with zero usable runs
-    tasks_speculated: int = 0   # straggler chunks cloned to an idle lane
-    runs_deduped: int = 0       # duplicate speculative runs ignored idempotently
 
     @property
     def runs_total(self) -> int:
@@ -797,8 +797,8 @@ class CampaignExecutor:
     wave_size:
         Top-up wave size once ``min_runs`` energies fail the variance
         criterion; defaults to the backend's :attr:`~ExecutorBackend.capacity`
-        (falling back to ``jobs``).  Affects only how much speculative
-        work may run, never the returned result.
+        (falling back to ``jobs``).  Affects only how many runs beyond
+        the stopping point may execute, never the returned result.
     batch_size:
         Runs per dispatched :class:`RunTask`.  ``1`` (default) dispatches
         one task per run; larger values chunk each scenario's contiguous
@@ -852,20 +852,6 @@ class CampaignExecutor:
         on expiry every in-flight task is recorded in the ledger and the
         campaign aborts with :class:`~repro.errors.ExperimentError`
         instead of hanging.
-    speculation:
-        Optional :class:`~repro.experiments.scheduler.SpeculationPolicy`
-        arming straggler re-dispatch: once a wave is mostly complete, a
-        chunk outstanding far beyond its expected duration is cloned to
-        an idle lane; the first valid result wins and the loser's
-        publications are deduplicated idempotently through the per-run
-        cache keys.  ``None`` (default) never speculates.
-    throughput:
-        Optional shared :class:`~repro.experiments.scheduler.ThroughputModel`
-        seeding the adaptive span planner (e.g. warmed by a previous
-        campaign on the same fleet); by default each executor builds its
-        own, fed by the live progress stream and persisting across its
-        campaigns.  With no observations yet, auto batch sizing is
-        exactly the legacy even split.
 
     Raises
     ------
@@ -891,8 +877,6 @@ class CampaignExecutor:
         retry_policy: Optional[RetryPolicy] = None,
         run_timeout: Optional[float] = None,
         campaign_timeout: Optional[float] = None,
-        speculation: Optional[SpeculationPolicy] = None,
-        throughput: Optional[ThroughputModel] = None,
     ) -> None:
         if jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {jobs}")
@@ -934,13 +918,6 @@ class CampaignExecutor:
         if self._explicit_wave_size is not None and self._explicit_wave_size < 1:
             raise ExperimentError(f"wave_size must be >= 1, got {wave_size}")
         self.batch_size = None if batch_size is None else int(batch_size)
-        #: Straggler re-dispatch policy; ``None`` disables speculation.
-        self.speculation = speculation
-        #: Per-worker EWMA throughput driving adaptive auto batch sizing
-        #: (and the speculation policy's notion of an expected run wall).
-        #: Deliberately *not* reset per campaign: a warm model keeps
-        #: informing the next campaign on the same fleet.
-        self.throughput = throughput if throughput is not None else ThroughputModel()
         self.stats = ExecutorStats()
         #: Attempt counter per task id of the current campaign.
         self._attempts: dict[str, int] = {}
@@ -972,51 +949,28 @@ class CampaignExecutor:
     ) -> list[tuple[int, ...]]:
         """Chunks (tuples of run indices) covering a wave's missing runs.
 
-        Explicit ``batch_size`` keeps fixed-size chunks (with per-span
-        tail remainders), exactly as before.  In auto mode, while the
-        :attr:`throughput` model is cold the wave is divided evenly
+        Explicit ``batch_size`` cuts fixed-size chunks (with per-span
+        tail remainders).  ``batch_size=None`` divides the wave evenly
         across the backend's *current* capacity (``jobs`` while capacity
-        is unknown — the same cold-start fallback as :attr:`wave_size`)
-        and chopped per contiguous span, reproducing the legacy dispatch
-        shape bit for bit.  Once workers have reported throughput,
-        chunk sizes come from :meth:`ThroughputModel.plan_spans` —
-        proportional to per-worker EWMA rates so every lane's expected
-        finish time is equal — and are carved across the spans in order
-        (a planned size is cut at a span boundary; chunks never bridge a
-        cache hole).  Evaluated at dispatch time, so capacity appearing
-        mid-campaign reshapes only subsequent waves.
+        is unknown — the same cold-start fallback as :attr:`wave_size`):
+        chunks of ``ceil(len(missing) / lanes)`` runs.  Either way the
+        chunks are cut per contiguous span, so none bridges a cache
+        hole.  Evaluated at dispatch time, so capacity appearing
+        mid-campaign reshapes only subsequent waves; a plan never
+        depends on what the executor has run before.
         """
         if not missing:
             return []
-        spans = _contiguous_spans(missing)
-        lanes = max(self._backend.capacity or self.jobs, 1)
-        chunk_size: Optional[int]
         if self.batch_size is not None:
             chunk_size = self.batch_size
-        elif not self.throughput.workers() or len(missing) <= lanes:
-            chunk_size = max(1, math.ceil(len(missing) / lanes))
         else:
-            chunk_size = None  # adaptive: proportional plan below
-        chunks: list[tuple[int, ...]] = []
-        if chunk_size is not None:
-            for span in spans:
-                for pos in range(0, len(span), chunk_size):
-                    chunks.append(tuple(span[pos : pos + chunk_size]))
-            return chunks
-        sizes = iter(self.throughput.plan_spans(len(missing), lanes))
-        carry = 0
-        for span in spans:
-            pos = 0
-            while pos < len(span):
-                take = carry if carry else next(sizes)
-                carry = 0
-                avail = len(span) - pos
-                if take > avail:
-                    carry = take - avail
-                    take = avail
-                chunks.append(tuple(span[pos : pos + take]))
-                pos += take
-        return chunks
+            lanes = max(self._backend.capacity or self.jobs, 1)
+            chunk_size = math.ceil(len(missing) / lanes)
+        return [
+            tuple(span[pos : pos + chunk_size])
+            for span in _contiguous_spans(missing)
+            for pos in range(0, len(span), chunk_size)
+        ]
 
     @property
     def serve_url(self) -> Optional[str]:
@@ -1226,91 +1180,25 @@ class CampaignExecutor:
         indices (``skip``/``quarantine``), with every attempt recorded
         in :attr:`ledger`.
         """
-        pending: dict[Future, tuple[_ScenarioState, RunTask]] = {}
-        submitted_at: dict[Future, float] = {}
+        #: future -> (state, task, submit time on the perf_counter clock)
+        pending: dict[Future, tuple[_ScenarioState, RunTask, float]] = {}
         #: Tasks sitting out their backoff: (ready_at, state, task).
         retry_queue: list[tuple[float, _ScenarioState, RunTask]] = []
-        #: (id(state), task_id) -> live futures racing for that task.
-        #: A task normally has one; a speculated straggler has two.
-        clone_groups: dict[tuple[int, str], set[Future]] = {}
-        policy = self.speculation
-        speculation_armed = policy is not None and policy.enabled
-        #: Only pay for mid-drive progress drains when something consumes
-        #: them: adaptive auto-batching or the speculation policy.
-        feed_live = self.batch_size is None or speculation_armed
-        last_drain = 0.0
         deadline = (
             time.monotonic() + self.campaign_timeout
             if self.campaign_timeout is not None
             else None
         )
 
-        def dispatch(
-            state: _ScenarioState,
-            task: RunTask,
-            speculative: bool = False,
-        ) -> None:
-            """Submit one task (fresh, retry, or clone); count the attempt."""
+        def dispatch(state: _ScenarioState, task: RunTask) -> None:
+            """Submit one task (fresh or retry); count the attempt."""
             state.inflight.update(task.run_indices)
-            if speculative:
-                # Clones are free re-dispatches, not attempts: the retry
-                # budget keeps counting the original task only.
-                self.stats.tasks_speculated += 1
-            else:
-                self._attempts[task.task_id] = self._attempts.get(task.task_id, 0) + 1
+            self._attempts[task.task_id] = self._attempts.get(task.task_id, 0) + 1
             # Clock starts before submit: the serial backend executes
             # inside submit(), and its wall time must not read as zero.
             t_submit = time.perf_counter()
             future = self._backend.submit(task)
-            pending[future] = (state, task)
-            submitted_at[future] = t_submit
-            clone_groups.setdefault((id(state), task.task_id), set()).add(future)
-
-        def feed_model(now: float) -> None:
-            """Throttled drain of live worker progress into the model.
-
-            Both backends' ``drain_progress`` is non-consuming (sidecars
-            are re-read; the HTTP history is copied), so mid-drive
-            drains never starve the final campaign-summary merge, and
-            the model dedupes overlapping drains by ``(task_id, at)``.
-            """
-            nonlocal last_drain
-            if not feed_live or now - last_drain < 0.25:
-                return
-            last_drain = now
-            try:
-                events = self._backend.drain_progress()
-            except (PersistenceError, OSError):
-                return  # a torn sidecar must not take the campaign down
-            self.throughput.observe_all(events)
-
-        def maybe_speculate() -> None:
-            """Clone straggling tasks onto idle lanes (first result wins)."""
-            if not speculation_armed:
-                return
-            median = self.throughput.median_run_wall()
-            if median is None:
-                return
-            capacity = max(self._backend.capacity or self.jobs, 1)
-            budget = capacity - len(pending)
-            if budget <= 0:
-                return
-            now_perf = time.perf_counter()
-            for future, (state, task) in list(pending.items()):
-                if budget <= 0:
-                    break
-                group = clone_groups.get((id(state), task.task_id))
-                if group is not None and len(group) > 1:
-                    continue  # already racing a clone
-                submitted = submitted_at.get(future)
-                if submitted is None:
-                    continue
-                done_frac = len(state.runs) / max(state.target, 1)
-                if policy.is_straggler(
-                    now_perf - submitted, task.run_count, median, done_frac
-                ):
-                    dispatch(state, task, speculative=True)
-                    budget -= 1
+            pending[future] = (state, task, t_submit)
 
         def advance(state: _ScenarioState) -> None:
             """Dispatch missing runs below target; evaluate once complete."""
@@ -1392,8 +1280,6 @@ class CampaignExecutor:
             now = time.monotonic()
             if deadline is not None and now >= deadline:
                 self._abort_on_deadline(pending, retry_queue)
-            feed_model(now)
-            maybe_speculate()
             if retry_queue:
                 due = [entry for entry in retry_queue if entry[0] <= now]
                 if due:
@@ -1413,32 +1299,14 @@ class CampaignExecutor:
                 bounds.append(min(entry[0] for entry in retry_queue) - now)
             if deadline is not None:
                 bounds.append(deadline - now)
-            if speculation_armed:
-                # Wake periodically even with nothing due, so straggler
-                # checks run while a slow task is the only work left.
-                bounds.append(0.25)
             if bounds:
                 timeout = max(min(bounds), 0.0)
             done = self._backend.wait(list(pending), timeout=timeout)
             for future in done:
-                if future not in pending:
-                    continue  # a speculation sibling already covered it
-                state, task = pending.pop(future)
-                group_key = (id(state), task.task_id)
+                state, task, submitted = pending.pop(future)
                 try:
                     runs = future.result()
                 except Exception as exc:  # noqa: BLE001 - routed through the budget
-                    submitted_at.pop(future, None)
-                    # Failure fates the whole clone group: whether a
-                    # sibling can still resolve is backend-specific (the
-                    # HTTP backend orphans a re-submitted task's first
-                    # future), so the retry budget arbitrates instead of
-                    # waiting on a future that may never fire.
-                    siblings = clone_groups.pop(group_key, set())
-                    siblings.discard(future)
-                    for sibling in siblings:
-                        pending.pop(sibling, None)
-                        submitted_at.pop(sibling, None)
                     fail(state, task, exc)
                     continue
                 if len(runs) != task.run_count:
@@ -1446,28 +1314,9 @@ class CampaignExecutor:
                         f"task {task.task_id} for {state.scenario.label!r} returned "
                         f"{len(runs)} runs, expected {task.run_count}"
                     )
-                submitted = submitted_at.pop(future, None)
-                # First valid result wins: the loser's futures (and any
-                # backoff retry of the same task) are dropped here, and
-                # its eventual publication deduplicates through the
-                # per-run cache keys / the backend's duplicate handling.
-                siblings = clone_groups.pop(group_key, set())
-                siblings.discard(future)
-                for sibling in siblings:
-                    if pending.pop(sibling, None) is not None:
-                        submitted_at.pop(sibling, None)
-                        self.stats.runs_deduped += task.run_count
-                if siblings:
-                    retry_queue[:] = [
-                        entry
-                        for entry in retry_queue
-                        if not (entry[1] is state and entry[2].task_id == task.task_id)
-                    ]
                 total_wall = getattr(future, "wall_s", None)
                 if total_wall is None:
-                    total_wall = time.perf_counter() - (
-                        submitted or time.perf_counter()
-                    )
+                    total_wall = time.perf_counter() - submitted
                 # Per-run accounting for a multi-run task splits its wall
                 # evenly: individual run walls are not observable from
                 # the coordinator side of a batched dispatch.
@@ -1490,9 +1339,6 @@ class CampaignExecutor:
                         at=time.time(),
                     )
                     self.progress_events.append(event)
-                    # Coordinator-side observations keep the model warm
-                    # even for backends without live progress sidecars.
-                    self.throughput.observe(event)
                     # Queue futures resolve *from* the shared cache (a
                     # worker already deposited the result), so skip the
                     # re-write.
@@ -1526,7 +1372,7 @@ class CampaignExecutor:
     def _abort_on_deadline(self, pending: dict, retry_queue: list) -> None:
         """Record every outstanding task and abort: deadlines never hang."""
         stamp = time.time()
-        outstanding = [task for (_state, task) in pending.values()] + [
+        outstanding = [task for (_state, task, _submitted) in pending.values()] + [
             task for (_ready, _state, task) in retry_queue
         ]
         for task in outstanding:

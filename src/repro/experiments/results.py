@@ -45,11 +45,9 @@ class ProgressEvent:
     the in-process backends, appended to per-worker NDJSON sidecars in the
     spool (queue backend), POSTed to ``/progress`` (HTTP backend) — then
     surfaced by ``wavm3 campaign-status --follow`` and aggregated into the
-    campaign summary.  The stream also feeds the adaptive scheduler's
-    :class:`~repro.experiments.scheduler.ThroughputModel` (per-worker
-    EWMA throughput → wave span sizing, straggler speculation); it can
-    reshape *dispatch*, never results — runs are deterministic in
-    ``(seed, label, index)`` whatever lane executes them.
+    campaign summary.  It is strictly observational: nothing dispatches
+    off it, and runs are deterministic in ``(seed, label, index)``
+    whatever lane executes them.
     """
 
     #: Spool/service task identifier (``<key16>-<index>``), or
@@ -330,10 +328,8 @@ class ExperimentResult:
         """Stream the campaign's samples lazily, in :meth:`samples` order.
 
         Only one sample is materialised at a time on the producer side,
-        so a streaming consumer — the columnar aggregator
-        (:mod:`repro.experiments.aggregate`), an incremental JSON writer
-        — folds a large campaign in O(flush window) memory instead of
-        holding the full sample list.
+        so a streaming consumer — :func:`repro.io.save_samples_json`
+        writes one record at a time — never holds the full sample list.
         """
         roles = tuple(roles)
         for sr in self.scenario_results:

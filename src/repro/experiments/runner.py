@@ -23,10 +23,7 @@ import bisect
 import math
 import pathlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Union
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle avoided at runtime
-    from repro.experiments.scheduler import SpeculationPolicy
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -595,7 +592,6 @@ class ScenarioRunner:
         serve: Optional[str] = None,
         http_options: Optional[dict] = None,
         batch_size: Optional[int] = 1,
-        speculation: Optional["SpeculationPolicy"] = None,
     ) -> ExperimentResult:
         """Run a list of scenarios into one :class:`ExperimentResult`.
 
@@ -641,13 +637,6 @@ class ScenarioRunner:
             seed ranges into one ``RunTask`` each, and ``None`` sizes
             batches automatically from backend capacity.  Results are
             bit-identical for every value.
-        speculation:
-            Optional
-            :class:`~repro.experiments.scheduler.SpeculationPolicy`
-            enabling straggler re-dispatch in the executor-backed modes
-            (first valid result wins; duplicates dedupe through the run
-            cache, so results stay bit-identical).  Ignored on the plain
-            serial path, where there is nothing to race.
 
         Returns
         -------
@@ -675,7 +664,7 @@ class ScenarioRunner:
                 self, backend=parallel, cache_dir=cache_dir,
                 spool_dir=spool_dir, queue_options=queue_options,
                 serve=serve, http_options=http_options,
-                batch_size=batch_size, speculation=speculation,
+                batch_size=batch_size,
             )
             result = executor.run_campaign(scenarios, min_runs=min_runs, max_runs=max_runs)
             self.last_executor_stats = executor.stats
@@ -687,7 +676,7 @@ class ScenarioRunner:
 
             executor = CampaignExecutor(
                 self, jobs=parallel or 1, cache_dir=cache_dir,
-                batch_size=batch_size, speculation=speculation,
+                batch_size=batch_size,
             )
             result = executor.run_campaign(scenarios, min_runs=min_runs, max_runs=max_runs)
             self.last_executor_stats = executor.stats

@@ -61,7 +61,6 @@ __all__ = [
     "run_failure_from_dict",
     "append_failure_record",
     "load_failure_records",
-    "COLUMNAR_SCHEMA",
 ]
 
 _PathLike = Union[str, pathlib.Path]
@@ -78,10 +77,6 @@ RUN_BATCH_SCHEMA = "wavm3-runbatch/1"
 TASK_SPEC_SCHEMA = "wavm3-taskspec/2"
 PROGRESS_SCHEMA = "wavm3-progress/1"
 FAILURE_SCHEMA = "wavm3-failure/1"
-#: The streaming columnar campaign-sample store: one compressed ``.npz``
-#: shard per flush window plus an NDJSON manifest (see
-#: :mod:`repro.experiments.aggregate`).
-COLUMNAR_SCHEMA = "wavm3-columnar/1"
 
 
 class PersistenceError(ReproError):
@@ -154,13 +149,32 @@ def _sample_from_dict(record: dict) -> MigrationSample:
     return MigrationSample(**kwargs)
 
 
-def save_samples_json(samples: Iterable[MigrationSample], path: _PathLike) -> None:
-    """Write migration samples (the complete model-fitting input) as JSON."""
-    payload = {
-        "schema": SAMPLES_SCHEMA,
-        "samples": [_sample_to_dict(s) for s in samples],
-    }
-    pathlib.Path(path).write_text(json.dumps(payload), encoding="utf-8")
+def save_samples_json(samples: Iterable[MigrationSample], path: _PathLike) -> int:
+    """Write migration samples (the complete model-fitting input) as JSON.
+
+    Streams: one sample's record is in memory at a time, so a lazy
+    source such as
+    :meth:`~repro.experiments.results.ExperimentResult.iter_samples`
+    never materialises the campaign.  The bytes are exactly those of
+    ``json.dumps({"schema": SAMPLES_SCHEMA, "samples": [...]})`` with
+    the default separators (``", "`` between items, ``": "`` after
+    keys).
+
+    Returns
+    -------
+    int
+        How many samples were written.
+    """
+    count = 0
+    with pathlib.Path(path).open("w", encoding="utf-8") as handle:
+        handle.write('{"schema": ' + json.dumps(SAMPLES_SCHEMA) + ', "samples": [')
+        for sample in samples:
+            if count:
+                handle.write(", ")
+            handle.write(json.dumps(_sample_to_dict(sample)))
+            count += 1
+        handle.write("]}")
+    return count
 
 
 def load_samples_json(path: _PathLike) -> list[MigrationSample]:

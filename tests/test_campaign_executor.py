@@ -1,9 +1,10 @@
 """The parallel campaign executor and its content-addressed run cache.
 
-Covers the PR's acceptance criteria directly: serial-vs-parallel-vs-queue
-bit-identity of campaign results, zero simulation runs on a warm cache,
-cache invalidation when the execution protocol changes, and the shared
-variance-stopping rule all paths replay.
+Covers serial-vs-parallel-vs-queue bit-identity of campaign results,
+zero simulation runs on a warm cache, cache invalidation when the
+execution protocol changes, the shared variance-stopping rule all paths
+replay, and the wave planner's dispatch shape (even splits over the
+backend's lanes, cut at cache holes, independent of earlier campaigns).
 """
 
 import json
@@ -479,3 +480,110 @@ class TestExecutorValidation:
             CampaignExecutor(ScenarioRunner(seed=0)).run_campaign(
                 _scenarios(), min_runs=1, max_runs=1
             )
+
+
+FAST = dict(
+    min_warmup_s=2.0, max_warmup_s=6.0, min_post_s=2.0, max_post_s=6.0,
+    check_interval_s=1.0,
+)
+
+_SCENARIO = MigrationScenario(
+    "CPULOAD-SOURCE", "sched/nl/0vm", live=False, load_vm_count=0
+)
+
+
+def _fast_runner(**overrides) -> ScenarioRunner:
+    return ScenarioRunner(seed=SEED, settings=RunnerSettings(**FAST, **overrides))
+
+
+class TestWavePlanning:
+    """``CampaignExecutor._plan_wave_chunks``: dispatch shape only — the
+    process pool is lazy, so no worker ever spawns here."""
+
+    def test_cold_auto_mode_is_legacy_even_split(self):
+        executor = CampaignExecutor(_fast_runner(), jobs=2, batch_size=None)
+        assert executor._plan_wave_chunks([0, 1, 2, 3, 4, 5]) == [
+            (0, 1, 2),
+            (3, 4, 5),
+        ]
+        assert executor._plan_wave_chunks([]) == []
+
+    def test_default_batch_size_keeps_per_run_dispatch(self):
+        executor = CampaignExecutor(_fast_runner(), jobs=2)
+        assert executor._plan_wave_chunks([0, 1, 2]) == [(0,), (1,), (2,)]
+
+    def test_cold_auto_mode_cache_hole_keeps_legacy_shape(self):
+        # chunk size comes from the TOTAL missing count, then is chopped
+        # per contiguous span: [0] and [2, 3] with 2 lanes must dispatch
+        # as a single run plus one 2-run batch.
+        executor = CampaignExecutor(_fast_runner(), jobs=2, batch_size=None)
+        assert executor._plan_wave_chunks([0, 2, 3]) == [(0,), (2, 3)]
+
+    def test_explicit_batch_size_chops_each_span(self):
+        executor = CampaignExecutor(_fast_runner(), jobs=2, batch_size=2)
+        assert executor._plan_wave_chunks([0, 2, 3, 4, 5, 6]) == [
+            (0,),
+            (2, 3),
+            (4, 5),
+            (6,),
+        ]
+
+
+class _RecordingTwoLaneBackend(SerialBackend):
+    """Inline execution that reports two lanes and records every task's
+    ``(run_start, run_count)`` in dispatch order."""
+
+    name = "recording"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.dispatched: list[tuple[int, int]] = []
+
+    @property
+    def capacity(self):
+        return 2
+
+    def submit(self, task):
+        self.dispatched.append((task.run_start, task.run_count))
+        return super().submit(task)
+
+
+class TestDispatchShape:
+    def test_same_campaign_twice_dispatches_identical_tasks(self):
+        """Plans depend only on the wave and the lane count, never on
+        what the executor ran before: a second campaign on the same
+        executor dispatches exactly the first one's task list.  A zero
+        variance delta never stops early, so the 10-run first wave is
+        topped up to 14 in 2-run waves of single-run tasks."""
+        backend = _RecordingTwoLaneBackend()
+        executor = CampaignExecutor(
+            _fast_runner(variance_delta=0.0), backend=backend, batch_size=None
+        )
+        expected = [(0, 5), (5, 5), (10, 1), (11, 1), (12, 1), (13, 1)]
+        shapes = []
+        for _ in range(2):
+            backend.dispatched.clear()
+            result = executor.run_campaign([_SCENARIO], min_runs=10, max_runs=14)
+            assert result.scenario_results[0].n_runs == 14
+            shapes.append(list(backend.dispatched))
+        assert shapes == [expected, expected]
+
+
+class TestRunCacheCounters:
+    def test_counters_track_hits_misses_and_bytes(self, tmp_path):
+        executor = CampaignExecutor(_fast_runner(), jobs=1, cache_dir=tmp_path / "cache")
+        cache = executor.cache
+        assert cache.counters() == {
+            "hits": 0, "misses": 0, "bytes_read": 0, "bytes_written": 0,
+        }
+        executor.run_campaign([_SCENARIO], min_runs=2, max_runs=2)
+        counters = cache.counters()
+        assert counters["misses"] == 2  # the cold pre-dispatch lookups
+        assert counters["hits"] == 0
+        assert counters["bytes_written"] > 0
+
+        # A warm rerun serves every run from disk: hits and bytes move.
+        executor.run_campaign([_SCENARIO], min_runs=2, max_runs=2)
+        counters = cache.counters()
+        assert counters["hits"] == 2
+        assert counters["bytes_read"] > 0

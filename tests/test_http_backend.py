@@ -553,9 +553,11 @@ class TestCliEndToEnd:
 
 
 class TestDuplicatePublication:
-    """Two workers racing one speculated task over the wire: the first
-    valid upload resolves the future, the identical second upload is
-    acknowledged as a duplicate, and the cache deposit is idempotent."""
+    """Two workers publishing one task over the wire — the lease holder
+    and a worker that got it through a stale-lease requeue or a retry:
+    the first valid upload resolves the future, the identical second
+    upload is acknowledged as a duplicate, and the cache deposit is
+    idempotent."""
 
     def test_second_valid_upload_acknowledged_as_duplicate(self, backend, tmp_path):
         task = _task(run_start=0)

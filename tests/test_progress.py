@@ -434,26 +434,29 @@ class TestBenchHistory:
         assert "6.00" in table and "7.00" in table  # campaign + consolidation speedups
         assert render_bench_history([]) == "no BENCH_<rev>.json files found"
 
-    def test_history_renders_missing_sched_agg_metrics_as_dash(self, tmp_path):
-        """Older BENCH_<rev>.json payloads predate the scheduler and
-        aggregation benchmarks; their rows render "-" in the new columns
-        instead of raising."""
+    def test_history_renders_committed_payloads(self, tmp_path):
+        """Every committed BENCH_<rev>.json renders one row — including
+        payloads that carry results of since-retired benchmarks — and a
+        metric a payload predates renders "-" instead of raising."""
+        import pathlib
+
         from repro.bench import collect_bench_history, render_bench_history
 
-        old = self._payload("old", 5.0, 100.0)
-        new = self._payload("new", 6.0, 200.0)
-        new["generated_at"] = 300.0
-        new["results"]["sched"] = {"tail_x": 2.5}
-        new["results"]["agg"] = {"mem_x": 12.0}
-        (tmp_path / "BENCH_old.json").write_text(json.dumps(old), encoding="utf-8")
-        (tmp_path / "BENCH_new.json").write_text(json.dumps(new), encoding="utf-8")
+        committed = collect_bench_history(
+            pathlib.Path(__file__).resolve().parents[1] / "benchmarks"
+        )
+        assert committed
+        lines = render_bench_history(committed).splitlines()
+        assert len(lines) == len(committed) + 2  # header + rule
+        for payload, row in zip(committed, lines[2:]):
+            assert row.startswith(str(payload["revision"]))
+
+        (tmp_path / "BENCH_old.json").write_text(
+            json.dumps(self._payload("old", 5.0, 100.0)), encoding="utf-8"
+        )
         table = render_bench_history(collect_bench_history(tmp_path))
-        lines = table.splitlines()
-        assert "sched x" in lines[0] and "agg mem x" in lines[0]
-        old_row = next(line for line in lines if line.startswith("old"))
-        new_row = next(line for line in lines if line.startswith("new"))
-        assert old_row.split()[-2:] == ["-", "-"]
-        assert "2.50" in new_row and "12.00" in new_row
+        old_row = next(line for line in table.splitlines() if line.startswith("old"))
+        assert old_row.split()[-1] == "-"  # no batch benchmark in the payload
 
     def test_cli_history(self, tmp_path, capsys):
         (tmp_path / "BENCH_ccc.json").write_text(

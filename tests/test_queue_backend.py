@@ -749,12 +749,12 @@ class TestClockSkew:
 
 
 class TestDuplicatePublication:
-    """Two workers finishing the same speculated batch: the adaptive
-    scheduler may re-submit a straggling chunk, so a second worker can
-    legitimately execute and publish a task that already completed.  The
-    cache deposit must be idempotent, progress accounting must stay
-    single per run, and both publications must serialise byte-identical
-    samples."""
+    """Two workers finishing the same batch: a stale-lease requeue or an
+    executor retry re-spools a chunk whose first worker was only slow,
+    so a second worker can legitimately execute and publish a task that
+    already completed.  The cache deposit must be idempotent, progress
+    accounting must stay single per run, and both publications must
+    serialise byte-identical samples."""
 
     def _batch_task(self, run_count: int = 2) -> RunTask:
         settings = RunnerSettings()
@@ -777,8 +777,8 @@ class TestDuplicatePublication:
         )
         assert stats1.claimed == 1 and stats1.executed == 2
 
-        # The speculative clone: the coordinator re-submits the same
-        # chunk (same task id, same cache key) to another lane.
+        # The duplicate: the coordinator re-submits the same chunk (same
+        # task id, same cache key), as a retry does, to another lane.
         second = backend.submit(task)
         stats2 = run_worker(
             tmp_path / "spool", tmp_path / "cache",
