@@ -2,10 +2,8 @@
 
 Implements the paper's fitting pipeline (Section VI-F):
 
-* :mod:`repro.regression.linear` — ordinary and non-negative bounded
-  least squares on design matrices (scipy with a pure-numpy fallback);
-* :mod:`repro.regression.nlls` — the Non-Linear Least Squares driver the
-  paper names, for models given as residual functions;
+* :mod:`repro.regression.linear` — ordinary and non-negative least
+  squares on design matrices (every model is linear in its coefficients);
 * :mod:`repro.regression.training` — the 20 % training split over the
   m01–m02 readings and the per-phase fitting orchestration helpers;
 * :mod:`repro.regression.bias` — the C1 → C2 idle-power bias correction
@@ -17,7 +15,6 @@ Implements the paper's fitting pipeline (Section VI-F):
 from repro.regression.bias import rebias_constant
 from repro.regression.linear import fit_linear, fit_nonnegative
 from repro.regression.metrics import ErrorReport, mae, nrmse, rmse
-from repro.regression.nlls import fit_nlls
 from repro.regression.training import TrainTestSplit, split_runs
 
 __all__ = [
@@ -28,7 +25,6 @@ __all__ = [
     "mae",
     "nrmse",
     "rmse",
-    "fit_nlls",
     "TrainTestSplit",
     "split_runs",
 ]

@@ -8,9 +8,9 @@ Two flavours back the energy models:
   coefficient ≥ 0.  The paper's fitted coefficients (Tables III–VI) are
   non-negative power/energy sensitivities; the constraint prevents the
   collinearity between host CPU and VM CPU from producing sign-flipped,
-  physically meaningless estimates.  Uses :func:`scipy.optimize.lsq_linear`
-  with a pure-numpy projected-gradient fallback so the library degrades
-  gracefully without scipy.
+  physically meaningless estimates.  Solved exactly by the Lawson–Hanson
+  active-set method on unit-norm columns, so a ``bw_bps`` column next to
+  CPU percentages does not skew the solver's tolerances.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ import numpy as np
 
 from repro.errors import RegressionError
 
-try:  # pragma: no cover - exercised implicitly
-    from scipy.optimize import lsq_linear as _scipy_lsq_linear
-except Exception:  # pragma: no cover - scipy is an install requirement
-    _scipy_lsq_linear = None
-
 __all__ = ["LinearFit", "fit_linear", "fit_nonnegative"]
+
+#: Subproblem solves allowed per column before :func:`fit_nonnegative`
+#: gives up (Lawson–Hanson typically needs about one per column).
+_ITERATIONS_PER_COLUMN = 10
 
 
 @dataclass(frozen=True)
@@ -74,37 +73,71 @@ def fit_linear(X: np.ndarray, y: np.ndarray) -> LinearFit:
     return LinearFit(coefficients=coef, residual_norm=residual, n_samples=X.shape[0])
 
 
-def _projected_gradient_nnls(X: np.ndarray, y: np.ndarray, iterations: int = 5000) -> np.ndarray:
-    """Pure-numpy non-negative least squares (projected gradient descent).
+def _lawson_hanson(A: np.ndarray, b: np.ndarray, max_iterations: int) -> np.ndarray:
+    """``argmin ‖A x − b‖`` over ``x ≥ 0`` (Lawson & Hanson, 1974, ch. 23).
 
-    Fallback used only when scipy is unavailable; converges reliably on
-    the small, well-conditioned design matrices of this library.
+    The passive set ``P`` holds the free coefficients; every other
+    coefficient sits on its bound 0.  Each outer step frees the bound
+    coefficient with the largest descent ``Aᵀ(b − A x)`` (the negative
+    gradient of ``½‖A x − b‖²``); the inner loop walks back towards the
+    feasible region, binding coefficients that reach 0, until the
+    unconstrained fit on ``P`` is strictly positive.  Raises
+    :class:`RegressionError` after ``max_iterations`` subproblem solves.
     """
-    XtX = X.T @ X
-    Xty = X.T @ y
-    # Lipschitz constant of the gradient = largest eigenvalue of XtX.
-    lipschitz = float(np.linalg.eigvalsh(XtX)[-1])
-    if lipschitz <= 0:
-        return np.zeros(X.shape[1])
-    step = 1.0 / lipschitz
-    coef = np.maximum(np.linalg.lstsq(X, y, rcond=None)[0], 0.0)
-    for _ in range(iterations):
-        grad = XtX @ coef - Xty
-        updated = np.maximum(coef - step * grad, 0.0)
-        if np.max(np.abs(updated - coef)) < 1e-12:
-            coef = updated
-            break
-        coef = updated
-    return coef
+    m, n = A.shape
+    tolerance = 10.0 * max(m, n) * np.finfo(np.float64).eps * float(np.linalg.norm(b))
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    descent = A.T @ b
+    iterations = 0
+
+    def solve_passive() -> np.ndarray:
+        nonlocal iterations
+        iterations += 1
+        if iterations > max_iterations:
+            raise RegressionError(
+                f"non-negative least squares did not converge in {max_iterations} "
+                "iterations"
+            )
+        s = np.zeros(n)
+        s[passive] = np.linalg.lstsq(A[:, passive], b, rcond=None)[0]
+        return s
+
+    while True:
+        candidates = np.where(passive, -np.inf, descent)
+        j = int(np.argmax(candidates))
+        if candidates[j] <= tolerance:
+            return x
+        passive[j] = True
+        s = solve_passive()
+        if s[j] <= 0.0:
+            # Column j is numerically dependent on the passive columns:
+            # freeing it cannot lower the residual.  Leave it bound.
+            passive[j] = False
+            descent[j] = 0.0
+            continue
+        while np.any(s[passive] <= 0.0):
+            blocking = passive & (s <= 0.0)
+            ratios = x[blocking] / (x[blocking] - s[blocking])
+            step = float(np.min(ratios))
+            x += step * (s - x)
+            passive[np.flatnonzero(blocking)[np.argmin(ratios)]] = False
+            passive &= x > 0.0
+            x[~passive] = 0.0
+            s = solve_passive()
+        x = s
+        descent = A.T @ (b - A @ x)
 
 
 def fit_nonnegative(X: np.ndarray, y: np.ndarray) -> LinearFit:
-    """Least squares with every coefficient constrained to be ≥ 0."""
+    """Least squares with every coefficient constrained to be ≥ 0.
+
+    Raises :class:`RegressionError` if the active-set solver does not
+    converge within its iteration cap.
+    """
     X, y = _validate_design(X, y)
-    if _scipy_lsq_linear is not None:
-        result = _scipy_lsq_linear(X, y, bounds=(0.0, np.inf), method="bvls")
-        coef = np.asarray(result.x, dtype=np.float64)
-    else:  # pragma: no cover - scipy is an install requirement
-        coef = _projected_gradient_nnls(X, y)
+    scales = np.linalg.norm(X, axis=0)
+    scales[scales == 0.0] = 1.0
+    coef = _lawson_hanson(X / scales, y, _ITERATIONS_PER_COLUMN * X.shape[1]) / scales
     residual = float(np.linalg.norm(X @ coef - y))
     return LinearFit(coefficients=coef, residual_norm=residual, n_samples=X.shape[0])

@@ -19,6 +19,9 @@ import hashlib
 from typing import Iterator
 
 import numpy as np
+# numpy loads ``numpy.random`` on first use; loading it with this module
+# lets a campaign worker pay that import at start-up, not in its first run.
+import numpy.random  # noqa: F401
 
 __all__ = ["derive_seed", "RandomStreams"]
 

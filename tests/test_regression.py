@@ -1,16 +1,23 @@
 """Regression machinery: solvers, metrics, splits, bias correction."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import RegressionError
+from repro.models.features import HostRole
+from repro.models.huang import HuangModel
+from repro.models.liu import LiuModel
+from repro.models.wavm3 import PHASE_FEATURES, Wavm3Model
+from repro.phases.timeline import MigrationPhase
 from repro.regression import (
     ErrorReport,
     fit_linear,
-    fit_nlls,
     fit_nonnegative,
+    linear,
     mae,
     nrmse,
     rebias_constant,
@@ -63,37 +70,159 @@ class TestLinearFits:
         assert fit_linear(X, y).residual_norm == pytest.approx(0.0, abs=1e-9)
 
 
-class TestNlls:
-    def test_recovers_exponent(self):
-        # Fit y = a * u^p: genuinely non-linear in p.
-        u = np.linspace(0.05, 1.0, 80)
-        y = 185.0 * u**2.2
+def _enumerated_nnls_objective(A, b):
+    """Oracle: the best feasible unconstrained sub-fit over all 2ⁿ passive sets.
 
-        def residual(params):
-            a, p = params
-            return a * u**p - y
+    Works on unit-norm columns (the objective does not depend on column
+    scale).  The optimum of a non-negative least-squares problem is the
+    unconstrained fit on the columns it leaves free, so the minimum over
+    every sub-fit whose coefficients are all ≥ 0 is the exact optimum.
+    """
+    norms = np.linalg.norm(A, axis=0)
+    norms[norms == 0.0] = 1.0
+    A = A / norms
+    best = float(b @ b)
+    for subset in itertools.product((False, True), repeat=A.shape[1]):
+        columns = np.flatnonzero(subset)
+        if columns.size == 0:
+            continue
+        z = np.linalg.lstsq(A[:, columns], b, rcond=None)[0]
+        if z.min() < -1e-9 * max(1.0, float(np.abs(z).max())):
+            continue
+        residual = A[:, columns] @ np.maximum(z, 0.0) - b
+        best = min(best, float(residual @ residual))
+    return best
 
-        fit = fit_nlls(residual, x0=[100.0, 1.5], lower=[0.0, 1.0], upper=[1e4, 4.0])
-        assert fit.parameters[0] == pytest.approx(185.0, rel=1e-3)
-        assert fit.parameters[1] == pytest.approx(2.2, rel=1e-3)
-        assert fit.converged
 
-    def test_bounds_respected(self):
-        y = np.linspace(0, 1, 30)
+@st.composite
+def _nnls_problems(draw):
+    """Small NNLS problems with the degeneracies the model fits meet.
 
-        def residual(params):
-            return params[0] - y
+    Duplicated and collinear columns (host vs VM CPU), an all-zero column
+    (a feature never active in a phase) and column scales from 1e-3 to 1e9
+    (``bw_bps`` next to CPU %).
+    """
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(n, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.uniform(0.0, 1.0, (m, n))
+    if n >= 2 and draw(st.booleans()):
+        A[:, 1] = A[:, 0]
+    if n >= 3 and draw(st.booleans()):
+        A[:, 2] = 0.5 * A[:, 0] + 2.0 * A[:, 1]
+    if draw(st.booleans()):
+        A[:, draw(st.integers(0, n - 1))] = 0.0
+    A *= 10.0 ** rng.uniform(-3.0, 9.0, n)
+    truth = rng.normal(0.0, 1.0, n) / np.where(A.any(axis=0), np.abs(A).max(axis=0), 1.0)
+    b = A @ truth + rng.normal(0.0, draw(st.sampled_from((0.0, 0.01, 1.0))), m)
+    return A, b
 
-        fit = fit_nlls(residual, x0=[0.2], lower=[0.4], upper=[2.0])
-        assert fit.parameters[0] >= 0.4 - 1e-9
 
-    def test_bad_bounds_rejected(self):
-        with pytest.raises(RegressionError):
-            fit_nlls(lambda p: p, x0=[1.0], lower=[2.0], upper=[1.0])
+class TestNonnegativeOracle:
+    @given(_nnls_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_kkt_and_enumeration_optimum(self, problem):
+        A, b = problem
+        fit = fit_nonnegative(A, b)
+        x = fit.coefficients
+        assert np.all(x >= 0.0)
+        # KKT on unit-norm columns: no bound coefficient can lower the
+        # residual, and free coefficients have a zero gradient.
+        norms = np.linalg.norm(A, axis=0)
+        norms[norms == 0.0] = 1.0
+        gradient = (A / norms).T @ (b - A @ x)
+        slack = 1e-9 * max(float(np.linalg.norm(b)), 1e-300)
+        assert np.all(gradient <= slack)
+        assert np.all(np.abs(gradient[x > 0.0]) <= slack)
+        objective = fit.residual_norm**2
+        assert objective == pytest.approx(
+            _enumerated_nnls_objective(A, b), rel=1e-8, abs=1e-12 * float(b @ b)
+        )
 
-    def test_degenerate_residual_rejected(self):
-        with pytest.raises(RegressionError):
-            fit_nlls(lambda p: np.array([]), x0=[1.0, 2.0])
+    def test_iteration_cap_raises(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        X = rng.uniform(0.0, 1.0, (30, 4))
+        y = X @ np.array([1.0, -1.0, 2.0, -2.0])
+        monkeypatch.setattr(linear, "_ITERATIONS_PER_COLUMN", 0)
+        with pytest.raises(RegressionError, match="did not converge"):
+            fit_nonnegative(X, y)
+
+
+#: Coefficients fitted on the ``mini_samples`` fixture, per migration kind,
+#: computed with the bounded-variable least-squares solver
+#: ``optimize.lsq_linear(method="bvls")`` that ``fit_nonnegative`` called
+#: until it became a numpy Lawson–Hanson solver.  Exact zeros are
+#: coefficients bvls left on their bound, except LIU's non-live constants,
+#: where bvls stopped at 1.56e-15 (source) and 1.26e-15 (target) J, a
+#: rounding step above the bound of a fit whose energies are ~1e4 J.
+_BVLS_WAVM3 = {
+    "non-live": {
+        "source": {
+            "initiation": (4.925871313350988, 0.0, 436.55770877805793),
+            "transfer": (5.177617993198552, 0.0, 0.0, 0.0, 472.36031886983096),
+            "activation": (5.1518507993565015, 0.0, 428.53678922721554),
+        },
+        "target": {
+            "initiation": (6.939423313232062, 0.0, 454.48251871648665),
+            "transfer": (1.252402547211905, 5.54914423973156e-07, 0.0, 0.0,
+                         479.71368205144637),
+            "activation": (0.0, 0.265818430575503, 480.96101677395325),
+        },
+    },
+    "live": {
+        "source": {
+            "initiation": (5.554064367342828, 4.542240541094867, 19.424467377205268),
+            "transfer": (6.0394353584692455, 8.944064034588368e-07, 0.6407847913997612,
+                         0.0, 370.4834660850028),
+            "activation": (5.49518461426455, 0.0, 452.53195761962706),
+        },
+        "target": {
+            "initiation": (3.0265657470599407, 0.0, 457.8447885254691),
+            "transfer": (2.4876070350754693, 4.4064799773070653e-07, 0.0, 0.0,
+                         495.2404003580505),
+            "activation": (0.0, 0.3969006730525373, 479.06969897273893),
+        },
+    },
+}
+_BVLS_HUANG = {
+    "non-live": {"source": (5.161661162784902, 466.9256757838764),
+                 "target": (0.0, 537.8367007672636)},
+    "live": {"source": (5.761650642031945, 492.7172848123116),
+             "target": (0.0, 548.991044176707)},
+}
+_BVLS_LIU = {
+    "non-live": {"source": (6.69429112859201e-06, 0.0),
+                 "target": (5.419980518699515e-06, 0.0)},
+    "live": {"source": (2.404553640462711e-06, 43138.68630402761),
+             "target": (3.7775234340966345e-06, 22708.006994645195)},
+}
+
+
+@pytest.mark.parametrize("kind", ["non-live", "live"])
+class TestPinnedModelFits:
+    """The paper models' fits on ``mini_samples`` reproduce bvls to 1e-9."""
+
+    @staticmethod
+    def _samples(mini_samples, kind):
+        return [s for s in mini_samples if s.live is (kind == "live")]
+
+    def test_wavm3(self, mini_samples, kind):
+        model = Wavm3Model().fit(self._samples(mini_samples, kind))
+        for role, phases in _BVLS_WAVM3[kind].items():
+            for phase, pinned in phases.items():
+                fitted = model.coefficients.values[HostRole(role)][MigrationPhase(phase)]
+                np.testing.assert_allclose(
+                    [fitted[name] for name in PHASE_FEATURES[MigrationPhase(phase)]],
+                    pinned, rtol=1e-9, atol=0.0,
+                )
+
+    @pytest.mark.parametrize("model_type, pins", [(HuangModel, _BVLS_HUANG), (LiuModel, _BVLS_LIU)])
+    def test_two_coefficient_models(self, mini_samples, kind, model_type, pins):
+        model = model_type().fit(self._samples(mini_samples, kind))
+        for role, pinned in pins[kind].items():
+            np.testing.assert_allclose(
+                model.coefficients[HostRole(role)], pinned, rtol=1e-9, atol=0.0
+            )
 
 
 class TestMetrics:
