@@ -11,7 +11,7 @@ runs per scenario instead of ten, for a quick demo):
 4. evaluate everything on the held-out runs (Table VII);
 5. port WAVM3 to the o1–o2 pair with the C1→C2 rebias (Table V flavour).
 
-Run:  python examples/model_training.py          (~2 minutes)
+Run:  python examples/model_training.py          (a few seconds)
 """
 
 import numpy as np
@@ -48,13 +48,11 @@ def main() -> None:
     # Cross-testbed port (Table V flavour, on a handful of o-pair runs).
     print("Porting the live model to o1-o2 with the C1->C2 rebias…")
     o_runner = ScenarioRunner(seed=SEED + 1)
-    o_campaign = o_runner.run_campaign(
-        all_scenarios("o")[:6], min_runs=2, max_runs=2
-    )
+    o_live = [s for s in all_scenarios("o") if s.live][:6]
+    o_campaign = o_runner.run_campaign(o_live, min_runs=2, max_runs=2)
     o_samples = [
         run.sample_for(role)
         for run in o_campaign.all_runs()
-        if run.scenario.live
         for role in (HostRole.SOURCE, HostRole.TARGET)
     ]
     live_model = models["live"]

@@ -14,9 +14,7 @@ Energy Model for Virtual Machine Migration"* (IEEE CLUSTER 2015):
   :mod:`repro.hypervisor`, :mod:`repro.workloads`, :mod:`repro.telemetry`);
 * the five experiment families of Table II and generators for every table
   and figure of the evaluation (:mod:`repro.experiments`,
-  :mod:`repro.analysis`);
-* an energy-aware consolidation manager showing the model in its intended
-  role (:mod:`repro.consolidation`).
+  :mod:`repro.analysis`).
 
 Quickstart
 ----------

@@ -9,12 +9,6 @@ microbenchmarks over the three hot layers —
   dimensionless ``speedup`` between them (the headline number of the
   telemetry fast path; the two paths are bit-identical, see
   ``docs/performance.md``);
-* **batch** — the identical campaign dispatched through the HTTP
-  backend twice, per-run tasks vs one seed-batched task per wave
-  (``--batch-size auto``), plus an in-process serial baseline,
-  reporting the dispatch-overhead amortisation ``overhead_x``
-  (per-run overhead over batched overhead, simulation time
-  subtracted out);
 * **simulator** — a pure event-heap storm (schedule + fire), reporting
   events/sec;
 * **telemetry** — one instrumented testbed sampled over a long event-free
@@ -46,9 +40,7 @@ from repro.simulator.engine import Simulator
 
 __all__ = [
     "BENCH_SCHEMA",
-    "bench_batch",
     "bench_campaign",
-    "bench_consolidation",
     "bench_simulator",
     "bench_telemetry",
     "check_regression",
@@ -68,16 +60,6 @@ _CAMPAIGN_SCENARIO = dict(
     experiment="CPULOAD-SOURCE", label="bench/nl/0vm", live=False, load_vm_count=0
 )
 _CAMPAIGN_SEED = 0
-
-#: The consolidation microbenchmark: a manager-driven drain under the
-#: full measurement protocol.  Exercises the control-plane half the
-#: campaign benchmark does not touch — the manager's ControlLoop riding
-#: the engine's two-phase control-hook protocol vs one heap event per
-#: monitoring tick.
-_CONSOLIDATION_SCENARIO = dict(
-    experiment="CONSOLIDATION-CPU", label="bench/consolidation/0vm",
-    live=False, load_vm_count=0, load_on="target", driver="manager",
-)
 
 
 def current_revision() -> str:
@@ -114,8 +96,26 @@ def _best_of(repeats: int, fn) -> float:
     return best
 
 
-def _bench_scenario_cross_mode(scenario: MigrationScenario, runs: int, repeats: int, seed: int) -> dict:
-    """One single-scenario campaign per telemetry mode, interleaved timing."""
+def bench_campaign(runs: int = 2, repeats: int = 3, seed: int = _CAMPAIGN_SEED) -> dict:
+    """The single-scenario campaign microbenchmark, one pass per telemetry mode.
+
+    Parameters
+    ----------
+    runs:
+        Runs per campaign pass (``min_runs == max_runs``, no adaptive
+        top-up, so both modes execute exactly the same workload).
+    repeats:
+        Interleaved repetitions per mode; the best time counts.
+    seed:
+        Campaign master seed (fixed: the benchmark is deterministic).
+
+    Returns
+    -------
+    dict
+        Per-mode wall time, runs/sec and samples/sec, plus ``speedup``
+        (events wall time over batched wall time).
+    """
+    scenario = MigrationScenario(**_CAMPAIGN_SCENARIO)
     results: dict[str, dict] = {}
     times = {"batched": float("inf"), "events": float("inf")}
     samples = {"batched": 0, "events": 0}
@@ -141,183 +141,6 @@ def _bench_scenario_cross_mode(scenario: MigrationScenario, runs: int, repeats: 
     results["runs"] = runs
     results["scenario"] = scenario.label
     return results
-
-
-def bench_campaign(runs: int = 2, repeats: int = 3, seed: int = _CAMPAIGN_SEED) -> dict:
-    """The single-scenario campaign microbenchmark, one pass per telemetry mode.
-
-    Parameters
-    ----------
-    runs:
-        Runs per campaign pass (``min_runs == max_runs``, no adaptive
-        top-up, so both modes execute exactly the same workload).
-    repeats:
-        Interleaved repetitions per mode; the best time counts.
-    seed:
-        Campaign master seed (fixed: the benchmark is deterministic).
-
-    Returns
-    -------
-    dict
-        Per-mode wall time, runs/sec and samples/sec, plus ``speedup``
-        (events wall time over batched wall time).
-    """
-    return _bench_scenario_cross_mode(
-        MigrationScenario(**_CAMPAIGN_SCENARIO), runs, repeats, seed
-    )
-
-
-def bench_consolidation(runs: int = 2, repeats: int = 3, seed: int = _CAMPAIGN_SEED) -> dict:
-    """The consolidation microbenchmark, one pass per telemetry mode.
-
-    A manager-driven drain scenario (``driver="manager"``) run under the
-    full Section V-B protocol: the consolidation manager's monitoring
-    loop, the estimator-backed policy and the batched instruments all ride
-    the shared control plane.  The two passes are bit-identical (the
-    cross-path golden tests assert it); the dimensionless ``speedup`` is
-    the guarded number.
-
-    Parameters
-    ----------
-    runs / repeats / seed:
-        As in :func:`bench_campaign`.
-
-    Returns
-    -------
-    dict
-        Per-mode wall time, runs/sec and samples/sec, plus ``speedup``.
-    """
-    return _bench_scenario_cross_mode(
-        MigrationScenario(**_CONSOLIDATION_SCENARIO), runs, repeats, seed
-    )
-
-
-#: Shortened measurement protocol for the batch microbenchmark: the
-#: simulation work is identical across arms (and subtracted out by the
-#: serial baseline), so a short protocol just raises the dispatch
-#: overhead's share of the wall and stabilises the subtraction.
-_BATCH_SETTINGS = dict(
-    min_warmup_s=2.0, max_warmup_s=6.0, min_post_s=2.0, max_post_s=6.0,
-    check_interval_s=1.0,
-)
-
-
-def bench_batch(runs: int = 12, repeats: int = 3, seed: int = _CAMPAIGN_SEED) -> dict:
-    """Batched vs per-run dispatch over the HTTP campaign service.
-
-    The batch execution path exists to amortise *dispatch* cost: every
-    per-run HTTP task pays its own claim/result round-trip plus a
-    heartbeat-thread lifecycle, while a batch ships the whole seed wave
-    as one ``wavm3-taskspec/2`` spec and one ``wavm3-runbatch/1``
-    upload.  The simulation work itself is identical by construction
-    (bit-identity is asserted by the golden tests), so the honest number
-    is the **dispatch-overhead amortisation**
-
-    ``overhead_x = (per_run - serial) / (batched - serial)``
-
-    where ``serial`` is the same campaign on the in-process serial
-    backend: subtracting it isolates what batching can actually change.
-    (On localhost the *total* wall moves far less — the per-run HTTP
-    overhead is ~3 ms against a ~6 ms simulation floor — which is why
-    the raw walls are reported but not guarded.)  Each arm is timed up
-    to campaign completion, excluding coordinator shutdown, which is a
-    fixed cost shared by both HTTP arms.
-
-    Parameters
-    ----------
-    runs:
-        Runs per campaign pass (``min_runs == max_runs``).
-    repeats:
-        Interleaved repetitions per arm; the best time counts.
-    seed:
-        Campaign master seed.
-
-    Returns
-    -------
-    dict
-        Per-arm wall time and runs/sec (``serial`` / ``per_run`` /
-        ``batched``), plus the guarded ``overhead_x``, ``speedup`` (raw
-        per-run over batched wall), ``runs`` and the scenario label.
-    """
-    import tempfile
-    import threading
-
-    from repro.experiments.executor import CampaignExecutor
-    from repro.experiments.http_backend import run_http_worker
-
-    scenario = MigrationScenario(**_CAMPAIGN_SCENARIO)
-    times = {"serial": float("inf"), "per_run": float("inf"), "batched": float("inf")}
-
-    def http_arm(batch_size) -> float:
-        with tempfile.TemporaryDirectory() as tmp:
-            executor = CampaignExecutor(
-                ScenarioRunner(seed=seed, settings=RunnerSettings(**_BATCH_SETTINGS)),
-                backend="http",
-                cache_dir=pathlib.Path(tmp) / "cache",
-                serve="127.0.0.1:0",
-                batch_size=batch_size,
-                http_options={
-                    "stop_workers_on_shutdown": True,
-                    "stop_grace_s": 2.0,
-                },
-            )
-            worker = threading.Thread(
-                target=run_http_worker,
-                args=(executor.serve_url,),
-                kwargs={"poll_interval": 0.01, "worker_id": "bench-w0"},
-                daemon=True,
-            )
-            worker.start()
-            # Time to campaign completion: stop the clock when the wave
-            # scheduler is done and hands over to backend.shutdown()
-            # (whose fixed teardown cost is identical for both arms).
-            done = {}
-            backend_shutdown = executor._backend.shutdown
-
-            def timed_shutdown() -> None:
-                done.setdefault("at", time.perf_counter())
-                backend_shutdown()
-
-            executor._backend.shutdown = timed_shutdown
-            t0 = time.perf_counter()
-            executor.run_campaign([scenario], min_runs=runs, max_runs=runs)
-            wall = done["at"] - t0
-            worker.join(timeout=10.0)
-            return wall
-
-    def serial_arm() -> float:
-        executor = CampaignExecutor(
-            ScenarioRunner(seed=seed, settings=RunnerSettings(**_BATCH_SETTINGS))
-        )
-        t0 = time.perf_counter()
-        executor.run_campaign([scenario], min_runs=runs, max_runs=runs)
-        return time.perf_counter() - t0
-
-    for _ in range(max(1, repeats)):
-        times["serial"] = min(times["serial"], serial_arm())
-        times["per_run"] = min(times["per_run"], http_arm(1))
-        times["batched"] = min(times["batched"], http_arm(None))
-
-    per_run_overhead = max(times["per_run"] - times["serial"], 1e-9)
-    batched_overhead = max(times["batched"] - times["serial"], 1e-9)
-    return {
-        "serial": {
-            "wall_s": times["serial"],
-            "runs_per_s": runs / times["serial"],
-        },
-        "per_run": {
-            "wall_s": times["per_run"],
-            "runs_per_s": runs / times["per_run"],
-        },
-        "batched": {
-            "wall_s": times["batched"],
-            "runs_per_s": runs / times["batched"],
-        },
-        "overhead_x": per_run_overhead / batched_overhead,
-        "speedup": times["per_run"] / times["batched"],
-        "runs": runs,
-        "scenario": scenario.label,
-    }
 
 
 def bench_simulator(n_events: int = 50_000, repeats: int = 3) -> dict:
@@ -407,8 +230,6 @@ def run_benchmarks(quick: bool = False, repeats: Optional[int] = None) -> dict:
         "generated_at": time.time(),
         "results": {
             "campaign": bench_campaign(runs=2 if quick else 3, repeats=reps),
-            "consolidation": bench_consolidation(runs=2 if quick else 3, repeats=reps),
-            "batch": bench_batch(runs=12 if quick else 16, repeats=reps),
             "simulator": bench_simulator(
                 n_events=10_000 if quick else 50_000, repeats=reps
             ),
@@ -497,8 +318,7 @@ def render_bench_history(payloads: list[dict]) -> str:
 
     header = (
         f"{'revision':12s} {'quick':5s} {'runs/s':>8s} {'events/s':>12s} "
-        f"{'campaign x':>10s} {'consol x':>9s} {'telemetry x':>11s} "
-        f"{'batch x':>8s}"
+        f"{'campaign x':>10s} {'telemetry x':>11s}"
     )
     lines = [header, "-" * len(header)]
     for payload in payloads:
@@ -510,9 +330,7 @@ def render_bench_history(payloads: list[dict]) -> str:
             f"{_metric(payload, 'campaign.batched.runs_per_s'):>8s} "
             f"{_metric(payload, 'simulator.events_per_s', ',.0f'):>12s} "
             f"{_metric(payload, 'campaign.speedup'):>10s} "
-            f"{_metric(payload, 'consolidation.speedup'):>9s} "
-            f"{_metric(payload, 'telemetry.speedup'):>11s} "
-            f"{_metric(payload, 'batch.overhead_x'):>8s}"
+            f"{_metric(payload, 'telemetry.speedup'):>11s}"
         )
     return "\n".join(lines)
 

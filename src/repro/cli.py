@@ -14,14 +14,8 @@ Examples
     wavm3 --cache-dir /shared/cache campaign-worker --spool-dir /shared/spool
     wavm3 --cache-dir /shared/cache campaign --spool-dir /shared/spool --stop-workers
 
-    # networked: no shared filesystem — the coordinator embeds an HTTP
-    # task service, workers only need its URL
-    wavm3 --cache-dir ~/.wavm3-cache campaign --serve 0.0.0.0:8765 --stop-workers
-    wavm3 campaign-worker --connect http://coordinator:8765
-
     # observability: what is a campaign doing right now?
     wavm3 campaign-status --spool-dir /shared/spool
-    wavm3 campaign-status --connect http://coordinator:8765
 """
 
 from __future__ import annotations
@@ -138,28 +132,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write every kept sample to this samples JSON file "
         "(wavm3-samples/1, streamed one sample at a time)",
     )
-    camp_mode = camp.add_mutually_exclusive_group()
-    camp_mode.add_argument(
+    camp.add_argument(
         "--spool-dir",
         default=None,
         help="dispatch runs through the file-based distributed work queue "
         "in this shared directory (requires --cache-dir; serve it with "
         "one or more 'campaign-worker' processes)",
     )
-    camp_mode.add_argument(
-        "--serve",
-        default=None,
-        metavar="HOST:PORT",
-        help="dispatch runs through an embedded HTTP task-handoff service "
-        "bound to this address (requires --cache-dir; serve it with "
-        "'campaign-worker --connect' processes; port 0 = ephemeral)",
-    )
     camp.add_argument(
         "--stale-timeout",
         type=_positive_float,
         default=60.0,
         help="seconds without a heartbeat before a claimed task is "
-        "requeued (queue/http modes only)",
+        "requeued (queue mode only)",
     )
     camp.add_argument(
         "--max-retries",
@@ -176,9 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="what to do with a task whose retry budget is exhausted: "
         "'raise' aborts the campaign (default), 'skip' abandons the "
         "task's runs, 'quarantine' also parks its spec in the spool's "
-        "quarantine/ directory (or the service's quarantine set) for "
-        "inspection; with skip/quarantine the campaign completes "
-        f"degraded and exits with code {_EXIT_DEGRADED}",
+        "quarantine/ directory for inspection; with skip/quarantine the "
+        f"campaign completes degraded and exits with code {_EXIT_DEGRADED}",
     )
     camp.add_argument(
         "--run-timeout",
@@ -211,8 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stop-workers",
         action="store_true",
         help="tell idle workers to exit when the campaign finishes: write "
-        "the spool's stop sentinel (queue mode) or answer claims with a "
-        "stop signal (http mode)",
+        "the spool's stop sentinel (queue mode)",
     )
     camp.add_argument(
         "--gc-spool",
@@ -238,19 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     worker = sub.add_parser(
         "campaign-worker",
-        help="serve a distributed campaign: claim run specs, execute "
-        "them, return the results — from a shared spool directory "
-        "(--spool-dir) or a campaign service URL (--connect)",
+        help="serve a distributed campaign: claim run specs from a shared "
+        "spool directory, execute them, deposit the results into the "
+        "shared run cache",
     )
-    worker_mode = worker.add_mutually_exclusive_group(required=True)
-    worker_mode.add_argument(
-        "--spool-dir", default=None,
+    worker.add_argument(
+        "--spool-dir", required=True,
         help="shared spool directory to serve (requires --cache-dir)",
-    )
-    worker_mode.add_argument(
-        "--connect", default=None, metavar="URL",
-        help="campaign service to poll (http://host:port; no shared "
-        "filesystem or --cache-dir needed)",
     )
     worker.add_argument(
         "--poll-interval", type=_positive_float, default=0.5,
@@ -281,11 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of holding the lease forever",
     )
     worker.add_argument(
-        "--http-timeout", type=_positive_float, default=10.0, metavar="SECONDS",
-        help="socket timeout for every exchange with the campaign service "
-        "(--connect mode; default 10)",
-    )
-    worker.add_argument(
         "--chaos", default=None, metavar="SPEC",
         help="deterministic fault injection in this worker (same grammar "
         "as 'campaign --chaos'; overrides WAVM3_CHAOS)",
@@ -296,21 +268,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="summarise a running (or finished) distributed campaign: "
         "tasks, claims, failures, worker liveness",
     )
-    status_mode = status.add_mutually_exclusive_group(required=True)
-    status_mode.add_argument(
-        "--spool-dir", default=None, help="spool directory to inspect"
-    )
-    status_mode.add_argument(
-        "--connect", default=None, metavar="URL",
-        help="campaign service to query (http://host:port)",
+    status.add_argument(
+        "--spool-dir", required=True, help="spool directory to inspect"
     )
     status.add_argument(
         "--stale-timeout", type=_positive_float, default=60.0,
-        help="claims idle longer than this are reported stale (spool mode)",
+        help="claims idle longer than this are reported stale",
     )
     status.add_argument(
         "--worker-fresh", type=_positive_float, default=15.0,
-        help="worker heartbeats younger than this count as live (spool mode)",
+        help="worker heartbeats younger than this count as live",
     )
     status.add_argument(
         "--follow", action="store_true",
@@ -324,10 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     status.add_argument(
         "--updates", type=_positive_int, default=None,
         help="stop --follow after this many refreshes (default: until ^C)",
-    )
-    status.add_argument(
-        "--http-timeout", type=_positive_float, default=10.0, metavar="SECONDS",
-        help="socket timeout for status fetches (--connect mode; default 10)",
     )
 
     bench = sub.add_parser(
@@ -376,7 +339,6 @@ _EXPERIMENT_FAMILIES = {
     "memload-vm": "memload_vm_scenarios",
     "memload-source": "memload_source_scenarios",
     "memload-target": "memload_target_scenarios",
-    "consolidation": "consolidation_scenarios",
 }
 
 
@@ -528,22 +490,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             },
             **fault_knobs,
         )
-    elif args.serve is not None:
-        executor = CampaignExecutor(
-            ScenarioRunner(seed=args.seed),
-            backend="http",
-            cache_dir=args.cache_dir,
-            serve=args.serve,
-            batch_size=args.batch_size,
-            http_options={
-                "stale_timeout": args.stale_timeout,
-                "stop_workers_on_shutdown": args.stop_workers,
-            },
-            **fault_knobs,
-        )
-        # Announce the bound address (resolves port 0) so workers — and
-        # the test harness — know where to --connect.
-        print(f"serving campaign tasks on {executor.serve_url}", flush=True)
     else:
         executor = CampaignExecutor(
             ScenarioRunner(seed=args.seed),
@@ -619,36 +565,22 @@ def _cmd_campaign_worker(args: argparse.Namespace) -> int:
         from repro.experiments.chaos import ChaosSchedule, activate
 
         activate(ChaosSchedule.from_spec(args.chaos))
-    if args.connect is not None:
-        from repro.experiments.http_backend import run_http_worker
+    from repro.experiments.queue_backend import run_worker
 
-        stats = run_http_worker(
-            args.connect,
-            poll_interval=args.poll_interval,
-            heartbeat_s=args.heartbeat,
-            max_tasks=args.max_tasks,
-            idle_exit_s=args.idle_exit,
-            worker_id=args.worker_id,
-            run_timeout=args.run_timeout,
-            http_timeout=args.http_timeout,
+    if args.cache_dir is None:
+        raise ExperimentError(
+            "campaign-worker --spool-dir requires --cache-dir (the shared run cache)"
         )
-    else:
-        from repro.experiments.queue_backend import run_worker
-
-        if args.cache_dir is None:
-            raise ExperimentError(
-                "campaign-worker --spool-dir requires --cache-dir (the shared run cache)"
-            )
-        stats = run_worker(
-            args.spool_dir,
-            args.cache_dir,
-            poll_interval=args.poll_interval,
-            heartbeat_s=args.heartbeat,
-            max_tasks=args.max_tasks,
-            idle_exit_s=args.idle_exit,
-            worker_id=args.worker_id,
-            run_timeout=args.run_timeout,
-        )
+    stats = run_worker(
+        args.spool_dir,
+        args.cache_dir,
+        poll_interval=args.poll_interval,
+        heartbeat_s=args.heartbeat,
+        max_tasks=args.max_tasks,
+        idle_exit_s=args.idle_exit,
+        worker_id=args.worker_id,
+        run_timeout=args.run_timeout,
+    )
     print(
         f"worker done: {stats.claimed} claimed, {stats.executed} executed, "
         f"{stats.cached} from cache, {stats.failed} failed"
@@ -656,36 +588,21 @@ def _cmd_campaign_worker(args: argparse.Namespace) -> int:
     return 0 if stats.failed == 0 else 1
 
 
-def _fetch_campaign_status(args: argparse.Namespace) -> tuple[dict, str]:
-    if args.connect is not None:
-        from repro.experiments.http_backend import fetch_status
-
-        return fetch_status(args.connect, timeout=args.http_timeout), args.connect
+def _fetch_campaign_status(args: argparse.Namespace) -> dict:
     from repro.experiments.queue_backend import spool_status
 
-    status = spool_status(
+    return spool_status(
         args.spool_dir,
         stale_timeout=args.stale_timeout,
         worker_fresh_s=args.worker_fresh,
     )
-    return status, args.spool_dir
 
 
 def _render_campaign_status(status: dict, origin: str) -> None:
     print(f"campaign status [{status['backend']}] {origin}")
     print(
         f"  tasks: {status['tasks_open']} open, "
-        f"{status['tasks_leased']} claimed"
-        + (
-            f" ({status['leases_stale']} stale)"
-            if "leases_stale" in status
-            else ""
-        )
-        + (
-            f", {status['tasks_completed']} completed"
-            if "tasks_completed" in status
-            else ""
-        )
+        f"{status['tasks_leased']} claimed ({status['leases_stale']} stale)"
         + f", {status['tasks_failed']} failed"
         + (
             f", {status['tasks_quarantined']} quarantined"
@@ -701,14 +618,6 @@ def _render_campaign_status(status: dict, origin: str) -> None:
     for entry in workers:
         liveness = "live" if entry["live"] else "stale"
         print(f"    {entry['worker']:32s} {liveness:5s} last seen {entry['age_s']:.1f}s ago")
-    cache = status.get("cache")
-    if cache is not None:
-        print(
-            f"  cache: {cache.get('hits', 0)} hits, "
-            f"{cache.get('misses', 0)} misses, "
-            f"{cache.get('bytes_read', 0):,} B read, "
-            f"{cache.get('bytes_written', 0):,} B written"
-        )
     progress = status.get("progress", [])
     if progress:
         print(f"  progress: {status.get('progress_events', len(progress))} events")
@@ -730,15 +639,15 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     updates = 0
     status: Optional[dict] = None
     # ^C must exit the follow loop cleanly wherever it lands — during the
-    # sleep *or* mid-fetch (HTTP poll / spool scan), which is where a slow
+    # sleep *or* mid-fetch (spool scan), which is where a slow
     # poll spends most of its time.  The exit code reflects the last
     # rendered status (0 when interrupted before the first fetch).
     try:
         while True:
-            status, origin = _fetch_campaign_status(args)
+            status = _fetch_campaign_status(args)
             if args.follow and updates:
                 print()  # blank line between refreshes (log-friendly "live" view)
-            _render_campaign_status(status, origin)
+            _render_campaign_status(status, args.spool_dir)
             updates += 1
             if not args.follow or (args.updates is not None and updates >= args.updates):
                 break
@@ -767,7 +676,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     payload = run_benchmarks(quick=args.quick, repeats=args.repeats)
     results = payload["results"]
     campaign = results["campaign"]
-    consolidation = results["consolidation"]
     print(f"wavm3 bench @ {payload['revision']} (quick={payload['quick']})")
     print(
         f"  campaign [{campaign['scenario']} x{campaign['runs']}]: "
@@ -776,21 +684,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"{campaign['batched']['samples_per_s']:,.0f} samples/s) | "
         f"events {campaign['events']['wall_s']:.2f}s | "
         f"speedup {campaign['speedup']:.2f}x"
-    )
-    print(
-        f"  consolidation [{consolidation['scenario']} x{consolidation['runs']}]: "
-        f"batched {consolidation['batched']['wall_s']:.2f}s | "
-        f"events {consolidation['events']['wall_s']:.2f}s | "
-        f"speedup {consolidation['speedup']:.2f}x"
-    )
-    batch = results["batch"]
-    print(
-        f"  batch [{batch['scenario']} x{batch['runs']}, http]: "
-        f"batched {batch['batched']['wall_s']:.2f}s "
-        f"({batch['batched']['runs_per_s']:.2f} runs/s) | "
-        f"per-run {batch['per_run']['wall_s']:.2f}s | "
-        f"serial {batch['serial']['wall_s']:.2f}s | "
-        f"dispatch-overhead amortisation {batch['overhead_x']:.2f}x"
     )
     print(
         f"  simulator: {results['simulator']['events_per_s']:,.0f} events/s"

@@ -11,18 +11,14 @@
   measurement protocol (stabilise → migrate → stabilise; repeat until the
   run-variance delta drops under 10 %, at least ten runs);
 * :mod:`repro.experiments.executor` — fans campaign runs out across
-  pluggable execution backends (serial / process pool / queue / http)
-  in waves split evenly over the backend's lanes, and caches run
-  results on disk, bit-identical to the serial path (see
+  pluggable execution backends (serial / process pool / queue) in waves
+  split evenly over the backend's lanes, and caches run results on
+  disk, bit-identical to the serial path (see
   ``docs/parallel_campaigns.md``);
 * :mod:`repro.experiments.queue_backend` — the distributed backend: a
   file-based work queue over a shared spool directory, served by any
   number of ``campaign-worker`` processes depositing into one shared
   run cache;
-* :mod:`repro.experiments.http_backend` — the network backend: an
-  embedded stdlib HTTP task-handoff service (``/claim``, ``/heartbeat``,
-  ``/result``, ``/status``) polled by ``campaign-worker --connect``
-  processes that need nothing but the coordinator's URL;
 * :mod:`repro.experiments.faults` — the campaign fault-tolerance layer:
   failure taxonomy and ledger (``wavm3-failure/1``), retry budgets with
   capped deterministic backoff, quarantine semantics and run watchdogs
@@ -32,12 +28,17 @@
   chaos soak tests;
 * :mod:`repro.experiments.results` — run/scenario/experiment result
   containers and the conversion to model samples.
+
+The package re-exports only the campaign-design and serial-execution
+names below.  The executor, the queue backend, the fault layer and the
+chaos harness are imported from their own modules, so a process that
+only runs scenarios never loads them (``import repro.experiments.runner``
+loads no ``concurrent.futures``).
 """
 
 from repro.experiments.design import (
     MigrationScenario,
     all_scenarios,
-    consolidation_scenarios,
     cpuload_source_scenarios,
     cpuload_target_scenarios,
     memload_source_scenarios,
@@ -45,40 +46,6 @@ from repro.experiments.design import (
     memload_vm_scenarios,
     LOAD_VM_COUNTS,
     DIRTY_PERCENTS,
-)
-from repro.experiments.chaos import ChaosError, ChaosRule, ChaosSchedule
-from repro.experiments.executor import (
-    CampaignExecutor,
-    ExecutorBackend,
-    ExecutorStats,
-    ProcessBackend,
-    RunCache,
-    RunTask,
-    SerialBackend,
-    execute_batch,
-)
-from repro.experiments.faults import (
-    EXIT_DEGRADED,
-    FailureLedger,
-    RetryPolicy,
-    RunFailure,
-    RunTimeoutError,
-    TaskFailure,
-    run_with_deadline,
-)
-from repro.experiments.http_backend import (
-    CampaignHTTPServer,
-    HttpBackend,
-    fetch_status,
-    run_http_worker,
-)
-from repro.experiments.queue_backend import (
-    QueueBackend,
-    QueueStats,
-    WorkerStats,
-    run_worker,
-    spool_gc,
-    spool_status,
 )
 from repro.experiments.instances import INSTANCE_CATALOG, InstanceSpec, make_instance_vm
 from repro.experiments.results import (
@@ -92,38 +59,9 @@ from repro.experiments.runner import ScenarioRunner, resolve_run_count
 from repro.experiments.testbed import Testbed
 
 __all__ = [
-    "CampaignExecutor",
-    "CampaignHTTPServer",
-    "ChaosError",
-    "ChaosRule",
-    "ChaosSchedule",
-    "EXIT_DEGRADED",
-    "ExecutorBackend",
-    "ExecutorStats",
-    "FailureLedger",
-    "HttpBackend",
-    "RetryPolicy",
-    "RunFailure",
-    "RunTimeoutError",
-    "TaskFailure",
-    "run_with_deadline",
-    "ProcessBackend",
-    "QueueBackend",
-    "QueueStats",
-    "RunCache",
-    "RunTask",
-    "SerialBackend",
-    "WorkerStats",
-    "execute_batch",
-    "fetch_status",
-    "run_http_worker",
-    "run_worker",
-    "spool_gc",
-    "spool_status",
     "resolve_run_count",
     "MigrationScenario",
     "all_scenarios",
-    "consolidation_scenarios",
     "cpuload_source_scenarios",
     "cpuload_target_scenarios",
     "memload_source_scenarios",

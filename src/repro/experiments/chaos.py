@@ -8,16 +8,13 @@ or payload corruption:
 ========================  =====================================================
 seam                      where it trips
 ========================  =====================================================
-``claim``                 a worker claiming a task (spool rename, ``POST /claim``)
+``claim``                 a worker claiming a task (spool rename)
 ``execute``               inside :func:`~repro.experiments.executor.execute_batch`,
                           once per run
-``heartbeat``             a worker's lease-refresh beat (claim ``utime``,
-                          ``POST /heartbeat``)
+``heartbeat``             a worker's lease-refresh beat (claim ``utime``)
 ``publish``               a worker announcing per-run progress (spool NDJSON
-                          sidecar, ``POST /progress``)
+                          sidecar)
 ``cache-put``             persisting a run result into the shared cache
-                          (byte seam: ``corrupt`` mangles the payload)
-``result-upload``         the HTTP worker uploading its result bytes
                           (byte seam: ``corrupt`` mangles the payload)
 ========================  =====================================================
 
@@ -25,7 +22,7 @@ A schedule is a seed plus an ordered list of rules, written as a compact
 spec string (``--chaos SPEC`` on the CLI, ``WAVM3_CHAOS`` in worker
 environments)::
 
-    seed=7; execute:crash:rate=0.5:max=2; result-upload:corrupt:max=1
+    seed=7; execute:crash:rate=0.5:max=2; cache-put:corrupt:max=1
 
 Each clause is ``SEAM:ACTION[:key=value]...`` with ``ACTION`` one of
 ``crash`` (raise :class:`ChaosError`), ``delay`` (sleep ``delay=SECONDS``,
@@ -73,10 +70,10 @@ __all__ = [
 #: Environment variable carrying a chaos spec into worker processes.
 CHAOS_ENV_VAR = "WAVM3_CHAOS"
 
-SEAMS = ("claim", "execute", "heartbeat", "publish", "cache-put", "result-upload")
+SEAMS = ("claim", "execute", "heartbeat", "publish", "cache-put")
 ACTIONS = ("crash", "delay", "corrupt")
 #: Seams that move a byte payload — the only ones ``corrupt`` applies to.
-BYTE_SEAMS = ("cache-put", "result-upload")
+BYTE_SEAMS = ("cache-put",)
 
 
 class ChaosError(ExperimentError):

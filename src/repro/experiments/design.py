@@ -34,7 +34,6 @@ __all__ = [
     "memload_vm_scenarios",
     "memload_source_scenarios",
     "memload_target_scenarios",
-    "consolidation_scenarios",
     "all_scenarios",
 ]
 
@@ -66,15 +65,6 @@ class MigrationScenario:
         instance, a value selects ``migrating-mem``.
     family:
         Machine pair (``"m"`` → m01–m02, ``"o"`` → o1–o2).
-    driver:
-        Who issues the migration.  ``"scripted"`` (the Table IIa default)
-        has the runner call the toolstack directly after stabilisation;
-        ``"manager"`` starts a consolidation manager that detects the
-        underloaded source host and drains the migrating guest through
-        the energy-aware policy — the paper's closing use case measured
-        under the full Section V-B protocol.  Manager scenarios place any
-        background load on the *target* (load on the source would mask
-        the underload the manager is meant to detect).
     """
 
     experiment: str
@@ -84,7 +74,6 @@ class MigrationScenario:
     load_on: Literal["source", "target"] = "source"
     dirty_percent: Optional[float] = None
     family: str = "m"
-    driver: Literal["scripted", "manager"] = "scripted"
 
     def __post_init__(self) -> None:
         if self.load_vm_count < 0:
@@ -98,15 +87,6 @@ class MigrationScenario:
         if self.dirty_percent is not None and not self.live:
             raise ConfigurationError(
                 "MEMLOAD scenarios are live-only (non-live has DR = 0)"
-            )
-        if self.driver not in ("scripted", "manager"):
-            raise ConfigurationError(
-                f"driver must be 'scripted' or 'manager', got {self.driver!r}"
-            )
-        if self.driver == "manager" and self.load_vm_count > 0 and self.load_on != "target":
-            raise ConfigurationError(
-                "manager-driven scenarios must carry background load on the "
-                "target (load on the source masks the underload being drained)"
             )
 
     @property
@@ -211,54 +191,6 @@ def memload_target_scenarios(
         )
         for n in LOAD_VM_COUNTS
     ]
-
-
-def consolidation_scenarios(
-    family: str = "m", live: Optional[bool] = None
-) -> list[MigrationScenario]:
-    """CONSOLIDATION: the manager drains an underloaded source host.
-
-    The migrating guest idles a source host below the consolidation
-    threshold; the manager detects the underload on its monitoring grid
-    and issues the drain through the energy-aware policy.  Background
-    load — where present — sits on the *target*, sweeping the "consolidate
-    toward a loaded host" axis of the paper's closing recommendation.
-    Load counts are restricted to levels that keep the target clearly
-    above the underload threshold (0 or ≥ 3 load VMs): a single load VM
-    leaves both hosts equally underloaded and the drain direction would
-    be a coin toss on utilisation ties.
-    """
-    cpu = [
-        MigrationScenario(
-            experiment="CONSOLIDATION-CPU",
-            label=f"consolidation-cpu/{'live' if k else 'nonlive'}/{n}vm/{family}",
-            live=k,
-            load_vm_count=n,
-            load_on="target",
-            family=family,
-            driver="manager",
-        )
-        for k in _kinds(live)
-        for n in (0, 3)
-    ]
-    mem = (
-        [
-            MigrationScenario(
-                experiment="CONSOLIDATION-MEM",
-                label=f"consolidation-mem/live/dr{int(pct)}/{n}vm/{family}",
-                live=True,
-                load_vm_count=n,
-                load_on="target",
-                dirty_percent=pct,
-                family=family,
-                driver="manager",
-            )
-            for pct, n in ((55.0, 0), (95.0, 3))
-        ]
-        if live in (None, True)
-        else []
-    )
-    return cpu + mem
 
 
 def all_scenarios(family: str = "m") -> list[MigrationScenario]:

@@ -9,12 +9,9 @@ embarrassingly parallel at run granularity.  This module exploits that:
 * :class:`CampaignExecutor` fans runs out across an
   :class:`ExecutorBackend` — worker processes (``process`` backend on
   :class:`concurrent.futures.ProcessPoolExecutor`), inline execution
-  (``serial`` backend), a shared-filesystem work queue served by
+  (``serial`` backend) or a shared-filesystem work queue served by
   remote worker processes (``queue`` backend,
-  :mod:`repro.experiments.queue_backend`) or an embedded HTTP
-  task-handoff service polled by remote workers over the network
-  (``http`` backend, :mod:`repro.experiments.http_backend`) — while
-  preserving the
+  :mod:`repro.experiments.queue_backend`) — while preserving the
   adaptive variance-stopping loop of Section V-B.  Runs are dispatched in
   *waves*: each scenario starts with ``min_runs`` runs, the 10 % variance
   criterion is evaluated on the completed, index-ordered energies
@@ -102,11 +99,13 @@ __all__ = [
 
 #: Versions the cache-key derivation itself: bump to invalidate every
 #: existing cache entry after a change to run semantics.
-#: /2: MigrationScenario gained the ``driver`` field (consolidation-manager
+#: /2: MigrationScenario gained the ``driver`` field (manager-driven
 #: scenarios), which changes the canonical scenario payload.
 #: /3: the dirty-page model draws one binomial per step (no discarded
 #: page-permutation draw), which changes every live run's random stream.
-CACHE_KEY_SCHEMA = "wavm3-run-cache/3"
+#: /4: MigrationScenario lost the ``driver`` field again (no scenario is
+#: manager-driven any more), which changes the canonical scenario payload.
+CACHE_KEY_SCHEMA = "wavm3-run-cache/4"
 
 
 def execute_batch(
@@ -165,9 +164,8 @@ class RunTask:
 
     Every backend executes tasks: the process backend pickles one to a
     worker process, the queue backend serialises it to a JSON spool file
-    (:func:`repro.io.save_task_spec`, ``wavm3-taskspec/2``) claimed by
-    remote ``campaign-worker`` processes, the HTTP backend hands the same
-    JSON out on ``POST /claim``.  The task covers runs ``run_start``
+    (:func:`repro.io.save_task_spec`, ``wavm3-taskspec/3``) claimed by
+    remote ``campaign-worker`` processes.  The task covers runs ``run_start``
     through ``run_start + run_count - 1``; executing it routes them all
     through a single :class:`ScenarioRunner` (:func:`execute_batch`),
     while every run's seed — and therefore its bytes — depends only on
@@ -211,7 +209,7 @@ class RunTask:
 
     @property
     def task_id(self) -> str:
-        """The stable id of the task (spool file stem, HTTP lease id).
+        """The stable id of the task (its spool file stem).
 
         A one-run task is named like its run; a larger one appends its
         run count (``<key16>-NNNNxC``), so a task and its first run never
@@ -581,10 +579,8 @@ class ExecutorBackend(abc.ABC):
     def quarantine(self, task: RunTask) -> bool:
         """Move a task whose retry budget is exhausted into quarantine.
 
-        Distributed backends persist the spec (queue: the
-        ``quarantine/`` spool directory; http: the in-memory quarantine
-        set surfaced by ``GET /status``) so operators can inspect and
-        re-submit it.  The default — for in-process backends, which have
+        The queue backend persists the spec in its ``quarantine/`` spool
+        directory so operators can inspect and re-submit it.  The default — for in-process backends, which have
         no durable task store — records nothing.
 
         Parameters
@@ -605,9 +601,7 @@ class ExecutorBackend(abc.ABC):
     def shutdown(self) -> None:
         """Release backend resources once the campaign is over.
 
-        Process and queue backends may be reused after ``shutdown()``;
-        the ``http`` backend's embedded service is gone for good (build
-        a fresh executor for the next campaign).
+        Process and queue backends may be reused after ``shutdown()``.
         """
 
     def drain_progress(self) -> list:
@@ -616,7 +610,7 @@ class ExecutorBackend(abc.ABC):
         Distributed backends override this to return the
         :class:`~repro.experiments.results.ProgressEvent` records their
         workers published through the task-handoff channel (spool NDJSON
-        sidecars, ``POST /progress``).  The default — for in-process
+        sidecars).  The default — for in-process
         backends, whose workers cannot self-report — is an empty list,
         which makes the executor fall back to its own coordinator-side
         synthesis.
@@ -784,14 +778,11 @@ class CampaignExecutor:
         Worker-process count; ``1`` selects the serial backend under
         ``backend="auto"``.
     backend:
-        ``"process"``, ``"serial"``, ``"queue"``, ``"http"``, ``"auto"``
-        (process iff ``jobs > 1``) — or any :class:`ExecutorBackend`
-        instance.  The ``queue`` backend additionally requires
-        ``cache_dir`` (the shared result store) and ``spool_dir`` (the
-        shared task spool served by ``campaign-worker`` processes); the
-        ``http`` backend requires ``cache_dir`` and ``serve`` (the
-        address its task-handoff service binds, polled by
-        ``campaign-worker --connect`` processes).
+        ``"process"``, ``"serial"``, ``"queue"``, ``"auto"`` (process iff
+        ``jobs > 1``) — or any :class:`ExecutorBackend` instance.  The
+        ``queue`` backend additionally requires ``cache_dir`` (the shared
+        result store) and ``spool_dir`` (the shared task spool served by
+        ``campaign-worker`` processes).
     cache_dir:
         Optional directory for the content-addressed :class:`RunCache`.
     wave_size:
@@ -815,28 +806,21 @@ class CampaignExecutor:
         Extra keyword arguments forwarded to
         :class:`~repro.experiments.queue_backend.QueueBackend`
         (``poll_interval``, ``stale_timeout``, ``stop_workers_on_shutdown``, …).
-    serve:
-        ``HOST:PORT`` the ``http`` backend binds its campaign service to
-        (ignored otherwise); port ``0`` selects an ephemeral port.
-    http_options:
-        Extra keyword arguments forwarded to
-        :class:`~repro.experiments.http_backend.HttpBackend`
-        (``stale_timeout``, ``stop_workers_on_shutdown``, ``stop_grace_s``, …).
     max_retries:
         Attempt budget per task: a failed task is re-dispatched (after
         :class:`~repro.experiments.faults.RetryPolicy` backoff) until it
         has failed ``max_retries`` times in total, then handed to
         ``on_failure``.  The default ``1`` keeps the classic single-
-        attempt semantics.  Values above 1 also bound the distributed
-        backends' stale-lease requeues (``max_requeues``), so a
+        attempt semantics.  Values above 1 also bound the queue
+        backend's stale-lease requeues (``max_requeues``), so a
         deterministically-crashing worker cannot recycle a task forever.
     on_failure:
         What exhausting the budget does: ``"raise"`` (default) aborts
         the campaign with the task's exception; ``"skip"`` abandons the
         task's run indices and completes the campaign degraded;
         ``"quarantine"`` additionally captures the task spec in the
-        backend's quarantine store (queue: ``quarantine/`` spool dir,
-        http: the ``GET /status`` quarantine set).  Either way every
+        backend's quarantine store (the queue's ``quarantine/`` spool
+        dir).  Either way every
         attempt lands in the failure ledger (:attr:`ledger`).
     retry_policy:
         Backoff schedule between attempts (default
@@ -869,8 +853,6 @@ class CampaignExecutor:
         wave_size: Optional[int] = None,
         spool_dir: Optional[Union[str, pathlib.Path]] = None,
         queue_options: Optional[dict] = None,
-        serve: Optional[str] = None,
-        http_options: Optional[dict] = None,
         batch_size: Optional[int] = 1,
         max_retries: int = 1,
         on_failure: str = "raise",
@@ -910,9 +892,7 @@ class CampaignExecutor:
             if cache_dir is not None
             else None
         )
-        self._backend = self._make_backend(
-            backend, spool_dir, queue_options, serve, http_options
-        )
+        self._backend = self._make_backend(backend, spool_dir, queue_options)
         self.backend = self._backend.name
         self._explicit_wave_size = None if wave_size is None else int(wave_size)
         if self._explicit_wave_size is not None and self._explicit_wave_size < 1:
@@ -923,7 +903,7 @@ class CampaignExecutor:
         self._attempts: dict[str, int] = {}
         #: Per-run progress announcements of the most recent campaign:
         #: worker-reported events where the backend has a channel for them
-        #: (queue sidecars, HTTP ``/progress``), coordinator-synthesised
+        #: (queue sidecars), coordinator-synthesised
         #: completion records otherwise.
         self.progress_events: list[ProgressEvent] = []
 
@@ -937,7 +917,7 @@ class CampaignExecutor:
         register.  While capacity is still ``None`` (cold start: no
         worker has heartbeat yet), the size deliberately falls back to
         ``jobs`` — dispatching optimistically is harmless, because spool
-        and HTTP tasks wait for whichever workers eventually join, and
+        tasks wait for whichever workers eventually join, and
         the next top-up re-reads the then-known capacity.
         """
         if self._explicit_wave_size is not None:
@@ -973,14 +953,8 @@ class CampaignExecutor:
         ]
 
     @property
-    def serve_url(self) -> Optional[str]:
-        """The ``http`` backend's bound service URL (workers ``--connect``
-        here; resolves an ephemeral port), or ``None`` for other backends."""
-        return getattr(self._backend, "url", None)
-
-    @property
     def queue_stats(self):
-        """The queue/http backend's traffic stats (a
+        """The queue backend's traffic stats (a
         :class:`~repro.experiments.queue_backend.QueueStats`), or ``None``
         for in-process backends."""
         return getattr(self._backend, "stats", None)
@@ -990,12 +964,10 @@ class CampaignExecutor:
         backend: Union[str, ExecutorBackend],
         spool_dir: Optional[Union[str, pathlib.Path]],
         queue_options: Optional[dict],
-        serve: Optional[str],
-        http_options: Optional[dict],
     ) -> ExecutorBackend:
         if isinstance(backend, ExecutorBackend):
             return backend
-        if backend not in ("auto", "process", "serial", "queue", "http"):
+        if backend not in ("auto", "process", "serial", "queue"):
             raise ExperimentError(f"unknown backend {backend!r}")
         if backend == "auto":
             backend = "process" if self.jobs > 1 else "serial"
@@ -1003,23 +975,6 @@ class CampaignExecutor:
             return SerialBackend(run_timeout=self.run_timeout)
         if backend == "process":
             return ProcessBackend(self.jobs, run_timeout=self.run_timeout)
-        if backend == "http":
-            # http: workers upload into the coordinator's cache over the wire.
-            if self.cache is None:
-                raise ExperimentError("the http backend requires a cache_dir")
-            if serve is None:
-                raise ExperimentError(
-                    "the http backend requires a serve address (HOST:PORT)"
-                )
-            from repro.experiments.http_backend import HttpBackend  # local: avoid cycle
-
-            options = dict(http_options or {})
-            if self.max_retries > 1:
-                # A retry budget also bounds server-side stale-lease
-                # requeues, so a crash-looping worker cannot recycle a
-                # task forever (the default None keeps them unbounded).
-                options.setdefault("max_requeues", self.max_retries)
-            return HttpBackend(serve, self.cache, **options)
         # queue: remote workers share the cache, so both dirs are required.
         if self.cache is None:
             raise ExperimentError("the queue backend requires a cache_dir")

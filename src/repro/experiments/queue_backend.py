@@ -7,7 +7,7 @@ see (local disk for co-located workers, NFS for a cluster):
 
 * the **coordinator** (:class:`QueueBackend`) serialises each
   :class:`~repro.experiments.executor.RunTask` (one or more runs of one
-  scenario) to a ``wavm3-taskspec/2`` JSON spec file in
+  scenario) to a ``wavm3-taskspec/3`` JSON spec file in
   ``<spool>/tasks/`` and then polls the shared content-addressed
   :class:`~repro.experiments.executor.RunCache` for the result — the
   variance-stopping rule keeps running centrally, so results stay
@@ -103,8 +103,7 @@ __all__ = [
 #: Schema tag of the ``failed/`` error records.
 TASK_FAILURE_SCHEMA = "wavm3-taskfailure/1"
 
-#: Schema tag of the campaign-status documents (shared by
-#: :func:`spool_status` and the HTTP service's ``GET /status``).
+#: Schema tag of the campaign-status documents (:func:`spool_status`).
 STATUS_SCHEMA = "wavm3-campaign-status/1"
 
 

@@ -39,13 +39,12 @@ __all__ = [
 class ProgressEvent:
     """One worker's announcement that a campaign run finished.
 
-    The live-progress record of the telemetry control plane's campaign
-    half: emitted after every completed run and carried through whichever
-    channel the backend already uses for task handoff — kept in memory by
-    the in-process backends, appended to per-worker NDJSON sidecars in the
-    spool (queue backend), POSTed to ``/progress`` (HTTP backend) — then
-    surfaced by ``wavm3 campaign-status --follow`` and aggregated into the
-    campaign summary.  It is strictly observational: nothing dispatches
+    The campaign's live-progress record: emitted after every completed
+    run and carried through whichever channel the backend already uses
+    for task handoff — kept in memory by the in-process backends,
+    appended to per-worker NDJSON sidecars in the spool (queue backend)
+    — then surfaced by ``wavm3 campaign-status --follow`` and aggregated
+    into the campaign summary.  It is strictly observational: nothing dispatches
     off it, and runs are deterministic in ``(seed, label, index)``
     whatever lane executes them.
     """

@@ -38,31 +38,10 @@ from repro.simulator.rng import derive_seed
 from repro.telemetry.stabilization import StabilizationRule
 
 __all__ = [
-    "CONSOLIDATION_PERIOD_S",
-    "CONSOLIDATION_PHASE_S",
-    "CONSOLIDATION_UNDERLOAD",
     "RunnerSettings",
     "ScenarioRunner",
     "resolve_run_count",
 ]
-
-#: Monitoring cadence of the consolidation-driver scenarios (the
-#: Section III-B(a) manager "constantly monitors" loop, scaled to the
-#: simulated protocol).
-CONSOLIDATION_PERIOD_S = 5.0
-
-#: First-tick offset after the manager starts.  Deliberately off every
-#: telemetry grid (meters tick on the 0.5 s grid, dstat on 1 s): a
-#: migration issue must never share an exact float timestamp with a
-#: sampler reading, because the two telemetry modes order such a tie
-#: differently (batched: action first; events: scheduling history).
-CONSOLIDATION_PHASE_S = CONSOLIDATION_PERIOD_S + 0.137
-
-#: Hosts below this CPU utilisation fraction are drain candidates.  Sits
-#: between one idling migrating guest (~14 % of the 32-thread m-pair) and
-#: the ≥ 3-load-VM levels (~38 %) the consolidation scenarios place on
-#: the target, so the drain direction is never ambiguous.
-CONSOLIDATION_UNDERLOAD = 0.20
 
 
 def resolve_run_count(
@@ -248,17 +227,14 @@ class ScenarioRunner:
         yield ("stabilise", cfg.max_warmup_s)
 
         # --- migrate -------------------------------------------------------
-        if scenario.driver == "manager":
-            job = yield from self._manager_steps(bed, scenario, recorder)
-        else:
-            job = bed.toolstack.migrate(
-                "migrating",
-                bed.source_name,
-                bed.target_name,
-                bed.path,
-                live=scenario.live,
-                config=self.migration_config,
-            )
+        job = bed.toolstack.migrate(
+            "migrating",
+            bed.source_name,
+            bed.target_name,
+            bed.path,
+            live=scenario.live,
+            config=self.migration_config,
+        )
         recorder.attach_job(job)
         yield ("migration", job)
         if not job.finished:
@@ -362,72 +338,6 @@ class ScenarioRunner:
                 on_run(run)
         return runs
 
-    def _manager_steps(self, bed: Testbed, scenario: MigrationScenario, recorder):
-        """Let a consolidation manager detect and drain the source host.
-
-        Builds a :class:`~repro.consolidation.datacenter.DataCenter` view
-        over the testbed's own components (shared simulator, hypervisors,
-        toolstack and instrumented network path), starts the manager on
-        the shared :class:`~repro.simulator.control.ControlLoop` cadence
-        in the runner's telemetry mode, and advances the simulation on the
-        check grid until the manager's energy-aware policy issues the
-        drain.  The feature recorder is pointed at ``manager.active_job``
-        up front, so bandwidth rows are correct from the issue tick
-        itself — not from the check-grid poll that later notices it.
-        Returns the issued migration job; the measurement protocol then
-        proceeds exactly as in the scripted path.
-        """
-        from repro.cluster.machines import switch_spec  # local: keep import light
-        from repro.consolidation import (
-            ConsolidationManager,
-            DataCenter,
-            EnergyAwarePolicy,
-            Wavm3PlanningEstimator,
-        )
-        from repro.models.coefficients import paper_wavm3_coefficients
-
-        cfg = self.settings
-        dc = DataCenter.adopt(
-            bed.sim,
-            {bed.source_name: bed.source_xen, bed.target_name: bed.target_xen},
-            bed.toolstack,
-            switch_spec(scenario.family),
-            seed=bed.seed,
-            paths={(bed.source_name, bed.target_name): bed.path},
-        )
-        estimator = Wavm3PlanningEstimator(
-            paper_wavm3_coefficients(live=scenario.live),
-            config=self.migration_config,
-        )
-        manager = ConsolidationManager(
-            dc,
-            EnergyAwarePolicy(estimator, live=scenario.live),
-            underload_threshold=CONSOLIDATION_UNDERLOAD,
-            period_s=CONSOLIDATION_PERIOD_S,
-            phase_s=CONSOLIDATION_PHASE_S,
-            live=scenario.live,
-            telemetry=cfg.telemetry,
-            migration_config=self.migration_config,
-        )
-        recorder.attach_job_provider(lambda: manager.active_job)
-        manager.start()
-        deadline = bed.sim.now + cfg.migration_timeout_s
-        try:
-            while manager.migrations_issued == 0:
-                if bed.sim.now >= deadline:
-                    raise ExperimentError(
-                        f"consolidation manager issued no migration within "
-                        f"{cfg.migration_timeout_s}s ({scenario.label})"
-                    )
-                yield cfg.check_interval_s
-        finally:
-            # One measured migration per run: stop monitoring so the
-            # post-migration phases stay manager-free.
-            manager.stop()
-        job = manager.active_job
-        assert job is not None
-        return job
-
     def _run_until_finished(self, bed: Testbed, job) -> None:
         """Advance to the first check-grid instant at which ``job`` has finished.
 
@@ -481,8 +391,8 @@ class ScenarioRunner:
         evaluated identically under both telemetry modes.
 
         With batched telemetry and nothing that could change state before
-        the furthest check the wait can reach (no pending event, no
-        control hook), the loop does not run the simulator per check: the
+        the furthest check the wait can reach (no pending event), the
+        loop does not run the simulator per check: the
         meters read the whole window ahead (:meth:`PowerMeter.read_ahead
         <repro.telemetry.powermeter.PowerMeter.read_ahead>`), the checks
         are replayed on copies of their trackers, and one run advances
@@ -504,7 +414,6 @@ class ScenarioRunner:
         if (
             bed.telemetry == "batched"
             and all(meter.running for meter in meters)
-            and not sim.has_control_hooks
             and (next_event is None or next_event > horizon)
         ):
             ahead = [meter.read_ahead(horizon) for meter in meters]
@@ -589,8 +498,6 @@ class ScenarioRunner:
         cache_dir: Optional[Union[str, pathlib.Path]] = None,
         spool_dir: Optional[Union[str, pathlib.Path]] = None,
         queue_options: Optional[dict] = None,
-        serve: Optional[str] = None,
-        http_options: Optional[dict] = None,
         batch_size: Optional[int] = 1,
     ) -> ExperimentResult:
         """Run a list of scenarios into one :class:`ExperimentResult`.
@@ -603,14 +510,11 @@ class ScenarioRunner:
             Bounds of the variance-stopping loop; default to
             :attr:`settings`.
         parallel:
-            Number of worker processes to fan runs out across, the
+            Number of worker processes to fan runs out across, or the
             string ``"queue"`` to dispatch runs through the file-based
             distributed work queue (requires ``cache_dir`` and
-            ``spool_dir``; see :mod:`repro.experiments.queue_backend`),
-            or the string ``"http"`` to serve runs over the network
-            task-handoff service (requires ``cache_dir`` and ``serve``;
-            see :mod:`repro.experiments.http_backend`).  ``None`` or
-            ``1`` keeps the in-process serial path (unless a
+            ``spool_dir``; see :mod:`repro.experiments.queue_backend`).
+            ``None`` or ``1`` keeps the in-process serial path (unless a
             ``cache_dir`` is given); results are bit-identical in every
             mode because every run's seed depends only on
             ``(master seed, scenario label, run index)``.
@@ -624,13 +528,6 @@ class ScenarioRunner:
         queue_options:
             Extra ``"queue"``-mode knobs forwarded to
             :class:`~repro.experiments.queue_backend.QueueBackend`.
-        serve:
-            ``HOST:PORT`` the ``"http"`` mode binds its campaign service
-            to, polled by ``campaign-worker --connect`` processes
-            (ignored otherwise).
-        http_options:
-            Extra ``"http"``-mode knobs forwarded to
-            :class:`~repro.experiments.http_backend.HttpBackend`.
         batch_size:
             Runs per dispatched task: ``1`` (default) keeps the classic
             one-task-per-run dispatch, larger values batch contiguous
@@ -653,17 +550,14 @@ class ScenarioRunner:
         """
         if not scenarios:
             raise ExperimentError("campaign needs at least one scenario")
-        if isinstance(parallel, str) and parallel not in ("queue", "http"):
-            raise ExperimentError(
-                f"parallel must be an int, 'queue' or 'http', got {parallel!r}"
-            )
-        if parallel in ("queue", "http"):
+        if isinstance(parallel, str) and parallel != "queue":
+            raise ExperimentError(f"parallel must be an int or 'queue', got {parallel!r}")
+        if parallel == "queue":
             from repro.experiments.executor import CampaignExecutor  # local: avoid cycle
 
             executor = CampaignExecutor(
-                self, backend=parallel, cache_dir=cache_dir,
+                self, backend="queue", cache_dir=cache_dir,
                 spool_dir=spool_dir, queue_options=queue_options,
-                serve=serve, http_options=http_options,
                 batch_size=batch_size,
             )
             result = executor.run_campaign(scenarios, min_runs=min_runs, max_runs=max_runs)

@@ -11,7 +11,7 @@ element draws from streams derived from the run's master seed.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.cluster.host import PhysicalHost
 from repro.cluster.machines import machine_pair, switch_spec
@@ -62,7 +62,6 @@ class FeatureRecorder:
         self.vm = vm
         self.trace = SeriesTrace(FEATURE_COLUMNS, label="features")
         self._job: Optional[MigrationJob] = None
-        self._job_provider: Optional[Callable[[], Optional[MigrationJob]]] = None
         self._sampler = PeriodicSampler(
             sim,
             period_s,
@@ -75,27 +74,6 @@ class FeatureRecorder:
         """Point the bandwidth column at an in-flight migration."""
         self._job = job
 
-    def attach_job_provider(
-        self, provider: Callable[[], Optional[MigrationJob]]
-    ) -> None:
-        """Point the bandwidth column at a migration *source*.
-
-        Manager-driven runs do not know the migration job up front — the
-        consolidation manager issues it on its own monitoring tick, in
-        the middle of a simulated wait.  A provider (e.g.
-        ``lambda: manager.active_job``) lets the recorder pick the job up
-        at the very tick it is issued, instead of recording bandwidth 0
-        until the runner's next check-grid poll notices it.
-        """
-        self._job_provider = provider
-
-    def _current_job(self) -> Optional[MigrationJob]:
-        if self._job is not None:
-            return self._job
-        if self._job_provider is not None:
-            return self._job_provider()
-        return None
-
     def start(self) -> None:
         """Begin sampling."""
         self._sampler.start()
@@ -106,7 +84,7 @@ class FeatureRecorder:
 
     def _sample(self, t: float) -> None:
         on_target = 1.0 if self.vm.host is self.target else 0.0
-        job = self._current_job()
+        job = self._job
         bw = job.current_bandwidth_bps if job is not None else 0.0
         self.trace.append(
             t,
@@ -126,7 +104,7 @@ class FeatureRecorder:
         VM's interval kernels.  Bit-identical to per-tick rows.
         """
         on_target = 1.0 if self.vm.host is self.target else 0.0
-        job = self._current_job()
+        job = self._job
         bw = job.current_bandwidth_bps if job is not None else 0.0
         dr = self.vm.dirtying_ratio_percent()
         n = len(times)

@@ -12,7 +12,7 @@ Implements the hypervisor mechanisms the paper's measurements depend on:
   pre-copy + stop-and-copy) and non-live (suspend/resume) migration
   engines, producing the phase timeline of Section III-D;
 * :class:`~repro.hypervisor.toolstack.Toolstack` — an xl/xm-flavoured
-  facade used by the experiment harness and the consolidation manager.
+  facade used by the experiment harness.
 """
 
 from repro.hypervisor.memory import VmMemory, expected_distinct_pages

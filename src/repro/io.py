@@ -47,8 +47,6 @@ __all__ = [
     "load_run_result",
     "dump_run_result_bytes",
     "load_run_result_bytes",
-    "dump_run_batch_bytes",
-    "load_run_batch_bytes",
     "save_task_spec",
     "load_task_spec",
     "task_spec_to_dict",
@@ -71,10 +69,11 @@ ERRORS_SCHEMA = "wavm3-errors/1"
 # /2: traces moved from list-backed to numpy-block storage (their pickle
 # state changed shape); old /1 cache entries are rejected and recomputed.
 RUN_RESULT_SCHEMA = "wavm3-runresult/2"
-RUN_BATCH_SCHEMA = "wavm3-runbatch/1"
 # /2: a task covers a contiguous (run_start, run_count) range instead of
 # one run_index; specs of the older single-run schema are rejected.
-TASK_SPEC_SCHEMA = "wavm3-taskspec/2"
+# /3: the scenario payload lost the ``driver`` field (no scenario is
+# manager-driven any more); /2 specs carrying it are rejected.
+TASK_SPEC_SCHEMA = "wavm3-taskspec/3"
 PROGRESS_SCHEMA = "wavm3-progress/1"
 FAILURE_SCHEMA = "wavm3-failure/1"
 
@@ -226,9 +225,8 @@ def load_run_result_bytes(data: bytes, origin: str = "run result"):
 
     .. warning::
         Unpickling executes code embedded in the payload, so only bytes
-        from a trusted source (this codebase's own cache files, or an
-        HTTP campaign service bound to a trusted network) may be passed
-        here.
+        from a trusted source (this codebase's own cache files) may be
+        passed here.
 
     Parameters
     ----------
@@ -265,78 +263,6 @@ def load_run_result_bytes(data: bytes, origin: str = "run result"):
     if not isinstance(run, RunResult):
         raise PersistenceError(f"{origin}: payload is not a RunResult ({type(run)!r})")
     return run
-
-
-def dump_run_batch_bytes(runs) -> bytes:
-    """Serialise a list of run results as one batch-result envelope.
-
-    The body of the HTTP backend's ``POST /result`` requests: a worker
-    uploads all runs of a task as a single body, whatever their number.
-
-    Parameters
-    ----------
-    runs:
-        The :class:`~repro.experiments.results.RunResult` list to
-        serialise, in run-index order.
-
-    Returns
-    -------
-    bytes
-        The schema-enveloped pickle of the batch.
-    """
-    return pickle.dumps(
-        {"schema": RUN_BATCH_SCHEMA, "runs": list(runs)},
-        protocol=pickle.HIGHEST_PROTOCOL,
-    )
-
-
-def load_run_batch_bytes(data: bytes, origin: str = "run batch") -> list:
-    """Rebuild a run list from :func:`dump_run_batch_bytes` output.
-
-    .. warning::
-        Unpickling executes code embedded in the payload; only bytes
-        from a trusted source may be passed here (see
-        :func:`load_run_result_bytes`).
-
-    Parameters
-    ----------
-    data:
-        The serialised batch.
-    origin:
-        Human-readable provenance used in error messages.
-
-    Returns
-    -------
-    list of RunResult
-        The deserialised runs, in the order they were dumped.
-
-    Raises
-    ------
-    PersistenceError
-        If the bytes are not a valid schema-enveloped batch, or any
-        element is not a :class:`~repro.experiments.results.RunResult`.
-    """
-    from repro.experiments.results import RunResult  # local: avoid import cycle
-
-    try:
-        payload = pickle.loads(data)
-    except Exception as exc:  # noqa: BLE001 - unpickling arbitrary bytes
-        raise PersistenceError(f"{origin}: not a readable run batch: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("schema") != RUN_BATCH_SCHEMA:
-        raise PersistenceError(
-            f"{origin}: unexpected schema "
-            f"{payload.get('schema') if isinstance(payload, dict) else type(payload)!r} "
-            f"(want {RUN_BATCH_SCHEMA!r})"
-        )
-    runs = payload.get("runs")
-    if not isinstance(runs, list) or not runs:
-        raise PersistenceError(f"{origin}: payload carries no runs")
-    for run in runs:
-        if not isinstance(run, RunResult):
-            raise PersistenceError(
-                f"{origin}: batch element is not a RunResult ({type(run)!r})"
-            )
-    return runs
 
 
 def save_run_result(run, path: _PathLike) -> None:
@@ -402,9 +328,8 @@ def task_spec_to_dict(task) -> dict:
     Every constituent is a flat dataclass of scalars, so the canonical
     JSON of a task is also exactly the cache-key payload the executor
     hashes — a worker can therefore verify the embedded ``key`` before
-    trusting a spec.  This dict is the wire format of both distributed
-    backends: the queue backend writes it to spool files, the HTTP
-    backend returns it from ``POST /claim``.
+    trusting a spec.  This dict is the queue backend's wire format: it is
+    what the spool files hold.
 
     Parameters
     ----------
@@ -550,9 +475,8 @@ _PROGRESS_STR_FIELDS = ("task_id", "scenario", "worker")
 def progress_event_to_dict(event) -> dict:
     """Serialise a :class:`~repro.experiments.results.ProgressEvent`.
 
-    This dict is the progress wire format of both distributed backends:
-    one NDJSON line in a queue worker's spool sidecar, and the body of
-    the HTTP backend's ``POST /progress`` requests.
+    This dict is the progress wire format of the queue backend: one
+    NDJSON line in a worker's spool sidecar.
 
     Parameters
     ----------
@@ -694,7 +618,7 @@ def run_failure_to_dict(failure) -> dict:
     This dict is the ``wavm3-failure/1`` wire format: one NDJSON line in
     the campaign's failure ledger (``failures.ndjson`` next to the run
     cache), and the shape of the ``failures`` entries in
-    ``spool_status()`` and the HTTP backend's ``GET /status``.
+    ``spool_status()``.
 
     Parameters
     ----------

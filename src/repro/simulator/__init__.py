@@ -6,14 +6,11 @@ A deliberately small, dependency-free event-driven core:
 * :class:`~repro.simulator.events.Event` — cancellable scheduled callbacks;
 * :class:`~repro.simulator.rng.RandomStreams` — named, seed-derived
   deterministic random streams (one per simulated component);
-* :class:`~repro.simulator.control.ControlLoop` — the shared periodic
-  evaluate-and-maybe-act cadence (telemetry control plane);
 * :class:`~repro.simulator.sampling.PeriodicSampler` — fixed-rate sampling
-  processes used by the simulated measurement devices (the pure-observer
-  specialisation of :class:`~repro.simulator.control.ControlLoop`).
+  processes used by the simulated measurement devices (the engine's only
+  kind of interval hook: an observer).
 """
 
-from repro.simulator.control import ControlLoop
 from repro.simulator.engine import Simulator
 from repro.simulator.events import Event, EventState
 from repro.simulator.rng import RandomStreams, derive_seed
@@ -25,6 +22,5 @@ __all__ = [
     "EventState",
     "RandomStreams",
     "derive_seed",
-    "ControlLoop",
     "PeriodicSampler",
 ]

@@ -42,21 +42,16 @@ class Simulator:
         self._heap: list[Event] = []
         self._running = False
         # Set by stop() while run() is executing; run() checks it after
-        # every event (and control action) and clears it on exit.
+        # every event and clears it on exit.
         self._stop_requested = False
         self._processed = 0
         # Live pending-event count: incremented on schedule, decremented on
         # fire and on cancel (via the event's owner back-reference), so the
         # property below is O(1) instead of an O(heap) scan.
         self._pending = 0
-        # Interval hooks (e.g. batched telemetry samplers): advanced over
-        # every event-free time interval before the clock crosses it.
-        # Control hooks (those with a callable bound_advance) are
-        # classified once at registration — _advance_hooks runs per
-        # event-free interval, so per-interval getattr probing is pure
-        # overhead for the common observer-only population.
+        # Interval hooks (batched telemetry samplers): advanced over every
+        # event-free time interval before the clock crosses it.
         self._interval_hooks: list[Any] = []
-        self._control_hooks: list[Any] = []
 
     # ------------------------------------------------------------------
     # Introspection
@@ -80,16 +75,6 @@ class Simulator:
         """Time of the next pending event, or ``None`` if the heap is empty."""
         self._drop_cancelled_head()
         return self._heap[0].time if self._heap else None
-
-    @property
-    def has_control_hooks(self) -> bool:
-        """Whether a control hook may act between events (see :meth:`add_interval_hook`).
-
-        Without control hooks and without pending events, nothing can
-        change simulation state before the clock next moves past an
-        event: observers may read ahead.
-        """
-        return bool(self._control_hooks)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -137,7 +122,7 @@ class Simulator:
     # Interval hooks (the batched-telemetry fast path)
     # ------------------------------------------------------------------
     def add_interval_hook(self, hook: Any) -> None:
-        """Register an interval hook.
+        """Register an interval hook (an observer).
 
         A hook is any object with an ``advance_to(t1: float)`` method.  The
         engine calls it every time the clock is about to move from ``now``
@@ -145,36 +130,19 @@ class Simulator:
         ``until`` bound), letting the hook process the whole event-free
         interval ``(now, t1]`` in one step.  State is piecewise constant
         between events, so a hook observing it anywhere in the interval
-        sees exactly what per-tick event callbacks would have seen.
-
-        Hooks come in two flavours:
-
-        * **observer hooks** (e.g. batched telemetry samplers) implement
-          only ``advance_to``.  They must not schedule or cancel events.
-        * **control hooks** (:class:`~repro.simulator.control.ControlLoop`
-          in batched mode) additionally implement
-          ``bound_advance(t1) -> float`` and ``fire_control() -> bool``.
-          Before any hook advances, the engine asks every control hook how
-          far the event-free interval may safely reach; the minimum bound
-          becomes the *cut*.  All hooks then advance to the cut, the clock
-          moves there, and the due control actions fire — where scheduling
-          events is allowed, because the engine re-reads the heap before
-          touching the next event.
+        sees exactly what per-tick event callbacks would have seen.  A
+        hook must not schedule or cancel events.
 
         Hooks run in registration order, *before* the event at the
-        interval's far end fires — an observation at exactly that instant
-        sees pre-event state, and a control action due exactly there runs
-        first too.  (In the per-event reference path such exact-time
-        collisions are ordered by scheduling history instead; the
-        simulation's event times carry per-run jitter — and shipped
-        control loops carry an off-grid phase — precisely so exact grid
-        collisions do not occur, and the cross-path golden tests would
-        surface one.)
+        interval's far end fires, so an observation at exactly that
+        instant sees pre-event state.  (In the per-event reference path
+        such exact-time collisions are ordered by scheduling history
+        instead; the simulation's event times carry per-run jitter
+        precisely so exact grid collisions do not occur, and the
+        cross-path golden tests would surface one.)
         """
         if hook not in self._interval_hooks:
             self._interval_hooks.append(hook)
-            if callable(getattr(hook, "bound_advance", None)):
-                self._control_hooks.append(hook)
 
     def remove_interval_hook(self, hook: Any) -> None:
         """Deregister an interval hook; missing hooks are ignored."""
@@ -182,54 +150,11 @@ class Simulator:
             self._interval_hooks.remove(hook)
         except ValueError:
             pass
-        try:
-            self._control_hooks.remove(hook)
-        except ValueError:
-            pass
 
-    def _advance_hooks(self, t1: float) -> tuple[float, bool]:
-        """Advance hooks across the event-free interval ``(now, t1]``.
-
-        Phase 1 asks control hooks to bound the interval (the earliest
-        tick at which one must act); phase 2 advances every hook to the
-        agreed cut; phase 3 moves the clock to the cut and fires the due
-        control actions (which may schedule events).
-
-        Returns
-        -------
-        tuple[float, bool]
-            ``(reached, acted)``.  ``reached < t1`` means the interval was
-            cut short; ``acted`` means at least one control action fired
-            (possible even at ``reached == t1``, when an acting tick lands
-            exactly on the interval's far end).  In either case the caller
-            must re-read the heap before touching the next event — the
-            action may have scheduled or cancelled events.
-        """
-        hooks = list(self._interval_hooks)
-        controls = list(self._control_hooks) if self._control_hooks else ()
-        cut = float(t1)
-        for hook in controls:
-            b = hook.bound_advance(cut)
-            if b < cut:
-                if b <= self._now:  # pragma: no cover - defensive
-                    raise SimulationError(
-                        f"control hook bounded the interval at t={b!r}, "
-                        f"not ahead of now={self._now!r}"
-                    )
-                cut = b
-        for hook in hooks:
-            hook.advance_to(cut)
-        self._now = cut
-        fired = False
-        for hook in controls:
-            if hook.fire_control():
-                fired = True
-        if cut < t1 and not fired:  # pragma: no cover - defensive
-            raise SimulationError(
-                f"a control hook bounded the interval at t={cut!r} but no "
-                "control action fired (livelock)"
-            )
-        return cut, fired
+    def _advance_hooks(self, t1: float) -> None:
+        """Advance every hook across the event-free interval ``(now, t1]``."""
+        for hook in list(self._interval_hooks):
+            hook.advance_to(t1)
 
     # ------------------------------------------------------------------
     # Execution
@@ -237,35 +162,26 @@ class Simulator:
     def step(self) -> bool:
         """Fire the next pending event.
 
-        Control hooks may fire actions (and reschedule the head) while the
-        clock crosses the gap to the next event; those actions run inside
-        this call, before the event that ends up firing.
-
         Returns
         -------
         bool
             ``True`` if an event fired, ``False`` if the heap was empty.
         """
-        while True:
-            self._drop_cancelled_head()
-            if not self._heap:
-                return False
-            if self._interval_hooks and self._heap[0].time > self._now:
-                # Let batched samplers observe the event-free interval
-                # before the event at its far end mutates state; any
-                # control action restarts the scan (it may have scheduled
-                # an earlier event, or cancelled the head itself).
-                reached, acted = self._advance_hooks(self._heap[0].time)
-                if acted or reached < self._heap[0].time:
-                    continue
-            event = heapq.heappop(self._heap)
-            if event.time < self._now:  # pragma: no cover - defensive
-                raise SimulationError("heap invariant violated: event in the past")
-            self._now = event.time
-            self._processed += 1
-            self._pending -= 1
-            event.fire()
-            return True
+        self._drop_cancelled_head()
+        if not self._heap:
+            return False
+        if self._interval_hooks and self._heap[0].time > self._now:
+            # Let batched samplers observe the event-free interval before
+            # the event at its far end mutates state.
+            self._advance_hooks(self._heap[0].time)
+        event = heapq.heappop(self._heap)
+        if event.time < self._now:  # pragma: no cover - defensive
+            raise SimulationError("heap invariant violated: event in the past")
+        self._now = event.time
+        self._processed += 1
+        self._pending -= 1
+        event.fire()
+        return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run events until the heap drains, ``until`` passes, or the budget ends.
@@ -299,12 +215,7 @@ class Simulator:
                             f"event budget exhausted after {fired} events at t={self._now:.3f}"
                         )
                     if self._interval_hooks and self._heap[0].time > self._now:
-                        reached, acted = self._advance_hooks(self._heap[0].time)
-                        if acted or reached < self._heap[0].time:
-                            # A control action fired and may have
-                            # (re)scheduled or cancelled the head: re-read
-                            # the heap before touching it.
-                            continue
+                        self._advance_hooks(self._heap[0].time)
                     event = heapq.heappop(self._heap)
                     if event.time < self._now:  # pragma: no cover - defensive
                         raise SimulationError("heap invariant violated: event in the past")
@@ -316,14 +227,8 @@ class Simulator:
                     continue
                 if until is not None and until > self._now:
                     if self._interval_hooks:
-                        reached, _ = self._advance_hooks(float(until))
-                        if reached < until:
-                            # A control action fired before the run bound;
-                            # its new events (if any) belong to this run.
-                            continue
+                        self._advance_hooks(float(until))
                     self._now = float(until)
-                    continue  # a control action at `until` may have scheduled
-                    #           events at exactly `until`: drain them too
                 break
         finally:
             self._running = False
@@ -332,12 +237,12 @@ class Simulator:
     def stop(self) -> None:
         """End the executing :meth:`run` right after the current event.
 
-        Meant for event callbacks (or control actions): the run returns
-        once the callback that asked for the stop has finished, with the
-        clock at that event's time and every later event still pending —
-        including events due at the same instant.  Outside :meth:`run`
-        this does nothing, so a request never carries over into the next
-        run, and :meth:`step` ignores it.
+        Meant for event callbacks: the run returns once the callback that
+        asked for the stop has finished, with the clock at that event's
+        time and every later event still pending — including events due
+        at the same instant.  Outside :meth:`run` this does nothing, so a
+        request never carries over into the next run, and :meth:`step`
+        ignores it.
         """
         if self._running:
             self._stop_requested = True

@@ -330,9 +330,9 @@ class VmKernel:
 # Retired names
 # ----------------------------------------------------------------------
 # The paper-campaign benchmark's span table (perfbench/spans.py) still
-# lists these two entry points and requires every listed name to
-# resolve.  They are per-run loops over the kernels above; nothing in the
-# program calls them.
+# lists these two entry points, and its tracer test and the CI
+# perf-smoke step expect every listed name to resolve.  They are per-run
+# loops over the kernels above; nothing in the program calls them.
 def power_block_bank(kernels: list[HostKernel], times_bank: list) -> list:
     """:meth:`HostKernel.power_block` per row of ``times_bank``."""
     return [k.power_block(list(t)) for k, t in zip(kernels, times_bank)]

@@ -131,7 +131,9 @@ def hash_normal_unit_fill_bank(
     """:func:`hash_normal_unit_fill` per ``(seed, key, lo, hi)`` request.
 
     A retired name, kept only because the paper-campaign benchmark's span
-    table (``perfbench/spans.py``) still lists it; nothing here calls it.
+    table (``perfbench/spans.py``) still lists it and the benchmark's
+    tracer test expects every listed name to resolve; nothing here calls
+    it.
     """
     return [hash_normal_unit_fill(*request) for request in requests]
 

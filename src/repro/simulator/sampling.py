@@ -2,9 +2,7 @@
 
 The paper's instruments are periodic samplers: the Voltech PM1000+ reads
 wall power at 2 Hz, and ``dstat`` reads CPU/memory/network once per second.
-:class:`PeriodicSampler` implements that pattern as the pure-*observer*
-specialisation of the shared :class:`~repro.simulator.control.ControlLoop`
-cadence, in one of two modes:
+:class:`PeriodicSampler` implements that pattern in one of two modes:
 
 * **event mode** (default) — the sampler re-schedules a heap event every
   ``period`` seconds and invokes a user callback with the current
@@ -19,23 +17,22 @@ cadence, in one of two modes:
   timestamp, bit for bit) is the same ``anchor + phase + k * period``
   float arithmetic in both modes.
 
-Unlike a full control loop, a sampler never *acts* on what it reads, so
-it never bounds an event-free interval: the engine's two-phase control
-protocol (``bound_advance`` / ``fire_control``) is explicitly disabled on
-this class.
+A sampler only observes: it never schedules or cancels events from a
+batched block.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.simulator.control import ControlLoop
+from repro.errors import ConfigurationError
 from repro.simulator.engine import Simulator
+from repro.simulator.events import Event
 
 __all__ = ["PeriodicSampler"]
 
 
-class PeriodicSampler(ControlLoop):
+class PeriodicSampler:
     """Invokes ``callback(t)`` every ``period`` simulated seconds.
 
     Parameters
@@ -65,12 +62,6 @@ class PeriodicSampler(ControlLoop):
     timestamps are bit-identical across modes.
     """
 
-    #: Observer hooks never bound an event-free interval or take control
-    #: actions; shadowing the ControlLoop protocol methods with ``None``
-    #: tells the engine to skip both phases for this hook.
-    bound_advance = None  # type: ignore[assignment]
-    fire_control = None  # type: ignore[assignment]
-
     def __init__(
         self,
         sim: Simulator,
@@ -80,14 +71,83 @@ class PeriodicSampler(ControlLoop):
         batched: bool = False,
         batch_callback: Optional[Callable[[list[float]], Any]] = None,
     ) -> None:
-        super().__init__(sim, period, phase=phase, batched=batched, label="sampler")
+        if period <= 0:
+            raise ConfigurationError(f"sampling period must be positive, got {period!r}")
+        if phase is not None and phase < 0:
+            raise ConfigurationError(f"sampling phase must be non-negative, got {phase!r}")
+        self._sim = sim
+        self._period = float(period)
+        self._phase = self._period if phase is None else float(phase)
         self._callback = callback
         self._batch_callback = batch_callback
+        self._batched = bool(batched)
+        self._anchor: Optional[float] = None
+        self._tick_index = 0
+        self._event: Optional[Event] = None
+        self._active = False  # batched-mode registration flag
 
     # ------------------------------------------------------------------
-    def _fire_tick(self, t: float) -> None:
-        """Event-mode tick: deliver the observation timestamp."""
-        self._callback(t)
+    # Introspection
+    # ------------------------------------------------------------------
+    @property
+    def running(self) -> bool:
+        """Whether the sampler currently has a tick scheduled."""
+        if self._batched:
+            return self._active
+        return self._event is not None and self._event.pending
+
+    @property
+    def period(self) -> float:
+        """Tick interval in seconds."""
+        return self._period
+
+    @property
+    def samples_taken(self) -> int:
+        """Number of ticks delivered since the last :meth:`start`."""
+        return self._tick_index
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def start(self) -> None:
+        """Begin sampling; the first tick fires after ``phase`` seconds."""
+        if self.running:
+            return
+        self._anchor = self._sim.now
+        self._tick_index = 0
+        if self._batched:
+            self._active = True
+            self._sim.add_interval_hook(self)
+        else:
+            self._schedule_next()
+
+    def stop(self) -> None:
+        """Stop sampling; a pending tick is dropped."""
+        if self._batched:
+            if self._active:
+                self._active = False
+                self._sim.remove_interval_hook(self)
+            return
+        if self._event is not None:
+            self._event.cancel()
+            self._event = None
+
+    # ------------------------------------------------------------------
+    # Event mode
+    # ------------------------------------------------------------------
+    def _schedule_next(self) -> None:
+        next_time = (self._anchor + self._phase) + self._tick_index * self._period
+        # Guard against a zero phase scheduling "now" repeatedly.
+        if next_time < self._sim.now:
+            next_time = self._sim.now
+        self._event = self._sim.schedule_at(
+            next_time, self._on_event_tick, label=f"sampler@{self._period}s"
+        )
+
+    def _on_event_tick(self) -> None:
+        self._tick_index += 1
+        self._callback(self._sim.now)
+        self._schedule_next()
 
     # ------------------------------------------------------------------
     # Batched mode (simulator interval hook)

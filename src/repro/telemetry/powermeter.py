@@ -196,8 +196,8 @@ class PowerMeter:
         """The readings this meter will take over ``(now, until]``.
 
         Valid only if nothing changes simulation state before ``until``
-        (no pending event, no control hook), and only for a batched,
-        running meter.  Computing them leaves no trace a later read could
+        (no pending event), and only for a batched, running meter.
+        Computing them leaves no trace a later read could
         see: the generator is rewound and the host's read effects are
         deferred (:meth:`HostKernel.power_ahead
         <repro.simulator.kernels.HostKernel.power_ahead>`).  The block is

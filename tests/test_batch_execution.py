@@ -1,5 +1,5 @@
 """Seed-batched run execution: RunTask over a run range, the
-wavm3-taskspec/2 wire format, worker-side execute_batch, and golden
+wavm3-taskspec/3 wire format, worker-side execute_batch, and golden
 byte-identity between batched and per-run dispatch on every backend.
 """
 
@@ -18,13 +18,10 @@ from repro.experiments.executor import (
     _contiguous_spans,
     execute_batch,
 )
-from repro.experiments.http_backend import run_http_worker
 from repro.experiments.queue_backend import QueueBackend, run_worker
 from repro.experiments.runner import RunnerSettings, ScenarioRunner
 from repro.io import (
     PersistenceError,
-    dump_run_batch_bytes,
-    load_run_batch_bytes,
     save_samples_json,
     task_spec_from_dict,
     task_spec_to_dict,
@@ -125,10 +122,10 @@ class TestTaskSpecWireFormat:
     @pytest.mark.parametrize(
         "run_start,run_count", [(2, 1), (1, 4)], ids=["one-run", "four-runs"]
     )
-    def test_spec_round_trips_as_taskspec_2(self, run_start, run_count):
+    def test_spec_round_trips_as_taskspec_3(self, run_start, run_count):
         task = _batch_task(run_start=run_start, run_count=run_count)
         spec = task_spec_to_dict(task)
-        assert spec["schema"] == "wavm3-taskspec/2"
+        assert spec["schema"] == "wavm3-taskspec/3"
         assert spec["run_start"] == run_start and spec["run_count"] == run_count
         assert "run_index" not in spec
         rebuilt = task_spec_from_dict(spec)
@@ -147,7 +144,16 @@ class TestTaskSpecWireFormat:
         spec = task_spec_to_dict(_batch_task(run_start=2, run_count=1))
         del spec["run_start"], spec["run_count"]
         spec.update(schema="wavm3-taskspec/1", run_index=2)
-        with pytest.raises(PersistenceError, match="want 'wavm3-taskspec/2'"):
+        with pytest.raises(PersistenceError, match="want 'wavm3-taskspec/3'"):
+            task_spec_from_dict(spec)
+
+    def test_retired_driver_spec_rejected(self):
+        """A /2 spec, whose scenario still carries the retired ``driver``
+        field, is refused, naming the schema a worker wants."""
+        spec = task_spec_to_dict(_batch_task())
+        spec["schema"] = "wavm3-taskspec/2"
+        spec["scenario"]["driver"] = "scripted"
+        with pytest.raises(PersistenceError, match="want 'wavm3-taskspec/3'"):
             task_spec_from_dict(spec)
 
     def test_invalid_range_in_spec_rejected(self):
@@ -170,26 +176,6 @@ class TestTaskSpecWireFormat:
         task = _batch_task(run_start=1, run_count=2, with_key=False)
         assert task.run_id(1) == "batch/nl/0vm#1"
         assert task.task_id == "batch/nl/0vm#1x2"
-
-    def test_run_batch_envelope_round_trips(self):
-        runs = _batch_task(run_count=2).execute()
-        payload = dump_run_batch_bytes(runs)
-        loaded = load_run_batch_bytes(payload)
-        assert [r.run_index for r in loaded] == [0, 1]
-        for original, rebuilt in zip(runs, loaded):
-            _assert_runs_identical(original, rebuilt)
-
-    def test_run_batch_envelope_rejects_garbage(self):
-        with pytest.raises(PersistenceError, match="not a readable run batch"):
-            load_run_batch_bytes(b"not a pickle")
-        import pickle
-
-        empty = pickle.dumps({"schema": "wavm3-runbatch/1", "runs": []})
-        with pytest.raises(PersistenceError, match="no runs"):
-            load_run_batch_bytes(empty)
-        wrong = pickle.dumps({"schema": "wavm3-runbatch/1", "runs": ["x"]})
-        with pytest.raises(PersistenceError, match="not a RunResult"):
-            load_run_batch_bytes(wrong)
 
 
 class TestGoldenByteIdentity:
@@ -259,35 +245,6 @@ class TestGoldenByteIdentity:
         # Progress stays per-run regardless of batching.
         assert len(exN.progress_events) == self.RUNS
         assert sorted(e.run_index for e in exN.progress_events) == list(range(self.RUNS))
-
-    def test_http_backend(self, tmp_path):
-        def campaign(batch_size, tag):
-            executor = CampaignExecutor(
-                ScenarioRunner(seed=SEED), backend="http",
-                cache_dir=tmp_path / f"hcache-{tag}", serve="127.0.0.1:0",
-                batch_size=batch_size,
-                http_options={"stop_workers_on_shutdown": True, "stop_grace_s": 2.0},
-            )
-            worker = threading.Thread(
-                target=run_http_worker, args=(executor.serve_url,),
-                kwargs={"poll_interval": 0.01, "worker_id": f"hw-{tag}"},
-                daemon=True,
-            )
-            worker.start()
-            result = executor.run_campaign(
-                [_SCENARIO], min_runs=self.RUNS, max_runs=self.RUNS
-            )
-            worker.join(timeout=30)
-            return executor, result
-
-        ex1, r1 = campaign(1, "h1")
-        exN, rN = campaign(self.RUNS, "hN")
-        assert self._samples_bytes(r1, tmp_path / "h1.json") == self._samples_bytes(
-            rN, tmp_path / "hN.json"
-        )
-        assert exN.queue_stats.tasks_submitted == 1
-        assert len(exN.progress_events) == self.RUNS
-        assert all(e.worker == "hw-hN" for e in exN.progress_events)
 
     def test_batched_warm_rerun_performs_zero_runs(self, tmp_path):
         self._local(tmp_path, 1, None, "warm")
@@ -397,20 +354,6 @@ class TestQueueWorkerBatch:
         serial = ScenarioRunner(seed=SEED).run_campaign([_SCENARIO], min_runs=2, max_runs=2)
         for a, b in zip(serial.scenario_results[0].runs, result.scenario_results[0].runs):
             _assert_runs_identical(a, b)
-
-
-class TestBenchBatch:
-    def test_bench_batch_shape(self):
-        from repro.bench import bench_batch
-
-        out = bench_batch(runs=2, repeats=1)
-        assert set(out) == {
-            "serial", "per_run", "batched", "overhead_x", "speedup", "runs", "scenario",
-        }
-        assert out["runs"] == 2
-        for arm in ("serial", "per_run", "batched"):
-            assert out[arm]["wall_s"] > 0
-        assert out["overhead_x"] > 0 and out["speedup"] > 0
 
 
 class TestCliBatchSize:

@@ -48,12 +48,7 @@ class TestBenchmarks:
             assert campaign[mode]["runs_per_s"] > 0
             assert campaign[mode]["samples_per_s"] > 0
         assert campaign["speedup"] > 1.0  # the fast path must actually be fast
-        consolidation = results["consolidation"]
-        for mode in ("batched", "events"):
-            assert consolidation[mode]["wall_s"] > 0
-            assert consolidation[mode]["runs_per_s"] > 0
-        assert consolidation["speedup"] > 1.0  # batched control plane pays off
-        assert consolidation["scenario"].startswith("bench/consolidation")
+        assert set(results) == {"campaign", "simulator", "telemetry"}
         assert results["simulator"]["events_per_s"] > 0
         assert results["telemetry"]["speedup"] > 1.0
 
@@ -139,8 +134,7 @@ class TestRegressionGate:
             (pathlib.Path(__file__).resolve().parents[1] / "benchmarks" /
              "bench_baseline.json").read_text(encoding="utf-8")
         )
-        assert baseline["guarded"]["campaign.speedup"] >= 5.0
-        assert baseline["guarded"]["consolidation.speedup"] >= 4.0
+        assert baseline["guarded"] == {"campaign.speedup": 5.0, "telemetry.speedup": 5.0}
 
 
 class TestBenchCli:

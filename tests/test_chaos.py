@@ -1,8 +1,8 @@
 """The deterministic chaos harness and the chaos soak suite.
 
 Unit tests pin the spec grammar, the seeded trip decisions and the
-byte-corruption seam; the soak tests run real 2-worker campaigns on both
-distributed backends with faults injected at several seams and assert
+byte-corruption seam; the soak test runs a real 2-worker queue campaign
+with faults injected at several seams and asserts
 the standing guarantee: campaign samples stay **byte-identical** to a
 fault-free run.
 """
@@ -27,7 +27,6 @@ from repro.experiments.chaos import (
 )
 from repro.experiments.design import MigrationScenario
 from repro.experiments.executor import CampaignExecutor
-from repro.experiments.http_backend import run_http_worker
 from repro.experiments.queue_backend import run_worker
 from repro.experiments.runner import ScenarioRunner
 from repro.io import save_samples_json
@@ -55,18 +54,18 @@ def _samples_bytes(result, path: pathlib.Path) -> bytes:
 class TestSpecGrammar:
     def test_parse_full_clause(self):
         schedule = ChaosSchedule.from_spec(
-            "seed=7; execute:crash:rate=0.5:max=2; result-upload:corrupt:max=1;"
+            "seed=7; execute:crash:rate=0.5:max=2; cache-put:corrupt:max=1;"
             " claim:delay:delay=0.01:tag=w0"
         )
         assert schedule.seed == 7
         assert schedule.rules == (
             ChaosRule("execute", "crash", rate=0.5, max_trips=2),
-            ChaosRule("result-upload", "corrupt", max_trips=1),
+            ChaosRule("cache-put", "corrupt", max_trips=1),
             ChaosRule("claim", "delay", delay_s=0.01, tag="w0"),
         )
 
     def test_describe_round_trips(self):
-        spec = "seed=7;execute:crash:rate=0.5:max=2;result-upload:corrupt:max=1"
+        spec = "seed=7;execute:crash:rate=0.5:max=2;cache-put:corrupt:max=1"
         schedule = ChaosSchedule.from_spec(spec)
         again = ChaosSchedule.from_spec(schedule.describe())
         assert again.seed == schedule.seed
@@ -170,11 +169,11 @@ class TestByteSeam:
         assert _corrupt_bytes(bad) == data
 
     def test_mangle_corrupts_then_runs_dry(self):
-        schedule = ChaosSchedule.from_spec("seed=1;result-upload:corrupt:max=1")
+        schedule = ChaosSchedule.from_spec("seed=1;cache-put:corrupt:max=1")
         payload = b"x" * 100
-        first = schedule.mangle("result-upload", payload)
+        first = schedule.mangle("cache-put", payload)
         assert first != payload
-        assert schedule.mangle("result-upload", payload) == payload  # max spent
+        assert schedule.mangle("cache-put", payload) == payload  # max spent
 
     def test_mangle_crash_rule_raises(self):
         schedule = ChaosSchedule.from_spec("seed=1;cache-put:crash:max=1")
@@ -266,47 +265,4 @@ class TestChaosSoak:
 
         assert schedule.trips() >= 3  # faults genuinely fired
         assert not executor.stats.degraded  # retries absorbed every fault
-        assert _samples_bytes(result, tmp_path / "chaos.json") == reference
-
-    def test_http_soak_byte_identical(self, tmp_path):
-        reference = self._reference_bytes(tmp_path)
-
-        # Crash faults at four seams plus one corrupted result upload,
-        # which the coordinator must reject and the retry must replace.
-        schedule = ChaosSchedule.from_spec(
-            "seed=9;"
-            "claim:crash:rate=0.5:max=2;"
-            "execute:crash:max=2;"
-            "heartbeat:crash:max=1;"
-            "publish:crash:max=2;"
-            "result-upload:corrupt:max=1"
-        )
-        activate(schedule)
-        executor = CampaignExecutor(
-            ScenarioRunner(seed=SEED), backend="http",
-            cache_dir=tmp_path / "cache", serve="127.0.0.1:0",
-            http_options={"stop_workers_on_shutdown": True, "stop_grace_s": 5.0},
-            max_retries=5,
-        )
-        workers = [
-            threading.Thread(
-                target=run_http_worker,
-                args=(executor.serve_url,),
-                kwargs=dict(poll_interval=0.02, heartbeat_s=0.1,
-                            offline_grace_s=10.0, idle_exit_s=60.0,
-                            worker_id=f"w{i}"),
-                daemon=True,
-            )
-            for i in range(2)
-        ]
-        for thread in workers:
-            thread.start()
-        try:
-            result = executor.run_campaign(_SCENARIOS, min_runs=2, max_runs=2)
-        finally:
-            for thread in workers:
-                thread.join(timeout=30)
-
-        assert schedule.trips() >= 3
-        assert not executor.stats.degraded
         assert _samples_bytes(result, tmp_path / "chaos.json") == reference

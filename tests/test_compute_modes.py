@@ -177,7 +177,9 @@ class TestGoldenCrossMode:
 
     def test_compute_mode_does_not_split_the_cache_key(self):
         """Retiring the ``compute`` setting kept every cache key: this
-        task's key is the literal computed while the field still existed
+        task's key, with the two later deliberate payload changes undone
+        (the ``wavm3-run-cache/4`` tag and the dropped scenario ``driver``
+        field), is the literal computed while the field still existed
         (and was popped from the key payload)."""
         task = RunTask(
             seed=7, settings=RunnerSettings(), migration_config=None,
@@ -185,7 +187,11 @@ class TestGoldenCrossMode:
             run_start=3, run_count=4,
         )
         assert task.scenario.label == "cpuload-source/nonlive/8vm/m"
-        assert RunCache._payload_digest(task.key_payload()) == (
+        payload = task.key_payload()
+        assert payload["schema"] == "wavm3-run-cache/4"
+        payload["schema"] = "wavm3-run-cache/3"
+        payload["scenario"]["driver"] = "scripted"
+        assert RunCache._payload_digest(payload) == (
             "a72d2533b9340553a8a3ac2601b4eb9f4820d141aa4ddfbdcbca0ad9967ed132"
         )
 

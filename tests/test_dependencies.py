@@ -76,3 +76,26 @@ def _in_stdlib(file: str) -> bool:
     installed.add(Path(site.getusersitepackages()).resolve())
     parents = set(Path(file).resolve().parents)
     return stdlib in parents and not installed & parents
+
+
+def test_runner_import_loads_no_executor_or_backend():
+    """Running scenarios needs no executor, queue backend or thread pool:
+    ``repro.experiments`` re-exports only the serial-execution names."""
+    probe = (
+        "import json, sys; import repro.experiments.runner; "
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    loaded = set(json.loads(subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout))
+    unwanted = {
+        "repro.experiments.executor",
+        "repro.experiments.queue_backend",
+        "http.server",
+        "concurrent.futures",
+    }
+    assert loaded & unwanted == set()

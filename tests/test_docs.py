@@ -6,11 +6,15 @@ the code fails the suite, not just the CI docs job.
 """
 
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-_TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "check_docs.py"
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+_TOOL = _ROOT / "tools" / "check_docs.py"
 _spec = importlib.util.spec_from_file_location("check_docs", _TOOL)
 check_docs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(check_docs)
@@ -75,3 +79,16 @@ def test_cli_checker_catches_stale_commands(tmp_path):
     assert len(problems) == 2
     assert "doc.md:4:" in problems[0] and "--seed" in problems[0]
     assert "doc.md:5:" in problems[1] and "fortran" in problems[1]
+
+
+@pytest.mark.parametrize(
+    "path", sorted((_ROOT / "examples").glob("*.py")), ids=lambda p: p.name
+)
+def test_example_runs(path, tmp_path):
+    """Every example script runs to completion (exit 0) from a clean process."""
+    env = dict(os.environ, PYTHONPATH=str(_ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, str(path)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]

@@ -1,8 +1,8 @@
-"""The telemetry control plane, campaign half: live progress + janitor.
+"""Campaign observability: live progress + janitor.
 
 Covers the :class:`~repro.experiments.results.ProgressEvent` pipeline —
-wire format round-trips, NDJSON sidecar tolerance, emission through all
-three backends (in-memory, spool sidecars, HTTP ``/progress``), the
+wire format round-trips, NDJSON sidecar tolerance, emission through both
+kinds of backend (in-memory, spool sidecars), the
 ``campaign-status`` surfaces (including ``--follow``), the spool janitor
 (``spool_gc`` / ``campaign --gc-spool``) and the ``bench --history``
 perf-trajectory report.
@@ -19,7 +19,6 @@ from repro.cli import main
 from repro.errors import ExperimentError
 from repro.experiments.design import MigrationScenario
 from repro.experiments.executor import CampaignExecutor
-from repro.experiments.http_backend import fetch_status, run_http_worker
 from repro.experiments.queue_backend import run_worker, spool_gc, spool_status
 from repro.experiments.results import ProgressEvent
 from repro.experiments.runner import RunnerSettings, ScenarioRunner
@@ -187,65 +186,6 @@ class TestQueueProgress:
         assert any(e.task_id == real_task_id and e.worker == "pw2" for e in events)
 
 
-class TestHttpProgress:
-    def test_worker_posts_progress_and_status_shows_it(self, tmp_path):
-        executor = CampaignExecutor(
-            _runner(), backend="http", cache_dir=tmp_path / "cache",
-            serve="127.0.0.1:0", http_options={"stop_workers_on_shutdown": True},
-        )
-        url = executor.serve_url
-        live_progress = []
-
-        def watch():
-            while True:
-                try:
-                    status = fetch_status(url)
-                except ExperimentError:
-                    return
-                if status.get("progress") and not live_progress:
-                    live_progress.append(status)
-                if status.get("stopping"):
-                    return
-                time.sleep(0.05)
-
-        watcher = threading.Thread(target=watch)
-        watcher.start()
-        worker = threading.Thread(
-            target=run_http_worker, args=(url,),
-            kwargs={"poll_interval": 0.05, "worker_id": "ph1"},
-        )
-        worker.start()
-        executor.run_campaign([SCENARIO], min_runs=2, max_runs=2)
-        worker.join()
-        watcher.join()
-        events = executor.progress_events
-        assert len(events) == 2
-        assert {e.worker for e in events} == {"ph1"}
-        assert live_progress, "live /status never showed progress"
-        [entry] = live_progress[0]["progress"]
-        assert entry["worker"] == "ph1" and entry["runs_completed"] >= 1
-
-    def test_malformed_progress_post_rejected(self, tmp_path):
-        import urllib.error
-        import urllib.request
-
-        executor = CampaignExecutor(
-            _runner(), backend="http", cache_dir=tmp_path / "cache",
-            serve="127.0.0.1:0",
-        )
-        url = executor.serve_url
-        request = urllib.request.Request(
-            url + "/progress", data=b'{"schema": "nope"}',
-            headers={"Content-Type": "application/json"}, method="POST",
-        )
-        with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(request, timeout=5)
-        assert err.value.code == 400
-        err.value.close()
-        assert fetch_status(url)["progress_events"] == 0
-        executor._backend.shutdown()
-
-
 class TestSpoolGc:
     def _seed_spool(self, tmp_path, age_s=7200.0):
         """A spool with one artifact of every kind, aged ``age_s``."""
@@ -407,7 +347,7 @@ class TestBenchHistory:
                     "batched": {"runs_per_s": 2.5, "wall_s": 1.0, "samples_per_s": 1.0},
                     "events": {"runs_per_s": 0.5, "wall_s": 5.0, "samples_per_s": 1.0},
                 },
-                "consolidation": {"speedup": speedup + 1.0},
+                "consolidation": {"speedup": speedup + 1.0},  # a retired benchmark
                 "simulator": {"events_per_s": 250000.0},
                 "telemetry": {"speedup": speedup},
             },
@@ -431,7 +371,8 @@ class TestBenchHistory:
         assert [p["revision"] for p in history] == ["aaa", "bbb"]  # oldest first
         table = render_bench_history(history)
         assert "aaa" in table and "bbb" in table
-        assert "6.00" in table and "7.00" in table  # campaign + consolidation speedups
+        assert "5.00" in table and "6.00" in table  # campaign + telemetry speedups
+        assert "7.00" not in table  # retired benchmarks get no column
         assert render_bench_history([]) == "no BENCH_<rev>.json files found"
 
     def test_history_renders_committed_payloads(self, tmp_path):
@@ -451,12 +392,12 @@ class TestBenchHistory:
         for payload, row in zip(committed, lines[2:]):
             assert row.startswith(str(payload["revision"]))
 
-        (tmp_path / "BENCH_old.json").write_text(
-            json.dumps(self._payload("old", 5.0, 100.0)), encoding="utf-8"
-        )
+        old = self._payload("old", 5.0, 100.0)
+        del old["results"]["telemetry"]
+        (tmp_path / "BENCH_old.json").write_text(json.dumps(old), encoding="utf-8")
         table = render_bench_history(collect_bench_history(tmp_path))
         old_row = next(line for line in table.splitlines() if line.startswith("old"))
-        assert old_row.split()[-1] == "-"  # no batch benchmark in the payload
+        assert old_row.split()[-1] == "-"  # no telemetry benchmark in the payload
 
     def test_cli_history(self, tmp_path, capsys):
         (tmp_path / "BENCH_ccc.json").write_text(

@@ -338,10 +338,10 @@ class TestFaultInjection:
             backend.spool.failure_path(task.task_id).read_text(encoding="utf-8")
         )
         assert record["kind"] == "PersistenceError"
-        assert "want 'wavm3-taskspec/2'" in record["error"]
+        assert "want 'wavm3-taskspec/3'" in record["error"]
         assert not backend.spool.claim_path(task.task_id).exists()
         backend.wait([future])
-        with pytest.raises(ExperimentError, match="taskspec/2"):
+        with pytest.raises(ExperimentError, match="taskspec/3"):
             future.result()
 
     def test_spec_with_retired_compute_setting_fails_the_task(self, tmp_path):

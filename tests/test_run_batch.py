@@ -4,12 +4,11 @@ A multi-run task (``RunTask``) executes its span through
 :meth:`ScenarioRunner.run_batch`, which runs every index through
 :meth:`ScenarioRunner.run_once`.  These goldens pin that a batch changes
 **no byte** of any artifact: every recorded array matches the per-index
-``run_once`` reference on every scenario archetype (including the
-manager-driven consolidation drain), in both telemetry modes, on the
-serial and distributed-queue backends, for non-contiguous index lists
-(cache holes) and singleton batches.  The cache keys are pinned to their
-published hex digests, so a settings field that comes or goes cannot
-silently orphan a warmed cache.
+``run_once`` reference on every scenario archetype, in both telemetry
+modes, on the serial and distributed-queue backends, for non-contiguous
+index lists (cache holes) and singleton batches.  The cache keys are
+pinned to their published hex digests, so a settings field that comes or
+goes cannot silently orphan a warmed cache.
 """
 
 import threading
@@ -17,11 +16,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.experiments.design import (
-    MigrationScenario,
-    all_scenarios,
-    consolidation_scenarios,
-)
+from repro.experiments.design import MigrationScenario, all_scenarios
 from repro.experiments.executor import CampaignExecutor, RunCache
 from repro.experiments.queue_backend import run_worker
 from repro.experiments.runner import RunnerSettings, ScenarioRunner
@@ -35,9 +30,7 @@ FAST = dict(
     check_interval_s=1.0,
 )
 
-#: One scenario per archetype of the Table IIa design, plus the
-#: manager-driven consolidation drain (its migration instant comes from a
-#: policy decision rather than the script).
+#: One scenario per archetype of the Table IIa design.
 ARCHETYPES = [
     MigrationScenario("CPULOAD-SOURCE", "batch/lv/1vm", live=True, load_vm_count=1),
     MigrationScenario("CPULOAD-SOURCE", "batch/nl/0vm", live=False, load_vm_count=0),
@@ -48,10 +41,6 @@ ARCHETYPES = [
     MigrationScenario(
         "MEMLOAD-SOURCE", "batch/lv/mem", live=True, load_vm_count=1,
         dirty_percent=95.0,
-    ),
-    MigrationScenario(
-        "CONSOLIDATION-CPU", "batch/mgr/0vm", live=False, load_vm_count=0,
-        load_on="target", driver="manager",
     ),
 ]
 
@@ -158,26 +147,20 @@ class TestRunCacheKeyPins:
     and bump ``CACHE_KEY_SCHEMA``.
     """
 
-    # Re-pinned for the ``wavm3-run-cache/3`` bump (one binomial per
-    # dirty-page step): the schema tag is part of every key.
+    # Re-pinned for the ``wavm3-run-cache/4`` bump (the scenario payload
+    # lost its ``driver`` field): the schema tag is part of every key.
     PINNED = {
         "cpuload-source/nonlive/0vm/m": (
-            "35909d9fb7227b454702da0fb32a74b31fb93f7e5127407c5bdb224ed259810f"
-        ),
-        "consolidation-cpu/nonlive/0vm/m": (
-            "ed334aab05260e765994092224dc52ca78abc5226136bb30ee013a5a260ad362"
+            "ab70ec73fcbd4e1de7e04bd96c988e22d7b20b026b4af8ee5feec754415f787f"
         ),
     }
 
-    def test_scripted_and_manager_keys_pinned(self):
-        scripted = all_scenarios()[0]
-        manager = consolidation_scenarios()[0]
-        assert scripted.driver == "scripted" and manager.driver == "manager"
-        for scenario in (scripted, manager):
-            key = RunCache.scenario_key(
-                20150901, scenario, RunnerSettings(), None, StabilizationRule()
-            )
-            assert key == self.PINNED[scenario.label]
+    def test_scripted_key_pinned(self):
+        scenario = all_scenarios()[0]
+        key = RunCache.scenario_key(
+            20150901, scenario, RunnerSettings(), None, StabilizationRule()
+        )
+        assert key == self.PINNED[scenario.label]
 
     def test_implementation_fields_do_not_split_the_key(self):
         scenario = all_scenarios()[0]
@@ -191,10 +174,11 @@ class TestRunCacheKeyPins:
         }
         assert keys == {self.PINNED[scenario.label]}
 
-    def test_schema_2_entries_are_recomputed_never_served(self, tmp_path, monkeypatch):
-        """Runs cached under ``wavm3-run-cache/2`` predate the one-binomial
-        dirty-page model: a cache warmed at /2 (keys and ``meta.json`` both
-        carry the old tag) is recomputed by a /3 campaign, never served."""
+    def test_schema_3_entries_are_recomputed_never_served(self, tmp_path, monkeypatch):
+        """Runs cached under ``wavm3-run-cache/3`` were keyed with the
+        retired ``driver`` field: a cache warmed at /3 (keys and
+        ``meta.json`` both carry the old tag) is recomputed by a /4
+        campaign, never served."""
         import json
 
         from repro.experiments import executor as executor_module
@@ -207,12 +191,12 @@ class TestRunCacheKeyPins:
             return runner.stats
 
         with monkeypatch.context() as patch:
-            patch.setattr(executor_module, "CACHE_KEY_SCHEMA", "wavm3-run-cache/2")
+            patch.setattr(executor_module, "CACHE_KEY_SCHEMA", "wavm3-run-cache/3")
             assert campaign().runs_executed == 2
         metas = list(tmp_path.glob("*/*/meta.json"))
         assert metas
         assert {json.loads(meta.read_text(encoding="utf-8"))["schema"] for meta in metas} == {
-            "wavm3-run-cache/2"
+            "wavm3-run-cache/3"
         }
         stats = campaign()
         assert (stats.runs_executed, stats.runs_cached) == (2, 0)

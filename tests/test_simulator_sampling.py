@@ -74,3 +74,36 @@ class TestPeriodicSampler:
     def test_rejects_negative_phase(self):
         with pytest.raises(ConfigurationError):
             PeriodicSampler(Simulator(), 1.0, lambda t: None, phase=-0.1)
+
+    def test_samples_taken_equal_across_modes(self):
+        """Both modes consume the same ticks across events and run bounds."""
+        taken = {}
+        for batched in (False, True):
+            sim = Simulator()
+            sampler = PeriodicSampler(sim, 0.7, lambda t: None, batched=batched)
+            sampler.start()
+            sim.schedule(3.3, lambda: None)  # a state-free event mid-way
+            for _ in range(4):
+                sim.run_for(2.5)
+            sampler.stop()
+            taken[batched] = sampler.samples_taken
+        assert taken[False] == taken[True] == 14
+
+    def test_ticks_on_grid_while_events_schedule_events(self):
+        """Event callbacks that schedule follow-up events leave the grid intact."""
+        for batched in (False, True):
+            sim = Simulator()
+            ticks, fired = [], []
+
+            def chain(t):
+                fired.append(t)
+                if t < 8.0:
+                    sim.schedule(2.0, chain, t + 2.0)
+
+            sampler = PeriodicSampler(sim, 0.5, ticks.append, batched=batched)
+            sampler.start()
+            sim.schedule(2.25, chain, 2.25)
+            sim.run_for(10.0)
+            sampler.stop()
+            assert fired == [2.25, 4.25, 6.25, 8.25], batched
+            assert ticks == [0.5 * k for k in range(1, 21)], batched
