@@ -42,13 +42,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _batch_size(text: str) -> Optional[int]:
-    """Argparse type for --batch-size: 'auto' (None) or an integer >= 1."""
-    if text.strip().lower() == "auto":
-        return None
-    return _positive_int(text)
-
-
 def _positive_float(text: str) -> float:
     """Argparse type: a finite number > 0."""
     try:
@@ -115,15 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="cap of the adaptive variance loop (default: same as --runs)",
-    )
-    camp.add_argument(
-        "--batch-size",
-        type=_batch_size,
-        default=None,
-        metavar="N|auto",
-        help="runs per dispatched task: an integer (1 = classic per-run "
-        "dispatch) or 'auto' to divide each wave across the backend's "
-        "capacity (default: auto; results are bit-identical either way)",
     )
     camp.add_argument(
         "--samples",
@@ -483,7 +467,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             backend="queue",
             cache_dir=args.cache_dir,
             spool_dir=args.spool_dir,
-            batch_size=args.batch_size,
             queue_options={
                 "stale_timeout": args.stale_timeout,
                 "stop_workers_on_shutdown": args.stop_workers,
@@ -495,7 +478,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             ScenarioRunner(seed=args.seed),
             jobs=args.jobs,
             cache_dir=args.cache_dir,
-            batch_size=args.batch_size,
             **fault_knobs,
         )
     started = time.perf_counter()

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro.errors import ConfigurationError
 
@@ -312,8 +311,3 @@ class HostPowerModel:
         from the m-pair to the o-pair (the C1 → C2 bias correction).
         """
         return a.params.idle_w - b.params.idle_w
-
-
-def total_idle_power(models: Iterable[HostPowerModel]) -> float:
-    """Sum of idle draws — handy for data-centre-level reporting."""
-    return sum(m.params.idle_w for m in models)

@@ -19,8 +19,8 @@ embarrassingly parallel at run granularity.  This module exploits that:
   function the serial path uses), and unsatisfied scenarios are topped up
   wave by wave until ``max_runs``.  Each wave's missing runs go out as
   :class:`RunTask` chunks split evenly across the backend's lanes
-  (:meth:`CampaignExecutor._plan_wave_chunks`), a pure function of the
-  wave and the lane count.  Top-up runs beyond the stopping
+  (:func:`_plan_chunks`), a pure function of the wave and the lane
+  count.  Top-up runs beyond the stopping
   point are discarded from the result (but kept in the cache),
   so the returned :class:`~repro.experiments.results.ExperimentResult` is
   **bit-identical** to the serial path for any worker count.
@@ -39,7 +39,7 @@ embarrassingly parallel at run granularity.  This module exploits that:
   drives: ``submit()`` a :class:`RunTask` (a contiguous seed range of
   one scenario; its future resolves to the range's runs), ``wait()`` for
   completions, ``shutdown()`` when the campaign is over, with
-  :attr:`capacity` introspection feeding the default wave size.  Any
+  :attr:`capacity` introspection setting the lane count.  Any
   object implementing it (a cluster scheduler, an RPC fan-out, …) can
   back a campaign.
 
@@ -53,9 +53,7 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import pathlib
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
@@ -81,7 +79,7 @@ from repro.experiments.results import (
 )
 from repro.experiments.runner import RunnerSettings, ScenarioRunner, resolve_run_count
 from repro.hypervisor.migration import MigrationConfig
-from repro.io import PersistenceError, load_run_result, save_run_result
+from repro.io import PersistenceError, load_run_result, save_run_result, write_atomic
 from repro.models.features import HostRole
 from repro.telemetry.stabilization import StabilizationRule
 
@@ -279,34 +277,49 @@ def _contiguous_spans(indices: Sequence[int]) -> list[list[int]]:
     return spans
 
 
-def _execute_task(task: RunTask, run_timeout: Optional[float] = None) -> list[RunResult]:
+def _plan_chunks(missing: Sequence[int], lanes: int) -> list[tuple[int, ...]]:
+    """The dispatch plan: chunks (tuples of run indices) covering ``missing``.
+
+    ``missing`` is a wave's ascending missing indices.  Chunks hold
+    ``ceil(len(missing) / lanes)`` runs and are cut per contiguous span,
+    so none bridges a cache hole.
+    """
+    size = math.ceil(len(missing) / lanes)
+    return [
+        tuple(span[pos : pos + size])
+        for span in _contiguous_spans(missing)
+        for pos in range(0, len(span), size)
+    ]
+
+
+def _execute_task(
+    task: RunTask, run_timeout: Optional[float] = None
+) -> tuple[list[RunResult], list[float]]:
     """Module-level trampoline so task dispatch can pickle.
 
-    ``run_timeout`` arms the per-run watchdog
+    Returns the task's runs and each run's wall time, measured where it
+    ran (pool queueing and collection delay never count).  ``run_timeout``
+    arms the per-run watchdog
     (:func:`~repro.experiments.faults.run_with_deadline`): a task's
     deadline is ``run_timeout`` times its run count, so the budget scales
     with the dispatched work.
     """
-    if run_timeout is None:
-        return task.execute()
+    walls: list[float] = []
+    mark = time.perf_counter()
+
+    def timed(_run: RunResult) -> None:
+        nonlocal mark
+        now = time.perf_counter()
+        walls.append(now - mark)
+        mark = now
+
     count = task.run_count
-    return run_with_deadline(
-        task.execute,
-        run_timeout * count,
+    runs = run_with_deadline(
+        lambda: task.execute(on_run=timed),
+        None if run_timeout is None else run_timeout * count,
         label=f"task {task.scenario.label!r} ({count} run{'s' if count > 1 else ''})",
     )
-
-
-def _execute_task_timed(task, run_timeout: Optional[float] = None):
-    """Like :func:`_execute_task`, plus the worker-side wall time.
-
-    The process backend uses this so progress events report the run's
-    true execution time — submit-to-collect timing on the coordinator
-    would fold pool queueing and collection delay into ``wall_s``.
-    """
-    started = time.perf_counter()
-    run = _execute_task(task, run_timeout)
-    return run, time.perf_counter() - started
+    return runs, walls
 
 
 # ---------------------------------------------------------------------------
@@ -489,16 +502,11 @@ class RunCache:
         meta = entry / "meta.json"
         if key_payload is not None and (not meta.exists() or not self._meta_ok(key)):
             # Atomic write: a half-written meta must never fail validation
-            # for a concurrent reader of an otherwise-good entry.  The temp
-            # name includes the thread id because in-process worker threads
-            # (and the executor itself) may race on one entry's meta.
-            tmp = meta.with_name(
-                f"meta.json.{os.getpid()}.{threading.get_ident()}.tmp"
+            # for a concurrent reader of an otherwise-good entry.
+            write_atomic(
+                meta,
+                json.dumps(key_payload, sort_keys=True, indent=1).encode("utf-8"),
             )
-            tmp.write_text(
-                json.dumps(key_payload, sort_keys=True, indent=1), encoding="utf-8"
-            )
-            tmp.replace(meta)
             self._meta_verdict[key] = True
         path = self._run_path(key, run.run_index)
         save_run_result(run, path)
@@ -528,8 +536,9 @@ class ExecutorBackend(abc.ABC):
     def capacity(self) -> Optional[int]:
         """How many tasks can usefully be in flight, or ``None`` if unknown.
 
-        Feeds the executor's default wave size; a queue backend reports
-        its currently-registered live workers here.
+        Sets the executor's lane count (``None`` falls back to ``jobs``);
+        a queue backend reports its currently-registered live workers
+        here.
         """
         return None
 
@@ -548,7 +557,9 @@ class ExecutorBackend(abc.ABC):
             Resolves to the task's runs, a ``list`` of
             :class:`~repro.experiments.results.RunResult` in
             ``task.run_indices`` order; a worker-side failure surfaces as
-            the future's exception.
+            the future's exception.  A backend that times its runs where
+            they execute sets the future's ``walls`` attribute to the
+            per-run wall times, in the same order.
         """
 
     def wait(
@@ -628,19 +639,14 @@ class _SerialFuture(Future):
     """An already-resolved future: lets the serial backend share the
     process-backend scheduling loop unchanged."""
 
-    def __init__(self, fn, *args) -> None:
+    def __init__(self, task: RunTask, run_timeout: Optional[float]) -> None:
         super().__init__()
-        started = time.perf_counter()
         try:
-            result = fn(*args)
+            runs, self.walls = _execute_task(task, run_timeout)
         except BaseException as exc:  # noqa: BLE001 - mirrored to the caller
             self.set_exception(exc)
         else:
-            #: True execution wall time — collection happens after *all*
-            #: inline futures of a wave resolved, so the submit-to-collect
-            #: clock the executor keeps would overstate serial runs.
-            self.wall_s = time.perf_counter() - started
-            self.set_result(result)
+            self.set_result(runs)
 
 
 class SerialBackend(ExecutorBackend):
@@ -656,7 +662,7 @@ class SerialBackend(ExecutorBackend):
         return 1
 
     def submit(self, task: RunTask) -> Future:
-        return _SerialFuture(_execute_task, task, self.run_timeout)
+        return _SerialFuture(task, self.run_timeout)
 
     def wait(
         self, pending: Collection[Future], timeout: Optional[float] = None
@@ -683,9 +689,9 @@ class ProcessBackend(ExecutorBackend):
     def submit(self, task: RunTask) -> Future:
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.jobs)
-        inner = self._pool.submit(_execute_task_timed, task, self.run_timeout)
-        # Unwrap (runs, wall) into a run-list future carrying the
-        # worker-side wall time as an attribute, mirroring _SerialFuture.
+        inner = self._pool.submit(_execute_task, task, self.run_timeout)
+        # Unwrap (runs, walls) into a run-list future carrying the
+        # worker-side run walls as an attribute, mirroring _SerialFuture.
         outer: Future = Future()
 
         def _unwrap(done: Future) -> None:
@@ -693,8 +699,7 @@ class ProcessBackend(ExecutorBackend):
             if exc is not None:
                 outer.set_exception(exc)
             else:
-                runs, wall = done.result()
-                outer.wall_s = wall
+                runs, outer.walls = done.result()
                 outer.set_result(runs)
 
         inner.add_done_callback(_unwrap)
@@ -723,11 +728,6 @@ class ExecutorStats:
     tasks_quarantined: int = 0  # tasks captured in a backend quarantine store
     runs_abandoned: int = 0   # run indices given up after budget exhaustion
     scenarios_dropped: int = 0  # scenarios with zero usable runs
-
-    @property
-    def runs_total(self) -> int:
-        """All runs obtained, kept or not."""
-        return self.runs_executed + self.runs_cached
 
     @property
     def degraded(self) -> bool:
@@ -768,6 +768,13 @@ class _ScenarioState:
 class CampaignExecutor:
     """Fan a measurement campaign out across an execution backend.
 
+    Every backend runs the one dispatch plan: a wave's missing runs go
+    out in chunks of ``ceil(missing / lanes)`` runs, cut at cache holes,
+    and an undecided scenario is topped up by ``lanes`` runs.  ``lanes``
+    is ``backend.capacity or jobs``, re-read at every dispatch.  Cache
+    entries, progress events and results stay per-run and bit-identical
+    for any lane count.
+
     Parameters
     ----------
     runner:
@@ -785,21 +792,6 @@ class CampaignExecutor:
         ``campaign-worker`` processes).
     cache_dir:
         Optional directory for the content-addressed :class:`RunCache`.
-    wave_size:
-        Top-up wave size once ``min_runs`` energies fail the variance
-        criterion; defaults to the backend's :attr:`~ExecutorBackend.capacity`
-        (falling back to ``jobs``).  Affects only how many runs beyond
-        the stopping point may execute, never the returned result.
-    batch_size:
-        Runs per dispatched :class:`RunTask`.  ``1`` (default) dispatches
-        one task per run; larger values chunk each scenario's contiguous
-        missing-index spans into tasks of at most this many runs; ``None``
-        sizes chunks automatically at dispatch time — the missing runs
-        divided evenly across the backend's current capacity (falling
-        back to ``jobs`` while capacity is unknown), so a late-growing
-        worker fleet still gets per-dispatch-sized batches.  Cache
-        entries, progress events and results stay per-run and
-        bit-identical for every value.
     spool_dir:
         Shared spool directory of the ``queue`` backend (ignored otherwise).
     queue_options:
@@ -840,8 +832,8 @@ class CampaignExecutor:
     Raises
     ------
     ExperimentError
-        On invalid ``jobs``/``wave_size``, an unknown backend name, or a
-        backend whose required companion arguments are missing.
+        On invalid ``jobs``, an unknown backend name, or a backend whose
+        required companion arguments are missing.
     """
 
     def __init__(
@@ -850,10 +842,8 @@ class CampaignExecutor:
         jobs: int = 1,
         backend: Union[str, ExecutorBackend] = "auto",
         cache_dir: Optional[Union[str, pathlib.Path]] = None,
-        wave_size: Optional[int] = None,
         spool_dir: Optional[Union[str, pathlib.Path]] = None,
         queue_options: Optional[dict] = None,
-        batch_size: Optional[int] = 1,
         max_retries: int = 1,
         on_failure: str = "raise",
         retry_policy: Optional[RetryPolicy] = None,
@@ -862,8 +852,6 @@ class CampaignExecutor:
     ) -> None:
         if jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-        if batch_size is not None and int(batch_size) < 1:
-            raise ExperimentError(f"batch_size must be >= 1 or None, got {batch_size}")
         if int(max_retries) < 1:
             raise ExperimentError(f"max_retries must be >= 1, got {max_retries}")
         if on_failure not in ON_FAILURE_MODES:
@@ -894,10 +882,6 @@ class CampaignExecutor:
         )
         self._backend = self._make_backend(backend, spool_dir, queue_options)
         self.backend = self._backend.name
-        self._explicit_wave_size = None if wave_size is None else int(wave_size)
-        if self._explicit_wave_size is not None and self._explicit_wave_size < 1:
-            raise ExperimentError(f"wave_size must be >= 1, got {wave_size}")
-        self.batch_size = None if batch_size is None else int(batch_size)
         self.stats = ExecutorStats()
         #: Attempt counter per task id of the current campaign.
         self._attempts: dict[str, int] = {}
@@ -907,50 +891,20 @@ class CampaignExecutor:
         #: completion records otherwise.
         self.progress_events: list[ProgressEvent] = []
 
-    @property
-    def wave_size(self) -> int:
-        """The top-up wave size that would be dispatched right now.
+    def _lanes(self) -> int:
+        """The lane count of the next dispatch: ``backend.capacity or jobs``.
 
-        Re-evaluated per top-up rather than frozen at construction: a
+        Re-read at every dispatch rather than frozen at construction: a
         queue backend's capacity is the number of live workers, which is
         typically zero when the executor is built and grows as workers
         register.  While capacity is still ``None`` (cold start: no
-        worker has heartbeat yet), the size deliberately falls back to
-        ``jobs`` — dispatching optimistically is harmless, because spool
-        tasks wait for whichever workers eventually join, and
-        the next top-up re-reads the then-known capacity.
+        worker has heartbeat yet), the count falls back to ``jobs`` —
+        dispatching optimistically is harmless, because spool tasks wait
+        for whichever workers eventually join, and the next dispatch
+        re-reads the then-known capacity.  A plan therefore never depends
+        on what the executor has run before.
         """
-        if self._explicit_wave_size is not None:
-            return self._explicit_wave_size
-        return max(self._backend.capacity or self.jobs, 1)
-
-    def _plan_wave_chunks(
-        self, missing: Sequence[int]
-    ) -> list[tuple[int, ...]]:
-        """Chunks (tuples of run indices) covering a wave's missing runs.
-
-        Explicit ``batch_size`` cuts fixed-size chunks (with per-span
-        tail remainders).  ``batch_size=None`` divides the wave evenly
-        across the backend's *current* capacity (``jobs`` while capacity
-        is unknown — the same cold-start fallback as :attr:`wave_size`):
-        chunks of ``ceil(len(missing) / lanes)`` runs.  Either way the
-        chunks are cut per contiguous span, so none bridges a cache
-        hole.  Evaluated at dispatch time, so capacity appearing
-        mid-campaign reshapes only subsequent waves; a plan never
-        depends on what the executor has run before.
-        """
-        if not missing:
-            return []
-        if self.batch_size is not None:
-            chunk_size = self.batch_size
-        else:
-            lanes = max(self._backend.capacity or self.jobs, 1)
-            chunk_size = math.ceil(len(missing) / lanes)
-        return [
-            tuple(span[pos : pos + chunk_size])
-            for span in _contiguous_spans(missing)
-            for pos in range(0, len(span), chunk_size)
-        ]
+        return self._backend.capacity or self.jobs
 
     @property
     def queue_stats(self):
@@ -1149,8 +1103,6 @@ class CampaignExecutor:
             """Submit one task (fresh or retry); count the attempt."""
             state.inflight.update(task.run_indices)
             self._attempts[task.task_id] = self._attempts.get(task.task_id, 0) + 1
-            # Clock starts before submit: the serial backend executes
-            # inside submit(), and its wall time must not read as zero.
             t_submit = time.perf_counter()
             future = self._backend.submit(task)
             pending[future] = (state, task, t_submit)
@@ -1176,8 +1128,9 @@ class CampaignExecutor:
                         self.stats.runs_cached += 1
                     else:
                         missing.append(index)
-                for chunk in self._plan_wave_chunks(missing):
-                    dispatch(state, state.task(chunk))
+                if missing:
+                    for chunk in _plan_chunks(missing, self._lanes()):
+                        dispatch(state, state.task(chunk))
                 if state.inflight:
                     return  # evaluate when the wave completes
                 if any(i in state.abandoned for i in range(state.target)):
@@ -1193,7 +1146,7 @@ class CampaignExecutor:
                 if kept is not None:
                     state.resolved = kept
                     return
-                state.target = min(hi, state.target + self.wave_size)
+                state.target = min(hi, state.target + self._lanes())
 
         def fail(state: _ScenarioState, task: RunTask, exc: BaseException) -> None:
             """One failed attempt: retry under budget, else fate it."""
@@ -1269,24 +1222,24 @@ class CampaignExecutor:
                         f"task {task.task_id} for {state.scenario.label!r} returned "
                         f"{len(runs)} runs, expected {task.run_count}"
                     )
-                total_wall = getattr(future, "wall_s", None)
-                if total_wall is None:
-                    total_wall = time.perf_counter() - submitted
-                # Per-run accounting for a multi-run task splits its wall
-                # evenly: individual run walls are not observable from
-                # the coordinator side of a batched dispatch.
-                wall = max(total_wall / len(runs), 1e-9)
-                worker = getattr(future, "worker", None) or self._backend.name
-                for index, run in zip(task.run_indices, runs):
+                walls = getattr(future, "walls", None)
+                if walls is None:
+                    # A queue future resolves from the shared cache: its
+                    # worker timed each run and announced it, and that
+                    # event supersedes this placeholder (run_campaign).
+                    elapsed = time.perf_counter() - submitted
+                    walls = [elapsed / task.run_count] * task.run_count
+                for index, run, run_wall in zip(task.run_indices, runs, walls):
                     state.runs[index] = run
                     state.inflight.discard(index)
                     self.stats.runs_executed += 1
                     samples = run_sample_count(run)
+                    wall = max(run_wall, 1e-9)
                     event = ProgressEvent(
                         task_id=task.run_id(index),
                         scenario=state.scenario.label,
                         run_index=index,
-                        worker=worker,
+                        worker=self.backend,
                         runs_completed=self.stats.runs_executed,
                         samples=samples,
                         wall_s=wall,

@@ -15,14 +15,15 @@ vocabulary the executor and both distributed backends share:
 * :class:`FailureLedger` — the per-campaign accumulator of
   :class:`RunFailure` records, persisted as NDJSON next to the run cache
   (``<cache-dir>/failures.ndjson``) and surfaced in the campaign
-  summary, ``spool_status()`` and ``GET /status``.
+  summary.
 * :class:`RetryPolicy` — capped exponential backoff with deterministic
   jitter (a hash of the task id and attempt number, so two campaigns
   with the same failures sleep the same schedule).
 * :class:`TaskFailure` — the exception distributed backends attach to a
   task future, carrying the structured :class:`RunFailure` plus a
-  ``retryable`` verdict (a stale-lease budget exhausted server-side is
-  not worth re-dispatching).
+  ``retryable`` verdict (a task whose spool lease expired more often
+  than the coordinator's stale-requeue budget allows is not worth
+  re-dispatching).
 * :func:`run_with_deadline` — the worker-side watchdog: runs a callable
   under a wall-clock deadline and raises :class:`RunTimeoutError`
   instead of hanging the claim forever.
@@ -169,7 +170,8 @@ class TaskFailure(ExperimentError):
     the coordinator sees *structured* failure data (worker id, exception
     class, traceback digest) instead of a bare message.  ``retryable``
     is the backend's verdict: ``False`` means re-dispatching is known to
-    be futile (e.g. the server-side stale-lease budget is exhausted) and
+    be futile (e.g. the queue coordinator's stale-requeue budget
+    ``max_requeues`` is exhausted) and
     the coordinator should go straight to quarantine/skip/raise.
     """
 

@@ -89,6 +89,7 @@ from repro.io import (
     load_run_result,
     load_task_spec,
     save_task_spec,
+    write_atomic,
 )
 
 __all__ = [
@@ -141,9 +142,7 @@ class _Spool:
 
 
 def _write_json_atomic(path: pathlib.Path, payload: dict) -> None:
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True, indent=1), encoding="utf-8")
-    tmp.replace(path)
+    write_atomic(path, json.dumps(payload, sort_keys=True, indent=1).encode("utf-8"))
 
 
 def _measure_spool_skew(root: pathlib.Path) -> float:
@@ -820,7 +819,6 @@ def run_worker(
     max_tasks: Optional[int] = None,
     idle_exit_s: Optional[float] = None,
     worker_id: Optional[str] = None,
-    verify_keys: bool = True,
     run_timeout: Optional[float] = None,
 ) -> WorkerStats:
     """Serve a spool directory until stopped: claim, execute, deposit.
@@ -843,9 +841,6 @@ def run_worker(
         forever, until the ``stop`` sentinel appears).
     worker_id:
         Spool-unique identifier; defaults to ``<hostname>-<pid>``.
-    verify_keys:
-        Recompute each spec's cache key and refuse mismatching specs
-        (defence against corrupted or tampered spool files).
     run_timeout:
         Watchdog deadline per run, in seconds: a claimed task may take
         at most ``run_timeout`` times its run count of wall clock before the
@@ -893,7 +888,7 @@ def run_worker(
             idle_scans = 0
             stats.claimed += 1
             _process_claim(
-                spool, cache, claim, wid, heartbeat_s, verify_keys, stats,
+                spool, cache, claim, wid, heartbeat_s, stats,
                 run_timeout=run_timeout,
             )
             # Execution time must not count as idle time, so the clock
@@ -910,15 +905,15 @@ def _process_claim(
     claim: pathlib.Path,
     worker_id: str,
     heartbeat_s: float,
-    verify_keys: bool,
     stats: WorkerStats,
     run_timeout: Optional[float] = None,
 ) -> None:
     task_id = claim.stem
     try:
         task = load_task_spec(claim)
-        if verify_keys:
-            task.verify_key()
+        # Refuse a spec whose embedded key does not hash back to its
+        # contents (corrupted or tampered spool file).
+        task.verify_key()
     except PersistenceError as exc:
         if not claim.exists():
             return  # lease lost (requeued mid-read) — not this worker's task

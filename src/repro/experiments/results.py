@@ -12,7 +12,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -225,10 +225,6 @@ class ScenarioResult:
     def std_energy_j(self, role: HostRole) -> float:
         """Standard deviation of migration energy across runs."""
         return float(self.total_energies_j(role).std(ddof=1)) if self.n_runs > 1 else 0.0
-
-    def mean_phase_energy_j(self, role: HostRole, phase: MigrationPhase) -> float:
-        """Mean energy of one phase across runs."""
-        return float(np.mean([r.phase_energy_j(role, phase) for r in self.runs]))
 
     def mean_duration_s(self) -> float:
         """Mean total migration duration across runs."""

@@ -498,7 +498,7 @@ class ScenarioRunner:
         cache_dir: Optional[Union[str, pathlib.Path]] = None,
         spool_dir: Optional[Union[str, pathlib.Path]] = None,
         queue_options: Optional[dict] = None,
-        batch_size: Optional[int] = 1,
+        batch_size: None = None,
     ) -> ExperimentResult:
         """Run a list of scenarios into one :class:`ExperimentResult`.
 
@@ -529,11 +529,11 @@ class ScenarioRunner:
             Extra ``"queue"``-mode knobs forwarded to
             :class:`~repro.experiments.queue_backend.QueueBackend`.
         batch_size:
-            Runs per dispatched task: ``1`` (default) keeps the classic
-            one-task-per-run dispatch, larger values batch contiguous
-            seed ranges into one ``RunTask`` each, and ``None`` sizes
-            batches automatically from backend capacity.  Results are
-            bit-identical for every value.
+            Accepts ``None`` only.  Every backend runs the one dispatch
+            plan (see :class:`~repro.experiments.executor.CampaignExecutor`),
+            so there is no size to choose; the keyword stays only because
+            the paper-campaign benchmark (``perfbench/workloads.py``)
+            still passes ``batch_size=None``.
 
         Returns
         -------
@@ -544,12 +544,17 @@ class ScenarioRunner:
         Raises
         ------
         ExperimentError
-            On an empty scenario list, invalid ``parallel``/run bounds,
-            missing companion arguments of a distributed mode, or any
-            propagated run failure.
+            On an empty scenario list, invalid ``parallel``/run bounds, a
+            ``batch_size`` other than ``None``, missing companion
+            arguments of a distributed mode, or any propagated run
+            failure.
         """
         if not scenarios:
             raise ExperimentError("campaign needs at least one scenario")
+        if batch_size is not None:
+            raise ExperimentError(
+                f"batch_size accepts only None (one dispatch plan), got {batch_size!r}"
+            )
         if isinstance(parallel, str) and parallel != "queue":
             raise ExperimentError(f"parallel must be an int or 'queue', got {parallel!r}")
         if parallel == "queue":
@@ -558,7 +563,6 @@ class ScenarioRunner:
             executor = CampaignExecutor(
                 self, backend="queue", cache_dir=cache_dir,
                 spool_dir=spool_dir, queue_options=queue_options,
-                batch_size=batch_size,
             )
             result = executor.run_campaign(scenarios, min_runs=min_runs, max_runs=max_runs)
             self.last_executor_stats = executor.stats
@@ -568,10 +572,7 @@ class ScenarioRunner:
         if (parallel is not None and parallel > 1) or cache_dir is not None:
             from repro.experiments.executor import CampaignExecutor  # local: avoid cycle
 
-            executor = CampaignExecutor(
-                self, jobs=parallel or 1, cache_dir=cache_dir,
-                batch_size=batch_size,
-            )
+            executor = CampaignExecutor(self, jobs=parallel or 1, cache_dir=cache_dir)
             result = executor.run_campaign(scenarios, min_runs=min_runs, max_runs=max_runs)
             self.last_executor_stats = executor.stats
             return result

@@ -43,6 +43,7 @@ __all__ = [
     "load_samples_json",
     "save_error_grid_json",
     "load_error_grid_json",
+    "write_atomic",
     "save_run_result",
     "load_run_result",
     "dump_run_result_bytes",
@@ -265,6 +266,27 @@ def load_run_result_bytes(data: bytes, origin: str = "run result"):
     return run
 
 
+def write_atomic(path: _PathLike, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary name and a rename.
+
+    Concurrent readers (spool scans, cache lookups) see either the old
+    file or the whole new one, never a partial write.  The temporary name
+    carries the process and thread id, because worker threads and the
+    coordinator may write the same file at once.
+
+    Parameters
+    ----------
+    path:
+        Destination file.
+    data:
+        The complete file contents.
+    """
+    path = pathlib.Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    tmp.write_bytes(data)
+    tmp.replace(path)
+
+
 def save_run_result(run, path: _PathLike) -> None:
     """Persist one :class:`~repro.experiments.results.RunResult` to disk.
 
@@ -282,13 +304,10 @@ def save_run_result(run, path: _PathLike) -> None:
     """
     from repro.experiments.chaos import chaos_bytes  # local: avoid cycle
 
-    path = pathlib.Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     # The "cache-put" chaos seam: an active schedule may crash, delay or
     # corrupt the payload here (corruption is caught on read — a corrupt
     # entry loads as a cache miss and the run is recomputed).
-    tmp.write_bytes(chaos_bytes("cache-put", dump_run_result_bytes(run)))
-    tmp.replace(path)
+    write_atomic(path, chaos_bytes("cache-put", dump_run_result_bytes(run)))
 
 
 def load_run_result(path: _PathLike):
@@ -425,13 +444,10 @@ def save_task_spec(task, path: _PathLike) -> None:
         Destination file (conventionally ``<task-id>.json`` in a spool's
         ``tasks/`` directory).
     """
-    path = pathlib.Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    tmp.write_text(
-        json.dumps(task_spec_to_dict(task), sort_keys=True, indent=1),
-        encoding="utf-8",
+    write_atomic(
+        path,
+        json.dumps(task_spec_to_dict(task), sort_keys=True, indent=1).encode("utf-8"),
     )
-    tmp.replace(path)
 
 
 def load_task_spec(path: _PathLike):
@@ -617,8 +633,9 @@ def run_failure_to_dict(failure) -> dict:
 
     This dict is the ``wavm3-failure/1`` wire format: one NDJSON line in
     the campaign's failure ledger (``failures.ndjson`` next to the run
-    cache), and the shape of the ``failures`` entries in
-    ``spool_status()``.
+    cache).  The ``failures`` entries of ``spool_status()`` have another
+    shape, ``{task_id, worker, error, kind}``, read from the spool's
+    ``wavm3-taskfailure/1`` records.
 
     Parameters
     ----------

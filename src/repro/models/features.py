@@ -115,12 +115,6 @@ class MigrationSample:
             + self.energy_activation_j
         )
 
-    @property
-    def duration_s(self) -> float:
-        """Span of the migration window covered by the readings."""
-        times = np.asarray(self.times)
-        return float(times[-1] - times[0])
-
     def phase_mask(self, phase: MigrationPhase) -> np.ndarray:
         """Boolean mask of readings belonging to one phase."""
         try:
@@ -128,16 +122,6 @@ class MigrationSample:
         except KeyError:
             raise ModelError(f"{phase} is not a migration phase with readings") from None
         return np.asarray(self.phase) == code
-
-    def measured_phase_energy_j(self, phase: MigrationPhase) -> float:
-        """Measured energy of one phase (J)."""
-        if phase is MigrationPhase.INITIATION:
-            return self.energy_initiation_j
-        if phase is MigrationPhase.TRANSFER:
-            return self.energy_transfer_j
-        if phase is MigrationPhase.ACTIVATION:
-            return self.energy_activation_j
-        raise ModelError(f"{phase} has no measured energy")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -33,15 +33,6 @@ from repro.telemetry.traces import PowerTrace
 __all__ = ["detect_phases"]
 
 
-def _moving_average(values: np.ndarray, width: int) -> np.ndarray:
-    """Centred moving average with edge replication."""
-    if width <= 1:
-        return values.copy()
-    kernel = np.ones(width) / width
-    padded = np.pad(values, (width // 2, width - 1 - width // 2), mode="edge")
-    return np.convolve(padded, kernel, mode="valid")
-
-
 def _step_statistic(watts: np.ndarray, half_window: int) -> np.ndarray:
     """|mean of next half-window − mean of previous half-window| per sample.
 

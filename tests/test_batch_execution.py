@@ -1,6 +1,6 @@
 """Seed-batched run execution: RunTask over a run range, the
 wavm3-taskspec/3 wire format, worker-side execute_batch, and golden
-byte-identity between batched and per-run dispatch on every backend.
+byte-identity between lane counts (chunk shapes) on every backend.
 """
 
 import threading
@@ -15,6 +15,7 @@ from repro.experiments.executor import (
     CampaignExecutor,
     RunCache,
     RunTask,
+    SerialBackend,
     _contiguous_spans,
     execute_batch,
 )
@@ -178,9 +179,27 @@ class TestTaskSpecWireFormat:
         assert task.task_id == "batch/nl/0vm#1x2"
 
 
+class _LanesBackend(SerialBackend):
+    """Inline execution that reports ``lanes`` lanes and records every
+    task's ``(run_start, run_count)``."""
+
+    def __init__(self, lanes: int) -> None:
+        super().__init__()
+        self.lanes = lanes
+        self.dispatched: list[tuple[int, int]] = []
+
+    @property
+    def capacity(self):
+        return self.lanes
+
+    def submit(self, task):
+        self.dispatched.append((task.run_start, task.run_count))
+        return super().submit(task)
+
+
 class TestGoldenByteIdentity:
-    """Acceptance: byte-identical campaign samples JSON between
-    --batch-size 1 (per-run) and batched dispatch on every backend."""
+    """Acceptance: byte-identical campaign samples JSON whatever the lane
+    count, and so whatever the chunk shape, on every backend."""
 
     RUNS = 3
 
@@ -188,67 +207,83 @@ class TestGoldenByteIdentity:
         save_samples_json(result.samples(), path)
         return path.read_bytes()
 
-    def _local(self, tmp_path, jobs, batch_size, tag):
+    def _local(self, tmp_path, tag, **kwargs):
         executor = CampaignExecutor(
-            ScenarioRunner(seed=SEED), jobs=jobs,
-            cache_dir=tmp_path / f"cache-{tag}", batch_size=batch_size,
+            ScenarioRunner(seed=SEED), cache_dir=tmp_path / f"cache-{tag}", **kwargs
         )
         result = executor.run_campaign([_SCENARIO], min_runs=self.RUNS, max_runs=self.RUNS)
         return executor, result
 
     def test_serial_backend(self, tmp_path):
-        ex1, r1 = self._local(tmp_path, 1, 1, "s1")
-        exN, rN = self._local(tmp_path, 1, None, "sN")
-        assert ex1.backend == exN.backend == "serial"
+        one, three = _LanesBackend(1), _LanesBackend(self.RUNS)
+        _, r1 = self._local(tmp_path, "s1", backend=one)
+        exN, rN = self._local(tmp_path, "sN", backend=three)
         assert self._samples_bytes(r1, tmp_path / "s1.json") == self._samples_bytes(
             rN, tmp_path / "sN.json"
         )
+        # One lane: the wave is one chunk; three lanes: one run each.
+        assert one.dispatched == [(0, self.RUNS)]
+        assert three.dispatched == [(i, 1) for i in range(self.RUNS)]
         assert exN.stats.runs_executed == self.RUNS
 
     def test_process_backend(self, tmp_path):
-        ex1, r1 = self._local(tmp_path, 2, 1, "p1")
-        exN, rN = self._local(tmp_path, 2, 2, "pN")
-        assert ex1.backend == exN.backend == "process"
+        ex1, r1 = self._local(tmp_path, "p1", jobs=1)
+        exN, rN = self._local(tmp_path, "pN", jobs=2)
+        assert (ex1.backend, exN.backend) == ("serial", "process")
         assert self._samples_bytes(r1, tmp_path / "p1.json") == self._samples_bytes(
             rN, tmp_path / "pN.json"
         )
 
     def test_queue_backend(self, tmp_path):
-        def campaign(batch_size, tag):
+        def campaign(worker_count, tag):
             spool = tmp_path / f"spool-{tag}"
             cache = tmp_path / f"qcache-{tag}"
             executor = CampaignExecutor(
                 ScenarioRunner(seed=SEED), backend="queue", cache_dir=cache,
-                spool_dir=spool, batch_size=batch_size,
+                spool_dir=spool,
                 queue_options={"poll_interval": 0.02, "stop_workers_on_shutdown": True},
             )
-            worker = threading.Thread(
-                target=run_worker, args=(spool, cache),
-                kwargs={"poll_interval": 0.02, "worker_id": f"w-{tag}"},
-                daemon=True,
-            )
-            worker.start()
+            workers = [
+                threading.Thread(
+                    target=run_worker, args=(spool, cache),
+                    kwargs={"poll_interval": 0.02, "worker_id": f"w-{tag}-{i}"},
+                    daemon=True,
+                )
+                for i in range(worker_count)
+            ]
+            for worker in workers:
+                worker.start()
+            # Every worker heartbeats before the first dispatch, so the
+            # lane count is the worker count.
+            deadline = time.monotonic() + 30
+            while executor._backend.capacity != worker_count:
+                assert time.monotonic() < deadline, "workers never heartbeat"
+                time.sleep(0.01)
             result = executor.run_campaign(
                 [_SCENARIO], min_runs=self.RUNS, max_runs=self.RUNS
             )
-            worker.join(timeout=30)
+            for worker in workers:
+                worker.join(timeout=30)
             return executor, result
 
         ex1, r1 = campaign(1, "q1")
-        exN, rN = campaign(self.RUNS, "qN")
+        ex2, r2 = campaign(2, "q2")
         assert self._samples_bytes(r1, tmp_path / "q1.json") == self._samples_bytes(
-            rN, tmp_path / "qN.json"
+            r2, tmp_path / "q2.json"
         )
-        # The whole wave went out as one spool spec.
-        assert ex1.queue_stats.tasks_submitted == self.RUNS
-        assert exN.queue_stats.tasks_submitted == 1
-        # Progress stays per-run regardless of batching.
-        assert len(exN.progress_events) == self.RUNS
-        assert sorted(e.run_index for e in exN.progress_events) == list(range(self.RUNS))
+        # One lane: the whole wave went out as one spool spec; two lanes:
+        # chunks of ceil(3 / 2) = 2 runs, i.e. runs 0-1 and run 2.
+        assert ex1.queue_stats.tasks_submitted == 1
+        assert ex2.queue_stats.tasks_submitted == 2
+        # Progress stays per-run whatever the chunk shape.
+        for executor in (ex1, ex2):
+            assert sorted(e.run_index for e in executor.progress_events) == list(
+                range(self.RUNS)
+            )
 
     def test_batched_warm_rerun_performs_zero_runs(self, tmp_path):
-        self._local(tmp_path, 1, None, "warm")
-        executor, _ = self._local(tmp_path, 1, None, "warm")
+        self._local(tmp_path, "warm")
+        executor, _ = self._local(tmp_path, "warm")
         assert executor.stats.runs_executed == 0
         assert executor.stats.runs_cached == self.RUNS
 
@@ -257,9 +292,7 @@ class TestChunkedDispatch:
     def test_cache_hole_splits_contiguous_spans(self, tmp_path):
         """A cache hit mid-wave must break the batch into spans around it."""
         cache_dir = tmp_path / "cache"
-        executor = CampaignExecutor(
-            ScenarioRunner(seed=SEED), cache_dir=cache_dir, batch_size=None
-        )
+        executor = CampaignExecutor(ScenarioRunner(seed=SEED), cache_dir=cache_dir)
         key = RunCache.scenario_key(
             SEED, _SCENARIO, executor.runner.settings, None, executor.runner.stabilization
         )
@@ -284,20 +317,18 @@ class TestChunkedDispatch:
         for a, b in zip(serial.scenario_results[0].runs, result.scenario_results[0].runs):
             _assert_runs_identical(a, b)
 
-    def test_explicit_batch_size_chunks_waves(self, tmp_path):
-        executor = CampaignExecutor(
-            ScenarioRunner(seed=SEED), cache_dir=tmp_path / "cache", batch_size=2
-        )
-        submitted = []
-        original = executor._backend.submit
-        executor._backend.submit = lambda task: (submitted.append(task), original(task))[1]
-        executor.run_campaign([_SCENARIO], min_runs=5, max_runs=5)
-        shapes = sorted((task.run_start, task.run_count) for task in submitted)
-        assert shapes == [(0, 2), (2, 2), (4, 1)]
-
     def test_batch_size_validation(self):
-        with pytest.raises(ExperimentError, match="batch_size"):
-            CampaignExecutor(ScenarioRunner(seed=SEED), batch_size=0)
+        """There is one dispatch plan: the executor takes no size at all,
+        and ``run_campaign`` keeps a ``batch_size`` keyword that accepts
+        ``None`` alone."""
+        with pytest.raises(TypeError, match="batch_size"):
+            CampaignExecutor(ScenarioRunner(seed=SEED), batch_size=2)
+        with pytest.raises(TypeError, match="wave_size"):
+            CampaignExecutor(ScenarioRunner(seed=SEED), wave_size=2)
+        runner = ScenarioRunner(seed=SEED)
+        for value in (1, 2):
+            with pytest.raises(ExperimentError, match="batch_size accepts only None"):
+                runner.run_campaign([_SCENARIO], min_runs=2, max_runs=2, batch_size=value)
 
 
 class TestQueueWorkerBatch:
@@ -335,7 +366,7 @@ class TestQueueWorkerBatch:
         cache_dir = tmp_path / "cache"
         executor = CampaignExecutor(
             ScenarioRunner(seed=SEED), backend="queue", cache_dir=cache_dir,
-            spool_dir=spool, batch_size=None,
+            spool_dir=spool,
             queue_options={"poll_interval": 0.02, "stop_workers_on_shutdown": True},
         )
         assert executor._backend.capacity is None  # nobody has heartbeat yet
@@ -357,18 +388,21 @@ class TestQueueWorkerBatch:
 
 
 class TestCliBatchSize:
-    @pytest.mark.parametrize("value", ["0", "-2", "maybe"])
-    def test_invalid_batch_size_rejected(self, value):
+    """``campaign`` has no ``--batch-size``: every value is an argparse
+    error (exit code 2)."""
+
+    @pytest.mark.parametrize("value", ["0", "-2", "maybe", "4", "auto"])
+    def test_invalid_batch_size_rejected(self, value, capsys):
         from repro.cli import main
 
         with pytest.raises(SystemExit) as info:
             main(["campaign", "--batch-size", value])
         assert info.value.code == 2
+        assert "unrecognized arguments: --batch-size" in capsys.readouterr().err
 
-    def test_auto_and_integer_accepted(self):
-        from repro.cli import build_parser
+    def test_help_lists_no_batch_size(self, capsys):
+        from repro.cli import main
 
-        args = build_parser().parse_args(["campaign", "--batch-size", "auto"])
-        assert args.batch_size is None
-        args = build_parser().parse_args(["campaign", "--batch-size", "4"])
-        assert args.batch_size == 4
+        with pytest.raises(SystemExit):
+            main(["campaign", "--help"])
+        assert "--batch-size" not in capsys.readouterr().out

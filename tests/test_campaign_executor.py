@@ -3,15 +3,20 @@
 Covers serial-vs-parallel-vs-queue bit-identity of campaign results,
 zero simulation runs on a warm cache, cache invalidation when the
 execution protocol changes, the shared variance-stopping rule all paths
-replay, and the wave planner's dispatch shape (even splits over the
-backend's lanes, cut at cache holes, independent of earlier campaigns).
+replay, the dispatch plan's shape (even splits over the backend's lanes,
+cut at cache holes, independent of earlier campaigns), and per-run wall
+times measured where each run ran.
 """
 
 import json
+import math
 import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ExperimentError
 from repro.experiments.design import MigrationScenario
@@ -21,6 +26,7 @@ from repro.experiments.executor import (
     ProcessBackend,
     RunCache,
     SerialBackend,
+    _plan_chunks,
 )
 from repro.experiments.queue_backend import run_worker
 from repro.experiments.runner import RunnerSettings, ScenarioRunner, resolve_run_count
@@ -92,7 +98,7 @@ class TestBitIdentity:
         """With min < max the wave top-up must stop exactly where serial does."""
         scenarios = _scenarios()
         serial = ScenarioRunner(seed=SEED).run_campaign(scenarios, min_runs=3, max_runs=8)
-        executor = CampaignExecutor(ScenarioRunner(seed=SEED), jobs=2, wave_size=3)
+        executor = CampaignExecutor(ScenarioRunner(seed=SEED), jobs=2)
         parallel = executor.run_campaign(scenarios, min_runs=3, max_runs=8)
         _assert_campaigns_identical(serial, parallel)
 
@@ -102,15 +108,18 @@ class TestBitIdentity:
         _assert_campaigns_identical(serial_campaign, result)
         assert runner.last_executor_stats.runs_kept == 9
 
-    def test_result_independent_of_wave_size(self):
+    def test_result_independent_of_lanes(self):
+        """Lanes set both the chunk size and the top-up size; neither may
+        change the result."""
         scenarios = _scenarios()[:1]
         results = [
             CampaignExecutor(
-                ScenarioRunner(seed=SEED), jobs=1, wave_size=w
+                ScenarioRunner(seed=SEED), backend=_RecordingBackend(lanes)
             ).run_campaign(scenarios, min_runs=2, max_runs=6)
-            for w in (1, 4)
+            for lanes in (1, 2, 3)
         ]
-        _assert_campaigns_identical(*results)
+        _assert_campaigns_identical(results[0], results[1])
+        _assert_campaigns_identical(results[0], results[2])
 
     def test_queue_backend_matches_serial_and_process(self, serial_campaign, tmp_path):
         """Acceptance: serial, process and queue (2 workers, one shared
@@ -161,12 +170,17 @@ class TestBackendProtocol:
         result = executor.run_campaign(_scenarios(), min_runs=3, max_runs=3)
         _assert_campaigns_identical(serial_campaign, result)
 
-    def test_capacity_feeds_default_wave_size(self):
+    def test_capacity_sets_lanes(self):
         assert CampaignExecutor(
             ScenarioRunner(seed=SEED), backend=ProcessBackend(5)
-        ).wave_size == 5
-        assert CampaignExecutor(ScenarioRunner(seed=SEED), jobs=3).wave_size == 3
-        assert CampaignExecutor(ScenarioRunner(seed=SEED)).wave_size == 1
+        )._lanes() == 5
+        assert CampaignExecutor(ScenarioRunner(seed=SEED), jobs=3)._lanes() == 3
+        assert CampaignExecutor(ScenarioRunner(seed=SEED))._lanes() == 1
+        # Unknown capacity (a queue before its first heartbeat) falls
+        # back to jobs.
+        assert CampaignExecutor(
+            ScenarioRunner(seed=SEED), jobs=4, backend=_RecordingBackend(None)
+        )._lanes() == 4
 
     def test_process_backend_reusable_after_shutdown(self):
         backend = ProcessBackend(2)
@@ -497,51 +511,54 @@ def _fast_runner(**overrides) -> ScenarioRunner:
 
 
 class TestWavePlanning:
-    """``CampaignExecutor._plan_wave_chunks``: dispatch shape only — the
-    process pool is lazy, so no worker ever spawns here."""
+    """``_plan_chunks``, the one dispatch plan: shape only — the process
+    pool is lazy, so no worker ever spawns here."""
 
     def test_cold_auto_mode_is_legacy_even_split(self):
-        executor = CampaignExecutor(_fast_runner(), jobs=2, batch_size=None)
-        assert executor._plan_wave_chunks([0, 1, 2, 3, 4, 5]) == [
+        executor = CampaignExecutor(_fast_runner(), jobs=2)
+        assert _plan_chunks([0, 1, 2, 3, 4, 5], executor._lanes()) == [
             (0, 1, 2),
             (3, 4, 5),
         ]
-        assert executor._plan_wave_chunks([]) == []
-
-    def test_default_batch_size_keeps_per_run_dispatch(self):
-        executor = CampaignExecutor(_fast_runner(), jobs=2)
-        assert executor._plan_wave_chunks([0, 1, 2]) == [(0,), (1,), (2,)]
+        assert _plan_chunks([], executor._lanes()) == []
 
     def test_cold_auto_mode_cache_hole_keeps_legacy_shape(self):
         # chunk size comes from the TOTAL missing count, then is chopped
         # per contiguous span: [0] and [2, 3] with 2 lanes must dispatch
         # as a single run plus one 2-run batch.
-        executor = CampaignExecutor(_fast_runner(), jobs=2, batch_size=None)
-        assert executor._plan_wave_chunks([0, 2, 3]) == [(0,), (2, 3)]
+        assert _plan_chunks([0, 2, 3], 2) == [(0,), (2, 3)]
 
-    def test_explicit_batch_size_chops_each_span(self):
-        executor = CampaignExecutor(_fast_runner(), jobs=2, batch_size=2)
-        assert executor._plan_wave_chunks([0, 2, 3, 4, 5, 6]) == [
-            (0,),
-            (2, 3),
-            (4, 5),
-            (6,),
-        ]
+    @given(
+        st.lists(st.integers(0, 60), unique=True, max_size=40).map(sorted),
+        st.integers(1, 12),
+    )
+    def test_chunks_partition_the_missing_indices(self, missing, lanes):
+        """For any ascending indices with holes and any lane count, the
+        chunks partition the indices exactly, each chunk is contiguous
+        (so never bridges a hole) and holds at most
+        ``ceil(len(missing) / lanes)`` runs."""
+        chunks = _plan_chunks(missing, lanes)
+        assert [i for chunk in chunks for i in chunk] == missing
+        bound = math.ceil(len(missing) / lanes)
+        for chunk in chunks:
+            assert 1 <= len(chunk) <= bound
+            assert list(chunk) == list(range(chunk[0], chunk[0] + len(chunk)))
 
 
-class _RecordingTwoLaneBackend(SerialBackend):
-    """Inline execution that reports two lanes and records every task's
-    ``(run_start, run_count)`` in dispatch order."""
+class _RecordingBackend(SerialBackend):
+    """Inline execution that reports ``lanes`` lanes and records every
+    task's ``(run_start, run_count)`` in dispatch order."""
 
     name = "recording"
 
-    def __init__(self) -> None:
+    def __init__(self, lanes=2) -> None:
         super().__init__()
+        self.lanes = lanes
         self.dispatched: list[tuple[int, int]] = []
 
     @property
     def capacity(self):
-        return 2
+        return self.lanes
 
     def submit(self, task):
         self.dispatched.append((task.run_start, task.run_count))
@@ -555,10 +572,8 @@ class TestDispatchShape:
         executor dispatches exactly the first one's task list.  A zero
         variance delta never stops early, so the 10-run first wave is
         topped up to 14 in 2-run waves of single-run tasks."""
-        backend = _RecordingTwoLaneBackend()
-        executor = CampaignExecutor(
-            _fast_runner(variance_delta=0.0), backend=backend, batch_size=None
-        )
+        backend = _RecordingBackend(lanes=2)
+        executor = CampaignExecutor(_fast_runner(variance_delta=0.0), backend=backend)
         expected = [(0, 5), (5, 5), (10, 1), (11, 1), (12, 1), (13, 1)]
         shapes = []
         for _ in range(2):
@@ -587,3 +602,25 @@ class TestRunCacheCounters:
         counters = cache.counters()
         assert counters["hits"] == 2
         assert counters["bytes_read"] > 0
+
+
+class TestRunWalls:
+    def test_slow_run_reports_its_own_wall(self, monkeypatch):
+        """Each run of a multi-run chunk is timed where it runs: a slowed
+        run's progress event reports more wall time than its chunk-mates'
+        (an even split of the chunk's wall would report them equal)."""
+        original = ScenarioRunner.run_once
+
+        def run_once(self, scenario, run_index=0):
+            if run_index == 1:
+                time.sleep(0.3)
+            return original(self, scenario, run_index=run_index)
+
+        monkeypatch.setattr(ScenarioRunner, "run_once", run_once)
+        backend = _RecordingBackend(lanes=1)
+        executor = CampaignExecutor(_fast_runner(), backend=backend)
+        executor.run_campaign([_SCENARIO], min_runs=3, max_runs=3)
+        assert backend.dispatched == [(0, 3)]  # one three-run chunk
+        walls = {e.run_index: e.wall_s for e in executor.progress_events}
+        assert walls[1] >= 0.3
+        assert walls[1] > walls[0] and walls[1] > walls[2]

@@ -227,7 +227,7 @@ class TestWatchdog:
             scenario = _HEALTHY
             run_count = 1
 
-            def execute(self):
+            def execute(self, on_run=None):
                 time.sleep(5.0)
 
         with pytest.raises(RunTimeoutError):
@@ -236,9 +236,11 @@ class TestWatchdog:
 
 class _PoisonBackend(SerialBackend):
     """Serial execution, except tasks of one scenario fail their first
-    ``fail_times`` attempts (``None`` = always)."""
+    ``fail_times`` attempts (``None`` = always).  It reports two lanes,
+    so the dispatch plan sends a 2-run wave as one task per run."""
 
     name = "poison"
+    capacity = 2
 
     def __init__(self, poison_label: str, fail_times=None, exc_factory=None):
         super().__init__()
@@ -264,9 +266,11 @@ class _PoisonBackend(SerialBackend):
 
 
 class _HangBackend(ExecutorBackend):
-    """Futures that never resolve: forces the campaign deadline path."""
+    """Futures that never resolve: forces the campaign deadline path.
+    Two lanes, like :class:`_PoisonBackend`."""
 
     name = "hang"
+    capacity = 2
 
     def submit(self, task) -> Future:
         return Future()

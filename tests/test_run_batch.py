@@ -93,7 +93,7 @@ class TestGoldenBatchVsRunOnce:
         samples JSON of the serial ``run_once`` loop, byte for byte."""
         scenarios = ARCHETYPES[:2] + ARCHETYPES[-1:]
         reference = _runner().run_campaign(scenarios, min_runs=3, max_runs=3)
-        executor = CampaignExecutor(_runner(), batch_size=None)
+        executor = CampaignExecutor(_runner())
         batched = executor.run_campaign(scenarios, min_runs=3, max_runs=3)
         assert _samples_json(batched, tmp_path / "batched.json") == _samples_json(
             reference, tmp_path / "serial.json"
@@ -106,7 +106,6 @@ class TestGoldenBatchVsRunOnce:
         spool, cache = tmp_path / "spool", tmp_path / "cache"
         executor = CampaignExecutor(
             _runner(), backend="queue", cache_dir=cache, spool_dir=spool,
-            batch_size=None,
             queue_options={"poll_interval": 0.02, "stop_workers_on_shutdown": True},
         )
         worker = threading.Thread(
