@@ -148,6 +148,10 @@ class ScenarioRunner:
         #: Stats of the most recent parallel/cached campaign (``None`` until
         #: :meth:`run_campaign` is called with ``parallel``/``cache_dir``).
         self.last_executor_stats = None
+        #: The stabilisation waits this runner simulated in-process, per
+        #: budget: ``[waits, ended by the rule, simulated seconds waited]``.
+        #: Strictly observational (no sample or cache key reads it).
+        self.stabilisation_waits: dict[float, list] = {}
 
     # ------------------------------------------------------------------
     def build_testbed(self, scenario: MigrationScenario, run_index: int) -> Testbed:
@@ -392,12 +396,16 @@ class ScenarioRunner:
 
         With batched telemetry and nothing that could change state before
         the furthest check the wait can reach (no pending event), the
-        loop does not run the simulator per check: the
-        meters read the whole window ahead (:meth:`PowerMeter.read_ahead
+        loop does not run the simulator per check: the meters read ahead
+        (:meth:`PowerMeter.read_ahead
         <repro.telemetry.powermeter.PowerMeter.read_ahead>`), the checks
         are replayed on copies of their trackers, and one run advances
         the clock to the check where the wait ends — to the same float a
-        run per check reaches, with the same samples.
+        run per check reaches, with the same samples.  The read-ahead
+        grows in chunks: first to the first check the trackers' deficit
+        allows, then to the later check or twice the span read so far,
+        whichever is further.  A wait that ends early has read at most
+        twice the span it waited.
         """
         sim = bed.sim
         spent = 0.0
@@ -406,7 +414,7 @@ class ScenarioRunner:
         meters = (bed.source_meter, bed.target_meter)
         period = min(meter.period_s for meter in meters)
         trackers = [meter.tracker(rule) for meter in meters]
-        t = sim.now
+        t = start = sim.now
         # The furthest check: steps never sum beyond the initial max_steps.
         horizon = t + check * max(1, math.ceil(budget_s / check))
         ahead = None
@@ -416,11 +424,14 @@ class ScenarioRunner:
             and all(meter.running for meter in meters)
             and (next_event is None or next_event > horizon)
         ):
-            ahead = [meter.read_ahead(horizon) for meter in meters]
+            ahead = []
+            until = t
             trackers = [tracker.copy() for tracker in trackers]
             fed = [0] * len(meters)
+        stable = False
         while spent < budget_s:
             if all(tracker.stable for tracker in trackers):
+                stable = True
                 break
             deficit = max(tracker.deficit for tracker in trackers)
             # The original loop would run ceil(remaining / check) more
@@ -437,6 +448,9 @@ class ScenarioRunner:
             if ahead is not None:
                 t_next = t + check * steps
                 if t_next <= horizon:
+                    if t_next > until:
+                        until = min(horizon, max(t_next, start + 2 * (until - start)))
+                        ahead = [meter.read_ahead(until) for meter in meters]
                     for i, (times, readings) in enumerate(ahead):
                         j = bisect.bisect_right(times, t_next, fed[i])
                         trackers[i].observe_block(readings[fed[i]:j])
@@ -454,6 +468,10 @@ class ScenarioRunner:
             self._advance_read_ahead(sim, meters, t)
         # Budget exhausted: proceed — matching lab practice where a run is
         # not discarded for residual ripple, just measured longer.
+        tally = self.stabilisation_waits.setdefault(budget_s, [0, 0, 0.0])
+        tally[0] += 1
+        tally[1] += stable
+        tally[2] += sim.now - start
 
     @staticmethod
     def _advance_read_ahead(sim, meters, t: float) -> None:

@@ -152,17 +152,19 @@ class PeriodicSampler:
     # ------------------------------------------------------------------
     # Batched mode (simulator interval hook)
     # ------------------------------------------------------------------
-    def pending_ticks(self, t1: float) -> list[float]:
+    def pending_ticks(self, t1: float, offset: int = 0) -> list[float]:
         """Timestamps of the ticks ``<= t1`` not yet delivered (none consumed).
 
         The same float64 expression and ``<= t1`` rule as
         :meth:`advance_to`, so a reader can compute now the block a later
-        :meth:`advance_to` will deliver.
+        :meth:`advance_to` will deliver.  ``offset`` skips that many
+        undelivered ticks, for a reader extending a block it already
+        holds.
         """
         assert self._anchor is not None
         base = self._anchor + self._phase
         period = self._period
-        k = self._tick_index
+        k = self._tick_index + offset
         ticks = []
         next_time = base + k * period
         while next_time <= t1:

@@ -92,9 +92,11 @@ class PowerMeter:
         self.trace = PowerTrace(label=f"power:{host.name}")
         self._trackers: dict[StabilizationRule, StabilizationTracker] = {}
         # Read-ahead buffer (see read_ahead): tick times, readings, the
-        # host's jittered CPU reads, and how many ticks were delivered.
+        # host's jittered CPU reads, how many ticks were delivered, and
+        # the generator state after the buffered readings' draws.
         self._ahead: tuple[list[float], list[float], list[float]] | None = None
         self._ahead_pos = 0
+        self._ahead_state: dict | None = None
         self._sampler = PeriodicSampler(
             sim,
             period_s,
@@ -204,21 +206,31 @@ class PowerMeter:
         buffered, and the samples the simulator then delivers inside it
         are served from the buffer until :meth:`end_read_ahead`.
 
+        A later call with a larger ``until`` extends the buffer in place:
+        only the new ticks are computed, and their noise continues the
+        stream from the draws already buffered.
+
         Returns
         -------
         tuple[list[float], list[float]]
-            Tick times and readings, ascending.
+            Tick times and readings from ``now`` to ``until``, ascending
+            (the buffer's own lists).
         """
-        times = self._sampler.pending_ticks(until)
-        if not times:
-            self._ahead = None
-            return [], []
-        power, utils = self.host.kernel.power_ahead(times)
-        state = self._rng.bit_generator.state
-        readings = self._readings(power)
-        self._rng.bit_generator.state = state
-        self._ahead = (times, readings, utils)
-        self._ahead_pos = 0
+        if self._ahead is None:
+            self._ahead = ([], [], [])
+            self._ahead_pos = 0
+            self._ahead_state = self._rng.bit_generator.state
+        times, readings, utils = self._ahead
+        new = self._sampler.pending_ticks(until, len(times) - self._ahead_pos)
+        if new:
+            power, reads = self.host.kernel.power_ahead(new)
+            state = self._rng.bit_generator.state
+            self._rng.bit_generator.state = self._ahead_state
+            readings += self._readings(power)
+            self._ahead_state = self._rng.bit_generator.state
+            self._rng.bit_generator.state = state
+            times += new
+            utils += reads
         return times, readings
 
     def end_read_ahead(self) -> None:
