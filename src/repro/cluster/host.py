@@ -24,12 +24,26 @@ from repro.simulator.noise import hash_normal_unit, ou_like_noise
 
 __all__ = ["PhysicalHost"]
 
-#: Correlation quantum of utilisation jitter (scheduler-tick timescale).
+#: Correlation quantum of utilisation jitter: one draw per power-meter
+#: period (the PM1000+ reads at 2 Hz, Section V-B).
 _JITTER_QUANTUM_S = 0.5
 
-#: Standard deviation of CPU utilisation jitter as a fraction of capacity,
-#: scaled by how busy the host is (an idle host barely fluctuates).
-_CPU_JITTER_SIGMA = 0.016
+#: The Xen credit scheduler's tick: the timescale at which a busy host's
+#: CPU share fluctuates.
+_SCHED_TICK_S = 0.01
+
+#: Standard deviation of CPU utilisation jitter per scheduler tick, as a
+#: fraction of capacity, scaled by how busy the host is (an idle host
+#: barely fluctuates).
+_TICK_JITTER_SIGMA = 0.016
+
+#: The jitter of one read.  A meter reading is the mean draw over its
+#: period (Section V-B's PM1000+ units, whose readings the paper's
+#: stability rule compares), so the per-tick jitter averages down over the
+#: ``_JITTER_QUANTUM_S / _SCHED_TICK_S`` ticks of one quantum:
+#: ``0.016 / sqrt(50)`` ≈ 0.00226.  The feature recorder's host-CPU reads
+#: share this stream and this sigma.
+_CPU_JITTER_SIGMA = _TICK_JITTER_SIGMA * math.sqrt(_SCHED_TICK_S / _JITTER_QUANTUM_S)
 
 #: OU renormalisation of the thermal-drift process (blend = 0.75), the
 #: exact value ``ou_like_noise`` computes from that blend.

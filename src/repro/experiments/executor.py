@@ -53,7 +53,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import pathlib
+import socket
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
@@ -103,7 +105,9 @@ __all__ = [
 #: page-permutation draw), which changes every live run's random stream.
 #: /4: MigrationScenario lost the ``driver`` field again (no scenario is
 #: manager-driven any more), which changes the canonical scenario payload.
-CACHE_KEY_SCHEMA = "wavm3-run-cache/4"
+#: /5: host CPU jitter is averaged over the meter period (its sigma falls
+#: by sqrt(50)), which changes every run's power and CPU reads.
+CACHE_KEY_SCHEMA = "wavm3-run-cache/5"
 
 
 def execute_batch(
@@ -292,13 +296,19 @@ def _plan_chunks(missing: Sequence[int], lanes: int) -> list[tuple[int, ...]]:
     ]
 
 
+def process_worker_id() -> str:
+    """This process's worker id, ``<hostname>-<pid>``."""
+    return f"{socket.gethostname()}-{os.getpid()}"
+
+
 def _execute_task(
     task: RunTask, run_timeout: Optional[float] = None
-) -> tuple[list[RunResult], list[float]]:
+) -> tuple[list[RunResult], list[float], str]:
     """Module-level trampoline so task dispatch can pickle.
 
-    Returns the task's runs and each run's wall time, measured where it
-    ran (pool queueing and collection delay never count).  ``run_timeout``
+    Returns the task's runs, each run's wall time, measured where it ran
+    (pool queueing and collection delay never count), and the
+    :func:`process_worker_id` of the process it ran in.  ``run_timeout``
     arms the per-run watchdog
     (:func:`~repro.experiments.faults.run_with_deadline`): a task's
     deadline is ``run_timeout`` times its run count, so the budget scales
@@ -319,7 +329,7 @@ def _execute_task(
         None if run_timeout is None else run_timeout * count,
         label=f"task {task.scenario.label!r} ({count} run{'s' if count > 1 else ''})",
     )
-    return runs, walls
+    return runs, walls, process_worker_id()
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +569,8 @@ class ExecutorBackend(abc.ABC):
             ``task.run_indices`` order; a worker-side failure surfaces as
             the future's exception.  A backend that times its runs where
             they execute sets the future's ``walls`` attribute to the
-            per-run wall times, in the same order.
+            per-run wall times, in the same order, and its ``worker``
+            attribute to the id of the process that ran them.
         """
 
     def wait(
@@ -642,7 +653,7 @@ class _SerialFuture(Future):
     def __init__(self, task: RunTask, run_timeout: Optional[float]) -> None:
         super().__init__()
         try:
-            runs, self.walls = _execute_task(task, run_timeout)
+            runs, self.walls, self.worker = _execute_task(task, run_timeout)
         except BaseException as exc:  # noqa: BLE001 - mirrored to the caller
             self.set_exception(exc)
         else:
@@ -690,8 +701,9 @@ class ProcessBackend(ExecutorBackend):
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         inner = self._pool.submit(_execute_task, task, self.run_timeout)
-        # Unwrap (runs, walls) into a run-list future carrying the
-        # worker-side run walls as an attribute, mirroring _SerialFuture.
+        # Unwrap (runs, walls, worker) into a run-list future carrying the
+        # worker-side run walls and process id as attributes, mirroring
+        # _SerialFuture.
         outer: Future = Future()
 
         def _unwrap(done: Future) -> None:
@@ -699,7 +711,7 @@ class ProcessBackend(ExecutorBackend):
             if exc is not None:
                 outer.set_exception(exc)
             else:
-                runs, outer.walls = done.result()
+                runs, outer.walls, outer.worker = done.result()
                 outer.set_result(runs)
 
         inner.add_done_callback(_unwrap)
@@ -1229,6 +1241,7 @@ class CampaignExecutor:
                     # event supersedes this placeholder (run_campaign).
                     elapsed = time.perf_counter() - submitted
                     walls = [elapsed / task.run_count] * task.run_count
+                worker = getattr(future, "worker", self.backend)
                 for index, run, run_wall in zip(task.run_indices, runs, walls):
                     state.runs[index] = run
                     state.inflight.discard(index)
@@ -1239,7 +1252,7 @@ class CampaignExecutor:
                         task_id=task.run_id(index),
                         scenario=state.scenario.label,
                         run_index=index,
-                        worker=self.backend,
+                        worker=worker,
                         runs_completed=self.stats.runs_executed,
                         samples=samples,
                         wall_s=wall,

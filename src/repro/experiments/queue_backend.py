@@ -59,7 +59,6 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import socket
 import threading
 import time
 import traceback
@@ -74,6 +73,7 @@ from repro.experiments.executor import (
     RunCache,
     RunTask,
     execute_batch,
+    process_worker_id,
 )
 from repro.experiments.faults import (
     RunFailure,
@@ -854,7 +854,7 @@ def run_worker(
     """
     spool = _Spool(spool_dir)
     cache = RunCache(cache_dir)
-    wid = worker_id or f"{socket.gethostname()}-{os.getpid()}"
+    wid = worker_id or process_worker_id()
     beat_path = spool.workers / f"{wid}.json"
     stats = WorkerStats()
     idle_since = time.monotonic()

@@ -10,8 +10,9 @@ its whole tick range (:func:`~repro.simulator.noise.memoise_ticks`) before
 it loops.
 
 Each kernel is a plain scalar loop.  On the paper campaign a block holds
-27.7 samples on average and at most 240 (a whole 120 s post-migration
-stabilisation wait, which the runner advances in one engine call).
+20.1 samples on average and at most 240 (a post-migration stabilisation
+wait that runs out its 120 s budget, which the runner advances in one
+engine call).
 
 **Bit-identity discipline.** Every read equals the event-mode read at the
 same instant bit for bit (the cross-path golden tests assert byte-identical

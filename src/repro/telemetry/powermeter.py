@@ -1,14 +1,17 @@
 """The simulated Voltech PM1000+ power analyser.
 
 Section V-B: two PM1000+ units are attached to the AC side of the source
-and target hosts, sampling instantaneous power at 2 Hz; device accuracy is
-0.3 %, and readings land on a 0.1 W quantisation grid (typical of the
-instrument's display resolution at these ranges).
+and target hosts, reading power at 2 Hz; device accuracy is 0.3 %, and
+readings land on a 0.1 W quantisation grid (typical of the instrument's
+display resolution at these ranges).  The paper's stability rule compares
+these readings (twenty consecutive ones within 0.3 %).
 
-The meter samples the host's *ground-truth* power (which already includes
-utilisation jitter and transients) and adds measurement noise — keeping
-physical variation and instrument error separate, so tests can switch
-either off independently.
+A reading is the mean draw over its 0.5 s period, not an instantaneous
+value: the host's ground truth at a tick carries CPU jitter already
+averaged over the period's scheduler ticks (``cluster/host.py``), plus
+transients and thermal drift.  The meter adds measurement noise to that —
+keeping physical variation and instrument error separate, so tests can
+switch either off independently.
 
 Two sampling modes share one semantics (``batched=`` selects):
 
@@ -26,9 +29,9 @@ feeds incremental stabilisation trackers so :meth:`PowerMeter.stabilised`
 is O(1) per check (event mode gets the same trackers).
 
 A batched meter can also read ahead (:meth:`PowerMeter.read_ahead`): the
-runner's stabilisation wait asks for a whole quiet window's readings,
-replays its checks on them, and then advances the clock once, with the
-meter serving that block from the buffer.
+runner's stabilisation wait asks for a quiet window's readings in growing
+chunks, replays its checks on them, and then advances the clock once,
+with the meter serving that block from the buffer.
 """
 
 from __future__ import annotations

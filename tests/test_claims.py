@@ -76,6 +76,7 @@ def _record(**margins):
     return {
         "runs": 1, "seconds": 0.0, "margins": values,
         "nrmse": {"/".join(cell): 10.0 for cell in claims.PAPER_NRMSE},
+        "waits": {90.0: (2, 1, 135.0), 120.0: (2, 0, 240.0)},
     }
 
 
@@ -89,6 +90,10 @@ def test_sweep_exit_status_follows_gating_claims(monkeypatch, capsys):
     assert claim_sweep.main(["--seeds", "1-2"]) == 0
     out = capsys.readouterr().out
     assert "live_source_gain |     no |  1/2 |" in out
+    assert "stabilisation waits ended by the rule: 1 of 4 waits (25.0 %); " \
+        "mean wait 67.5 s of 90 s, 120.0 s of 120 s" in out
+    assert "stabilisation waits over the sweep ended by the rule: 2 of 8 waits (25.0 %); " \
+        "mean wait 67.5 s of 90 s, 120.0 s of 120 s" in out
     assert claim_sweep.main(["--seeds", "1-3"]) == 1
     out = capsys.readouterr().out
     assert "headline_gain at seed 3" in out

@@ -178,7 +178,7 @@ class TestGoldenCrossMode:
     def test_compute_mode_does_not_split_the_cache_key(self):
         """Retiring the ``compute`` setting kept every cache key: this
         task's key, with the two later deliberate payload changes undone
-        (the ``wavm3-run-cache/4`` tag and the dropped scenario ``driver``
+        (the ``wavm3-run-cache/5`` tag and the dropped scenario ``driver``
         field), is the literal computed while the field still existed
         (and was popped from the key payload)."""
         task = RunTask(
@@ -188,7 +188,7 @@ class TestGoldenCrossMode:
         )
         assert task.scenario.label == "cpuload-source/nonlive/8vm/m"
         payload = task.key_payload()
-        assert payload["schema"] == "wavm3-run-cache/4"
+        assert payload["schema"] == "wavm3-run-cache/5"
         payload["schema"] = "wavm3-run-cache/3"
         payload["scenario"]["driver"] = "scripted"
         assert RunCache._payload_digest(payload) == (

@@ -18,7 +18,7 @@ import pytest
 from repro.cli import main
 from repro.errors import ExperimentError
 from repro.experiments.design import MigrationScenario
-from repro.experiments.executor import CampaignExecutor
+from repro.experiments.executor import CampaignExecutor, process_worker_id
 from repro.experiments.queue_backend import run_worker, spool_gc, spool_status
 from repro.experiments.results import ProgressEvent
 from repro.experiments.runner import RunnerSettings, ScenarioRunner
@@ -125,6 +125,22 @@ class TestExecutorProgress:
         warm = CampaignExecutor(_runner(), cache_dir=tmp_path / "cache")
         warm.run_campaign([SCENARIO], min_runs=2, max_runs=2)
         assert warm.progress_events == []  # cache hits are not worker runs
+
+    def test_events_carry_the_id_of_the_process_that_ran_them(self):
+        """Serial runs carry the coordinator's ``<hostname>-<pid>``, pool
+        runs the ids of the pool processes, never the backend's name."""
+        serial = CampaignExecutor(_runner())
+        serial.run_campaign([SCENARIO], min_runs=2, max_runs=2)
+        assert {e.worker for e in serial.progress_events} == {process_worker_id()}
+
+        pooled = CampaignExecutor(_runner(), jobs=2)
+        pooled.run_campaign([SCENARIO], min_runs=2, max_runs=2)
+        workers = {e.worker for e in pooled.progress_events}
+        hostname = process_worker_id().rpartition("-")[0]
+        assert workers and process_worker_id() not in workers
+        for worker in workers:
+            host, _, pid = worker.rpartition("-")
+            assert host == hostname and pid.isdigit() and int(pid) != os.getpid()
 
     def test_progress_reset_between_campaigns(self):
         executor = CampaignExecutor(_runner())
@@ -430,7 +446,7 @@ class TestPartialProgressMerge:
         assert by_index[0].worker == "w-remote"
         assert by_index[0] is reported
         # Run 1: nobody reported it, the synthesized record survives.
-        assert by_index[1].worker == "serial"
+        assert by_index[1].worker == process_worker_id()
         # The merged stream is re-sorted by timestamp.
         assert [e.at for e in events] == sorted(e.at for e in events)
 

@@ -13,11 +13,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ExperimentError
 from repro.experiments.design import MigrationScenario, all_scenarios
 from repro.experiments.runner import RunnerSettings, ScenarioRunner
 from repro.simulator.engine import Simulator
+from repro.telemetry.powermeter import PowerMeter
 from repro.telemetry.stabilization import StabilizationRule
 
 LIVE = MigrationScenario("CPULOAD-SOURCE", "waits/lv/1vm", live=True, load_vm_count=1)
@@ -138,8 +141,16 @@ def _drive(runner, scenario, first_wait, before_wait=None):
 
 class TestStabilisationWait:
     def test_budget_exhausted_wait_matches_reference(self):
-        """The paper campaign's case: the rule never holds within the budget."""
-        runner = ScenarioRunner(seed=7)
+        """A rule that cannot hold: the wait runs out its budget.
+
+        One 0.1 W quantisation step is more than 1e-4 of any power below
+        1 kW, so every reading that differs from its predecessor breaks
+        the streak, and twenty equal readings in a row never occur under
+        the meter's noise.
+        """
+        runner = ScenarioRunner(
+            seed=7, stabilization=StabilizationRule(n_readings=20, rel_tolerance=1e-4)
+        )
         ref, start, ref_run = _drive(runner, LIVE, reference_stabilisation_wait(runner))
         assert ref["now"] - start == runner.settings.max_warmup_s
         got, _, run = _drive(runner, LIVE, runner._run_until_stable)
@@ -224,6 +235,76 @@ class TestStabilisationWait:
         _assert_same_run(ref_run, run)
 
 
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        n_readings=st.integers(2, 40),
+        rel_tolerance=st.floats(1e-4, 0.02),
+        min_warmup_s=st.sampled_from([0.5, 3.0, 12.0]),
+        max_warmup_s=st.floats(1.0, 90.0),
+        check_interval_s=st.sampled_from([0.3, 1.0, 2.5]),
+    )
+    @example(seed=3, n_readings=20, rel_tolerance=0.1, min_warmup_s=0.5,
+             max_warmup_s=90.0, check_interval_s=2.5)  # ends at once
+    @example(seed=10, n_readings=20, rel_tolerance=0.003, min_warmup_s=12.0,
+             max_warmup_s=90.0, check_interval_s=2.5)  # ends after four chunks
+    @example(seed=7, n_readings=20, rel_tolerance=1e-4, min_warmup_s=12.0,
+             max_warmup_s=90.0, check_interval_s=2.5)  # runs out its budget
+    def test_chunked_wait_matches_reference(
+        self, seed, n_readings, rel_tolerance, min_warmup_s, max_warmup_s, check_interval_s
+    ):
+        """Any rule, budget and seed: the same state and run as the reference."""
+        runner = ScenarioRunner(
+            seed=seed,
+            settings=RunnerSettings(
+                min_warmup_s=min_warmup_s, max_warmup_s=max_warmup_s,
+                check_interval_s=check_interval_s,
+            ),
+            stabilization=StabilizationRule(n_readings, rel_tolerance),
+        )
+        ref, _, ref_run = _drive(runner, LIVE, reference_stabilisation_wait(runner))
+        got, _, run = _drive(runner, LIVE, runner._run_until_stable)
+        _assert_same_state(ref, got)
+        _assert_same_run(ref_run, run)
+
+    @pytest.mark.parametrize("seed", [8, 10])
+    def test_early_end_reads_ahead_within_the_doubling_bound(self, seed, monkeypatch):
+        """A wait that ends early reads ahead at most twice what it waited.
+
+        The first chunk reaches the first possible check; each later one
+        adds at most the span already read, all of which the replayed
+        checks have consumed.  So the ticks read stay within the first
+        chunk or twice the ticks the wait consumed (plus one for the tick
+        grid's phase), and short of the whole budget window.
+        """
+        runner = ScenarioRunner(seed=seed)
+        reads, consumed, window = [], [], []
+        read_ahead = PowerMeter.read_ahead
+
+        def counting_read_ahead(meter, until):
+            times, readings = read_ahead(meter, until)
+            if meter is meters[0]:
+                reads.append(len(times))
+            return times, readings
+
+        def wait(bed, budget_s):
+            meter = bed.source_meter
+            meters.append(meter)
+            window.append(len(meter._sampler.pending_ticks(bed.sim.now + budget_s)))
+            before = len(meter.trace)
+            monkeypatch.setattr(PowerMeter, "read_ahead", counting_read_ahead)
+            runner._run_until_stable(bed, budget_s)
+            monkeypatch.undo()
+            consumed.append(len(meter.trace) - before)
+
+        meters = []
+        got, start, _ = _drive(runner, LIVE, wait)
+        assert got["now"] - start < runner.settings.max_warmup_s  # ended by the rule
+        assert len(reads) >= 2
+        assert reads[-1] <= max(reads[0], 2 * consumed[0] + 1)
+        assert reads[-1] < window[0]
+
+
 class TestMigrationWait:
     @pytest.mark.parametrize("scenario", [LIVE, NON_LIVE, MEMLOAD], ids=lambda s: s.label)
     def test_run_matches_per_check_reference(self, scenario):
@@ -254,8 +335,11 @@ class TestMigrationWait:
 
 
 class TestEngineCalls:
-    def test_paper_run_makes_six_engine_runs(self, monkeypatch):
-        """Two fixed waits, two stabilisation waits, two migration runs."""
+    def test_paper_run_makes_one_engine_run_per_wait(self, monkeypatch):
+        """Two fixed waits, two migration runs, and one run per
+        stabilisation wait that advances the clock: a wait whose rule
+        already holds at its first check runs nothing (the first
+        scenario's warm-up wait at seed 7)."""
         calls = []
         run = Simulator.run
 
@@ -263,9 +347,26 @@ class TestEngineCalls:
             calls.append(args or kwargs)
             return run(self, *args, **kwargs)
 
+        runner = ScenarioRunner(seed=7)
+        advancing = []
+        run_until_stable = runner._run_until_stable
+
+        def wait(bed, budget_s):
+            start = bed.sim.now
+            run_until_stable(bed, budget_s)
+            advancing.append(bed.sim.now > start)
+
+        runner._run_until_stable = wait
         monkeypatch.setattr(Simulator, "run", counting_run)
-        ScenarioRunner(seed=7).run_once(all_scenarios("m")[0], 0)
-        assert len(calls) == 6
+        counts = []
+        for scenario in all_scenarios("m")[:2]:
+            calls.clear()
+            advancing.clear()
+            runner.run_once(scenario, 0)
+            assert len(advancing) == 2
+            assert len(calls) == 4 + sum(advancing)
+            counts.append(len(calls))
+        assert counts == [5, 6]
 
     def test_testbed_runs_only_the_meters(self):
         runner = ScenarioRunner(seed=7)

@@ -149,52 +149,52 @@ class TestNonnegativeOracle:
 
 
 #: Coefficients fitted on the ``mini_samples`` fixture, per migration kind,
-#: computed with the bounded-variable least-squares solver
-#: ``optimize.lsq_linear(method="bvls")`` that ``fit_nonnegative`` called
-#: until it became a numpy Lawson–Hanson solver.  Exact zeros are
-#: coefficients bvls left on their bound, except LIU's non-live constants,
-#: where bvls stopped at 1.56e-15 (source) and 1.26e-15 (target) J, a
-#: rounding step above the bound of a fit whose energies are ~1e4 J.
+#: computed with scipy 1.17.1's bounded-variable least-squares solver
+#: ``optimize.lsq_linear(method="bvls")`` as an independent oracle (the
+#: solver ``fit_nonnegative`` called until it became a numpy Lawson–Hanson
+#: solver; scipy is not a dependency of ``src/``).  Recomputed when host CPU
+#: jitter came to be averaged over the meter period, which changed the
+#: fixture's samples.  Exact zeros are coefficients bvls left on their
+#: bound, except LIU's non-live constants, where bvls stopped at 1.57e-15
+#: (source) and 1.26e-15 (target) J, a rounding step above the bound of a
+#: fit whose energies are ~1e4 J.
 _BVLS_WAVM3 = {
     "non-live": {
         "source": {
-            "initiation": (4.925871313350988, 0.0, 436.55770877805793),
-            "transfer": (5.177617993198552, 0.0, 0.0, 0.0, 472.36031886983096),
-            "activation": (5.1518507993565015, 0.0, 428.53678922721554),
+            "initiation": (5.20110263369371, 0.0, 427.20469242808696),
+            "transfer": (5.230930528949554, 2.0433320826127247e-07, 0.0, 0.0, 449.6634071482716),
+            "activation": (5.071758882678232, 0.0, 437.1147200485104),
         },
         "target": {
-            "initiation": (6.939423313232062, 0.0, 454.48251871648665),
-            "transfer": (1.252402547211905, 5.54914423973156e-07, 0.0, 0.0,
-                         479.71368205144637),
-            "activation": (0.0, 0.265818430575503, 480.96101677395325),
+            "initiation": (6.069094507349958, 0.0, 453.9371662457833),
+            "transfer": (0.0, 7.423681405167914e-07, 0.0, 0.0, 461.8584150686942),
+            "activation": (2.0930345628797737, 0.0, 472.53352360455204),
         },
     },
     "live": {
         "source": {
-            "initiation": (5.554064367342828, 4.542240541094867, 19.424467377205268),
-            "transfer": (6.0394353584692455, 8.944064034588368e-07, 0.6407847913997612,
-                         0.0, 370.4834660850028),
-            "activation": (5.49518461426455, 0.0, 452.53195761962706),
+            "initiation": (5.565934291293192, 4.73541392227451, 0.0),
+            "transfer": (5.957338138645423, 0.0, 0.5617083316753977, 0.0, 474.2990794784381),
+            "activation": (5.504738803687829, 0.0, 451.8983439695519),
         },
         "target": {
-            "initiation": (3.0265657470599407, 0.0, 457.8447885254691),
-            "transfer": (2.4876070350754693, 4.4064799773070653e-07, 0.0, 0.0,
-                         495.2404003580505),
-            "activation": (0.0, 0.3969006730525373, 479.06969897273893),
+            "initiation": (7.345557002048592, 0.0, 453.2116934112605),
+            "transfer": (10.782974894250115, 7.205955265534179e-07, 0.0, 0.0, 436.15790128889125),
+            "activation": (0.0, 0.3827793198525761, 481.30299197872733),
         },
     },
 }
 _BVLS_HUANG = {
-    "non-live": {"source": (5.161661162784902, 466.9256757838764),
-                 "target": (0.0, 537.8367007672636)},
-    "live": {"source": (5.761650642031945, 492.7172848123116),
-             "target": (0.0, 548.991044176707)},
+    "non-live": {"source": (5.231050730053281, 466.8842542997459),
+                 "target": (0.0, 537.2695153061233)},
+    "live": {"source": (5.724371787135661, 491.5664786779566),
+             "target": (0.0, 548.1235010060368)},
 }
 _BVLS_LIU = {
-    "non-live": {"source": (6.69429112859201e-06, 0.0),
-                 "target": (5.419980518699515e-06, 0.0)},
-    "live": {"source": (2.404553640462711e-06, 43138.68630402761),
-             "target": (3.7775234340966345e-06, 22708.006994645195)},
+    "non-live": {"source": (6.7236210882757225e-06, 0.0),
+                 "target": (5.4188771487209136e-06, 0.0)},
+    "live": {"source": (2.3908904630232655e-06, 42986.0821507974),
+             "target": (3.7264795339514924e-06, 23022.32778490419)},
 }
 
 

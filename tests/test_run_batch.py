@@ -146,11 +146,12 @@ class TestRunCacheKeyPins:
     and bump ``CACHE_KEY_SCHEMA``.
     """
 
-    # Re-pinned for the ``wavm3-run-cache/4`` bump (the scenario payload
-    # lost its ``driver`` field): the schema tag is part of every key.
+    # Re-pinned for the ``wavm3-run-cache/5`` bump (host CPU jitter is
+    # averaged over the meter period): the schema tag is part of every
+    # key, and with the /4 tag this payload hashed to ab70ec73….
     PINNED = {
         "cpuload-source/nonlive/0vm/m": (
-            "ab70ec73fcbd4e1de7e04bd96c988e22d7b20b026b4af8ee5feec754415f787f"
+            "89aee24ad5063402839b9c9debeedfc202d152619807d0f1350e6a9b7b7db6f4"
         ),
     }
 

@@ -7,7 +7,9 @@ compares the four models at the paper's 20 % training split, and records
 the margin of every claim in :mod:`repro.analysis.claims`.  It then prints,
 per claim, the pass rate and the min/median margin next to the margin on
 the paper's own Table VII, and per Table VII cell the median NRMSE next to
-the paper's.
+the paper's.  Per seed and over the sweep it also prints how many of the
+campaign's stabilisation waits ended by the paper's rule (20 readings within
+0.3 %) rather than by running out their budget, and the mean wait per budget.
 
 Exit status is 1 when a gating claim (``liu_strunk_trail``,
 ``headline_gain``) fails at any seed, else 0.
@@ -56,7 +58,8 @@ def parse_seeds(text: str) -> list[int]:
 def sweep_seed(seed: int) -> dict:
     """One campaign + Table VII at ``seed``: its claim margins and NRMSE cells."""
     began = time.perf_counter()
-    result = ScenarioRunner(seed=seed).run_campaign(
+    runner = ScenarioRunner(seed=seed)
+    result = runner.run_campaign(
         all_scenarios("m"), min_runs=MIN_RUNS, max_runs=MAX_RUNS
     )
     comparison = compare_models(
@@ -70,7 +73,34 @@ def sweep_seed(seed: int) -> dict:
             "/".join(cell): comparison.nrmse_percent(*cell)
             for cell in claims.PAPER_NRMSE
         },
+        "waits": {budget: tuple(tally) for budget, tally in runner.stabilisation_waits.items()},
     }
+
+
+def describe_waits(waits: dict[float, tuple]) -> str:
+    """``ended by the rule: N of M waits (P %); mean wait …`` of a tally.
+
+    ``waits`` maps a wait budget to ``(waits, ended by the rule, seconds)``.
+    """
+    total = sum(tally[0] for tally in waits.values())
+    ended = sum(tally[1] for tally in waits.values())
+    share = 100.0 * ended / total if total else 0.0
+    means = ", ".join(
+        f"{tally[2] / tally[0]:.1f} s of {budget:g} s"
+        for budget, tally in sorted(waits.items())
+    )
+    return f"ended by the rule: {ended} of {total} waits ({share:.1f} %); mean wait {means}"
+
+
+def merge_waits(records: dict[int, dict]) -> dict[float, tuple]:
+    """The per-budget wait tallies of every seed, summed."""
+    merged: dict[float, list] = {}
+    for record in records.values():
+        for budget, tally in record["waits"].items():
+            into = merged.setdefault(budget, [0, 0, 0.0])
+            for i, value in enumerate(tally):
+                into[i] += value
+    return {budget: tuple(tally) for budget, tally in merged.items()}
 
 
 def render(records: dict[int, dict]) -> str:
@@ -129,8 +159,10 @@ def main(argv=None) -> int:
         shown = "  ".join(f"{name} {margins[name]:+.2f}" for name in claims.CLAIMS)
         print(f"seed {seed}: {record['runs']} runs, {record['seconds']:.1f} s  {shown}"
               + (f"  GATING FAIL: {', '.join(failed)}" if failed else ""), flush=True)
+        print(f"  stabilisation waits {describe_waits(record['waits'])}", flush=True)
     print()
     print(render(records))
+    print(f"\nstabilisation waits over the sweep {describe_waits(merge_waits(records))}")
     if failures:
         print("\ngating claims failed: "
               + ", ".join(f"{name} at seed {seed}" for seed, name in failures))
