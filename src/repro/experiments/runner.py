@@ -404,8 +404,8 @@ class ScenarioRunner:
         run per check reaches, with the same samples.  The read-ahead
         grows in chunks: first to the first check the trackers' deficit
         allows, then to the later check or twice the span read so far,
-        whichever is further.  A wait that ends early has read at most
-        twice the span it waited.
+        whichever is further.  A wait that ends early has read its first
+        chunk or at most twice the span it waited, not its whole budget.
         """
         sim = bed.sim
         spent = 0.0

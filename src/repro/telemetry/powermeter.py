@@ -216,8 +216,8 @@ class PowerMeter:
         Returns
         -------
         tuple[list[float], list[float]]
-            Tick times and readings from ``now`` to ``until``, ascending
-            (the buffer's own lists).
+            Tick times and readings of the whole buffer, ascending (its
+            own lists, which a later call extends).
         """
         if self._ahead is None:
             self._ahead = ([], [], [])

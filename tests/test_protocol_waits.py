@@ -234,7 +234,6 @@ class TestStabilisationWait:
         _assert_same_state(ref, got)
         _assert_same_run(ref_run, run)
 
-
     @settings(max_examples=12, deadline=None)
     @given(
         seed=st.integers(0, 2**16),
@@ -278,7 +277,7 @@ class TestStabilisationWait:
         grid's phase), and short of the whole budget window.
         """
         runner = ScenarioRunner(seed=seed)
-        reads, consumed, window = [], [], []
+        meters, reads, consumed, window = [], [], [], []
         read_ahead = PowerMeter.read_ahead
 
         def counting_read_ahead(meter, until):
@@ -297,7 +296,6 @@ class TestStabilisationWait:
             monkeypatch.undo()
             consumed.append(len(meter.trace) - before)
 
-        meters = []
         got, start, _ = _drive(runner, LIVE, wait)
         assert got["now"] - start < runner.settings.max_warmup_s  # ended by the rule
         assert len(reads) >= 2
