@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -58,20 +59,13 @@ import pathlib
 import socket
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Collection, Optional, Sequence, Set, Union
 
 from repro.errors import ExperimentError
 from repro.experiments.chaos import ChaosError, chaos_trip
 from repro.experiments.design import MigrationScenario
-from repro.experiments.faults import (
-    ON_FAILURE_MODES,
-    FailureLedger,
-    RetryPolicy,
-    RunFailure,
-    failure_from_exception,
-    run_with_deadline,
-)
+from repro.experiments.faults import FailureLedger, RetryPolicy, RunFailure, run_with_deadline
 from repro.experiments.results import (
     ExperimentResult,
     ProgressEvent,
@@ -80,6 +74,7 @@ from repro.experiments.results import (
     run_sample_count,
 )
 from repro.experiments.runner import RunnerSettings, ScenarioRunner, resolve_run_count
+from repro.experiments.taskboard import COORDINATOR, TaskBoard
 from repro.hypervisor.migration import MigrationConfig
 from repro.io import PersistenceError, load_run_result, save_run_result, write_atomic
 from repro.models.features import HostRole
@@ -542,6 +537,11 @@ class ExecutorBackend(abc.ABC):
     #: Human-readable backend identifier (``executor.backend`` reports it).
     name: str = "?"
 
+    #: The campaign's :class:`~repro.experiments.taskboard.TaskBoard`, set
+    #: by the executor before its first submit.  A backend that sees a
+    #: lease expire reports it there (:meth:`TaskBoard.expire`).
+    board: Optional[TaskBoard] = None
+
     @property
     def capacity(self) -> Optional[int]:
         """How many tasks can usefully be in flight, or ``None`` if unknown.
@@ -735,11 +735,14 @@ class ExecutorStats:
     runs_executed: int = 0    # runs actually simulated (cache misses + no-cache)
     runs_cached: int = 0      # runs served from the cache
     runs_discarded: int = 0   # top-up runs beyond the stopping point
-    failures: int = 0         # failed task attempts (see the failure ledger)
-    tasks_retried: int = 0    # failed attempts re-dispatched under the budget
-    tasks_quarantined: int = 0  # tasks captured in a backend quarantine store
-    runs_abandoned: int = 0   # run indices given up after budget exhaustion
     scenarios_dropped: int = 0  # scenarios with zero usable runs
+    board: TaskBoard = field(default_factory=TaskBoard, repr=False, compare=False)
+
+    # The failure counters, read from the campaign's task board:
+    failures = property(lambda self: len(self.board.records))  # ledger records
+    tasks_retried = property(lambda self: self.board.count("retried"))
+    tasks_quarantined = property(lambda self: self.board.count("quarantined"))
+    runs_abandoned = property(lambda self: self.board.runs_abandoned)  # of fated tasks
 
     @property
     def degraded(self) -> bool:
@@ -785,7 +788,9 @@ class CampaignExecutor:
     and an undecided scenario is topped up by ``lanes`` runs.  ``lanes``
     is ``backend.capacity or jobs``, re-read at every dispatch.  Cache
     entries, progress events and results stay per-run and bit-identical
-    for any lane count.
+    for any lane count.  Each campaign's tasks live on one
+    :class:`~repro.experiments.taskboard.TaskBoard` (:attr:`board`), which
+    decides their attempts, retries and fates.
 
     Parameters
     ----------
@@ -810,36 +815,21 @@ class CampaignExecutor:
         Extra keyword arguments forwarded to
         :class:`~repro.experiments.queue_backend.QueueBackend`
         (``poll_interval``, ``stale_timeout``, ``stop_workers_on_shutdown``, …).
-    max_retries:
-        Attempt budget per task: a failed task is re-dispatched (after
-        :class:`~repro.experiments.faults.RetryPolicy` backoff) until it
-        has failed ``max_retries`` times in total, then handed to
-        ``on_failure``.  The default ``1`` keeps the classic single-
-        attempt semantics.  Values above 1 also bound the queue
-        backend's stale-lease requeues (``max_requeues``), so a
-        deterministically-crashing worker cannot recycle a task forever.
-    on_failure:
-        What exhausting the budget does: ``"raise"`` (default) aborts
-        the campaign with the task's exception; ``"skip"`` abandons the
-        task's run indices and completes the campaign degraded;
-        ``"quarantine"`` additionally captures the task spec in the
-        backend's quarantine store (the queue's ``quarantine/`` spool
-        dir).  Either way every
-        attempt lands in the failure ledger (:attr:`ledger`).
-    retry_policy:
-        Backoff schedule between attempts (default
-        :class:`~repro.experiments.faults.RetryPolicy`: 0.5 s base,
-        doubling, 30 s cap, ±25 % deterministic jitter).
+    max_retries / on_failure / retry_policy / campaign_timeout:
+        The failure knobs of each campaign's
+        :class:`~repro.experiments.taskboard.TaskBoard`: the attempt
+        budget per task (default 1: fail fast; above 1 it also bounds
+        stale-lease requeues), what a spent budget does (``"raise"``,
+        ``"skip"`` or ``"quarantine"``: the latter two complete the
+        campaign degraded), the backoff between attempts (default
+        :class:`~repro.experiments.faults.RetryPolicy`) and the deadline
+        in seconds of the whole campaign.  Every failed attempt lands in
+        the failure ledger (:attr:`ledger`).
     run_timeout:
         Per-run wall-clock watchdog for the in-process backends
         (serial/process), in seconds; a batch task gets ``run_timeout ×
         run_count``.  Distributed workers arm their own watchdog via
         ``campaign-worker --run-timeout``.
-    campaign_timeout:
-        Coordinator-side deadline in seconds for the whole campaign;
-        on expiry every in-flight task is recorded in the ledger and the
-        campaign aborts with :class:`~repro.errors.ExperimentError`
-        instead of hanging.
 
     Raises
     ------
@@ -864,26 +854,17 @@ class CampaignExecutor:
     ) -> None:
         if jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-        if int(max_retries) < 1:
-            raise ExperimentError(f"max_retries must be >= 1, got {max_retries}")
-        if on_failure not in ON_FAILURE_MODES:
-            raise ExperimentError(
-                f"unknown on_failure mode {on_failure!r} "
-                f"(expected one of {ON_FAILURE_MODES})"
-            )
         if run_timeout is not None and run_timeout <= 0:
             raise ExperimentError(f"run_timeout must be > 0, got {run_timeout}")
-        if campaign_timeout is not None and campaign_timeout <= 0:
-            raise ExperimentError(
-                f"campaign_timeout must be > 0, got {campaign_timeout}"
-            )
+        self._new_board = functools.partial(
+            TaskBoard, max_retries=max_retries, on_failure=on_failure,
+            retry_policy=retry_policy, campaign_timeout=campaign_timeout,
+        )
+        #: The task board of the most recent campaign.
+        self.board = self._new_board()  # validates the failure knobs
         self.runner = runner
         self.jobs = int(jobs)
-        self.max_retries = int(max_retries)
-        self.on_failure = on_failure
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.run_timeout = run_timeout
-        self.campaign_timeout = campaign_timeout
         self.cache = RunCache(cache_dir) if cache_dir is not None else None
         #: The per-campaign failure ledger; persisted next to the cache
         #: (``failures.ndjson``) when a cache_dir is configured.
@@ -895,13 +876,13 @@ class CampaignExecutor:
         self._backend = self._make_backend(backend, spool_dir, queue_options)
         self.backend = self._backend.name
         self.stats = ExecutorStats()
-        #: Attempt counter per task id of the current campaign.
-        self._attempts: dict[str, int] = {}
         #: Per-run progress announcements of the most recent campaign:
         #: worker-reported events where the backend has a channel for them
         #: (queue sidecars), coordinator-synthesised
         #: completion records otherwise.
         self.progress_events: list[ProgressEvent] = []
+        #: Submitted futures -> (state, task, submit time on perf_counter).
+        self._handles: dict[Future, tuple[_ScenarioState, RunTask, float]] = {}
 
     def _lanes(self) -> int:
         """The lane count of the next dispatch: ``backend.capacity or jobs``.
@@ -948,10 +929,7 @@ class CampaignExecutor:
             raise ExperimentError("the queue backend requires a spool_dir")
         from repro.experiments.queue_backend import QueueBackend  # local: avoid cycle
 
-        options = dict(queue_options or {})
-        if self.max_retries > 1:
-            options.setdefault("max_requeues", self.max_retries)
-        return QueueBackend(spool_dir, self.cache, **options)
+        return QueueBackend(spool_dir, self.cache, **(queue_options or {}))
 
     # ------------------------------------------------------------------
     def run_campaign(
@@ -997,37 +975,48 @@ class CampaignExecutor:
         if lo < 2 or hi < lo:
             raise ExperimentError(f"invalid run bounds: min={lo} max={hi}")
 
-        self.stats = ExecutorStats(scenarios=len(scenarios))
+        backend = self._backend
+        self.board = backend.board = self._new_board(
+            now=time.time(), quarantine=lambda payload: backend.quarantine(payload[1])
+        )
+        self.stats = ExecutorStats(scenarios=len(scenarios), board=self.board)
         self.progress_events = []
         self.ledger.reset()
-        self._attempts = {}
+        self._handles = {}
+        self._bounds = (lo, hi)
         states = [_ScenarioState(self._first_task(s), target=lo) for s in scenarios]
         try:
-            self._drive(states, lo, hi)
+            for state in states:
+                self._advance(state)
+            self._drive()
         finally:
             try:
-                # Worker-reported progress (richer: true worker ids and
-                # worker-side wall times) supersedes the coordinator-side
-                # synthesis per task id — not wholesale, so tasks whose
-                # worker died before flushing its sidecar keep at least
-                # the synthesized record.
-                worker_reported = self._backend.drain_progress()
-                if worker_reported:
-                    reported_ids = {event.task_id for event in worker_reported}
-                    merged = [
-                        event
-                        for event in self.progress_events
-                        if event.task_id not in reported_ids
-                    ]
-                    merged.extend(worker_reported)
-                    merged.sort(key=lambda event: event.at)
-                    self.progress_events = merged
+                self._merge_worker_progress()
             finally:
                 # drain_progress can raise (corrupt sidecar, dead spool
                 # dir); the backend's worker pool must still come down,
                 # or every failed drain leaks processes/threads.
                 self._backend.shutdown()
+        return self._result(states)
 
+    def _merge_worker_progress(self) -> None:
+        """Worker-reported progress (richer: true worker ids and
+        worker-side wall times) supersedes the coordinator-side synthesis
+        per task id — not wholesale, so tasks whose worker died before
+        flushing its sidecar keep at least the synthesized record."""
+        worker_reported = self._backend.drain_progress()
+        if worker_reported:
+            reported_ids = {event.task_id for event in worker_reported}
+            merged = [
+                event for event in self.progress_events
+                if event.task_id not in reported_ids
+            ]
+            merged.extend(worker_reported)
+            merged.sort(key=lambda event: event.at)
+            self.progress_events = merged
+
+    def _result(self, states: Sequence[_ScenarioState]) -> ExperimentResult:
+        """The kept runs of every resolved scenario."""
         results = []
         for state in states:
             assert state.resolved is not None
@@ -1067,7 +1056,7 @@ class CampaignExecutor:
             key=key,
         )
 
-    def _resolve_degraded(self, state: _ScenarioState, lo: int, hi: int) -> None:
+    def _resolve_degraded(self, state: _ScenarioState) -> None:
         """Resolve a scenario whose wave completed with abandoned holes.
 
         The variance criterion needs the index-ordered energy prefix, so
@@ -1077,6 +1066,7 @@ class CampaignExecutor:
         the whole prefix is kept (degraded — possibly zero runs, in
         which case the scenario is dropped from the result).
         """
+        lo, hi = self._bounds
         prefix = 0
         while prefix in state.runs:
             prefix += 1
@@ -1091,230 +1081,157 @@ class CampaignExecutor:
             )
         state.resolved = kept if kept is not None else prefix
 
-    def _drive(self, states: Sequence[_ScenarioState], lo: int, hi: int) -> None:
-        """The wave scheduler: dispatch, collect, evaluate, top up.
-
-        Task failures are routed through the retry budget: a failed
-        task re-dispatches after :attr:`retry_policy` backoff until it
-        has failed :attr:`max_retries` times, then :attr:`on_failure`
-        decides between aborting (``raise``) and abandoning the task's
-        indices (``skip``/``quarantine``), with every attempt recorded
-        in :attr:`ledger`.
-        """
-        #: future -> (state, task, submit time on the perf_counter clock)
-        pending: dict[Future, tuple[_ScenarioState, RunTask, float]] = {}
-        #: Tasks sitting out their backoff: (ready_at, state, task).
-        retry_queue: list[tuple[float, _ScenarioState, RunTask]] = []
-        deadline = (
-            time.monotonic() + self.campaign_timeout
-            if self.campaign_timeout is not None
-            else None
-        )
-
-        def dispatch(state: _ScenarioState, task: RunTask) -> None:
-            """Submit one task (fresh or retry); count the attempt."""
-            state.inflight.update(task.run_indices)
-            self._attempts[task.task_id] = self._attempts.get(task.task_id, 0) + 1
-            t_submit = time.perf_counter()
-            future = self._backend.submit(task)
-            pending[future] = (state, task, t_submit)
-
-        def advance(state: _ScenarioState) -> None:
-            """Dispatch missing runs below target; evaluate once complete."""
-            while state.resolved is None:
-                missing = []
-                for index in range(state.target):
-                    if (
-                        index in state.runs
-                        or index in state.inflight
-                        or index in state.abandoned
-                    ):
-                        continue
-                    cached = (
-                        self.cache.get(state.key, state.scenario, index)
-                        if self.cache is not None and state.key is not None
-                        else None
-                    )
-                    if cached is not None:
-                        state.runs[index] = cached
-                        self.stats.runs_cached += 1
-                    else:
-                        missing.append(index)
-                if missing:
-                    for chunk in _plan_chunks(missing, self._lanes()):
-                        dispatch(state, state.task(chunk))
-                if state.inflight:
-                    return  # evaluate when the wave completes
-                if any(i in state.abandoned for i in range(state.target)):
-                    self._resolve_degraded(state, lo, hi)
-                    return
-                energies = [
-                    state.runs[i].total_energy_j(HostRole.SOURCE)
-                    for i in range(state.target)
-                ]
-                kept = resolve_run_count(
-                    energies, lo, hi, self.runner.settings.variance_delta
+    def _advance(self, state: _ScenarioState) -> None:
+        """The wave planner: put a scenario's missing runs below its
+        target on the board; evaluate the wave once it is complete."""
+        lo, hi = self._bounds
+        while state.resolved is None:
+            missing = []
+            for index in range(state.target):
+                if index in state.runs or index in state.inflight or index in state.abandoned:
+                    continue
+                cached = (
+                    self.cache.get(state.key, state.scenario, index)
+                    if self.cache is not None and state.key is not None
+                    else None
                 )
-                if kept is not None:
-                    state.resolved = kept
-                    return
-                state.target = min(hi, state.target + self._lanes())
-
-        def fail(state: _ScenarioState, task: RunTask, exc: BaseException) -> None:
-            """One failed attempt: retry under budget, else fate it."""
-            task_id = task.task_id
-            attempt = self._attempts.get(task_id, 1)
-            failure = failure_from_exception(
-                exc,
-                task_id=task_id,
-                scenario=state.scenario.label,
-                run_indices=tuple(task.run_indices),
-                attempt=attempt,
-                worker=self.backend,
+                if cached is not None:
+                    state.runs[index] = cached
+                    self.stats.runs_cached += 1
+                else:
+                    missing.append(index)
+            for chunk in _plan_chunks(missing, self._lanes()) if missing else ():
+                task = state.task(chunk)
+                state.inflight.update(chunk)
+                self.board.add(task.task_id, state.scenario.label, chunk, (state, task))
+            if state.inflight:
+                return  # evaluate when the wave completes
+            if any(i in state.abandoned for i in range(state.target)):
+                self._resolve_degraded(state)
+                return
+            energies = [
+                state.runs[i].total_energy_j(HostRole.SOURCE)
+                for i in range(state.target)
+            ]
+            kept = resolve_run_count(
+                energies, lo, hi, self.runner.settings.variance_delta
             )
-            self.stats.failures += 1
-            retryable = getattr(exc, "retryable", True)
-            if retryable and attempt < self.max_retries:
-                self.ledger.record(failure.with_fate("retried"))
-                self.stats.tasks_retried += 1
-                delay = self.retry_policy.delay_s(attempt, task_id)
-                retry_queue.append((time.monotonic() + delay, state, task))
-                return  # indices stay inflight until the re-dispatch
-            if self.on_failure == "raise":
-                self.ledger.record(failure.with_fate("fatal"))
-                raise exc
-            fate = "skipped"
-            if self.on_failure == "quarantine" and self._backend.quarantine(task):
-                fate = "quarantined"
-                self.stats.tasks_quarantined += 1
-            self.ledger.record(failure.with_fate(fate))
-            state.inflight.difference_update(task.run_indices)
-            state.abandoned.update(task.run_indices)
-            self.stats.runs_abandoned += task.run_count
-            if not state.inflight:
-                advance(state)
+            if kept is not None:
+                state.resolved = kept
+                return
+            state.target = min(hi, state.target + self._lanes())
 
-        for state in states:
-            advance(state)
-        while pending or retry_queue:
-            now = time.monotonic()
-            if deadline is not None and now >= deadline:
-                self._abort_on_deadline(pending, retry_queue)
-            if retry_queue:
-                due = [entry for entry in retry_queue if entry[0] <= now]
-                if due:
-                    retry_queue[:] = [e for e in retry_queue if e[0] > now]
-                    for _, state, task in due:
-                        dispatch(state, task)
-            if not pending:
+    def _drive(self) -> None:
+        """Submit what the board leases, wait, hand each completion on.
+
+        The board supplies the retries that are due, the timeout of the
+        next wait (a backoff expiry or the campaign deadline) and the
+        deadline itself, on which every outstanding task is recorded and
+        the campaign aborts.
+        """
+        board = self.board
+        while board.active:
+            now = time.time()
+            if board.overdue(now):
+                outstanding = board.abort(now)
+                for failure in outstanding:
+                    self.ledger.record(failure)
+                raise ExperimentError(
+                    f"campaign deadline of {board.campaign_timeout:g}s exceeded "
+                    f"with {len(outstanding)} tasks outstanding"
+                )
+            for state, task in board.lease_ready(now):
+                submitted = time.perf_counter()
+                self._handles[self._backend.submit(task)] = (state, task, submitted)
+            timer = board.next_timer(now)
+            if not self._handles:
                 # Only backoff timers outstanding: nap (bounded, so the
                 # campaign deadline stays responsive) until one is due.
-                next_ready = min(entry[0] for entry in retry_queue)
-                limit = next_ready if deadline is None else min(next_ready, deadline)
-                time.sleep(min(max(limit - time.monotonic(), 0.0), 0.25))
+                time.sleep(min(timer, 0.25))
                 continue
-            timeout = None
-            bounds = []
-            if retry_queue:
-                bounds.append(min(entry[0] for entry in retry_queue) - now)
-            if deadline is not None:
-                bounds.append(deadline - now)
-            if bounds:
-                timeout = max(min(bounds), 0.0)
-            done = self._backend.wait(list(pending), timeout=timeout)
-            for future in done:
-                state, task, submitted = pending.pop(future)
-                try:
-                    runs = future.result()
-                except Exception as exc:  # noqa: BLE001 - routed through the budget
-                    fail(state, task, exc)
-                    continue
-                if len(runs) != task.run_count:
-                    raise ExperimentError(
-                        f"task {task.task_id} for {state.scenario.label!r} returned "
-                        f"{len(runs)} runs, expected {task.run_count}"
-                    )
-                walls = getattr(future, "walls", None)
-                if walls is None:
-                    # A queue future resolves from the shared cache: its
-                    # worker timed each run and announced it, and that
-                    # event supersedes this placeholder (run_campaign).
-                    elapsed = time.perf_counter() - submitted
-                    walls = [elapsed / task.run_count] * task.run_count
-                worker = getattr(future, "worker", self.backend)
-                for index, run, run_wall in zip(task.run_indices, runs, walls):
-                    state.runs[index] = run
-                    state.inflight.discard(index)
-                    self.stats.runs_executed += 1
-                    samples = run_sample_count(run)
-                    wall = max(run_wall, 1e-9)
-                    event = ProgressEvent(
-                        task_id=task.run_id(index),
-                        scenario=state.scenario.label,
-                        run_index=index,
-                        worker=worker,
-                        runs_completed=self.stats.runs_executed,
-                        samples=samples,
-                        wall_s=wall,
-                        samples_per_s=samples / wall,
-                        at=time.time(),
-                    )
-                    self.progress_events.append(event)
-                    # Queue futures resolve *from* the shared cache (a
-                    # worker already deposited the result), so skip the
-                    # re-write.
-                    if (
-                        self.cache is not None
-                        and state.key is not None
-                        and not getattr(future, "result_in_cache", False)
-                    ):
-                        try:
-                            self.cache.put(state.key, run, key_payload=task.key_payload())
-                        except (PersistenceError, OSError, ChaosError) as exc:
-                            # A failed cache write must never take the
-                            # campaign down: the run is already in hand.
-                            self.ledger.record(
-                                RunFailure(
-                                    task_id=task.run_id(index),
-                                    scenario=state.scenario.label,
-                                    run_indices=(index,),
-                                    attempt=self._attempts.get(task.task_id, 1),
-                                    worker=self.backend,
-                                    kind=type(exc).__name__,
-                                    message=f"cache put failed: {exc}",
-                                    at=time.time(),
-                                    fate="tolerated",
-                                )
-                            )
-                            self.stats.failures += 1
-                if not state.inflight:
-                    advance(state)
+            for future in self._backend.wait(list(self._handles), timeout=timer):
+                self._on_done(future)
 
-    def _abort_on_deadline(self, pending: dict, retry_queue: list) -> None:
-        """Record every outstanding task and abort: deadlines never hang."""
-        stamp = time.time()
-        outstanding = [task for (_state, task, _submitted) in pending.values()] + [
-            task for (_ready, _state, task) in retry_queue
-        ]
-        for task in outstanding:
-            self.ledger.record(
-                RunFailure(
-                    task_id=task.task_id,
-                    scenario=task.scenario.label,
-                    run_indices=tuple(task.run_indices),
-                    attempt=self._attempts.get(task.task_id, 1),
-                    worker=self.backend,
-                    kind="CampaignTimeout",
-                    message=(
-                        f"campaign deadline of {self.campaign_timeout:g}s "
-                        "expired with the task outstanding"
-                    ),
-                    at=stamp,
-                    fate="fatal",
+    def _on_done(self, future: Future) -> None:
+        """The completion handler: one finished attempt, good or failed.
+
+        A failed attempt goes to the board, which returns its ledger
+        record and fate: ``retried`` keeps the runs in flight,
+        ``fatal`` re-raises the task's exception, ``skipped`` and
+        ``quarantined`` abandon the task's runs.
+        """
+        state, task, submitted = self._handles.pop(future)
+        try:
+            runs = future.result()
+        except Exception as exc:  # noqa: BLE001 - the board decides its fate
+            failure = self.ledger.record(self.board.fail(task.task_id, exc, time.time()))
+            if failure.fate == "fatal":
+                raise exc
+            if failure.fate != "retried":
+                state.inflight.difference_update(task.run_indices)
+                state.abandoned.update(task.run_indices)
+        else:
+            if len(runs) != task.run_count:
+                raise ExperimentError(
+                    f"task {task.task_id} for {state.scenario.label!r} returned "
+                    f"{len(runs)} runs, expected {task.run_count}"
                 )
-            )
-            self.stats.failures += 1
-        raise ExperimentError(
-            f"campaign deadline of {self.campaign_timeout:g}s exceeded "
-            f"with {len(outstanding)} tasks outstanding"
+            self.board.complete(task.task_id)
+            self._collect(state, task, future, runs, submitted)
+        if not state.inflight:
+            self._advance(state)
+
+    def _collect(
+        self, state: _ScenarioState, task: RunTask, future: Future,
+        runs: list[RunResult], submitted: float,
+    ) -> None:
+        """Keep a completed task's runs: progress events and cache puts."""
+        walls = getattr(future, "walls", None)
+        if walls is None:
+            # A queue future resolves from the shared cache: its
+            # worker timed each run and announced it, and that
+            # event supersedes this placeholder (run_campaign).
+            elapsed = time.perf_counter() - submitted
+            walls = [elapsed / task.run_count] * task.run_count
+        worker = getattr(future, "worker", self.backend)
+        # Queue futures resolve *from* the shared cache (a worker already
+        # deposited the result), so skip the re-write.
+        put = (
+            self.cache is not None
+            and state.key is not None
+            and not getattr(future, "result_in_cache", False)
         )
+        for index, run, run_wall in zip(task.run_indices, runs, walls):
+            state.runs[index] = run
+            state.inflight.discard(index)
+            self.stats.runs_executed += 1
+            samples = run_sample_count(run)
+            wall = max(run_wall, 1e-9)
+            self.progress_events.append(ProgressEvent(
+                task_id=task.run_id(index),
+                scenario=state.scenario.label,
+                run_index=index,
+                worker=worker,
+                runs_completed=self.stats.runs_executed,
+                samples=samples,
+                wall_s=wall,
+                samples_per_s=samples / wall,
+                at=time.time(),
+            ))
+            if not put:
+                continue
+            try:
+                self.cache.put(state.key, run, key_payload=task.key_payload())
+            except (PersistenceError, OSError, ChaosError) as exc:
+                # A failed cache write must never take the campaign
+                # down: the run is already in hand.
+                self.ledger.record(self.board.tolerate(task.task_id, RunFailure(
+                    task_id=task.run_id(index),
+                    scenario=state.scenario.label,
+                    run_indices=(index,),
+                    attempt=1,  # the board stamps the attempt and fate
+                    worker=COORDINATOR,
+                    kind=type(exc).__name__,
+                    message=f"cache put failed: {exc}",
+                    at=time.time(),
+                )))

@@ -6,7 +6,9 @@ transient faults (a worker OOM-killed mid-run, a flaky filesystem, a
 dropped connection) should be retried with backoff, while a task that
 fails deterministically must be *quarantined* after a bounded number of
 attempts instead of being requeued forever.  This module provides the
-vocabulary the executor and both distributed backends share:
+vocabulary the executor, the task board
+(:mod:`repro.experiments.taskboard`, which decides every retry and fate)
+and the queue backend share:
 
 * :class:`RunFailure` — one frozen record per failed task attempt (task
   id, run indices, attempt number, worker, exception class, traceback
@@ -19,16 +21,13 @@ vocabulary the executor and both distributed backends share:
 * :class:`RetryPolicy` — capped exponential backoff with deterministic
   jitter (a hash of the task id and attempt number, so two campaigns
   with the same failures sleep the same schedule).
-* :class:`TaskFailure` — the exception distributed backends attach to a
-  task future, carrying the structured :class:`RunFailure` plus a
-  ``retryable`` verdict (a task whose spool lease expired more often
-  than the coordinator's stale-requeue budget allows is not worth
-  re-dispatching).
+* :class:`TaskFailure` — the exception the queue backend attaches to a
+  task future, carrying the structured :class:`RunFailure`.
 * :func:`run_with_deadline` — the worker-side watchdog: runs a callable
   under a wall-clock deadline and raises :class:`RunTimeoutError`
   instead of hanging the claim forever.
 
-See ``docs/robustness.md`` for the full state machine.
+See ``docs/robustness.md`` for the task lifecycle.
 """
 
 from __future__ import annotations
@@ -166,24 +165,15 @@ def failure_from_exception(
 class TaskFailure(ExperimentError):
     """A task attempt failed; carries the structured record.
 
-    Distributed backends resolve a task future with this exception so
-    the coordinator sees *structured* failure data (worker id, exception
-    class, traceback digest) instead of a bare message.  ``retryable``
-    is the backend's verdict: ``False`` means re-dispatching is known to
-    be futile (e.g. the queue coordinator's stale-requeue budget
-    ``max_requeues`` is exhausted) and
-    the coordinator should go straight to quarantine/skip/raise.
+    The queue backend resolves a task future with this exception so the
+    coordinator sees *structured* failure data (worker id, exception
+    class, traceback digest) instead of a bare message.  Whether the
+    task is retried is the task board's decision.
     """
 
-    def __init__(
-        self,
-        message: str,
-        failure: Optional[RunFailure] = None,
-        retryable: bool = True,
-    ) -> None:
+    def __init__(self, message: str, failure: Optional[RunFailure] = None) -> None:
         super().__init__(message)
         self.failure = failure
-        self.retryable = retryable
 
 
 class RunTimeoutError(ExperimentError):

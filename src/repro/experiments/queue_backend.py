@@ -21,11 +21,15 @@ see (local disk for co-located workers, NFS for a cluster):
   shared cache.
 
 Fault tolerance is lease-based: a worker heartbeats its claim file's
-mtime while executing; the coordinator requeues claims whose heartbeat
-is older than ``stale_timeout`` (worker died mid-task), and a corrupt
-result file is deleted and its task resubmitted rather than returned.
-Because every run is deterministic given its spec, re-execution after
-any of these failures reproduces the original result exactly.
+mtime while executing, and the coordinator reports each claim whose
+heartbeat is older than ``stale_timeout`` (worker died mid-task) to the
+campaign's :class:`~repro.experiments.taskboard.TaskBoard`.  The board
+decides: the claim is renamed back into ``tasks/`` for another worker,
+or — once the attempt's lease budget is spent — the attempt fails.  A
+corrupt result file is deleted and its task resubmitted rather than
+returned.  Because every run is deterministic given its spec,
+re-execution after any of these failures reproduces the original result
+exactly.
 
 Workers also publish **live progress** through the spool: after every
 completed run they append a ``wavm3-progress/1`` NDJSON line to their own
@@ -39,7 +43,7 @@ Spool layout::
     <spool>/
       tasks/      open task specs (one JSON file per task)
       claims/     specs claimed by a worker; mtime = worker heartbeat
-      failed/     terminal task failures (error + traceback JSON)
+      failed/     task failures a worker reported (error + traceback JSON)
       quarantine/ specs parked after an exhausted retry budget
                   (``on_failure="quarantine"``) — inspect and re-spool by hand
       workers/    one heartbeat file per live worker (capacity introspection)
@@ -82,6 +86,7 @@ from repro.experiments.faults import (
     traceback_digest,
 )
 from repro.experiments.results import ProgressEvent, run_sample_count
+from repro.experiments.taskboard import TaskBoard
 from repro.io import (
     PersistenceError,
     append_progress_event,
@@ -181,7 +186,6 @@ class QueueStats:
     tasks_requeued: int = 0    # stale claims returned to the open queue
     tasks_resubmitted: int = 0 # lost/corrupt tasks re-spooled
     corrupt_results: int = 0   # cache files that failed validation
-    leases_failed: int = 0     # claims failed after the stale-requeue budget
     tasks_quarantined: int = 0 # specs parked in quarantine/
 
 
@@ -219,12 +223,10 @@ class QueueBackend(ExecutorBackend):
     worker_fresh_s:
         A worker-heartbeat file younger than this counts as a live worker
         for :attr:`capacity`.
-    max_requeues:
-        Stale-requeue budget per task (per submit): once a task's lease
-        has expired this many times it is *failed* (a ``failed/`` record
-        with ``retryable: false``) instead of recycled forever — the
-        executor's ``on_failure`` policy then decides its fate.  ``None``
-        (default) keeps the historical unbounded requeue behaviour.
+
+    A stale claim is reported to :attr:`board`, the executor's task
+    board for the campaign (on its own, an empty board: every stale
+    claim is requeued).
     """
 
     name = "queue"
@@ -237,23 +239,21 @@ class QueueBackend(ExecutorBackend):
         stale_timeout: float = 60.0,
         stop_workers_on_shutdown: bool = False,
         worker_fresh_s: float = 15.0,
-        max_requeues: Optional[int] = None,
     ) -> None:
         if poll_interval <= 0:
             raise ExperimentError(f"poll_interval must be positive, got {poll_interval}")
         if stale_timeout <= 0:
             raise ExperimentError(f"stale_timeout must be positive, got {stale_timeout}")
-        if max_requeues is not None and int(max_requeues) < 0:
-            raise ExperimentError(f"max_requeues must be >= 0, got {max_requeues}")
         self.spool = _Spool(spool_dir)
         self.cache = cache
         self.poll_interval = float(poll_interval)
         self.stale_timeout = float(stale_timeout)
         self.stop_workers_on_shutdown = bool(stop_workers_on_shutdown)
         self.worker_fresh_s = float(worker_fresh_s)
-        self.max_requeues = None if max_requeues is None else int(max_requeues)
-        #: Stale-lease requeues per task id since its last submit.
-        self._requeue_counts: dict[str, int] = {}
+        self.board = TaskBoard()
+        #: Failure records of attempts whose lease budget the board found
+        #: spent, by task id, until their future is polled.
+        self._lost: dict[str, RunFailure] = {}
         self.stats = QueueStats()
         #: Task ids submitted by this coordinator: drain_progress uses it
         #: to keep sidecar events of *other* campaigns sharing the spool
@@ -312,10 +312,8 @@ class QueueBackend(ExecutorBackend):
             raise ExperimentError("queue tasks need a cache key")
         task_id = task.task_id
         # A failure record from an earlier campaign must not resolve the
-        # fresh attempt, so clear it before the spec becomes claimable;
-        # a fresh attempt also gets a fresh stale-requeue budget.
+        # fresh attempt, so clear it before the spec becomes claimable.
         self.spool.failure_path(task_id).unlink(missing_ok=True)
-        self._requeue_counts.pop(task_id, None)
         save_task_spec(task, self.spool.task_path(task_id))
         self.stats.tasks_submitted += 1
         # Workers announce progress per *run*, so a task owns one
@@ -369,8 +367,8 @@ class QueueBackend(ExecutorBackend):
         The spec is preserved verbatim for post-mortem inspection (and
         manual re-spooling into ``tasks/``); its open/claimed copies are
         removed so no worker picks it up again.  The ``failed/`` record
-        of the final attempt is left in place — ``spool_status()``
-        reports both.
+        of the final worker-reported attempt is left in place —
+        ``spool_status()`` reports both.
         """
         save_task_spec(task, self.spool.quarantine_path(task.task_id))
         self.spool.task_path(task.task_id).unlink(missing_ok=True)
@@ -382,6 +380,7 @@ class QueueBackend(ExecutorBackend):
     def _poll(self, future: _QueueFuture) -> bool:
         """Resolve a future from the shared cache / failure records."""
         task = future.task
+        lost = self._lost.pop(future.task_id, None)
         indices = task.run_indices
         # A task resolves only once *every* covered run is deposited and
         # valid; a corrupt run invalidates just that one cache file.
@@ -412,6 +411,11 @@ class QueueBackend(ExecutorBackend):
         if complete and len(runs) == len(indices):
             future.set_result(runs)
             return True
+        if lost is not None:
+            future.set_exception(TaskFailure(
+                f"queue task {future.task_id} failed: {lost.message}", failure=lost
+            ))
+            return True
         failure = self.spool.failure_path(future.task_id)
         if failure.exists():
             try:
@@ -421,9 +425,8 @@ class QueueBackend(ExecutorBackend):
                 record = {}
                 message = "unreadable worker failure record"
             # Structured failure for the coordinator's retry budget: the
-            # record's "kind"/"retryable" fields are written by current
-            # workers; older records degrade to a parsed exception-class
-            # prefix and a retryable default.
+            # record's "kind" field is written by current workers; older
+            # records degrade to a parsed exception-class prefix.
             head = message.split(":", 1)[0]
             kind = record.get("kind") or (
                 head if head.isidentifier() else "WorkerFailure"
@@ -443,7 +446,6 @@ class QueueBackend(ExecutorBackend):
                 TaskFailure(
                     f"queue task {future.task_id} failed: {message}",
                     failure=run_failure,
-                    retryable=bool(record.get("retryable", True)),
                 )
             )
             return True
@@ -459,12 +461,12 @@ class QueueBackend(ExecutorBackend):
         return False
 
     def _requeue_stale_claims(self) -> None:
-        """Return claims with an expired heartbeat to the open queue.
+        """Report claims with an expired heartbeat to the board.
 
-        With :attr:`max_requeues` set, a task whose lease keeps expiring
-        is failed (``retryable: false``) once the budget is spent — a
-        worker-killing task must not be recycled to every worker in the
-        fleet forever.
+        The board either requeues a claim (it is renamed back into
+        ``tasks/``) or, once the attempt's lease budget is spent, fails
+        the attempt: the claim is dropped and the task's future fails
+        with the board's ``StaleLease`` record at its next poll.
         """
         now = self._spool_now()
         for claim in self.spool.claims.glob("*.json"):
@@ -473,31 +475,14 @@ class QueueBackend(ExecutorBackend):
                     continue
             except OSError:
                 continue  # completed between glob and stat
-            task_id = claim.stem
-            spent = self._requeue_counts.get(task_id, 0)
-            if self.max_requeues is not None and spent >= self.max_requeues:
-                _write_json_atomic(
-                    self.spool.failure_path(task_id),
-                    {
-                        "schema": TASK_FAILURE_SCHEMA,
-                        "task_id": task_id,
-                        "worker": "coordinator",
-                        "error": (
-                            f"lease expired {spent + 1} times "
-                            f"(stale-requeue budget {self.max_requeues} exhausted)"
-                        ),
-                        "kind": "StaleLease",
-                        "retryable": False,
-                        "traceback": None,
-                    },
-                )
+            lost = self.board.expire(claim.stem, time.time())
+            if lost is not None:
+                self._lost[claim.stem] = lost
                 claim.unlink(missing_ok=True)
-                self.stats.leases_failed += 1
                 continue
             try:
                 claim.rename(self.spool.tasks / claim.name)
                 self.stats.tasks_requeued += 1
-                self._requeue_counts[task_id] = spent + 1
             except OSError:
                 continue  # another coordinator beat us to it
 
@@ -793,8 +778,7 @@ def _claim_next_task(spool: _Spool) -> Optional[pathlib.Path]:
 
 def _record_failure(
     spool: _Spool, task_id: str, claim: pathlib.Path, worker_id: str,
-    error: str, trace: Optional[str] = None,
-    kind: Optional[str] = None, retryable: bool = True,
+    error: str, trace: Optional[str] = None, kind: Optional[str] = None,
 ) -> None:
     _write_json_atomic(
         spool.failure_path(task_id),
@@ -804,7 +788,6 @@ def _record_failure(
             "worker": worker_id,
             "error": error,
             "kind": kind,
-            "retryable": bool(retryable),
             "traceback": trace,
         },
     )

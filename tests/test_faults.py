@@ -37,6 +37,7 @@ from repro.experiments.faults import (
 )
 from repro.experiments.queue_backend import QueueBackend, _claim_next_task, spool_gc, spool_status
 from repro.experiments.runner import ScenarioRunner
+from repro.experiments.taskboard import TaskBoard
 from repro.io import (
     PersistenceError,
     append_failure_record,
@@ -374,18 +375,31 @@ class TestExecutorRetries:
         assert kinds == {"RunTimeoutError"}
 
     def test_non_retryable_failure_skips_remaining_budget(self):
-        backend = _PoisonBackend(
-            _POISON.label,
-            exc_factory=lambda: TaskFailure(
-                "lease budget exhausted",
-                failure=_failure(kind="StaleLease"),
-                retryable=False,
-            ),
-        )
+        """A lease-budget fate spends no further attempts: once every
+        requeue of the attempt's budget expired too, the board fates the
+        task straight away."""
+
+        class _LeaseLoss(_PoisonBackend):
+            def submit(self, task):
+                if task.scenario.label != self.poison_label:
+                    return SerialBackend.submit(self, task)
+                self.attempts[task.task_id] = self.attempts.get(task.task_id, 0) + 1
+                lost = None
+                while lost is None:  # each requeued lease expires again
+                    lost = self.board.expire(task.task_id, time.time())
+                future = Future()
+                future.set_exception(TaskFailure(lost.message, failure=lost))
+                return future
+
+        backend = _LeaseLoss(_POISON.label)
         executor = self._executor(backend, max_retries=5, on_failure="skip")
         executor.run_campaign([_POISON, _HEALTHY], min_runs=2, max_runs=2)
         assert backend.attempts[f"{_POISON.label}#0"] == 1  # no futile retries
         assert executor.stats.tasks_retried == 0
+        assert executor.board.tasks[f"{_POISON.label}#0"].expiries == 6  # 5 requeues
+        assert executor.ledger.counts_by_fate() == {"skipped": 2}
+        assert {r.kind for r in executor.ledger.records} == {"StaleLease"}
+        assert {r.worker for r in executor.ledger.records} == {"coordinator"}
 
     def test_ledger_persisted_next_to_cache(self, tmp_path):
         backend = _PoisonBackend(_POISON.label)
@@ -412,6 +426,32 @@ class TestExecutorRetries:
         assert len(executor.ledger.records) == 2  # both in-flight tasks
         assert {r.kind for r in executor.ledger.records} == {"CampaignTimeout"}
         assert {r.fate for r in executor.ledger.records} == {"fatal"}
+
+    def test_coordinator_observed_failures_name_the_coordinator(self, tmp_path, monkeypatch):
+        """A failed attempt on an in-process backend, a failed cache write
+        and an expired deadline are observed by the coordinator itself:
+        their records name ``coordinator``, not the backend."""
+        executor = self._executor(
+            _PoisonBackend(_POISON.label), max_retries=2, on_failure="skip"
+        )
+        executor.run_campaign([_POISON, _HEALTHY], min_runs=2, max_runs=2)
+        assert {r.worker for r in executor.ledger.records} == {"coordinator"}
+
+        def _failing_put(self, key, run, key_payload=None):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(RunCache, "put", _failing_put)
+        executor = self._executor(SerialBackend(), cache_dir=tmp_path / "cache")
+        executor.run_campaign([_HEALTHY], min_runs=2, max_runs=2)
+        assert {(r.fate, r.worker) for r in executor.ledger.records} == {
+            ("tolerated", "coordinator")
+        }
+        assert executor.stats.failures == 2
+
+        executor = self._executor(_HangBackend(), campaign_timeout=0.05)
+        with pytest.raises(ExperimentError, match="campaign deadline"):
+            executor.run_campaign([_HEALTHY], min_runs=2, max_runs=2)
+        assert {r.worker for r in executor.ledger.records} == {"coordinator"}
 
     def test_invalid_knobs_rejected(self):
         runner = ScenarioRunner(seed=SEED)
@@ -489,49 +529,71 @@ class TestQueueQuarantine:
         report = spool_gc(tmp_path / "spool", max_age_s=3600.0)
         assert report["quarantine"] == 0
 
+    def _leased(self, backend, **board_options):
+        """Submit one task the way the executor does: on a board, leased."""
+        board = backend.board = TaskBoard(**board_options)
+        task = self._task()
+        board.add(task.task_id, task.scenario.label, task.run_indices, task)
+        assert board.lease_ready(time.time()) == [task]
+        return board, task, backend.submit(task)
+
     def test_stale_lease_budget_fails_future_non_retryable(self, tmp_path):
+        """An expiry past the lease budget fails the attempt without
+        another requeue, and the board fates it with no further attempt."""
         import os
 
         backend = QueueBackend(
             tmp_path / "spool", RunCache(tmp_path / "cache"),
-            poll_interval=0.02, stale_timeout=0.5, max_requeues=0,
+            poll_interval=0.02, stale_timeout=0.5,
         )
-        future = backend.submit(self._task())
-        claim = _claim_next_task(backend.spool)
-        assert claim is not None
+        board, task, future = self._leased(
+            backend, max_retries=2, on_failure="quarantine",
+            quarantine=backend.quarantine,
+        )
         long_ago = time.time() - 60
-        os.utime(claim, (long_ago, long_ago))
+        for _ in range(3):  # two requeues within the budget, then the loss
+            claim = _claim_next_task(backend.spool)
+            assert claim is not None
+            os.utime(claim, (long_ago, long_ago))
+            backend._requeue_stale_claims()
+        assert backend.stats.tasks_requeued == 2
+        assert not claim.exists()
+        assert not backend.spool.task_path(task.task_id).exists()
+        assert not backend.spool.failure_path(task.task_id).exists()  # nothing spooled
 
-        done = backend.wait([future], timeout=30.0)
-        assert done == {future}
+        assert backend.wait([future], timeout=30.0) == {future}
         exc = future.exception()
         assert isinstance(exc, TaskFailure)
-        assert exc.retryable is False
         assert exc.failure.kind == "StaleLease"
-        assert backend.stats.leases_failed == 1
-        assert backend.stats.tasks_requeued == 0
+        failure = board.fail(task.task_id, exc, time.time())
+        assert (failure.fate, failure.attempt) == ("quarantined", 1)
+        assert backend.spool.quarantine_path(task.task_id).is_file()
+        assert backend.stats.tasks_requeued == 2
 
     def test_stale_lease_budget_allows_bounded_requeues(self, tmp_path):
         import os
 
         backend = QueueBackend(
             tmp_path / "spool", RunCache(tmp_path / "cache"),
-            poll_interval=0.02, stale_timeout=0.5, max_requeues=1,
+            poll_interval=0.02, stale_timeout=0.5,
         )
-        future = backend.submit(self._task())
-        # First expiry: requeued (budget 1).
-        claim = _claim_next_task(backend.spool)
+        board, task, future = self._leased(backend, max_retries=2)
         long_ago = time.time() - 60
-        os.utime(claim, (long_ago, long_ago))
-        deadline = time.monotonic() + 30.0
-        while not (backend.spool.tasks / claim.name).exists():
-            backend.wait([future], timeout=0.05)
-            assert time.monotonic() < deadline
-        assert backend.stats.tasks_requeued == 1
-        # Second expiry: budget exhausted, future fails.
+        # The first two expiries are requeued (budget 2), each seen by wait().
+        for requeues in (1, 2):
+            claim = _claim_next_task(backend.spool)
+            os.utime(claim, (long_ago, long_ago))
+            deadline = time.monotonic() + 30.0
+            while not (backend.spool.tasks / claim.name).exists():
+                assert backend.wait([future], timeout=0.05) == set()
+                assert time.monotonic() < deadline
+            assert backend.stats.tasks_requeued == requeues
+            assert board.tasks[task.task_id].state == "leased"
+        # Third expiry: budget exhausted, future fails.
         claim = _claim_next_task(backend.spool)
         os.utime(claim, (long_ago, long_ago))
         done = backend.wait([future], timeout=30.0)
         assert done == {future}
         assert isinstance(future.exception(), TaskFailure)
-        assert backend.stats.leases_failed == 1
+        assert backend.stats.tasks_requeued == 2
+        assert board.fail(task.task_id, future.exception(), time.time()).fate == "fatal"

@@ -814,3 +814,49 @@ class TestDuplicatePublication:
         ids = [event.task_id for event in events]
         assert len(ids) == len(set(ids)) == 2
         assert sorted(event.run_index for event in events) == [0, 1]
+
+
+class TestTamperedSpecRetry:
+    def test_spec_tampered_once_is_retried_to_serial_bytes(self, tmp_path):
+        """A worker refuses a spec tampered once; the retry re-spools the
+        spec from the coordinator's memory, so the campaign completes
+        non-degraded with serial bytes, and the refusal is one retried
+        ledger record naming the worker that observed it."""
+        import dataclasses
+
+        from repro.experiments.faults import RetryPolicy
+
+        threads = []
+
+        class _TamperOnce(QueueBackend):
+            def submit(self, task):
+                future = super().submit(task)
+                if not threads:
+                    save_task_spec(
+                        dataclasses.replace(task, seed=task.seed + 1),
+                        self.spool.task_path(task.task_id),
+                    )
+                    threads.extend(_start_workers(tmp_path))
+                return future
+
+        backend = _TamperOnce(
+            tmp_path / "spool", RunCache(tmp_path / "cache"),
+            poll_interval=0.02, stop_workers_on_shutdown=True,
+        )
+        executor = CampaignExecutor(
+            ScenarioRunner(seed=SEED), backend=backend, cache_dir=tmp_path / "cache",
+            max_retries=2, retry_policy=RetryPolicy(base_s=1e-6, cap_s=1e-5, jitter=0.0),
+        )
+        try:
+            result = executor.run_campaign([_SCENARIO], min_runs=2, max_runs=2)
+        finally:
+            for thread in threads:
+                thread.join(timeout=30)
+        serial = ScenarioRunner(seed=SEED).run_campaign([_SCENARIO], min_runs=2, max_runs=2)
+
+        assert not executor.stats.degraded
+        (record,) = executor.ledger.records
+        assert (record.kind, record.fate, record.worker) == ("PersistenceError", "retried", "w0")
+        save_samples_json(result.iter_samples(), tmp_path / "queue.json")
+        save_samples_json(serial.iter_samples(), tmp_path / "serial.json")
+        assert (tmp_path / "queue.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
