@@ -514,6 +514,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             f"{counters['bytes_written']:,} B written"
         )
     print(executor.ledger.summary_line())
+    skipped = executor.board.count("skipped")
+    if args.on_failure == "quarantine" and args.spool_dir is None and skipped:
+        # Only the spool keeps quarantined specs; elsewhere the board skips.
+        print(
+            f"note: --on-failure quarantine needs --spool-dir; "
+            f"{skipped} tasks skipped instead"
+        )
     if stats.degraded:
         print(
             f"campaign DEGRADED: {stats.tasks_quarantined} tasks quarantined, "

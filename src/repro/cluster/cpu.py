@@ -75,15 +75,6 @@ class CpuAccountant:
         self._demands[key] = float(threads)
         self._version += 1
 
-    def add_demand(self, key: str, delta_threads: float) -> None:
-        """Adjust an entry by a delta, clamping at zero."""
-        current = self._demands.get(key, 0.0)
-        updated = current + float(delta_threads)
-        if updated < 0:
-            updated = 0.0
-        self._demands[key] = updated
-        self._version += 1
-
     def remove(self, key: str) -> None:
         """Deregister a component; missing keys are ignored."""
         self._demands.pop(key, None)

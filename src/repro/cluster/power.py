@@ -118,19 +118,6 @@ class PowerModelParams:
                 f"thermal_sigma must be in [0, 0.5), got {self.thermal_sigma!r}"
             )
 
-    @property
-    def peak_w(self) -> float:
-        """Upper bound of the steady-state envelope (all terms at 100 %)."""
-        return (
-            self.idle_w
-            + self.cpu_linear_w
-            + self.cpu_curved_w
-            + self.memory_w
-            + self.nic_w
-            + self.interaction_w
-            + self.fan_power(1.0)
-        )
-
     # NOTE: the batched telemetry kernel (HostKernel.power_block in
     # repro.simulator.kernels) replays this model's term sequence
     # operation-by-operation with hoisted constants for speed.  Any
@@ -302,12 +289,3 @@ class HostPowerModel:
         power += self._transients.value(t)
         # Wall power cannot drop below a floor even during dips: PSU base load.
         return max(power, 0.35 * p.idle_w)
-
-    @staticmethod
-    def idle_difference(a: "HostPowerModel", b: "HostPowerModel") -> float:
-        """Idle-power difference ``a - b`` in watts.
-
-        This is the quantity the paper subtracts when porting coefficients
-        from the m-pair to the o-pair (the C1 → C2 bias correction).
-        """
-        return a.params.idle_w - b.params.idle_w

@@ -71,7 +71,6 @@ from repro.experiments.results import (
     ProgressEvent,
     RunResult,
     ScenarioResult,
-    run_sample_count,
 )
 from repro.experiments.runner import RunnerSettings, ScenarioRunner, resolve_run_count
 from repro.experiments.taskboard import COORDINATOR, TaskBoard
@@ -161,8 +160,9 @@ class RunTask:
 
     Every backend executes tasks: the process backend pickles one to a
     worker process, the queue backend serialises it to a JSON spool file
-    (:func:`repro.io.save_task_spec`, ``wavm3-taskspec/3``) claimed by
-    remote ``campaign-worker`` processes.  The task covers runs ``run_start``
+    (:func:`repro.io.save_task_spec` through the record codec,
+    ``wavm3-taskspec/3``) claimed by remote ``campaign-worker``
+    processes.  The task covers runs ``run_start``
     through ``run_start + run_count - 1``; executing it routes them all
     through a single :class:`ScenarioRunner` (:func:`execute_batch`),
     while every run's seed — and therefore its bytes — depends only on
@@ -977,7 +977,7 @@ class CampaignExecutor:
 
         backend = self._backend
         self.board = backend.board = self._new_board(
-            now=time.time(), quarantine=lambda payload: backend.quarantine(payload[1])
+            now=time.monotonic(), quarantine=lambda payload: backend.quarantine(payload[1])
         )
         self.stats = ExecutorStats(scenarios=len(scenarios), board=self.board)
         self.progress_events = []
@@ -1131,9 +1131,9 @@ class CampaignExecutor:
         """
         board = self.board
         while board.active:
-            now = time.time()
+            now = time.monotonic()
             if board.overdue(now):
-                outstanding = board.abort(now)
+                outstanding = board.abort(now, at=time.time())
                 for failure in outstanding:
                     self.ledger.record(failure)
                 raise ExperimentError(
@@ -1164,7 +1164,9 @@ class CampaignExecutor:
         try:
             runs = future.result()
         except Exception as exc:  # noqa: BLE001 - the board decides its fate
-            failure = self.ledger.record(self.board.fail(task.task_id, exc, time.time()))
+            failure = self.ledger.record(self.board.fail(
+                task.task_id, exc, time.monotonic(), at=time.time()
+            ))
             if failure.fate == "fatal":
                 raise exc
             if failure.fate != "retried":
@@ -1205,18 +1207,8 @@ class CampaignExecutor:
             state.runs[index] = run
             state.inflight.discard(index)
             self.stats.runs_executed += 1
-            samples = run_sample_count(run)
-            wall = max(run_wall, 1e-9)
-            self.progress_events.append(ProgressEvent(
-                task_id=task.run_id(index),
-                scenario=state.scenario.label,
-                run_index=index,
-                worker=worker,
-                runs_completed=self.stats.runs_executed,
-                samples=samples,
-                wall_s=wall,
-                samples_per_s=samples / wall,
-                at=time.time(),
+            self.progress_events.append(ProgressEvent.for_run(
+                run, task.run_id(index), worker, self.stats.runs_executed, run_wall
             ))
             if not put:
                 continue

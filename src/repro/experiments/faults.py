@@ -98,7 +98,7 @@ def traceback_digest(text: Optional[str]) -> Optional[str]:
 class RunFailure:
     """One failed task attempt, as recorded in the failure ledger.
 
-    Serialised via :func:`repro.io.run_failure_to_dict` under the
+    Serialised by :func:`repro.io.encode_record` under the
     ``wavm3-failure/1`` schema.
     """
 
@@ -304,9 +304,9 @@ class FailureLedger:
             self.records.append(failure)
             if self.path is not None:
                 try:
-                    from repro.io import append_failure_record
+                    from repro.io import append_record
 
-                    append_failure_record(failure, self.path)
+                    append_record(failure, self.path)
                 except OSError:
                     pass
         return failure

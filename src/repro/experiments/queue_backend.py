@@ -85,12 +85,12 @@ from repro.experiments.faults import (
     run_with_deadline,
     traceback_digest,
 )
-from repro.experiments.results import ProgressEvent, run_sample_count
+from repro.experiments.results import ProgressEvent
 from repro.experiments.taskboard import TaskBoard
 from repro.io import (
     PersistenceError,
-    append_progress_event,
-    load_progress_events,
+    append_record,
+    load_records,
     load_run_result,
     load_task_spec,
     save_task_spec,
@@ -334,7 +334,7 @@ class QueueBackend(ExecutorBackend):
         events = []
         for sidecar in sorted(self.spool.progress.glob("*.ndjson")):
             events.extend(
-                e for e in load_progress_events(sidecar)
+                e for e in load_records(ProgressEvent, sidecar)
                 if e.task_id in self._session_task_ids
             )
         events.sort(key=lambda e: e.at)
@@ -475,7 +475,7 @@ class QueueBackend(ExecutorBackend):
                     continue
             except OSError:
                 continue  # completed between glob and stat
-            lost = self.board.expire(claim.stem, time.time())
+            lost = self.board.expire(claim.stem, time.monotonic(), at=time.time())
             if lost is not None:
                 self._lost[claim.stem] = lost
                 claim.unlink(missing_ok=True)
@@ -550,7 +550,7 @@ def spool_status(
     progress = []
     progress_events = 0
     for sidecar in sorted(spool.progress.glob("*.ndjson")) if spool.progress.is_dir() else []:
-        events = load_progress_events(sidecar)
+        events = load_records(ProgressEvent, sidecar)
         if not events:
             continue
         progress_events += len(events)
@@ -914,23 +914,11 @@ def _process_claim(
         announces under its own per-run id (which equals the claim stem
         for one-run tasks), so batching is invisible to the stream."""
         nonlocal mark
-        wall = max(time.perf_counter() - mark, 1e-9)
-        mark = time.perf_counter()
-        samples = run_sample_count(run)
-        event = ProgressEvent(
-            task_id=task.run_id(run.run_index),
-            scenario=task.scenario.label,
-            run_index=run.run_index,
-            worker=worker_id,
-            runs_completed=counted,
-            samples=samples,
-            wall_s=wall,
-            samples_per_s=samples / wall,
-            at=time.time(),
-        )
+        wall, mark = time.perf_counter() - mark, time.perf_counter()
+        event = ProgressEvent.for_run(run, task.run_id(run.run_index), worker_id, counted, wall)
         try:
             chaos_trip("publish", tag=task.scenario.label)
-            append_progress_event(event, spool.progress / f"{worker_id}.ndjson")
+            append_record(event, spool.progress / f"{worker_id}.ndjson")
         except (OSError, ChaosError):
             pass  # progress is observational: never fail the task over it
 

@@ -12,6 +12,7 @@
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -68,6 +69,20 @@ class ProgressEvent:
     samples_per_s: float
     #: Unix timestamp of the announcement (``time.time()``).
     at: float
+
+    @classmethod
+    def for_run(
+        cls, run: "RunResult", task_id: str, worker: str, runs_completed: int,
+        wall_s: float,
+    ) -> "ProgressEvent":
+        """The announcement of ``run``, finished now after ``wall_s`` seconds."""
+        samples = run_sample_count(run)
+        wall = max(wall_s, 1e-9)
+        return cls(
+            task_id=task_id, scenario=run.scenario.label, run_index=run.run_index,
+            worker=worker, runs_completed=runs_completed, samples=samples,
+            wall_s=wall, samples_per_s=samples / wall, at=time.time(),
+        )
 
 
 def run_sample_count(run: "RunResult") -> int:

@@ -7,8 +7,10 @@ stale spool claims as expired leases — and the board applies
 :data:`TRANSITIONS`, a declarative table whose guards are the attempt
 and lease budgets, the retry backoff, the campaign deadline and the
 ``on_failure`` mode.  The board touches no files, processes or clocks:
-each event carries the driver's ``now`` (wall-clock seconds, which also
-stamp the failure records), so tests drive it with a fake clock.
+each event carries the driver's ``now``, the timer clock of the backoff
+and the deadline (``time.monotonic()`` in the executor, so a wall-clock
+step moves neither), and each event that records a failure its ``at``,
+the record's wall-clock stamp.  Tests drive it with fake clocks.
 """
 
 from __future__ import annotations
@@ -187,7 +189,7 @@ class TaskBoard:
         """The leased task's attempt succeeded."""
         self._fire(self.tasks[task_id], "complete", 0.0)
 
-    def fail(self, task_id: str, exc: BaseException, now: float) -> RunFailure:
+    def fail(self, task_id: str, exc: BaseException, now: float, at: float) -> RunFailure:
         """The leased task's attempt failed with ``exc``: its record, with
         the fate ``retried`` (waiting out its backoff), ``quarantined``,
         ``skipped`` or ``fatal``."""
@@ -197,11 +199,11 @@ class TaskBoard:
             task.due = now + self.retry_policy.delay_s(task.attempt, task_id)
         failure = failure_from_exception(
             exc, task_id=task_id, scenario=task.scenario, run_indices=task.run_indices,
-            attempt=task.attempt, worker=COORDINATOR, at=now,
+            attempt=task.attempt, worker=COORDINATOR, at=at,
         )
         return self._record(failure.with_fate("retried" if state == RETRY_WAIT else state))
 
-    def expire(self, task_id: str, now: float) -> Optional[RunFailure]:
+    def expire(self, task_id: str, now: float, at: float) -> Optional[RunFailure]:
         """A lease expired (a stale spool claim).
 
         Within the attempt's lease budget the task is requeued — leased
@@ -222,7 +224,7 @@ class TaskBoard:
             return None
         return self._failure(
             task, "StaleLease", f"lease expired {task.expiries} times "
-            f"(stale-requeue budget {self.lease_budget} exhausted)", now,
+            f"(stale-requeue budget {self.lease_budget} exhausted)", at,
         )
 
     def tolerate(self, task_id: str, failure: RunFailure) -> RunFailure:
@@ -231,7 +233,7 @@ class TaskBoard:
         attempt = self.tasks[task_id].attempt
         return self._record(replace(failure, attempt=attempt, fate="tolerated"))
 
-    def abort(self, now: float) -> list[RunFailure]:
+    def abort(self, now: float, at: float) -> list[RunFailure]:
         """The deadline passed: every task still open, leased or waiting is
         fatal; returns one ``CampaignTimeout`` record per task."""
         message = (
@@ -242,7 +244,7 @@ class TaskBoard:
         for task in list(self._live.values()):
             self._fire(task, "abort", now)
             failures.append(self._record(
-                self._failure(task, "CampaignTimeout", message, now).with_fate(FATAL)
+                self._failure(task, "CampaignTimeout", message, at).with_fate(FATAL)
             ))
         return failures
 
@@ -265,10 +267,10 @@ class TaskBoard:
         raise ExperimentError(f"task {task.task_id}: no {event!r} transition from {task.state!r}")
 
     @staticmethod
-    def _failure(task: TaskEntry, kind: str, message: str, now: float) -> RunFailure:
+    def _failure(task: TaskEntry, kind: str, message: str, at: float) -> RunFailure:
         return RunFailure(
             task_id=task.task_id, scenario=task.scenario, run_indices=task.run_indices,
-            attempt=task.attempt, worker=COORDINATOR, kind=kind, message=message, at=now,
+            attempt=task.attempt, worker=COORDINATOR, kind=kind, message=message, at=at,
         )
 
     def _record(self, failure: RunFailure) -> RunFailure:

@@ -1,18 +1,17 @@
-"""Persistence of traces, samples and campaign artifacts.
+"""Persistence of samples, run results and the campaign's records.
 
 Research workflows need measurements to outlive the process that took
 them: campaigns are expensive, model fitting is iterated, and the paper's
 tables should be regenerable without re-simulating.  This module provides
 plain-format round-trips:
 
-* **power traces** → CSV (``time_s,power_w`` — loadable by any plotting
-  tool, and by this module);
 * **migration samples** → JSON (all per-reading arrays plus scalars and
   measured energies; the complete model-fitting input);
-* **error reports / comparison grids** → JSON for EXPERIMENTS.md-style
-  post-processing;
-* **run task specs** → JSON (the distributed queue backend's wire format:
-  one file per run, claimed and executed by ``campaign-worker`` processes).
+* **run results** → a schema-enveloped pickle (the run cache's entries);
+* **records** → JSON through one dataclass-driven codec
+  (:func:`encode_record`/:func:`decode_record`): run task specs (the
+  distributed queue's spool files), progress events and failure records
+  (one NDJSON line each, :func:`append_record`/:func:`load_records`).
 
 Formats are versioned with a ``schema`` field so future layouts can be
 migrated explicitly rather than silently misread.
@@ -20,45 +19,35 @@ migrated explicitly rather than silently misread.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
+import functools
 import json
 import os
 import pathlib
 import pickle
 import threading
+import typing
 from typing import Iterable, Union
 
 import numpy as np
 
-from repro.errors import ExperimentError, ReproError
+from repro.errors import ReproError
 from repro.models.features import HostRole, MigrationSample
-from repro.regression.metrics import ErrorReport
-from repro.telemetry.traces import PowerTrace
 
 __all__ = [
-    "save_power_trace_csv",
-    "load_power_trace_csv",
     "save_samples_json",
     "load_samples_json",
-    "save_error_grid_json",
-    "load_error_grid_json",
     "write_atomic",
     "save_run_result",
     "load_run_result",
     "dump_run_result_bytes",
     "load_run_result_bytes",
+    "encode_record",
+    "decode_record",
+    "append_record",
+    "load_records",
     "save_task_spec",
     "load_task_spec",
-    "task_spec_to_dict",
-    "task_spec_from_dict",
-    "progress_event_to_dict",
-    "progress_event_from_dict",
-    "append_progress_event",
-    "load_progress_events",
-    "run_failure_to_dict",
-    "run_failure_from_dict",
-    "append_failure_record",
     "load_failure_records",
 ]
 
@@ -66,7 +55,6 @@ _PathLike = Union[str, pathlib.Path]
 
 #: Schema tag written into every JSON artifact.
 SAMPLES_SCHEMA = "wavm3-samples/1"
-ERRORS_SCHEMA = "wavm3-errors/1"
 # /2: traces moved from list-backed to numpy-block storage (their pickle
 # state changed shape); old /1 cache entries are rejected and recomputed.
 RUN_RESULT_SCHEMA = "wavm3-runresult/2"
@@ -81,35 +69,6 @@ FAILURE_SCHEMA = "wavm3-failure/1"
 
 class PersistenceError(ReproError):
     """A file could not be read back as the expected artifact."""
-
-
-# ---------------------------------------------------------------------------
-# Power traces <-> CSV
-# ---------------------------------------------------------------------------
-def save_power_trace_csv(trace: PowerTrace, path: _PathLike) -> None:
-    """Write a power trace as two-column CSV with a header row."""
-    path = pathlib.Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["time_s", "power_w"])
-        for t, w in zip(trace.times, trace.watts):
-            writer.writerow([f"{t:.6f}", f"{w:.6f}"])
-
-
-def load_power_trace_csv(path: _PathLike, label: str = "") -> PowerTrace:
-    """Read a power trace written by :func:`save_power_trace_csv`."""
-    path = pathlib.Path(path)
-    trace = PowerTrace(label=label or path.stem)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["time_s", "power_w"]:
-            raise PersistenceError(f"{path}: not a power-trace CSV (header {header!r})")
-        for row in reader:
-            if len(row) != 2:
-                raise PersistenceError(f"{path}: malformed row {row!r}")
-            trace.append(float(row[0]), float(row[1]))
-    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +103,7 @@ def _sample_from_dict(record: dict) -> MigrationSample:
         kwargs["phase"] = np.asarray(record["phase"], dtype=np.int64)
         kwargs["role"] = HostRole(record["role"])
         kwargs["notes"] = dict(record.get("notes", {}))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise PersistenceError(f"malformed sample record: {exc}") from exc
     return MigrationSample(**kwargs)
 
@@ -182,13 +141,15 @@ def load_samples_json(path: _PathLike) -> list[MigrationSample]:
     path = pathlib.Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or UTF-8
         raise PersistenceError(f"{path}: not valid JSON: {exc}") from exc
-    if payload.get("schema") != SAMPLES_SCHEMA:
+    schema = payload.get("schema") if isinstance(payload, dict) else type(payload)
+    if schema != SAMPLES_SCHEMA:
         raise PersistenceError(
-            f"{path}: unexpected schema {payload.get('schema')!r} "
-            f"(want {SAMPLES_SCHEMA!r})"
+            f"{path}: unexpected schema {schema!r} (want {SAMPLES_SCHEMA!r})"
         )
+    if not isinstance(payload.get("samples"), list):
+        raise PersistenceError(f"{path}: no samples list")
     return [_sample_from_dict(record) for record in payload["samples"]]
 
 
@@ -339,480 +300,180 @@ def load_run_result(path: _PathLike):
 
 
 # ---------------------------------------------------------------------------
-# Run task specs <-> JSON (the distributed queue's wire format)
+# Records <-> JSON / NDJSON: task specs, progress events, failure records
 # ---------------------------------------------------------------------------
-def task_spec_to_dict(task) -> dict:
-    """Serialise a :class:`~repro.experiments.executor.RunTask` to plain JSON.
+#: Schema tag and error-message names of each record type, by class name:
+#: :class:`~repro.experiments.executor.RunTask` (the queue's spool files),
+#: :class:`~repro.experiments.results.ProgressEvent` (per-worker NDJSON
+#: sidecars) and :class:`~repro.experiments.faults.RunFailure` (the
+#: campaign's ``failures.ndjson`` ledger).  The ``failures`` entries of
+#: ``spool_status()`` have another shape, read from the spool's
+#: ``wavm3-taskfailure/1`` records.
+_RECORDS = {
+    "RunTask": (TASK_SPEC_SCHEMA, "task-spec", "task spec"),
+    "ProgressEvent": (PROGRESS_SCHEMA, "progress", "progress event"),
+    "RunFailure": (FAILURE_SCHEMA, "failure", "failure record"),
+}
 
-    Every constituent is a flat dataclass of scalars, so the canonical
-    JSON of a task is also exactly the cache-key payload the executor
-    hashes — a worker can therefore verify the embedded ``key`` before
-    trusting a spec.  This dict is the queue backend's wire format: it is
-    what the spool files hold.
+
+@functools.lru_cache(maxsize=None)
+def _codec(cls) -> tuple:
+    """``(name, encode, decode, nullable, required)`` per field of ``cls``.
+
+    Built once per class from its resolved annotations.  ``str``, ``int``
+    and ``float`` fields are coerced, ``Tuple[int, ...]`` becomes a list
+    and back, ``Optional[X]`` also takes ``None``.  A nested dataclass is
+    written by :func:`dataclasses.asdict` and rebuilt with plain
+    ``cls(**fields)``, uncoerced: a worker re-hashes its fields into the
+    spec's cache key (:meth:`RunTask.verify_key`), so an ``int`` in a
+    ``float`` field must stay an ``int``.  Only a field whose default is
+    ``None`` may be absent.
+    """
+    hints = typing.get_type_hints(cls)
+    fields = []
+    for field in dataclasses.fields(cls):
+        hint = hints[field.name]
+        args = typing.get_args(hint)
+        nullable = type(None) in args
+        if nullable:
+            (hint,) = [arg for arg in args if arg is not type(None)]
+        if dataclasses.is_dataclass(hint):
+            encode, decode = dataclasses.asdict, lambda doc, kind=hint: kind(**doc)
+        elif typing.get_origin(hint) is tuple:  # Tuple[int, ...]
+            encode, decode = (lambda v: [int(i) for i in v]), (lambda v: tuple(map(int, v)))
+        else:
+            encode = decode = hint
+        fields.append((field.name, encode, decode, nullable, field.default is not None))
+    return tuple(fields)
+
+
+def encode_record(record) -> dict:
+    """A record as its JSON-ready, schema-tagged document.
 
     Parameters
     ----------
-    task:
-        The :class:`~repro.experiments.executor.RunTask` to serialise.
+    record:
+        A :class:`~repro.experiments.executor.RunTask`,
+        :class:`~repro.experiments.results.ProgressEvent` or
+        :class:`~repro.experiments.faults.RunFailure`.
 
     Returns
     -------
     dict
-        A JSON-ready :data:`TASK_SPEC_SCHEMA` document.
+        Its fields plus ``schema``.
     """
-    return {
-        "schema": TASK_SPEC_SCHEMA,
-        "key": task.key,
-        "seed": int(task.seed),
-        "scenario": dataclasses.asdict(task.scenario),
-        "settings": dataclasses.asdict(task.settings),
-        "migration_config": (
-            dataclasses.asdict(task.migration_config)
-            if task.migration_config is not None
-            else None
-        ),
-        "stabilization": dataclasses.asdict(task.stabilization),
-        "run_start": int(task.run_start),
-        "run_count": int(task.run_count),
-    }
+    cls = type(record)
+    payload = {"schema": _RECORDS[cls.__name__][0]}
+    for name, encode, _, _, _ in _codec(cls):
+        value = getattr(record, name)
+        payload[name] = None if value is None else encode(value)
+    return payload
 
 
-def task_spec_from_dict(payload: dict):
-    """Rebuild a :class:`~repro.experiments.executor.RunTask` from JSON data.
-
-    Parameters
-    ----------
-    payload:
-        A :data:`TASK_SPEC_SCHEMA` document (:func:`task_spec_to_dict`
-        output).
-
-    Returns
-    -------
-    RunTask
-        The reconstructed task.
+def decode_record(cls, payload):
+    """Rebuild a record of type ``cls`` from :func:`encode_record` output.
 
     Raises
     ------
     PersistenceError
-        On a wrong schema tag (including the retired single-run schema
-        of the previous version) or any missing/mistyped field — a worker
+        On a wrong schema tag (including a retired schema of the same
+        record) or any missing, mistyped or invalid field — a worker
         should fail such a task explicitly rather than guess.
     """
-    from repro.experiments.design import MigrationScenario  # local: avoid cycle
-    from repro.experiments.executor import RunTask
-    from repro.experiments.runner import RunnerSettings
-    from repro.hypervisor.migration import MigrationConfig
-    from repro.telemetry.stabilization import StabilizationRule
-
-    schema = payload.get("schema") if isinstance(payload, dict) else None
-    if schema != TASK_SPEC_SCHEMA:
+    schema, label, what = _RECORDS[cls.__name__]
+    found = payload.get("schema") if isinstance(payload, dict) else type(payload)
+    if found != schema:
         raise PersistenceError(
-            f"unexpected task-spec schema "
-            f"{schema if isinstance(payload, dict) else type(payload)!r} "
-            f"(want {TASK_SPEC_SCHEMA!r})"
+            f"unexpected {label} schema {found!r} (want {schema!r})"
         )
     try:
-        return RunTask(
-            seed=int(payload["seed"]),
-            settings=RunnerSettings(**payload["settings"]),
-            migration_config=(
-                MigrationConfig(**payload["migration_config"])
-                if payload["migration_config"] is not None
-                else None
-            ),
-            stabilization=StabilizationRule(**payload["stabilization"]),
-            scenario=MigrationScenario(**payload["scenario"]),
-            run_start=int(payload["run_start"]),
-            run_count=int(payload["run_count"]),
-            key=payload.get("key"),
-        )
-    except (KeyError, TypeError, ValueError, ExperimentError) as exc:
-        raise PersistenceError(f"malformed task spec: {exc}") from exc
+        kwargs = {}
+        for name, _, decode, nullable, required in _codec(cls):
+            if name not in payload and not required:
+                continue
+            value = payload[name]
+            if value is None and not nullable:
+                raise TypeError(f"{name!r} must not be null")
+            kwargs[name] = None if value is None else decode(value)
+        return cls(**kwargs)
+    except (KeyError, TypeError, ValueError, ReproError) as exc:
+        # ReproError covers the record's own validation (an unknown
+        # fate, an invalid run range or scenario).
+        raise PersistenceError(f"malformed {what}: {exc}") from exc
+
+
+def append_record(record, path: _PathLike) -> None:
+    """Append one record to an NDJSON file as one ``\\n``-terminated line.
+
+    Each queue worker appends to its *own* progress sidecar
+    (``<spool>/progress/<worker>.ndjson``) and the coordinator alone to
+    its failure ledger, so lines never interleave across processes; one
+    ``write`` per line keeps concurrent readers from seeing torn records
+    in practice.  The parent directory is created on demand.
+    """
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    line = json.dumps(encode_record(record), sort_keys=True) + "\n"
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write(line)
+
+
+def load_records(cls, path: _PathLike) -> list:
+    """Every decodable ``cls`` record of an NDJSON file, in file order.
+
+    Tolerant by design: the file may be mid-append by a live writer, so
+    a torn or malformed line — even one cut inside a multi-byte UTF-8
+    sequence — is skipped rather than fatal, and a missing file reads as
+    no records.  Lines are decoded one by one from raw bytes, so a torn
+    tail never takes the whole file down.
+    """
+    try:
+        data = pathlib.Path(path).read_bytes()
+    except OSError:
+        return []
+    records = []
+    for line in data.split(b"\n"):
+        try:
+            records.append(decode_record(cls, json.loads(line)))
+        except (ValueError, PersistenceError):
+            continue  # blank, torn or corrupt line: skip, keep the stream usable
+    return records
 
 
 def save_task_spec(task, path: _PathLike) -> None:
-    """Write one task spec atomically (temp file + rename).
+    """Write one :class:`~repro.experiments.executor.RunTask` spec atomically.
 
     Atomicity matters: spool directories are scanned by concurrent
     workers, and a claim must never observe a half-written spec.
-
-    Parameters
-    ----------
-    task:
-        The :class:`~repro.experiments.executor.RunTask` to spool.
-    path:
-        Destination file (conventionally ``<task-id>.json`` in a spool's
-        ``tasks/`` directory).
     """
-    write_atomic(
-        path,
-        json.dumps(task_spec_to_dict(task), sort_keys=True, indent=1).encode("utf-8"),
-    )
+    document = json.dumps(encode_record(task), sort_keys=True, indent=1)
+    write_atomic(path, document.encode("utf-8"))
 
 
 def load_task_spec(path: _PathLike):
     """Read a task spec written by :func:`save_task_spec`.
 
-    Parameters
-    ----------
-    path:
-        The spec file to read.
-
-    Returns
-    -------
-    RunTask
-        The reconstructed task.
-
     Raises
     ------
     PersistenceError
-        On malformed, truncated or wrong-schema files — a worker should
-        fail such a task explicitly rather than guess.
+        On malformed, truncated or wrong-schema files.
     """
+    from repro.experiments.executor import RunTask  # local: avoid import cycle
+
     path = pathlib.Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # invalid JSON or UTF-8, or unreadable
         raise PersistenceError(f"{path}: not a readable task spec: {exc}") from exc
     try:
-        return task_spec_from_dict(payload)
+        return decode_record(RunTask, payload)
     except PersistenceError as exc:
         raise PersistenceError(f"{path}: {exc}") from exc
 
 
-# ---------------------------------------------------------------------------
-# Progress events <-> JSON / NDJSON (the live campaign-progress stream)
-# ---------------------------------------------------------------------------
-_PROGRESS_INT_FIELDS = ("run_index", "runs_completed", "samples")
-_PROGRESS_FLOAT_FIELDS = ("wall_s", "samples_per_s", "at")
-_PROGRESS_STR_FIELDS = ("task_id", "scenario", "worker")
-
-
-def progress_event_to_dict(event) -> dict:
-    """Serialise a :class:`~repro.experiments.results.ProgressEvent`.
-
-    This dict is the progress wire format of the queue backend: one
-    NDJSON line in a worker's spool sidecar.
-
-    Parameters
-    ----------
-    event:
-        The :class:`~repro.experiments.results.ProgressEvent` to serialise.
-
-    Returns
-    -------
-    dict
-        A JSON-ready ``wavm3-progress/1`` document.
-    """
-    record: dict = {"schema": PROGRESS_SCHEMA}
-    for name in _PROGRESS_STR_FIELDS:
-        record[name] = str(getattr(event, name))
-    for name in _PROGRESS_INT_FIELDS:
-        record[name] = int(getattr(event, name))
-    for name in _PROGRESS_FLOAT_FIELDS:
-        record[name] = float(getattr(event, name))
-    return record
-
-
-def progress_event_from_dict(payload: dict):
-    """Rebuild a :class:`~repro.experiments.results.ProgressEvent`.
-
-    Parameters
-    ----------
-    payload:
-        A ``wavm3-progress/1`` document (:func:`progress_event_to_dict`
-        output).
-
-    Returns
-    -------
-    ProgressEvent
-        The reconstructed event.
-
-    Raises
-    ------
-    PersistenceError
-        On a wrong schema tag or any missing/mistyped field.
-    """
-    from repro.experiments.results import ProgressEvent  # local: avoid cycle
-
-    if not isinstance(payload, dict) or payload.get("schema") != PROGRESS_SCHEMA:
-        raise PersistenceError(
-            f"unexpected progress schema "
-            f"{payload.get('schema') if isinstance(payload, dict) else type(payload)!r} "
-            f"(want {PROGRESS_SCHEMA!r})"
-        )
-    try:
-        kwargs: dict = {name: str(payload[name]) for name in _PROGRESS_STR_FIELDS}
-        kwargs.update({name: int(payload[name]) for name in _PROGRESS_INT_FIELDS})
-        kwargs.update({name: float(payload[name]) for name in _PROGRESS_FLOAT_FIELDS})
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PersistenceError(f"malformed progress event: {exc}") from exc
-    return ProgressEvent(**kwargs)
-
-
-def append_progress_event(event, path: _PathLike) -> None:
-    """Append one progress event to an NDJSON sidecar file.
-
-    Each queue worker appends to its *own* per-worker sidecar
-    (``<spool>/progress/<worker>.ndjson``), so lines never interleave
-    across processes; a single ``write`` of one ``\\n``-terminated line
-    keeps concurrent readers from seeing torn records in practice.
-
-    Parameters
-    ----------
-    event:
-        The :class:`~repro.experiments.results.ProgressEvent` to record.
-    path:
-        The sidecar file (created, along with its parent, if missing).
-    """
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(progress_event_to_dict(event), sort_keys=True) + "\n"
-    with path.open("a", encoding="utf-8") as handle:
-        handle.write(line)
-
-
-def _ndjson_lines(path: pathlib.Path) -> list[str]:
-    """Best-effort decoded lines of an NDJSON file that may be mid-append.
-
-    Decodes per line from raw bytes rather than ``read_text``-ing the
-    whole file: a reader racing a live appender can observe a final line
-    torn in the middle of a multi-byte UTF-8 sequence, which a
-    whole-file decode turns into a ``UnicodeDecodeError`` that takes the
-    status view down.  Undecodable lines are dropped exactly like
-    malformed JSON ones — the appender's next flush completes them.
-    """
-    try:
-        data = path.read_bytes()
-    except OSError:
-        return []
-    lines = []
-    for raw in data.split(b"\n"):
-        try:
-            lines.append(raw.decode("utf-8"))
-        except UnicodeDecodeError:
-            continue  # torn multi-byte tail of an in-flight append
-    return lines
-
-
-def load_progress_events(path: _PathLike) -> list:
-    """Read every valid progress event from an NDJSON sidecar.
-
-    Tolerant by design: the file may be mid-append by a live worker, so a
-    torn or malformed trailing line — even one cut inside a multi-byte
-    UTF-8 sequence — is skipped rather than fatal (the status views
-    re-read the file on their next refresh).
-
-    Parameters
-    ----------
-    path:
-        The sidecar file; a missing file reads as no events.
-
-    Returns
-    -------
-    list[ProgressEvent]
-        The decodable events, in file (chronological) order.
-    """
-    events = []
-    for line in _ndjson_lines(pathlib.Path(path)):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            events.append(progress_event_from_dict(json.loads(line)))
-        except (json.JSONDecodeError, PersistenceError):
-            continue  # torn or corrupt line: skip, keep the stream usable
-    return events
-
-
-# ---------------------------------------------------------------------------
-# Failure records <-> JSON / NDJSON (the campaign failure ledger)
-# ---------------------------------------------------------------------------
-def run_failure_to_dict(failure) -> dict:
-    """Serialise a :class:`~repro.experiments.faults.RunFailure`.
-
-    This dict is the ``wavm3-failure/1`` wire format: one NDJSON line in
-    the campaign's failure ledger (``failures.ndjson`` next to the run
-    cache).  The ``failures`` entries of ``spool_status()`` have another
-    shape, ``{task_id, worker, error, kind}``, read from the spool's
-    ``wavm3-taskfailure/1`` records.
-
-    Parameters
-    ----------
-    failure:
-        The :class:`~repro.experiments.faults.RunFailure` to serialise.
-
-    Returns
-    -------
-    dict
-        A JSON-ready ``wavm3-failure/1`` document.
-    """
-    return {
-        "schema": FAILURE_SCHEMA,
-        "task_id": str(failure.task_id),
-        "scenario": str(failure.scenario),
-        "run_indices": [int(i) for i in failure.run_indices],
-        "attempt": int(failure.attempt),
-        "worker": str(failure.worker),
-        "kind": str(failure.kind),
-        "message": str(failure.message),
-        "traceback_digest": (
-            str(failure.traceback_digest)
-            if failure.traceback_digest is not None
-            else None
-        ),
-        "wall_s": float(failure.wall_s) if failure.wall_s is not None else None,
-        "at": float(failure.at),
-        "fate": str(failure.fate),
-    }
-
-
-def run_failure_from_dict(payload: dict):
-    """Rebuild a :class:`~repro.experiments.faults.RunFailure`.
-
-    Parameters
-    ----------
-    payload:
-        A ``wavm3-failure/1`` document (:func:`run_failure_to_dict`
-        output).
-
-    Returns
-    -------
-    RunFailure
-        The reconstructed record.
-
-    Raises
-    ------
-    PersistenceError
-        On a wrong schema tag or any missing/mistyped field.
-    """
-    from repro.experiments.faults import RunFailure  # local: avoid cycle
-
-    if not isinstance(payload, dict) or payload.get("schema") != FAILURE_SCHEMA:
-        raise PersistenceError(
-            f"unexpected failure schema "
-            f"{payload.get('schema') if isinstance(payload, dict) else type(payload)!r} "
-            f"(want {FAILURE_SCHEMA!r})"
-        )
-    try:
-        digest = payload.get("traceback_digest")
-        wall = payload.get("wall_s")
-        return RunFailure(
-            task_id=str(payload["task_id"]),
-            scenario=str(payload["scenario"]),
-            run_indices=tuple(int(i) for i in payload["run_indices"]),
-            attempt=int(payload["attempt"]),
-            worker=str(payload["worker"]),
-            kind=str(payload["kind"]),
-            message=str(payload["message"]),
-            traceback_digest=str(digest) if digest is not None else None,
-            wall_s=float(wall) if wall is not None else None,
-            at=float(payload["at"]),
-            fate=str(payload["fate"]),
-        )
-    except (KeyError, TypeError, ValueError, ReproError) as exc:
-        # ReproError covers RunFailure's own validation (unknown fate).
-        raise PersistenceError(f"malformed failure record: {exc}") from exc
-
-
-def append_failure_record(failure, path: _PathLike) -> None:
-    """Append one failure record to an NDJSON ledger file.
-
-    Mirrors :func:`append_progress_event`: one ``\\n``-terminated line
-    per record, parent directory created on demand, so the ledger
-    survives a crashed coordinator and is tail-able while a campaign
-    runs.
-
-    Parameters
-    ----------
-    failure:
-        The :class:`~repro.experiments.faults.RunFailure` to record.
-    path:
-        The ledger file (conventionally ``failures.ndjson`` next to the
-        run cache).
-    """
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(run_failure_to_dict(failure), sort_keys=True) + "\n"
-    with path.open("a", encoding="utf-8") as handle:
-        handle.write(line)
-
-
 def load_failure_records(path: _PathLike) -> list:
-    """Read every valid failure record from an NDJSON ledger.
+    """The :class:`~repro.experiments.faults.RunFailure` records of a
+    failure ledger (``failures.ndjson``), for post-mortems."""
+    from repro.experiments.faults import RunFailure  # local: avoid import cycle
 
-    Tolerant like :func:`load_progress_events`: torn or malformed lines
-    are skipped, a missing file reads as an empty ledger.
-
-    Parameters
-    ----------
-    path:
-        The ledger file.
-
-    Returns
-    -------
-    list[RunFailure]
-        The decodable records, in file (chronological) order.
-    """
-    records = []
-    for line in _ndjson_lines(pathlib.Path(path)):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(run_failure_from_dict(json.loads(line)))
-        except (json.JSONDecodeError, PersistenceError):
-            continue  # torn or corrupt line: skip, keep the ledger usable
-    return records
-
-
-# ---------------------------------------------------------------------------
-# Error grids <-> JSON
-# ---------------------------------------------------------------------------
-def save_error_grid_json(
-    errors: dict[str, dict[str, dict[str, ErrorReport]]], path: _PathLike
-) -> None:
-    """Write a Table-VII-style error grid (model → kind → role)."""
-    payload = {
-        "schema": ERRORS_SCHEMA,
-        "grid": {
-            model: {
-                kind: {
-                    role: {
-                        "n": report.n,
-                        "mae_j": report.mae_j,
-                        "rmse_j": report.rmse_j,
-                        "nrmse": report.nrmse,
-                    }
-                    for role, report in roles.items()
-                }
-                for kind, roles in kinds.items()
-            }
-            for model, kinds in errors.items()
-        },
-    }
-    pathlib.Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
-
-
-def load_error_grid_json(path: _PathLike) -> dict[str, dict[str, dict[str, ErrorReport]]]:
-    """Read an error grid written by :func:`save_error_grid_json`."""
-    path = pathlib.Path(path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    if payload.get("schema") != ERRORS_SCHEMA:
-        raise PersistenceError(
-            f"{path}: unexpected schema {payload.get('schema')!r} "
-            f"(want {ERRORS_SCHEMA!r})"
-        )
-    grid: dict[str, dict[str, dict[str, ErrorReport]]] = {}
-    for model, kinds in payload["grid"].items():
-        grid[model] = {}
-        for kind, roles in kinds.items():
-            grid[model][kind] = {}
-            for role, cells in roles.items():
-                grid[model][kind][role] = ErrorReport(
-                    n=int(cells["n"]),
-                    mae_j=float(cells["mae_j"]),
-                    rmse_j=float(cells["rmse_j"]),
-                    nrmse=float(cells["nrmse"]),
-                )
-    return grid
+    return load_records(RunFailure, path)

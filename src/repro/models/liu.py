@@ -32,36 +32,7 @@ from repro.models.base import EnergyPrediction, MigrationEnergyModel
 from repro.models.features import HostRole, MigrationSample
 from repro.regression.linear import fit_nonnegative
 
-__all__ = ["LiuModel", "precopy_data_estimate"]
-
-
-def precopy_data_estimate(
-    mem_pages: int,
-    page_size_bytes: int,
-    bw_pages_per_s: float,
-    dirty_rate_pages_per_s: float,
-    n_rounds: int,
-) -> float:
-    """Eq. 10 analytical DATA estimate (bytes) for reference/benches.
-
-    Round 0 sends the full memory; each later round sends the pages
-    dirtied during the previous round (rate × previous duration, capped by
-    memory size).  This is Liu's analytical view of the pre-copy process;
-    the fitted model uses measured DATA instead, like the paper.
-    """
-    if mem_pages <= 0 or page_size_bytes <= 0 or bw_pages_per_s <= 0:
-        raise ModelError("memory, page size and bandwidth must be positive")
-    if n_rounds < 1:
-        raise ModelError("need at least one round")
-    total_pages = 0.0
-    to_send = float(mem_pages)
-    for _ in range(n_rounds):
-        total_pages += to_send
-        duration = to_send / bw_pages_per_s
-        to_send = min(dirty_rate_pages_per_s * duration, float(mem_pages))
-        if to_send < 1.0:
-            break
-    return total_pages * page_size_bytes
+__all__ = ["LiuModel"]
 
 
 class LiuModel(MigrationEnergyModel):

@@ -154,28 +154,6 @@ class Wavm3Coefficients:
                 shifted[role][phase] = updated
         return Wavm3Coefficients(values=shifted, trained_idle_w=deployed_idle_w)
 
-    def as_table_rows(self) -> list[dict[str, object]]:
-        """Flatten to rows (role, phase, symbol, feature, value) for reports."""
-        rows: list[dict[str, object]] = []
-        for role in (HostRole.SOURCE, HostRole.TARGET):
-            for phase in (
-                MigrationPhase.INITIATION,
-                MigrationPhase.TRANSFER,
-                MigrationPhase.ACTIVATION,
-            ):
-                for feature in PHASE_FEATURES[phase]:
-                    rows.append(
-                        {
-                            "role": role.value,
-                            "phase": phase.value,
-                            "symbol": PAPER_SYMBOLS[phase][feature],
-                            "feature": feature,
-                            "value": self.coefficient(role, phase, feature),
-                        }
-                    )
-        return rows
-
-
 class Wavm3Model(MigrationEnergyModel):
     """The paper's model, ready to fit and predict.
 

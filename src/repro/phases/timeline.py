@@ -116,19 +116,6 @@ class PhaseTimeline:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def phase_at(self, t: float) -> MigrationPhase:
-        """Phase containing instant ``t`` (NORMAL outside [ms, me))."""
-        self.validate()
-        assert self.ms is not None and self.ts is not None
-        assert self.te is not None and self.me is not None
-        if t < self.ms or t >= self.me:
-            return MigrationPhase.NORMAL
-        if t < self.ts:
-            return MigrationPhase.INITIATION
-        if t < self.te:
-            return MigrationPhase.TRANSFER
-        return MigrationPhase.ACTIVATION
-
     def phase_interval(self, phase: MigrationPhase) -> tuple[float, float]:
         """The [start, end) interval of a migration phase."""
         self.validate()

@@ -28,7 +28,6 @@ _sha256 = hashlib.sha256
 _u64_prefix = struct.Struct("<Q").unpack_from
 
 __all__ = [
-    "hash_uniform",
     "hash_normal",
     "hash_normal_unit",
     "hash_normal_unit_fill",
@@ -51,14 +50,6 @@ def _hash_unit(seed: int, key: str, tick: int, salt: int = 0) -> float:
     raw = derive_seed(seed, f"{key}#{tick}#{salt}")
     # Map to (0, 1) exclusive to keep it safe for log/Box-Muller.
     return (raw + 0.5) / _U64
-
-
-def hash_uniform(seed: int, key: str, t: float, quantum: float, low: float = 0.0, high: float = 1.0) -> float:
-    """Quantised uniform noise in ``[low, high)``; constant within a quantum."""
-    if quantum <= 0:
-        raise ConfigurationError(f"quantum must be positive, got {quantum!r}")
-    tick = math.floor(t / quantum)
-    return low + (high - low) * _hash_unit(seed, key, tick)
 
 
 def hash_normal(seed: int, key: str, t: float, quantum: float, sigma: float = 1.0) -> float:

@@ -18,7 +18,7 @@ Simulated counterparts of the paper's instrumentation:
 from repro.telemetry.dstat import DstatMonitor
 from repro.telemetry.integration import integrate_power
 from repro.telemetry.powermeter import PowerMeter
-from repro.telemetry.stabilization import StabilizationRule, first_stable_index, is_stable
+from repro.telemetry.stabilization import StabilizationRule, is_stable
 from repro.telemetry.traces import PowerTrace, SeriesTrace
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "integrate_power",
     "PowerMeter",
     "StabilizationRule",
-    "first_stable_index",
     "is_stable",
     "PowerTrace",
     "SeriesTrace",

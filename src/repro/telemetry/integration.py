@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.errors import TraceError
 
-__all__ = ["integrate_power", "cumulative_energy"]
+__all__ = ["integrate_power"]
 
 
 def integrate_power(times: np.ndarray, watts: np.ndarray, t0: float, t1: float) -> float:
@@ -59,16 +59,3 @@ def integrate_power(times: np.ndarray, watts: np.ndarray, t0: float, t1: float) 
     grid = np.concatenate(([t0], times[inside], [t1]))
     values = np.interp(grid, times, watts)
     return float(np.trapezoid(values, grid))
-
-
-def cumulative_energy(times: np.ndarray, watts: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoidal energy at each sample (joules, starts at 0)."""
-    times = np.asarray(times, dtype=np.float64)
-    watts = np.asarray(watts, dtype=np.float64)
-    if times.size < 2:
-        raise TraceError("need at least two samples")
-    if np.any(np.diff(times) <= 0):
-        raise TraceError("times must be strictly increasing")
-    dt = np.diff(times)
-    segments = 0.5 * (watts[1:] + watts[:-1]) * dt
-    return np.concatenate(([0.0], np.cumsum(segments)))

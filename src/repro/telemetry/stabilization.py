@@ -21,7 +21,6 @@ __all__ = [
     "StabilizationRule",
     "StabilizationTracker",
     "is_stable",
-    "first_stable_index",
 ]
 
 
@@ -187,24 +186,3 @@ class StabilizationTracker:
         """Whether the last ``n_readings`` readings satisfy the rule."""
         rule = self.rule
         return self._count >= rule.n_readings and self._streak >= rule.n_readings - 1
-
-
-def first_stable_index(
-    watts: np.ndarray, rule: StabilizationRule = StabilizationRule()
-) -> int | None:
-    """Index of the earliest reading at which the signal counts as stable.
-
-    Returns the index ``i`` such that readings ``[i - n + 1 … i]`` satisfy
-    the rule, or ``None`` if the signal never stabilises.
-    """
-    watts = np.asarray(watts, dtype=np.float64)
-    n = rule.n_readings
-    if watts.size < n:
-        return None
-    ok = _consecutive_ok(watts, rule)
-    # A window ending at reading i needs ok[i-n+1 .. i-1] all true (n-1 diffs).
-    window = np.convolve(ok.astype(np.int64), np.ones(n - 1, dtype=np.int64), "valid")
-    hits = np.flatnonzero(window == n - 1)
-    if hits.size == 0:
-        return None
-    return int(hits[0] + n - 1)

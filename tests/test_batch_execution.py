@@ -23,9 +23,9 @@ from repro.experiments.queue_backend import QueueBackend, run_worker
 from repro.experiments.runner import RunnerSettings, ScenarioRunner
 from repro.io import (
     PersistenceError,
+    decode_record,
+    encode_record,
     save_samples_json,
-    task_spec_from_dict,
-    task_spec_to_dict,
 )
 from repro.telemetry.stabilization import StabilizationRule
 
@@ -125,43 +125,43 @@ class TestTaskSpecWireFormat:
     )
     def test_spec_round_trips_as_taskspec_3(self, run_start, run_count):
         task = _batch_task(run_start=run_start, run_count=run_count)
-        spec = task_spec_to_dict(task)
+        spec = encode_record(task)
         assert spec["schema"] == "wavm3-taskspec/3"
         assert spec["run_start"] == run_start and spec["run_count"] == run_count
         assert "run_index" not in spec
-        rebuilt = task_spec_from_dict(spec)
+        rebuilt = decode_record(RunTask, spec)
         assert isinstance(rebuilt, RunTask)
         assert rebuilt == task
 
     def test_unknown_schema_rejected(self):
-        spec = task_spec_to_dict(_batch_task())
+        spec = encode_record(_batch_task())
         spec["schema"] = "wavm3-taskspec/99"
         with pytest.raises(PersistenceError, match="unexpected task-spec schema"):
-            task_spec_from_dict(spec)
+            decode_record(RunTask, spec)
 
     def test_retired_single_run_spec_rejected(self):
         """A spec in the retired single-run schema (one ``run_index``)
         is refused, naming the schema a worker wants."""
-        spec = task_spec_to_dict(_batch_task(run_start=2, run_count=1))
+        spec = encode_record(_batch_task(run_start=2, run_count=1))
         del spec["run_start"], spec["run_count"]
         spec.update(schema="wavm3-taskspec/1", run_index=2)
         with pytest.raises(PersistenceError, match="want 'wavm3-taskspec/3'"):
-            task_spec_from_dict(spec)
+            decode_record(RunTask, spec)
 
     def test_retired_driver_spec_rejected(self):
         """A /2 spec, whose scenario still carries the retired ``driver``
         field, is refused, naming the schema a worker wants."""
-        spec = task_spec_to_dict(_batch_task())
+        spec = encode_record(_batch_task())
         spec["schema"] = "wavm3-taskspec/2"
         spec["scenario"]["driver"] = "scripted"
         with pytest.raises(PersistenceError, match="want 'wavm3-taskspec/3'"):
-            task_spec_from_dict(spec)
+            decode_record(RunTask, spec)
 
     def test_invalid_range_in_spec_rejected(self):
-        spec = task_spec_to_dict(_batch_task())
+        spec = encode_record(_batch_task())
         spec["run_count"] = 0
         with pytest.raises(PersistenceError, match="invalid batch range"):
-            task_spec_from_dict(spec)
+            decode_record(RunTask, spec)
 
     def test_batch_task_id_encodes_range(self):
         task = _batch_task(run_start=3, run_count=5)

@@ -26,12 +26,6 @@ class TestRegistration:
     def test_remove_missing_silent(self):
         CpuAccountant(32).remove("ghost")
 
-    def test_add_demand_clamps_at_zero(self):
-        cpu = CpuAccountant(32)
-        cpu.set_demand("x", 1.0)
-        cpu.add_demand("x", -5.0)
-        assert cpu.demand("x") == 0.0
-
     def test_rejects_negative_demand(self):
         with pytest.raises(CapacityError):
             CpuAccountant(32).set_demand("x", -1.0)

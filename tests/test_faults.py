@@ -40,10 +40,10 @@ from repro.experiments.runner import ScenarioRunner
 from repro.experiments.taskboard import TaskBoard
 from repro.io import (
     PersistenceError,
-    append_failure_record,
+    append_record,
+    decode_record,
+    encode_record,
     load_failure_records,
-    run_failure_from_dict,
-    run_failure_to_dict,
 )
 from repro.models.features import HostRole
 
@@ -141,35 +141,35 @@ class TestRetryPolicy:
 class TestWireFormat:
     def test_round_trip(self):
         failure = _failure()
-        assert run_failure_from_dict(run_failure_to_dict(failure)) == failure
+        assert decode_record(RunFailure, encode_record(failure)) == failure
 
     def test_round_trip_nullable_fields(self):
         failure = _failure(traceback_digest=None, wall_s=None)
-        assert run_failure_from_dict(run_failure_to_dict(failure)) == failure
+        assert decode_record(RunFailure, encode_record(failure)) == failure
 
     def test_wrong_schema_rejected(self):
-        payload = run_failure_to_dict(_failure())
+        payload = encode_record(_failure())
         payload["schema"] = "wavm3-failure/999"
         with pytest.raises(PersistenceError, match="schema"):
-            run_failure_from_dict(payload)
+            decode_record(RunFailure, payload)
 
     def test_malformed_fate_becomes_persistence_error(self):
-        payload = run_failure_to_dict(_failure())
+        payload = encode_record(_failure())
         payload["fate"] = "vanished"
         with pytest.raises(PersistenceError):
-            run_failure_from_dict(payload)
+            decode_record(RunFailure, payload)
 
     def test_ndjson_append_and_load(self, tmp_path):
         path = tmp_path / "deep" / "failures.ndjson"
         first, second = _failure(), _failure(attempt=2, fate="quarantined")
-        append_failure_record(first, path)
-        append_failure_record(second, path)
+        append_record(first, path)
+        append_record(second, path)
         assert load_failure_records(path) == [first, second]
 
     def test_load_tolerates_torn_tail_and_missing_file(self, tmp_path):
         path = tmp_path / "failures.ndjson"
         assert load_failure_records(path) == []
-        append_failure_record(_failure(), path)
+        append_record(_failure(), path)
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"schema": "wavm3-fail')  # writer died mid-line
         assert len(load_failure_records(path)) == 1
@@ -386,7 +386,7 @@ class TestExecutorRetries:
                 self.attempts[task.task_id] = self.attempts.get(task.task_id, 0) + 1
                 lost = None
                 while lost is None:  # each requeued lease expires again
-                    lost = self.board.expire(task.task_id, time.time())
+                    lost = self.board.expire(task.task_id, time.monotonic(), time.time())
                 future = Future()
                 future.set_exception(TaskFailure(lost.message, failure=lost))
                 return future
@@ -469,6 +469,30 @@ class TestExecutorRetries:
 
         assert EXIT_DEGRADED == _EXIT_DEGRADED == 3
 
+    def test_cli_says_when_quarantine_falls_back_to_skip(self, monkeypatch, capsys):
+        """Without a spool there is no quarantine store: the CLI says that
+        the exhausted task was skipped instead."""
+        from repro.cli import main
+        from repro.experiments import design
+        from repro.experiments.chaos import CHAOS_ENV_VAR, deactivate
+
+        poisoned = MigrationScenario("MEMLOAD-VM", "faults/cli/lv/dr95", live=True,
+                                     dirty_percent=95.0)
+        monkeypatch.setattr(design, "memload_vm_scenarios", lambda family: [_HEALTHY, poisoned])
+        monkeypatch.setenv(CHAOS_ENV_VAR, "")  # restored after the CLI sets it
+        try:
+            code = main([
+                "--seed", "3", "campaign", "--experiment", "memload-vm", "--runs", "2",
+                "--max-retries", "2", "--on-failure", "quarantine",
+                "--chaos", "seed=7;execute:crash:tag=dr95",
+            ])
+        finally:
+            deactivate()
+        assert code == EXIT_DEGRADED
+        out = capsys.readouterr().out
+        assert "note: --on-failure quarantine needs --spool-dir; 1 tasks skipped instead" in out
+        assert "campaign DEGRADED: 0 tasks quarantined" in out
+
 
 class TestQueueQuarantine:
     def _task(self, run_start: int = 0):
@@ -534,7 +558,7 @@ class TestQueueQuarantine:
         board = backend.board = TaskBoard(**board_options)
         task = self._task()
         board.add(task.task_id, task.scenario.label, task.run_indices, task)
-        assert board.lease_ready(time.time()) == [task]
+        assert board.lease_ready(time.monotonic()) == [task]
         return board, task, backend.submit(task)
 
     def test_stale_lease_budget_fails_future_non_retryable(self, tmp_path):
@@ -565,7 +589,7 @@ class TestQueueQuarantine:
         exc = future.exception()
         assert isinstance(exc, TaskFailure)
         assert exc.failure.kind == "StaleLease"
-        failure = board.fail(task.task_id, exc, time.time())
+        failure = board.fail(task.task_id, exc, time.monotonic(), time.time())
         assert (failure.fate, failure.attempt) == ("quarantined", 1)
         assert backend.spool.quarantine_path(task.task_id).is_file()
         assert backend.stats.tasks_requeued == 2
@@ -596,4 +620,6 @@ class TestQueueQuarantine:
         assert done == {future}
         assert isinstance(future.exception(), TaskFailure)
         assert backend.stats.tasks_requeued == 2
-        assert board.fail(task.task_id, future.exception(), time.time()).fate == "fatal"
+        assert board.fail(
+            task.task_id, future.exception(), time.monotonic(), time.time()
+        ).fate == "fatal"

@@ -1,4 +1,4 @@
-"""Persistence round-trips for traces, samples, error grids and task specs."""
+"""Persistence round-trips for samples and task specs."""
 
 import json
 
@@ -13,61 +13,16 @@ from repro.io import (
     SAMPLES_SCHEMA,
     PersistenceError,
     _sample_to_dict,
-    load_error_grid_json,
-    load_power_trace_csv,
+    decode_record,
+    encode_record,
     load_samples_json,
     load_task_spec,
-    save_error_grid_json,
-    save_power_trace_csv,
     save_samples_json,
     save_task_spec,
-    task_spec_from_dict,
-    task_spec_to_dict,
 )
 from repro.models.features import HostRole, MigrationSample
 from repro.models.wavm3 import Wavm3Model
-from repro.regression.metrics import ErrorReport
 from repro.telemetry.stabilization import StabilizationRule
-from repro.telemetry.traces import PowerTrace
-
-
-class TestPowerTraceCsv:
-    def test_round_trip(self, tmp_path):
-        trace = PowerTrace("demo")
-        trace.extend([0.5, 1.0, 1.5], [455.1, 460.25, 458.0])
-        path = tmp_path / "trace.csv"
-        save_power_trace_csv(trace, path)
-        loaded = load_power_trace_csv(path)
-        assert np.allclose(loaded.times, trace.times)
-        assert np.allclose(loaded.watts, trace.watts)
-
-    def test_label_from_stem(self, tmp_path):
-        trace = PowerTrace()
-        trace.append(1.0, 100.0)
-        path = tmp_path / "m01_run3.csv"
-        save_power_trace_csv(trace, path)
-        assert load_power_trace_csv(path).label == "m01_run3"
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(PersistenceError):
-            load_power_trace_csv(path)
-
-    def test_malformed_row_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("time_s,power_w\n1,2,3\n")
-        with pytest.raises(PersistenceError):
-            load_power_trace_csv(path)
-
-    def test_real_run_trace(self, tmp_path, nonlive_cpu_run):
-        path = tmp_path / "run.csv"
-        save_power_trace_csv(nonlive_cpu_run.source_trace, path)
-        loaded = load_power_trace_csv(path)
-        assert len(loaded) == len(nonlive_cpu_run.source_trace)
-        assert loaded.energy_joules() == pytest.approx(
-            nonlive_cpu_run.source_trace.energy_joules(), rel=1e-9
-        )
 
 
 class TestSamplesJson:
@@ -78,13 +33,11 @@ class TestSamplesJson:
         assert len(loaded) == len(mini_samples)
 
         # The reloaded dataset fits to the same coefficients.
-        original = Wavm3Model().fit(mini_samples)
-        reloaded = Wavm3Model().fit(loaded)
-        for row_a, row_b in zip(
-            original.coefficients.as_table_rows(),
-            reloaded.coefficients.as_table_rows(),
-        ):
-            assert row_a["value"] == pytest.approx(row_b["value"], rel=1e-9)
+        original = Wavm3Model().fit(mini_samples).coefficients.values
+        reloaded = Wavm3Model().fit(loaded).coefficients.values
+        for role, phases in original.items():
+            for phase, coefs in phases.items():
+                assert reloaded[role][phase] == pytest.approx(coefs, rel=1e-9)
 
     def test_roles_preserved(self, tmp_path, mini_samples):
         path = tmp_path / "samples.json"
@@ -107,15 +60,23 @@ class TestSamplesJson:
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "x.json"
-        path.write_text("not json at all")
-        with pytest.raises(PersistenceError):
-            load_samples_json(path)
+        for garbage in (b"not json at all", b"\xff\xfe{"):  # the second is not UTF-8
+            path.write_bytes(garbage)
+            with pytest.raises(PersistenceError):
+                load_samples_json(path)
 
     def test_malformed_record_rejected(self, tmp_path):
         path = tmp_path / "x.json"
-        path.write_text('{"schema": "wavm3-samples/1", "samples": [{"role": "source"}]}')
-        with pytest.raises(PersistenceError):
-            load_samples_json(path)
+        for document in (
+            '{"schema": "wavm3-samples/1", "samples": [{"role": "source"}]}',
+            '[{"schema": "wavm3-samples/1"}]',            # not an object
+            '{"schema": "wavm3-samples/1"}',              # no samples
+            '{"schema": "wavm3-samples/1", "samples": [7]}',  # record not an object
+            '{"schema": "wavm3-samples/1", "samples": ["x"]}',
+        ):
+            path.write_text(document)
+            with pytest.raises(PersistenceError):
+                load_samples_json(path)
 
 
 def _synth_samples(count: int = 10, readings: int = 8, seed: int = 7):
@@ -233,27 +194,6 @@ class TestSamplesCli:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-class TestErrorGridJson:
-    def _grid(self):
-        report = ErrorReport(n=8, mae_j=1800.0, rmse_j=2558.0, nrmse=0.118)
-        return {"WAVM3": {"live": {"source": report}}}
-
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "grid.json"
-        save_error_grid_json(self._grid(), path)
-        loaded = load_error_grid_json(path)
-        report = loaded["WAVM3"]["live"]["source"]
-        assert report.n == 8
-        assert report.nrmse_percent == pytest.approx(11.8)
-        assert report.mae_kj == pytest.approx(1.8)
-
-    def test_wrong_schema_rejected(self, tmp_path):
-        path = tmp_path / "grid.json"
-        path.write_text('{"schema": "nope", "grid": {}}')
-        with pytest.raises(PersistenceError):
-            load_error_grid_json(path)
-
-
 class TestTaskSpecJson:
     """The distributed queue's wire format: one JSON spec per task."""
 
@@ -290,19 +230,20 @@ class TestTaskSpecJson:
 
     def test_dict_round_trip_preserves_key(self):
         task = self._task()
-        rebuilt = task_spec_from_dict(task_spec_to_dict(task))
+        rebuilt = decode_record(RunTask, encode_record(task))
         assert rebuilt.key == task.key
         assert rebuilt == task
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text("{ not json", encoding="utf-8")
-        with pytest.raises(PersistenceError):
-            load_task_spec(path)
+        for garbage in (b"{ not json", b"\xff\xfe{"):  # the second is not UTF-8
+            path.write_bytes(garbage)
+            with pytest.raises(PersistenceError):
+                load_task_spec(path)
 
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "wrong.json"
-        payload = task_spec_to_dict(self._task())
+        payload = encode_record(self._task())
         payload["schema"] = "wavm3-taskspec/0"
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(PersistenceError):
@@ -310,7 +251,7 @@ class TestTaskSpecJson:
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "partial.json"
-        payload = task_spec_to_dict(self._task())
+        payload = encode_record(self._task())
         del payload["settings"]
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(PersistenceError):
@@ -318,7 +259,7 @@ class TestTaskSpecJson:
 
     def test_invalid_field_value_rejected(self, tmp_path):
         path = tmp_path / "invalid.json"
-        payload = task_spec_to_dict(self._task())
+        payload = encode_record(self._task())
         payload["scenario"]["family"] = "z"  # fails MigrationScenario validation
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(PersistenceError):

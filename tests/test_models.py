@@ -19,7 +19,6 @@ from repro.models.coefficients import (
     PAPER_TABLE_IV_LIVE,
     paper_wavm3_coefficients,
 )
-from repro.models.liu import precopy_data_estimate
 from repro.models.registry import register_model
 from repro.phases.timeline import MigrationPhase
 
@@ -98,8 +97,9 @@ class TestWavm3Fitting:
 
     def test_coefficients_nonnegative(self, mini_samples):
         model = Wavm3Model().fit(mini_samples)
-        for row in model.coefficients.as_table_rows():
-            assert row["value"] >= 0.0
+        for phases in model.coefficients.values.values():
+            for coefs in phases.values():
+                assert all(value >= 0.0 for value in coefs.values())
 
     def test_positive_cpu_slope(self, mini_samples):
         model = Wavm3Model().fit(mini_samples)
@@ -218,24 +218,6 @@ class TestLiu:
     def test_needs_two_migrations(self, mini_samples):
         with pytest.raises(ModelError):
             LiuModel().fit(mini_samples[:1])
-
-    def test_precopy_data_estimate(self):
-        # Eq. 10 reference: no dirtying -> exactly one full-memory round.
-        data = precopy_data_estimate(
-            mem_pages=1000, page_size_bytes=4096, bw_pages_per_s=100.0,
-            dirty_rate_pages_per_s=0.0, n_rounds=10,
-        )
-        assert data == 1000 * 4096
-
-    def test_precopy_estimate_grows_with_dirty_rate(self):
-        slow = precopy_data_estimate(1000, 4096, 100.0, 10.0, 10)
-        fast = precopy_data_estimate(1000, 4096, 100.0, 80.0, 10)
-        assert fast > slow
-
-    def test_precopy_estimate_validates(self):
-        with pytest.raises(ModelError):
-            precopy_data_estimate(0, 4096, 100.0, 10.0, 5)
-
 
 class TestStrunk:
     def test_fit_and_predict(self, mini_samples):

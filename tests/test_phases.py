@@ -43,13 +43,6 @@ class TestTimelineValidity:
 
 
 class TestTimelineQueries:
-    def test_phase_at(self):
-        tl = complete_timeline()
-        assert tl.phase_at(5.0) is MigrationPhase.NORMAL
-        assert tl.phase_at(11.0) is MigrationPhase.INITIATION
-        assert tl.phase_at(30.0) is MigrationPhase.TRANSFER
-        assert tl.phase_at(52.0) is MigrationPhase.ACTIVATION
-        assert tl.phase_at(60.0) is MigrationPhase.NORMAL
 
     def test_durations(self):
         tl = complete_timeline()

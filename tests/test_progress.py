@@ -22,13 +22,7 @@ from repro.experiments.executor import CampaignExecutor, process_worker_id
 from repro.experiments.queue_backend import run_worker, spool_gc, spool_status
 from repro.experiments.results import ProgressEvent
 from repro.experiments.runner import RunnerSettings, ScenarioRunner
-from repro.io import (
-    PersistenceError,
-    append_progress_event,
-    load_progress_events,
-    progress_event_from_dict,
-    progress_event_to_dict,
-)
+from repro.io import PersistenceError, append_record, decode_record, encode_record, load_records
 
 FAST = dict(
     min_warmup_s=2.0, max_warmup_s=6.0, min_post_s=2.0, max_post_s=6.0,
@@ -63,29 +57,31 @@ def _runner(seed: int = 1) -> ScenarioRunner:
 class TestProgressIo:
     def test_dict_round_trip(self):
         event = _event()
-        assert progress_event_from_dict(progress_event_to_dict(event)) == event
+        assert decode_record(ProgressEvent, encode_record(event)) == event
 
     def test_schema_enforced(self):
-        record = progress_event_to_dict(_event())
+        record = encode_record(_event())
         record["schema"] = "wavm3-progress/99"
         with pytest.raises(PersistenceError):
-            progress_event_from_dict(record)
+            decode_record(ProgressEvent, record)
         with pytest.raises(PersistenceError):
-            progress_event_from_dict({"schema": "wavm3-progress/1"})  # fields missing
+            decode_record(ProgressEvent, {"schema": "wavm3-progress/1"})  # fields missing
+        with pytest.raises(PersistenceError, match="must not be null"):
+            decode_record(ProgressEvent, {**encode_record(_event()), "worker": None})
 
     def test_ndjson_round_trip(self, tmp_path):
         path = tmp_path / "w.ndjson"
         events = [_event(run_index=i, at=float(i)) for i in range(3)]
         for event in events:
-            append_progress_event(event, path)
-        assert load_progress_events(path) == events
+            append_record(event, path)
+        assert load_records(ProgressEvent, path) == events
 
     def test_ndjson_tolerates_torn_lines(self, tmp_path):
         path = tmp_path / "w.ndjson"
-        append_progress_event(_event(run_index=0), path)
+        append_record(_event(run_index=0), path)
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"schema": "wavm3-progress/1", "task_id": "torn')
-        loaded = load_progress_events(path)
+        loaded = load_records(ProgressEvent, path)
         assert len(loaded) == 1 and loaded[0].run_index == 0
 
     def test_ndjson_tolerates_tail_torn_mid_multibyte(self, tmp_path):
@@ -94,17 +90,17 @@ class TestProgressIo:
         resulting ``UnicodeDecodeError`` must stay confined to that line
         instead of taking the whole status view down."""
         path = tmp_path / "w.ndjson"
-        append_progress_event(_event(run_index=0), path)
+        append_record(_event(run_index=0), path)
         torn = json.dumps(
             {"schema": "wavm3-progress/1", "worker": "café"}, ensure_ascii=False
         ).encode("utf-8")
         with path.open("ab") as handle:
             handle.write(torn[: torn.index(b"\xc3") + 1])  # half of the 'é'
-        loaded = load_progress_events(path)
+        loaded = load_records(ProgressEvent, path)
         assert len(loaded) == 1 and loaded[0].run_index == 0
 
     def test_missing_file_reads_empty(self, tmp_path):
-        assert load_progress_events(tmp_path / "absent.ndjson") == []
+        assert load_records(ProgressEvent, tmp_path / "absent.ndjson") == []
 
 
 class TestExecutorProgress:
@@ -182,7 +178,7 @@ class TestQueueProgress:
     def test_drain_ignores_other_campaigns_sidecar_lines(self, tmp_path):
         executor, spool = self._run_queue_campaign(tmp_path)
         # A stale line from some other campaign sharing the spool.
-        append_progress_event(
+        append_record(
             _event(task_id="ffffffffffffffff-0000", worker="pw1"),
             spool / "progress" / "pw1.ndjson",
         )
@@ -192,7 +188,7 @@ class TestQueueProgress:
         """A stale-requeued task announced by two workers counts once."""
         executor, spool = self._run_queue_campaign(tmp_path)
         real_task_id = sorted(executor._backend._session_task_ids)[0]
-        append_progress_event(
+        append_record(
             _event(task_id=real_task_id, worker="pw2", at=time.time() + 1.0),
             spool / "progress" / "pw2.ndjson",
         )

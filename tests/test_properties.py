@@ -23,7 +23,7 @@ from repro.experiments.design import MigrationScenario
 from repro.experiments.executor import RunCache, RunTask
 from repro.experiments.runner import RunnerSettings, ScenarioRunner
 from repro.hypervisor.migration import MigrationConfig
-from repro.io import task_spec_to_dict
+from repro.io import encode_record
 from repro.models.features import HostRole
 from repro.phases.timeline import MigrationPhase
 from repro.simulator.engine import Simulator
@@ -323,11 +323,11 @@ class TestRunCacheKeyProperties:
         ]
         script = (
             "import json, sys\n"
-            "from repro.experiments.executor import RunCache\n"
-            "from repro.io import task_spec_from_dict\n"
+            "from repro.experiments.executor import RunCache, RunTask\n"
+            "from repro.io import decode_record\n"
             "keys = []\n"
             "for payload in json.load(sys.stdin):\n"
-            "    t = task_spec_from_dict(payload)\n"
+            "    t = decode_record(RunTask, payload)\n"
             "    keys.append(RunCache.scenario_key(t.seed, t.scenario, t.settings,\n"
             "                                      t.migration_config, t.stabilization))\n"
             "print(json.dumps(keys))\n"
@@ -337,7 +337,7 @@ class TestRunCacheKeyProperties:
         env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
             [sys.executable, "-c", script],
-            input=json.dumps([task_spec_to_dict(t) for t in tasks]),
+            input=json.dumps([encode_record(t) for t in tasks]),
             capture_output=True, text=True, env=env, check=True,
         )
         assert json.loads(proc.stdout) == [t.key for t in tasks]

@@ -29,12 +29,12 @@ from repro.experiments.queue_backend import (
 from repro.experiments.results import ProgressEvent
 from repro.experiments.runner import RunnerSettings, ScenarioRunner
 from repro.io import (
-    append_progress_event,
-    load_progress_events,
+    append_record,
+    encode_record,
+    load_records,
     load_task_spec,
     save_samples_json,
     save_task_spec,
-    task_spec_to_dict,
 )
 from repro.models.features import HostRole
 from repro.telemetry.stabilization import StabilizationRule
@@ -323,7 +323,7 @@ class TestFaultInjection:
         backend = _backend(tmp_path)
         task = _task()
         future = backend.submit(task)
-        spec = task_spec_to_dict(task)
+        spec = encode_record(task)
         del spec["run_start"], spec["run_count"]
         spec.update(schema="wavm3-taskspec/1", run_index=0)
         backend.spool.task_path(task.task_id).write_text(
@@ -351,7 +351,7 @@ class TestFaultInjection:
         backend = _backend(tmp_path)
         stale, fresh = _task(0), _task(1)
         stale_future = backend.submit(stale)
-        spec = task_spec_to_dict(stale)
+        spec = encode_record(stale)
         spec["settings"]["compute"] = "numpy"
         backend.spool.task_path(stale.task_id).write_text(
             json.dumps(spec), encoding="utf-8"
@@ -499,7 +499,7 @@ class TestBatchFaultInjection:
         deposited = runner.run_batch(task.scenario, [0, 1])
         for run in deposited:
             cache.put(task.key, run, key_payload=task.key_payload())
-            append_progress_event(
+            append_record(
                 ProgressEvent(
                     task_id=task.run_id(run.run_index),
                     scenario=task.scenario.label, run_index=run.run_index,
@@ -549,7 +549,7 @@ class TestBatchFaultInjection:
         # The dead worker's progress lines survived in its sidecar, and
         # the drained stream counts each run exactly once (the rescuer's
         # re-announcements supersede, never duplicate).
-        survived = load_progress_events(backend.spool.progress / "doomed.ndjson")
+        survived = load_records(ProgressEvent, backend.spool.progress / "doomed.ndjson")
         assert [event.run_index for event in survived] == [0, 1]
         drained = backend.drain_progress()
         assert sorted(event.run_index for event in drained) == [0, 1, 2, 3, 4]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.simulator import RandomStreams, derive_seed
-from repro.simulator.noise import hash_normal, hash_uniform, ou_like_noise
+from repro.simulator.noise import hash_normal, ou_like_noise
 
 
 class TestDeriveSeed:
@@ -86,11 +86,6 @@ class TestHashNoise:
     def test_changes_across_quanta(self):
         values = {hash_normal(1, "k", t, quantum=0.5) for t in np.arange(0, 50, 0.5)}
         assert len(values) > 90  # essentially all distinct
-
-    def test_uniform_bounds(self):
-        for t in np.arange(0, 20, 0.7):
-            value = hash_uniform(3, "u", float(t), quantum=1.0, low=2.0, high=5.0)
-            assert 2.0 <= value < 5.0
 
     def test_normal_moments(self):
         samples = np.array(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import time
 
 import pytest
 from hypothesis import settings
@@ -24,8 +25,11 @@ from hypothesis.stateful import (
 )
 
 from repro.errors import ExperimentError
-from repro.experiments import taskboard
+from repro.experiments import executor, taskboard
+from repro.experiments.chaos import ChaosSchedule, activate, deactivate
+from repro.experiments.design import MigrationScenario
 from repro.experiments.faults import FAILURE_FATES, ON_FAILURE_MODES, RetryPolicy
+from repro.experiments.runner import RunnerSettings, ScenarioRunner
 from repro.experiments.taskboard import (
     ABSORBING,
     LEASED,
@@ -109,7 +113,7 @@ class Lifecycle(RuleBasedStateMachine):
     def fail(self, data):
         task_id = data.draw(st.sampled_from(self.ids(LEASED)))
         attempt = self.board.tasks[task_id].attempt
-        failure = self.board.fail(task_id, ValueError("boom"), self.now)
+        failure = self.board.fail(task_id, ValueError("boom"), self.now, self.now)
         self.ledger.append(failure)
         self.failed += 1
         after = self.state(task_id)
@@ -132,7 +136,7 @@ class Lifecycle(RuleBasedStateMachine):
     @rule(data=st.data())
     def expire(self, data):
         task_id = data.draw(st.sampled_from(sorted(set(self.ids(LEASED)) - self.lost)))
-        lost = self.board.expire(task_id, self.now)
+        lost = self.board.expire(task_id, self.now, self.now)
         assert self.state(task_id) == LEASED
         if lost is None:  # requeued, and leased again at once
             assert (LEASED, "expire", OPEN) in ROWS and (OPEN, "lease", LEASED) in ROWS
@@ -153,7 +157,7 @@ class Lifecycle(RuleBasedStateMachine):
     @rule()
     def abort(self):
         live = self.ids(OPEN, LEASED, RETRY_WAIT)
-        failures = self.board.abort(self.now)
+        failures = self.board.abort(self.now, self.now)
         assert [f.task_id for f in failures] == live
         assert {(f.kind, f.fate) for f in failures} <= {("CampaignTimeout", "fatal")}
         for task_id in live:
@@ -169,8 +173,8 @@ class Lifecycle(RuleBasedStateMachine):
         with pytest.raises(ExperimentError, match="no 'complete' transition"):
             self.board.complete(task_id)
         with pytest.raises(ExperimentError, match="no 'fail' transition"):
-            self.board.fail(task_id, ValueError("late"), self.now)
-        assert self.board.expire(task_id, self.now) is None  # just requeued
+            self.board.fail(task_id, ValueError("late"), self.now, self.now)
+        assert self.board.expire(task_id, self.now, self.now) is None  # just requeued
         assert self.state(task_id) == state
         assert len(self.board.records) == records
 
@@ -210,23 +214,24 @@ def test_retry_waits_for_its_backoff():
     board = TaskBoard(max_retries=2, retry_policy=RetryPolicy(base_s=2.0, jitter=0.0))
     board.add("t", "scenario", (0,), payload="t")
     assert board.lease_ready(now=10.0) == ["t"]
-    assert board.fail("t", ValueError("boom"), now=10.0).fate == "retried"
+    failure = board.fail("t", ValueError("boom"), now=10.0, at=1_760_000_000.0)
+    assert (failure.fate, failure.at) == ("retried", 1_760_000_000.0)
     assert board.next_timer(10.5) == 1.5
     assert board.lease_ready(now=11.9) == []
     assert board.lease_ready(now=12.0) == ["t"]
     assert board.tasks["t"].attempt == 2
-    assert board.fail("t", ValueError("boom"), now=13.0).fate == "fatal"
+    assert board.fail("t", ValueError("boom"), now=13.0, at=13.0).fate == "fatal"
 
 
 def test_lease_budget_requeues_then_loses_the_attempt():
     board = TaskBoard(max_retries=3, on_failure="skip")
     board.add("t", "scenario", (0, 1), payload="t")
     board.lease_ready(now=0.0)
-    assert [board.expire("t", now=1.0) for _ in range(3)] == [None] * 3
-    lost = board.expire("t", now=2.0)
+    assert [board.expire("t", now=1.0, at=1.0) for _ in range(3)] == [None] * 3
+    lost = board.expire("t", now=2.0, at=2.0)
     assert (lost.kind, lost.worker, lost.attempt) == ("StaleLease", "coordinator", 1)
     assert lost.message == "lease expired 4 times (stale-requeue budget 3 exhausted)"
-    failure = board.fail("t", ValueError(lost.message), now=2.0)
+    failure = board.fail("t", ValueError(lost.message), now=2.0, at=2.0)
     assert (failure.fate, failure.attempt) == ("skipped", 1)
     assert board.runs_abandoned == 2
 
@@ -235,13 +240,13 @@ def test_requeues_are_unbounded_at_the_default_budget():
     board = TaskBoard()
     board.add("t", "scenario", (0,))
     board.lease_ready(now=0.0)
-    assert all(board.expire("t", now=1.0) is None for _ in range(50))
+    assert all(board.expire("t", now=1.0, at=1.0) is None for _ in range(50))
     assert board.tasks["t"].state == LEASED
 
 
 def test_unknown_task_expiry_is_a_plain_requeue():
     board = TaskBoard(max_retries=2)
-    assert board.expire("another-campaign", now=0.0) is None
+    assert board.expire("another-campaign", now=0.0, at=0.0) is None
     assert board.tasks == {} and board.records == []
 
 
@@ -260,3 +265,80 @@ def test_board_imports_no_io_process_or_clock_module():
         name for name in imported
         if any(name == b or name.startswith(b + ".") for b in banned)
     }
+
+
+class _SteppedClock:
+    """Stands in for the executor's ``time`` module.
+
+    The monotonic clock moves only when the executor sleeps; the wall
+    clock reads monotonic time plus an offset that steps back one hour
+    at the first sleep, as an NTP correction would.
+    """
+
+    WALL0 = 1_760_000_000.0
+    perf_counter = staticmethod(time.perf_counter)
+
+    def __init__(self) -> None:
+        self.mono, self.offset = 1000.0, self.WALL0 - 1000.0
+
+    def monotonic(self) -> float:
+        return self.mono
+
+    def time(self) -> float:
+        return self.mono + self.offset
+
+    def sleep(self, seconds: float) -> None:
+        if self.offset == self.WALL0 - 1000.0:
+            self.offset -= 3600.0
+        self.mono += seconds
+
+
+def _clocked_campaign(monkeypatch, chaos: str, **executor_options):
+    """One two-run scenario on the serial backend under ``chaos``, the
+    executor reading :class:`_SteppedClock`; returns the clock, the
+    executor and the campaign's exception (or ``None``)."""
+    clock = _SteppedClock()
+    monkeypatch.setattr(executor, "time", clock)
+    runner = ScenarioRunner(seed=5, settings=RunnerSettings(
+        min_warmup_s=2.0, max_warmup_s=6.0, min_post_s=2.0, max_post_s=6.0,
+        check_interval_s=1.0,
+    ))
+    campaign = executor.CampaignExecutor(runner, backend="serial", **executor_options)
+    scenario = MigrationScenario("CPULOAD-SOURCE", "board/nl/0vm", live=False, load_vm_count=0)
+    activate(ChaosSchedule.from_spec(chaos))
+    try:
+        campaign.run_campaign([scenario], min_runs=2, max_runs=2)
+    except ExperimentError as exc:
+        return clock, campaign, exc
+    finally:
+        deactivate()
+    return clock, campaign, None
+
+
+def test_wall_clock_step_does_not_move_the_backoff(monkeypatch):
+    """The retry runs after its 0.5 s backoff of monotonic time, although
+    the wall clock stepped back an hour meanwhile; the record keeps the
+    wall-clock stamp of the failure."""
+    clock, campaign, error = _clocked_campaign(
+        monkeypatch, "seed=1;execute:crash:max=1",
+        max_retries=2, retry_policy=RetryPolicy(base_s=0.5, jitter=0.0),
+    )
+    assert error is None
+    assert clock.mono - 1000.0 == pytest.approx(0.5)
+    (failure,) = campaign.ledger.records
+    assert (failure.fate, failure.at) == ("retried", _SteppedClock.WALL0)
+
+
+def test_wall_clock_step_does_not_move_the_deadline(monkeypatch):
+    """The campaign deadline passes 2 s of monotonic time after the start,
+    although the wall clock stepped back an hour meanwhile."""
+    clock, campaign, error = _clocked_campaign(
+        monkeypatch, "seed=1;execute:crash",
+        max_retries=5, retry_policy=RetryPolicy(base_s=10.0, jitter=0.0),
+        campaign_timeout=2.0,
+    )
+    assert "campaign deadline of 2s exceeded" in str(error)
+    assert clock.mono - 1000.0 == pytest.approx(2.0)
+    retried, timeout = campaign.ledger.records
+    assert retried.at == _SteppedClock.WALL0
+    assert (timeout.kind, timeout.at) == ("CampaignTimeout", clock.time())

@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, TraceError
-from repro.telemetry import StabilizationRule, first_stable_index, integrate_power, is_stable
-from repro.telemetry.integration import cumulative_energy
+from repro.telemetry import StabilizationRule, integrate_power, is_stable
 
 
 class TestIntegratePower:
@@ -65,20 +64,6 @@ class TestIntegratePower:
         assert integrate_power(t, w, 0.0, duration) == pytest.approx(watts * duration)
 
 
-class TestCumulativeEnergy:
-    def test_starts_at_zero_monotone(self):
-        t = np.arange(0, 5, 0.5)
-        w = np.full_like(t, 200.0)
-        cum = cumulative_energy(t, w)
-        assert cum[0] == 0.0
-        assert np.all(np.diff(cum) >= 0)
-        assert cum[-1] == pytest.approx(200.0 * 4.5)
-
-    def test_needs_two_samples(self):
-        with pytest.raises(TraceError):
-            cumulative_energy(np.array([1.0]), np.array([1.0]))
-
-
 class TestStabilizationRule:
     def test_paper_default(self):
         rule = StabilizationRule()
@@ -106,18 +91,6 @@ class TestStabilizationRule:
         rng = np.random.default_rng(1)
         signal = 500.0 + rng.normal(0, 0.2, 30)  # 0.04 % ripple
         assert is_stable(signal)
-
-    def test_first_stable_index(self):
-        noisy = np.concatenate([np.linspace(100, 500, 30), np.full(25, 500.0)])
-        index = first_stable_index(noisy)
-        assert index is not None
-        assert 30 <= index < len(noisy)
-        # The rule holds looking back n readings from the found index.
-        assert is_stable(noisy[: index + 1][-20:])
-
-    def test_never_stable_returns_none(self):
-        alternating = np.array([100.0, 200.0] * 20)
-        assert first_stable_index(alternating) is None
 
     def test_custom_rule(self):
         signal = np.full(6, 42.0)
