@@ -444,17 +444,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     for name in chosen:
         scenarios.extend(getattr(design, _EXPERIMENT_FAMILIES[name])(args.family))
 
-    if args.chaos is not None:
-        import os
-
-        from repro.experiments.chaos import CHAOS_ENV_VAR, ChaosSchedule, activate
-
-        schedule = ChaosSchedule.from_spec(args.chaos)
-        activate(schedule)
-        # Worker subprocesses (process backend) inherit the schedule via
-        # the environment; distributed workers take their own --chaos.
-        os.environ[CHAOS_ENV_VAR] = schedule.describe()
-
     fault_knobs = dict(
         max_retries=args.max_retries,
         on_failure=args.on_failure,
@@ -549,11 +538,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def _cmd_campaign_worker(args: argparse.Namespace) -> int:
     from repro.errors import ExperimentError
-
-    if args.chaos is not None:
-        from repro.experiments.chaos import ChaosSchedule, activate
-
-        activate(ChaosSchedule.from_spec(args.chaos))
     from repro.experiments.queue_backend import run_worker
 
     if args.cache_dir is None:
@@ -724,8 +708,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "bench": _cmd_bench,
         "scenarios": _cmd_scenarios,
     }
+    handler = handlers[args.command]
     try:
-        return handlers[args.command](args)
+        if getattr(args, "chaos", None) is None:
+            return handler(args)
+        from repro.experiments.chaos import ChaosSchedule, injected
+
+        # Only for this command: a later main() in the same process runs
+        # fault-free.  A campaign also exports the schedule to its worker
+        # subprocesses (process backend) through the environment;
+        # distributed workers take their own --chaos.
+        with injected(ChaosSchedule.from_spec(args.chaos), export=args.command == "campaign"):
+            return handler(args)
     except BrokenPipeError:
         # Output truncated by a downstream pager (`wavm3 … | head`): normal.
         return 0

@@ -7,7 +7,9 @@ subsystem reads aggregate utilisations and ground-truth power from here.
 
 Utilisation reads carry deterministic, time-quantised jitter (see
 :mod:`repro.simulator.noise`) so that repeated reads at one instant agree
-while consecutive samples fluctuate like a real ``dstat`` trace.
+while consecutive samples fluctuate like a real ``dstat`` trace.  The host
+owns one :class:`~repro.simulator.noise.NoiseStream` per jitter process
+(CPU and thermal drift); its batched readers all draw from them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from repro.cluster.machines import MachineSpec
 from repro.cluster.power import HostPowerModel
 from repro.errors import CapacityError
 from repro.simulator.kernels import HostKernel
-from repro.simulator.noise import hash_normal_unit, ou_like_noise
+from repro.simulator.noise import NoiseStream, hash_normal_unit, ou_like_noise
 
 __all__ = ["PhysicalHost"]
 
@@ -45,10 +47,6 @@ _TICK_JITTER_SIGMA = 0.016
 #: share this stream and this sigma.
 _CPU_JITTER_SIGMA = _TICK_JITTER_SIGMA * math.sqrt(_SCHED_TICK_S / _JITTER_QUANTUM_S)
 
-#: OU renormalisation of the thermal-drift process (blend = 0.75), the
-#: exact value ``ou_like_noise`` computes from that blend.
-_DRIFT_NORM = math.sqrt(0.75 * 0.75 + 0.25 * 0.25)
-
 
 class PhysicalHost:
     """A physical machine participating in the simulated testbed.
@@ -69,18 +67,13 @@ class PhysicalHost:
         self._noise_seed = int(noise_seed)
         self._nic_flows: dict[str, tuple[float, float]] = {}
         self._memory_activity: dict[str, float] = {}
-        # tick -> N(0,1) hash draw (one table per noise key), shared by
-        # every batched telemetry reader of this host (meter, dstat,
-        # feature recorder): the noise is a pure function, so memoisation
-        # is free of read-order effects and hashes each tick once.
-        self._cpu_tick_cache: dict[int, float] = {}
-        self._drift_tick_cache: dict[int, float] = {}
-        self._cpu_noise_key = f"cpu:{spec.name}"
-        self._drift_noise_key = f"drift:{spec.name}"
-        # t -> jittered utilisation read, valid because every telemetry
-        # reader of one timestamp runs inside the same event-free interval
-        # (identical host state) and timestamps never recur.
-        self._util_read_cache: dict[float, float] = {}
+        #: The CPU-jitter and thermal-drift processes that the batched
+        #: telemetry readers of this host (meter, dstat, feature recorder)
+        #: share; the scalar reads below compute the same noise directly.
+        self.cpu_noise = NoiseStream(self._noise_seed, f"cpu:{spec.name}", _JITTER_QUANTUM_S)
+        self.drift_noise = NoiseStream(
+            self._noise_seed, f"drift:{spec.name}", spec.power.drift_quantum_s, blend=0.75
+        )
         # Flow/activity-table versions with memoised aggregates: telemetry
         # reads these per sample, the tables change only on events.  A
         # memoised value is produced by the same summation expression as a
@@ -101,12 +94,7 @@ class PhysicalHost:
         raw = sigma * hash_normal_unit(self._noise_seed, f"thermal:{spec.name}", 0) if sigma else 0.0
         self._thermal_factor = 1.0 + min(max(raw, -2.5 * sigma), 2.5 * sigma)
         #: The batched telemetry reads of this host (repro.simulator.kernels).
-        self.kernel = HostKernel(
-            self,
-            jitter_quantum=_JITTER_QUANTUM_S,
-            cpu_jitter_sigma=_CPU_JITTER_SIGMA,
-            drift_norm=_DRIFT_NORM,
-        )
+        self.kernel = HostKernel(self, cpu_jitter_sigma=_CPU_JITTER_SIGMA)
 
     # ------------------------------------------------------------------
     # Identity

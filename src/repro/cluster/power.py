@@ -132,6 +132,9 @@ class PowerModelParams:
         watts as parallel tuples, in exactly the composition order of
         :meth:`HostPowerModel.instantaneous_power` — the single source the
         interval kernels in :mod:`repro.simulator.kernels` initialise from.
+        The memory and NIC terms scale live fractions, and the drift
+        quantum belongs to the host's drift noise stream, so neither is
+        here.
         """
         thresholds = tuple(threshold for threshold, _ in self.fan_steps)
         watts = tuple(watts for _, watts in self.fan_steps)
@@ -140,14 +143,11 @@ class PowerModelParams:
             self.cpu_linear_w,
             self.cpu_curved_w,
             self.cpu_curve_exponent,
-            self.memory_w,
-            self.nic_w,
             self.interaction_w,
             0.35 * self.idle_w,  # the PSU base-load model floor
             thresholds,
             watts,
             self.drift_sigma_w,
-            self.drift_quantum_s,
         )
 
 

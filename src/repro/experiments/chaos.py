@@ -43,11 +43,12 @@ runs are deterministic given their derived seeds.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.errors import ExperimentError
 from repro.experiments.faults import stable_unit_interval
@@ -283,6 +284,33 @@ def activate(schedule: Optional[ChaosSchedule]) -> None:
     with _state_lock:
         _active = schedule
         _env_checked = True
+
+
+@contextlib.contextmanager
+def injected(schedule: ChaosSchedule, *, export: bool = False) -> Iterator[ChaosSchedule]:
+    """``schedule`` active for the ``with`` block, the prior state after.
+
+    With ``export``, ``WAVM3_CHAOS`` also carries the schedule for the
+    block, so worker subprocesses started inside it inherit it.  On exit,
+    raising or not, the previously active schedule and the variable's
+    previous value come back.
+    """
+    global _active, _env_checked
+    with _state_lock:
+        saved = (_active, _env_checked)
+    saved_env = os.environ.get(CHAOS_ENV_VAR)
+    activate(schedule)
+    if export:
+        os.environ[CHAOS_ENV_VAR] = schedule.describe()
+    try:
+        yield schedule
+    finally:
+        with _state_lock:
+            _active, _env_checked = saved
+        if saved_env is None:
+            os.environ.pop(CHAOS_ENV_VAR, None)
+        else:
+            os.environ[CHAOS_ENV_VAR] = saved_env
 
 
 def deactivate() -> None:

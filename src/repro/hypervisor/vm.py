@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.errors import VMStateError
 from repro.hypervisor.memory import VmMemory
 from repro.simulator.kernels import VmKernel
-from repro.simulator.noise import ou_like_noise
+from repro.simulator.noise import NoiseStream, ou_like_noise
 from repro.workloads.base import Workload
 from repro.workloads.idle import IdleWorkload
 
@@ -93,16 +93,10 @@ class VirtualMachine:
         self.host: Optional["PhysicalHost"] = None
         self._workload: Workload = workload or IdleWorkload()
         self._noise_seed = int(noise_seed)
-        # Per-tick N(0,1) memo of the VM's CPU-feature jitter (see
-        # PhysicalHost's tick caches for the rationale).
-        self._noise_cache: dict[int, float] = {}
-        self._vmcpu_noise_key = f"vmcpu:{name}"
+        #: The CPU-feature jitter process of the batched reads.
+        self.cpu_noise = NoiseStream(self._noise_seed, f"vmcpu:{name}", _JITTER_QUANTUM_S)
         #: The batched feature reads of this VM (repro.simulator.kernels).
-        self.kernel = VmKernel(
-            self,
-            jitter_quantum=_JITTER_QUANTUM_S,
-            jitter_sigma_pct=_VM_CPU_JITTER_PCT,
-        )
+        self.kernel = VmKernel(self, jitter_sigma_pct=_VM_CPU_JITTER_PCT)
         self._sync_dirty_process()
 
     # ------------------------------------------------------------------

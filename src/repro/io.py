@@ -316,13 +316,43 @@ _RECORDS = {
 }
 
 
+def _decode_int(value) -> int:
+    if type(value) is not int:  # bool is an int subclass: refused too
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _decode_float(value) -> float:
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _decode_str(value) -> str:
+    if type(value) is not str:
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _decode_int_list(value) -> tuple:
+    if type(value) is not list:
+        raise TypeError(f"expected a list of integers, got {value!r}")
+    return tuple(map(_decode_int, value))
+
+
+#: The decoder of each scalar field type: the JSON type it is written as,
+#: and nothing that would merely convert to it.
+_STRICT = {int: _decode_int, float: _decode_float, str: _decode_str}
+
+
 @functools.lru_cache(maxsize=None)
 def _codec(cls) -> tuple:
     """``(name, encode, decode, nullable, required)`` per field of ``cls``.
 
-    Built once per class from its resolved annotations.  ``str``, ``int``
-    and ``float`` fields are coerced, ``Tuple[int, ...]`` becomes a list
-    and back, ``Optional[X]`` also takes ``None``.  A nested dataclass is
+    Built once per class from its resolved annotations.  An ``int`` field
+    takes only an integer (not a ``bool``), a ``float`` field an integer
+    or a float, a ``str`` field only a string; ``Tuple[int, ...]`` becomes
+    a list of integers and back, and ``Optional[X]`` also takes ``None``.  A nested dataclass is
     written by :func:`dataclasses.asdict` and rebuilt with plain
     ``cls(**fields)``, uncoerced: a worker re-hashes its fields into the
     spec's cache key (:meth:`RunTask.verify_key`), so an ``int`` in a
@@ -340,9 +370,9 @@ def _codec(cls) -> tuple:
         if dataclasses.is_dataclass(hint):
             encode, decode = dataclasses.asdict, lambda doc, kind=hint: kind(**doc)
         elif typing.get_origin(hint) is tuple:  # Tuple[int, ...]
-            encode, decode = (lambda v: [int(i) for i in v]), (lambda v: tuple(map(int, v)))
+            encode, decode = (lambda v: [int(i) for i in v]), _decode_int_list
         else:
-            encode = decode = hint
+            encode, decode = hint, _STRICT[hint]
         fields.append((field.name, encode, decode, nullable, field.default is not None))
     return tuple(fields)
 
@@ -394,7 +424,10 @@ def decode_record(cls, payload):
             value = payload[name]
             if value is None and not nullable:
                 raise TypeError(f"{name!r} must not be null")
-            kwargs[name] = None if value is None else decode(value)
+            try:
+                kwargs[name] = None if value is None else decode(value)
+            except TypeError as exc:
+                raise TypeError(f"{name!r}: {exc}") from None
         return cls(**kwargs)
     except (KeyError, TypeError, ValueError, ReproError) as exc:
         # ReproError covers the record's own validation (an unknown

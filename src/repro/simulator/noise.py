@@ -10,6 +10,12 @@ every read (read-order dependence), noise is a *pure function* of
 This gives piecewise-constant noise with correlation time ``quantum``,
 which is also physically sensible: utilisation genuinely fluctuates on a
 scheduler-tick timescale, not per femtosecond.
+
+:func:`ou_like_noise` is the definition, read one instant at a time by the
+event path.  The batched path reads the same process through one
+:class:`NoiseStream` per ``(seed, key)``, owned by the host or VM whose
+jitter it is, which hashes each tick once and replays the scalar
+arithmetic bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from typing import Dict
 
 from repro.errors import ConfigurationError
 from repro.simulator.rng import derive_seed
@@ -31,15 +36,10 @@ __all__ = [
     "hash_normal",
     "hash_normal_unit",
     "hash_normal_unit_fill",
-    "memoise_ticks",
+    "NoiseStream",
     "ou_like_noise",
     "ou_like_noise_values",
 ]
-
-#: Memo table type of the block evaluators: ``tick -> N(0,1) draw``.
-#: One table per noise key (the key is folded into the owner's attribute,
-#: keeping memo lookups to a plain int hash).
-NoiseCache = Dict[int, float]
 
 _TWO_PI = 2.0 * math.pi
 _U64 = float(2**64)
@@ -75,9 +75,9 @@ def hash_normal_unit(seed: int, key: str, tick: int) -> float:
     This is the ``sigma=1`` core of :func:`hash_normal` keyed directly by
     tick: ``hash_normal(seed, key, tick * quantum, quantum, 1.0)`` equals
     ``hash_normal_unit(seed, key, tick)`` bit for bit (``1.0 * x == x``
-    for every float).  The batched kernels memoise these per tick in one
-    dict per ``(seed, key)`` stream and fill a block's missing ticks
-    through :func:`hash_normal_unit_fill`, which hashes the same bytes.
+    for every float).  A :class:`NoiseStream` buffers these per tick and
+    fills the ticks it lacks through :func:`hash_normal_unit_fill`, which
+    hashes the same bytes.
 
     The two hash uniforms are built inline (one formatted string and one
     SHA-256 each, exactly :func:`_hash_unit`'s bytes) rather than through
@@ -129,23 +129,83 @@ def hash_normal_unit_fill_bank(
     return [hash_normal_unit_fill(*request) for request in requests]
 
 
-def memoise_ticks(seed: int, key: str, cache: NoiseCache, lo: int, hi: int) -> None:
-    """Put the draws of every tick in ``[lo, hi]`` that ``cache`` lacks into it.
+class NoiseStream:
+    """The :func:`ou_like_noise` process of one ``(seed, key)``, batched.
 
-    Each contiguous run of missing ticks is filled by one
-    :func:`hash_normal_unit_fill` call, so a tick is hashed at most once
-    per memo however the blocks that read it are split.
+    Holds the :func:`hash_normal_unit` draws of the ticks ``[lo, lo + n)``
+    in one contiguous buffer and grows it at either end, one
+    :func:`hash_normal_unit_fill` call per growth, so each tick of the
+    stream is hashed once however its reads are split into blocks and
+    ordered, as long as they do not go back past a gap (see
+    :meth:`_cover`).  A read before the buffer grows it down to that
+    read's first tick: read one stream forward over time, not at samples
+    scattered over a long span.
+
+    :meth:`values` replays the scalar blend arithmetic bit for bit: ticks
+    are floored with the same ``t / quantum`` float arithmetic (including
+    the *previous* tick via ``(t - quantum) / quantum``, which is not
+    always ``tick - 1`` in floats), and the blend and renormalisation are
+    the same float64 operations in the same order.  The noise is a pure
+    function of ``(seed, key, t)``, so one stream serves every reader of
+    its owner (the host's meter, dstat and feature recorder).
     """
-    tick = lo
-    while tick <= hi:
-        if tick in cache:
-            tick += 1
-            continue
-        end = tick + 1
-        while end <= hi and end not in cache:
-            end += 1
-        cache.update(zip(range(tick, end), hash_normal_unit_fill(seed, key, tick, end)))
-        tick = end
+
+    __slots__ = ("seed", "key", "quantum", "blend", "_one_minus", "_norm", "_lo", "_draws")
+
+    def __init__(self, seed: int, key: str, quantum: float, blend: float = 0.6) -> None:
+        if quantum <= 0:
+            raise ConfigurationError(f"quantum must be positive, got {quantum!r}")
+        if not 0.0 <= blend < 1.0:
+            raise ConfigurationError(f"blend must be in [0, 1), got {blend!r}")
+        self.seed = seed
+        self.key = key
+        self.quantum = quantum
+        self.blend = blend
+        self._one_minus = 1.0 - blend
+        self._norm = math.sqrt(blend * blend + self._one_minus * self._one_minus)
+        self._lo = 0
+        self._draws: list[float] = []
+
+    def _cover(self, lo: int, hi: int) -> None:
+        """Grow the buffer to hold every tick in ``[lo, hi]``.
+
+        A range that starts past the buffer's end, with ticks between
+        (a suspended VM's reads resuming), restarts the buffer there
+        instead of hashing ticks nobody reads.
+        """
+        draws = self._draws
+        if not draws or lo > self._lo + len(draws):
+            self._draws = hash_normal_unit_fill(self.seed, self.key, lo, hi + 1)
+            self._lo = lo
+            return
+        if lo < self._lo:
+            self._draws = draws = hash_normal_unit_fill(self.seed, self.key, lo, self._lo) + draws
+            self._lo = lo
+        end = self._lo + len(draws)
+        if hi >= end:
+            draws += hash_normal_unit_fill(self.seed, self.key, end, hi + 1)
+
+    def values(self, times: list[float], sigma: float) -> list[float]:
+        """``ou_like_noise(seed, key, t, quantum, sigma, blend)`` per ``t``."""
+        if not times:
+            return []
+        q = self.quantum
+        floor = math.floor
+        lo = floor((min(times) - q) / q)
+        hi = floor(max(times) / q)
+        if lo < self._lo or hi >= self._lo + len(self._draws):
+            self._cover(lo, hi)
+        draws = self._draws
+        offset = self._lo
+        blend = self.blend
+        one_minus = self._one_minus
+        norm = self._norm
+        return [
+            sigma
+            * (blend * draws[floor((t - q) / q) - offset] + one_minus * draws[floor(t / q) - offset])
+            / norm
+            for t in times
+        ]
 
 
 def ou_like_noise_values(
@@ -155,52 +215,13 @@ def ou_like_noise_values(
     quantum: float,
     sigma: float,
     blend: float = 0.6,
-    cache: NoiseCache | None = None,
 ) -> list[float]:
     """Batched :func:`ou_like_noise` over a list of sample times.
 
-    Bit-identical to calling the scalar function per element: ticks are
-    floored with the same ``t / quantum`` float arithmetic (including the
-    *previous* tick via ``(t - quantum) / quantum``, which is not always
-    ``tick - 1`` in floats), the per-tick standard normals are the same
-    Box–Muller hash draws, and the blend/renormalisation arithmetic is
-    the same float64 operations.  The block's tick range runs from the
-    earliest sample's previous tick to the latest sample's current tick
-    (``floor`` is monotone), and :func:`memoise_ticks` hashes whatever of
-    it the memo ``cache`` (shared across calls and instruments) still
-    lacks — every tick in between, so pass the times of one block, not
-    samples scattered over a long span.
-
-    Parameters
-    ----------
-    seed, key, quantum, sigma, blend:
-        As in :func:`ou_like_noise`.
-    times:
-        Sample times (plain floats).
-    cache:
-        Optional ``tick -> draw`` memo of this ``(seed, key)`` stream,
-        shared across calls.
+    One fresh :class:`NoiseStream` read once; bit-identical to calling
+    the scalar function per element.
     """
-    if quantum <= 0:
-        raise ConfigurationError(f"quantum must be positive, got {quantum!r}")
-    if not 0.0 <= blend < 1.0:
-        raise ConfigurationError(f"blend must be in [0, 1), got {blend!r}")
-    if cache is None:
-        cache = {}
-    if not times:
-        return []
-    floor = math.floor
-    memoise_ticks(
-        seed, key, cache, floor((min(times) - quantum) / quantum), floor(max(times) / quantum)
-    )
-    one_minus = 1.0 - blend
-    norm = math.sqrt(blend * blend + one_minus * one_minus)
-    return [
-        sigma
-        * (blend * cache[floor((t - quantum) / quantum)] + one_minus * cache[floor(t / quantum)])
-        / norm
-        for t in times
-    ]
+    return NoiseStream(seed, key, quantum, blend).values(times, sigma)
 
 
 def ou_like_noise(
@@ -213,10 +234,9 @@ def ou_like_noise(
 ) -> float:
     """Correlated noise approximating an Ornstein–Uhlenbeck process.
 
-    NOTE: the batched kernels (:func:`ou_like_noise_values` and the
-    interval kernels of :mod:`repro.simulator.kernels`) replay this blend
-    arithmetic bit for bit; mirror any change there (the cross-path
-    golden tests fail on divergence).
+    NOTE: :meth:`NoiseStream.values` replays this blend arithmetic bit
+    for bit; mirror any change there (the cross-path golden tests fail on
+    divergence).
 
     Blends the noise of the current quantum with the previous one, giving
     lag-1 correlation ≈ ``blend`` without any mutable state.  Variance is

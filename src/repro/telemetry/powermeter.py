@@ -31,7 +31,10 @@ is O(1) per check (event mode gets the same trackers).
 A batched meter can also read ahead (:meth:`PowerMeter.read_ahead`): the
 runner's stabilisation wait asks for a quiet window's readings in growing
 chunks, replays its checks on them, and then advances the clock once,
-with the meter serving that block from the buffer.
+with the meter serving that block from the buffer.  Ground truth is a
+pure function of the host's state and its noise streams, so computing it
+early is safe while nothing changes that state; only the generator and
+the transient pool's pruning need putting back.
 """
 
 from __future__ import annotations
@@ -94,10 +97,10 @@ class PowerMeter:
         self._quantisation = float(quantisation_w)
         self.trace = PowerTrace(label=f"power:{host.name}")
         self._trackers: dict[StabilizationRule, StabilizationTracker] = {}
-        # Read-ahead buffer (see read_ahead): tick times, readings, the
-        # host's jittered CPU reads, how many ticks were delivered, and
-        # the generator state after the buffered readings' draws.
-        self._ahead: tuple[list[float], list[float], list[float]] | None = None
+        # Read-ahead buffer (see read_ahead): tick times and readings, how
+        # many ticks were delivered, and the generator state after the
+        # buffered readings' draws.
+        self._ahead: tuple[list[float], list[float]] | None = None
         self._ahead_pos = 0
         self._ahead_state: dict | None = None
         self._sampler = PeriodicSampler(
@@ -173,7 +176,7 @@ class PowerMeter:
         """One event-free interval's worth of readings, batched.
 
         A block inside the read-ahead buffer is served from it: the
-        buffered readings, the host's deferred read effects, and the same
+        buffered readings, the host's deferred read effect, and the same
         noise draws again, so the generator moves exactly as computing
         the block would move it.
         """
@@ -183,7 +186,7 @@ class PowerMeter:
         if ahead is not None and pos + n <= len(ahead[0]) and ahead[0][pos] == times[0]:
             end = pos + n
             readings = ahead[1][pos:end]
-            self.host.kernel.deliver_ahead(times, ahead[2][pos:end])
+            self.host.kernel.deliver_ahead(times)
             if self._accuracy / 3.0:  # the draw condition of _readings
                 self._rng.standard_normal(n)
             self._ahead_pos = end
@@ -203,7 +206,7 @@ class PowerMeter:
         Valid only if nothing changes simulation state before ``until``
         (no pending event), and only for a batched, running meter.
         Computing them leaves no trace a later read could
-        see: the generator is rewound and the host's read effects are
+        see: the generator is rewound and the host's read effect is
         deferred (:meth:`HostKernel.power_ahead
         <repro.simulator.kernels.HostKernel.power_ahead>`).  The block is
         buffered, and the samples the simulator then delivers inside it
@@ -220,20 +223,19 @@ class PowerMeter:
             own lists, which a later call extends).
         """
         if self._ahead is None:
-            self._ahead = ([], [], [])
+            self._ahead = ([], [])
             self._ahead_pos = 0
             self._ahead_state = self._rng.bit_generator.state
-        times, readings, utils = self._ahead
+        times, readings = self._ahead
         new = self._sampler.pending_ticks(until, len(times) - self._ahead_pos)
         if new:
-            power, reads = self.host.kernel.power_ahead(new)
+            power = self.host.kernel.power_ahead(new)
             state = self._rng.bit_generator.state
             self._rng.bit_generator.state = self._ahead_state
             readings += self._readings(power)
             self._ahead_state = self._rng.bit_generator.state
             self._rng.bit_generator.state = state
             times += new
-            utils += reads
         return times, readings
 
     def end_read_ahead(self) -> None:

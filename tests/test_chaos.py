@@ -7,6 +7,7 @@ the standing guarantee: campaign samples stay **byte-identical** to a
 fault-free run.
 """
 
+import os
 import pathlib
 import threading
 
@@ -210,6 +211,36 @@ class TestProcessGlobalState:
         deactivate()
         with pytest.raises(ExperimentError):
             active_schedule()
+
+
+class TestCliLeavesNoSchedule:
+    """``main(... campaign --chaos ...)`` injects faults only while it runs."""
+
+    @pytest.mark.parametrize("prior", [None, "seed=2;publish:crash:max=1"])
+    @pytest.mark.parametrize(
+        "spec, raises",
+        [("seed=1;claim:crash:max=1", False), ("seed=1;execute:crash", True)],
+        ids=["clean", "raising"],
+    )
+    def test_schedule_and_env_restored(self, monkeypatch, prior, spec, raises):
+        from repro.cli import main
+
+        if prior is None:
+            monkeypatch.delenv(CHAOS_ENV_VAR, raising=False)
+            before = None
+        else:
+            monkeypatch.setenv(CHAOS_ENV_VAR, prior)
+            before = ChaosSchedule.from_spec(prior)
+            activate(before)
+        argv = ["--seed", "3", "campaign", "--experiment", "memload-vm", "--runs", "2",
+                "--chaos", spec]
+        if raises:
+            with pytest.raises(ChaosError):
+                main(argv)
+        else:
+            assert main(argv) == 0
+        assert active_schedule() is before
+        assert os.environ.get(CHAOS_ENV_VAR) == prior
 
 
 class TestChaosSoak:

@@ -2,17 +2,18 @@
 
 The batched path delivers each event-free interval to the instruments as
 one block, and the interval kernels (:mod:`repro.simulator.kernels`)
-evaluate it against per-stream noise memos.  The guarantee is that *how*
+evaluate it against per-stream noise buffers.  The guarantee is that *how*
 the samples are grouped into blocks never shows in the bytes: a run whose
 intervals are cut into many short blocks, the default run and the
 per-sample event path (the oracle) write byte-identical campaign samples
 JSON, on every scenario archetype and on the serial and distributed
 backends.  The unit tests pin what that rests on: the sampler's tick grid,
-the noise tick memo, and each kernel against the event-mode reads, for
+the noise stream, and each kernel against the event-mode reads, for
 every split of a window into blocks (a property test).
 """
 
 import math
+import struct
 import threading
 
 import numpy as np
@@ -29,7 +30,7 @@ from repro.hypervisor import VirtualMachine
 from repro.io import save_samples_json
 from repro.simulator import noise
 from repro.simulator.engine import Simulator
-from repro.simulator.noise import hash_normal_unit, hash_normal_unit_fill, memoise_ticks
+from repro.simulator.noise import hash_normal_unit, hash_normal_unit_fill
 from repro.simulator.sampling import PeriodicSampler
 from repro.telemetry.stabilization import StabilizationRule
 from repro.workloads import MatrixMultWorkload
@@ -264,7 +265,7 @@ class TestSamplerTickGrid:
 
 
 class TestNoiseTickGrid:
-    """The per-stream noise tick memo the kernels read from."""
+    """The per-tick draws a noise stream buffers."""
 
     def test_fill_matches_scalar_draws(self):
         values = hash_normal_unit_fill(9, "cpu:m01", -3, 17)
@@ -272,21 +273,47 @@ class TestNoiseTickGrid:
         for i, tick in enumerate(range(-3, 17)):
             assert values[i] == hash_normal_unit(9, "cpu:m01", tick)
 
-    def test_grid_extends_without_changing_values(self):
-        memo = {}
-        memoise_ticks(5, "cpu:m01", memo, 10, 10)
-        first = memo[10]
-        assert len(memo) == 1
-        memoise_ticks(5, "cpu:m01", memo, 2, 10)   # extends at the front
-        memoise_ticks(5, "cpu:m01", memo, 10, 20)  # extends at the back
-        assert sorted(memo) == list(range(2, 21))
-        assert memo[10] == first == hash_normal_unit(5, "cpu:m01", 10)
-        assert memo[2] == hash_normal_unit(5, "cpu:m01", 2)
-        assert memo[20] == hash_normal_unit(5, "cpu:m01", 20)
 
-    def test_gather_pair_matches_scalar_draws(self, monkeypatch):
-        """A block's (current, previous) tick pairs are all memoised by one
-        fill of the missing range, with the scalar draws."""
+def _bits(values: list) -> list:
+    """Each float's IEEE-754 bytes (tells ``-0.0`` from ``0.0``)."""
+    return [struct.pack("<d", v) for v in values]
+
+
+class TestNoiseStream:
+    """One buffer of draws per ``(seed, key)``, read block by block."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ticks=st.lists(st.integers(min_value=-400, max_value=400), min_size=1, max_size=40),
+        offsets=st.lists(st.floats(min_value=0.0, max_value=0.999), min_size=1, max_size=4),
+        quantum=st.sampled_from([0.5, 0.3, 40.0]),
+        sigma=st.sampled_from([0.0, 1.0, 0.0022, 3.5]),
+        blend=st.sampled_from([0.0, 0.6, 0.75]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_values_match_scalar_ou_bit_for_bit(
+        self, ticks, offsets, quantum, sigma, blend, seed
+    ):
+        times = [
+            (tick + offsets[i % len(offsets)]) * quantum for i, tick in enumerate(ticks)
+        ]
+        values = noise.NoiseStream(seed, "cpu:m01", quantum, blend).values(times, sigma)
+        expected = [noise.ou_like_noise(seed, "cpu:m01", t, quantum, sigma, blend) for t in times]
+        assert _bits(values) == _bits(expected)
+
+    def test_out_of_order_blocks_grow_both_ends(self):
+        stream = noise.NoiseStream(5, "cpu:m01", 0.5)
+        first = stream.values([5.0], 1.0)
+        assert (stream._lo, len(stream._draws)) == (9, 2)
+        stream.values([1.0, 1.5], 1.0)  # earlier: grows at the front
+        stream.values([5.5, 10.0], 1.0)  # later: grows at the back
+        assert (stream._lo, len(stream._draws)) == (1, 20)
+        assert stream._draws == hash_normal_unit_fill(5, "cpu:m01", 1, 21)
+        assert stream.values([5.0], 1.0) == first
+        assert stream.values([-1.0], 2.0) == [noise.ou_like_noise(5, "cpu:m01", -1.0, 0.5, 2.0)]
+        assert stream._lo == -3
+
+    def test_each_tick_hashed_once_and_inner_blocks_fill_nothing(self, monkeypatch):
         fills = []
         original = noise.hash_normal_unit_fill
 
@@ -295,14 +322,32 @@ class TestNoiseTickGrid:
             return original(seed, key, lo, hi)
 
         monkeypatch.setattr(noise, "hash_normal_unit_fill", counting)
-        memo = {4: hash_normal_unit(5, "cpu:m01", 4)}
-        times = [2.0 + 0.5 * k for k in range(1, 9)]
-        memoise_ticks(5, "cpu:m01", memo, math.floor((times[0] - 0.5) / 0.5),
-                      math.floor(times[-1] / 0.5))
-        assert fills == [(5, 13)]
-        for t in times:
-            for tick in (math.floor(t / 0.5), math.floor((t - 0.5) / 0.5)):
-                assert memo[tick] == hash_normal_unit(5, "cpu:m01", tick)
+        stream = noise.NoiseStream(5, "cpu:m01", 0.5)
+        times = [0.25 + 0.5 * k for k in range(40)]
+        for block in (times[10:20], times[0:5], times[18:30], times[25:40], times[5:30]):
+            stream.values(block, 1.0)
+        hashed = [tick for lo, hi in fills for tick in range(lo, hi)]
+        assert sorted(hashed) == list(range(-1, 40))  # each tick once
+        count = len(fills)
+        stream.values(times[12:18], 1.0)
+        stream.values(times, 0.5)
+        assert len(fills) == count  # inside the buffer: no fill
+
+    def test_a_forward_gap_restarts_the_buffer(self, monkeypatch):
+        """Ticks between two reads (a suspended VM's) are never hashed."""
+        fills = []
+        original = noise.hash_normal_unit_fill
+
+        def counting(seed, key, lo, hi):
+            fills.append((lo, hi))
+            return original(seed, key, lo, hi)
+
+        monkeypatch.setattr(noise, "hash_normal_unit_fill", counting)
+        stream = noise.NoiseStream(5, "vmcpu:v", 0.5)
+        stream.values([0.25, 0.75], 1.0)
+        later = stream.values([60.25, 60.75], 1.0)
+        assert fills == [(-1, 2), (119, 122)]
+        assert later == [noise.ou_like_noise(5, "vmcpu:v", t, 0.5, 1.0) for t in (60.25, 60.75)]
 
 
 def _loaded_host(seed: int = 3) -> PhysicalHost:
@@ -328,11 +373,9 @@ class TestKernelVsScalar:
         times = [1.0 + 0.5 * k for k in range(1, 40)]
         host = _loaded_host()
         host.instantaneous_power_values(times)
-        # The power block published every jittered read into the host's
-        # per-timestamp memo, which the CPU readers that follow consume.
-        assert all(t in host._util_read_cache for t in times)
+        # The power block filled the host's CPU noise stream, which the
+        # CPU readers that follow read without hashing again.
         u = host.kernel.util_block(times)
-        assert u == [host._util_read_cache[t] for t in times]
         oracle = _loaded_host()
         assert u == [oracle.cpu_utilisation_fraction(t) for t in times]
 
@@ -387,8 +430,8 @@ class TestBlockSplitProperty:
         power, cpu, dstat_cpu = [], [], []
         for block in _split(times, sizes):
             power += host.kernel.power_block(block)
-            cpu += host.kernel.util_block(block)  # served from the memo
-            dstat_cpu += dstat_host.kernel.util_block(block)  # computed
+            cpu += host.kernel.util_block(block)  # stream already filled
+            dstat_cpu += dstat_host.kernel.util_block(block)  # fills it
         assert power == [oracle.instantaneous_power(t) for t in times]
         expected_cpu = [oracle.cpu_utilisation_fraction(t) for t in times]
         assert cpu == expected_cpu
@@ -424,7 +467,7 @@ class TestOneHashPerTick:
     def test_a_paper_run_hashes_each_tick_at_most_once(self, monkeypatch):
         """Every noise draw of one paper scenario run is hashed once: the
         instruments sharing a host, and the blocks of one instrument,
-        all read one memo per ``(seed, key)`` stream."""
+        all read one noise stream per ``(seed, key)``."""
         from repro.cluster import host as host_module
 
         counts: dict = {}

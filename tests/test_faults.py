@@ -474,20 +474,15 @@ class TestExecutorRetries:
         the exhausted task was skipped instead."""
         from repro.cli import main
         from repro.experiments import design
-        from repro.experiments.chaos import CHAOS_ENV_VAR, deactivate
 
         poisoned = MigrationScenario("MEMLOAD-VM", "faults/cli/lv/dr95", live=True,
                                      dirty_percent=95.0)
         monkeypatch.setattr(design, "memload_vm_scenarios", lambda family: [_HEALTHY, poisoned])
-        monkeypatch.setenv(CHAOS_ENV_VAR, "")  # restored after the CLI sets it
-        try:
-            code = main([
-                "--seed", "3", "campaign", "--experiment", "memload-vm", "--runs", "2",
-                "--max-retries", "2", "--on-failure", "quarantine",
-                "--chaos", "seed=7;execute:crash:tag=dr95",
-            ])
-        finally:
-            deactivate()
+        code = main([
+            "--seed", "3", "campaign", "--experiment", "memload-vm", "--runs", "2",
+            "--max-retries", "2", "--on-failure", "quarantine",
+            "--chaos", "seed=7;execute:crash:tag=dr95",
+        ])
         assert code == EXIT_DEGRADED
         out = capsys.readouterr().out
         assert "note: --on-failure quarantine needs --spool-dir; 1 tasks skipped instead" in out

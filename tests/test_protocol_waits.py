@@ -82,7 +82,6 @@ def _state(bed):
         "rng": [
             meter._rng.bit_generator.state for meter in (bed.source_meter, bed.target_meter)
         ],
-        "reads": [dict(host._util_read_cache) for host in (bed.source, bed.target)],
         "transients": [
             host.power_model.transients.snapshot() for host in (bed.source, bed.target)
         ],
@@ -95,7 +94,6 @@ def _assert_same_state(a, b):
         assert np.array_equal(ta, tb)
         assert np.array_equal(wa, wb)
     assert a["rng"] == b["rng"]
-    assert a["reads"] == b["reads"]
     assert a["transients"] == b["transients"]
 
 

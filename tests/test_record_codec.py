@@ -153,9 +153,6 @@ DECODER_CASES = {
     "task-key-absent": (RunTask, _with(_TASK, key=...), replace(TASK, key=None)),
     "task-extra-field-ignored": (RunTask, _with(_TASK, note="x"), TASK),
     "progress-golden": (ProgressEvent, _EVENT, EVENT),
-    "progress-numeric-strings": (
-        ProgressEvent, _with(_EVENT, run_index="3", wall_s="0.0125"), EVENT,
-    ),
     "failure-golden": (RunFailure, _FAILURE, FAILURE),
     "failure-optionals-absent": (
         RunFailure, _with(_FAILURE, traceback_digest=..., wall_s=...),
@@ -211,6 +208,30 @@ DECODER_CASES = {
     ),
     "failure-unknown-fate": (
         RunFailure, _with(_FAILURE, fate="vanished"), "malformed failure record",
+    ),
+    "progress-numeric-strings": (
+        ProgressEvent, _with(_EVENT, run_index="3", wall_s="0.0125"),
+        "malformed progress event: 'run_index': expected an integer",
+    ),
+    "progress-wall-s-bool": (
+        ProgressEvent, _with(_EVENT, wall_s=True),
+        "malformed progress event: 'wall_s': expected a number",
+    ),
+    "failure-worker-number": (
+        RunFailure, _with(_FAILURE, worker=7),
+        "malformed failure record: 'worker': expected a string",
+    ),
+    "failure-run-indices-string": (
+        RunFailure, _with(_FAILURE, run_indices="34"),
+        "malformed failure record: 'run_indices': expected a list of integers",
+    ),
+    "failure-attempt-bool": (
+        RunFailure, _with(_FAILURE, attempt=True),
+        "malformed failure record: 'attempt': expected an integer",
+    ),
+    "failure-attempt-float": (
+        RunFailure, _with(_FAILURE, attempt=3.7),
+        "malformed failure record: 'attempt': expected an integer",
     ),
     # -- refused: null where it is not allowed ------------------------------
     "task-seed-null": (RunTask, _with(_TASK, seed=None), "malformed task spec"),

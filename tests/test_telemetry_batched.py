@@ -6,7 +6,7 @@ consumption order, same float operations.  The seed-sweep golden test
 asserts byte-identical campaign samples JSON across every scenario
 archetype; the unit tests pin the equivalences the kernel's design rests
 on (numpy draw-order, rounding, tick grids, incremental trackers,
-memoised noise).
+noise streams).
 """
 
 import math
@@ -22,6 +22,7 @@ from repro.hypervisor.memory import VmMemory
 from repro.io import save_samples_json
 from repro.simulator.engine import Simulator
 from repro.simulator.noise import (
+    NoiseStream,
     hash_normal,
     hash_normal_unit,
     ou_like_noise,
@@ -178,19 +179,17 @@ class TestNoiseMemo:
         times = np.arange(0.5, 40.0, 0.5).tolist()
         for quantum, blend in ((0.5, 0.6), (20.0, 0.75)):
             block = ou_like_noise_values(
-                42, "drift:m01", times, quantum, sigma=3.0, blend=blend, cache={}
+                42, "drift:m01", times, quantum, sigma=3.0, blend=blend
             )
             scalar = [ou_like_noise(42, "drift:m01", t, quantum, 3.0, blend) for t in times]
             assert block == scalar
 
-    def test_cached_matches_scalar_ou(self):
-        """One memo shared across calls, read at single samples in any order."""
-        cache = {}
+    def test_stream_read_in_any_order_matches_scalar_ou(self):
+        """One stream shared across calls, read at single samples in any order."""
+        stream = NoiseStream(13, "k", 0.5, 0.6)
         for t in (0.25, 0.5, 1.0, 19.9, 20.0, 20.1, 0.75):
-            assert ou_like_noise_values(
-                13, "k", [t], 0.5, 2.0, 0.6, cache
-            ) == [ou_like_noise(13, "k", t, 0.5, 2.0, 0.6)]
-        assert cache  # the memo actually filled
+            assert stream.values([t], 2.0) == [ou_like_noise(13, "k", t, 0.5, 2.0, 0.6)]
+        assert stream._draws  # the buffer actually filled
 
     def test_host_power_block_matches_scalar(self):
         from repro.cluster.host import PhysicalHost
