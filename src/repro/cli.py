@@ -715,10 +715,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.experiments.chaos import ChaosSchedule, injected
 
         # Only for this command: a later main() in the same process runs
-        # fault-free.  A campaign also exports the schedule to its worker
-        # subprocesses (process backend) through the environment;
-        # distributed workers take their own --chaos.
-        with injected(ChaosSchedule.from_spec(args.chaos), export=args.command == "campaign"):
+        # fault-free.  Worker subprocesses (process backend) inherit the
+        # schedule through the environment; distributed workers take their
+        # own --chaos.
+        with injected(ChaosSchedule.from_spec(args.chaos)):
             return handler(args)
     except BrokenPipeError:
         # Output truncated by a downstream pager (`wavm3 … | head`): normal.

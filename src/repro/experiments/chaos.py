@@ -287,21 +287,20 @@ def activate(schedule: Optional[ChaosSchedule]) -> None:
 
 
 @contextlib.contextmanager
-def injected(schedule: ChaosSchedule, *, export: bool = False) -> Iterator[ChaosSchedule]:
+def injected(schedule: ChaosSchedule) -> Iterator[ChaosSchedule]:
     """``schedule`` active for the ``with`` block, the prior state after.
 
-    With ``export``, ``WAVM3_CHAOS`` also carries the schedule for the
-    block, so worker subprocesses started inside it inherit it.  On exit,
-    raising or not, the previously active schedule and the variable's
-    previous value come back.
+    ``WAVM3_CHAOS`` also carries the schedule for the block, so worker
+    subprocesses started inside it inherit it.  On exit, raising or not,
+    the previously active schedule and the variable's previous value come
+    back.
     """
     global _active, _env_checked
     with _state_lock:
         saved = (_active, _env_checked)
     saved_env = os.environ.get(CHAOS_ENV_VAR)
     activate(schedule)
-    if export:
-        os.environ[CHAOS_ENV_VAR] = schedule.describe()
+    os.environ[CHAOS_ENV_VAR] = schedule.describe()
     try:
         yield schedule
     finally:

@@ -369,13 +369,23 @@ class TestKernelVsScalar:
         assert host.kernel.power_block(times) == expected  # exact float equality
         assert host.instantaneous_power_values(times) == expected
 
-    def test_util_block_matches_published_memo(self):
+    def test_util_block_matches_published_memo(self, monkeypatch):
+        """The power block publishes the CPU draws in the host's stream."""
+        fills = []
+        original = noise.hash_normal_unit_fill
+
+        def counting(seed, key, lo, hi):
+            fills.append(key)
+            return original(seed, key, lo, hi)
+
+        monkeypatch.setattr(noise, "hash_normal_unit_fill", counting)
         times = [1.0 + 0.5 * k for k in range(1, 40)]
         host = _loaded_host()
         host.instantaneous_power_values(times)
-        # The power block filled the host's CPU noise stream, which the
-        # CPU readers that follow read without hashing again.
+        assert fills.count("cpu:m01") == 1
         u = host.kernel.util_block(times)
+        assert fills.count("cpu:m01") == 1  # read without hashing again
+        monkeypatch.undo()
         oracle = _loaded_host()
         assert u == [oracle.cpu_utilisation_fraction(t) for t in times]
 
