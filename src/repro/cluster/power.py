@@ -199,8 +199,9 @@ class Transient:
 class TransientPool:
     """Collects transients and sums their instantaneous contributions.
 
-    Expired transients are pruned lazily on evaluation, keeping the pool
-    O(active) regardless of experiment length.
+    Reads are pure: a transient that has ended stays in the pool and is
+    skipped.  A host carries a handful of peaks per run, and a block
+    reader filters them once (:meth:`live`).
     """
 
     def __init__(self) -> None:
@@ -215,31 +216,15 @@ class TransientPool:
         self.add(Transient(t0=t0, duration=duration, amplitude_w=amplitude_w, shape=shape))
 
     def value(self, t: float) -> float:
-        """Summed contribution at ``t``; prunes transients that ended."""
-        if not self._items:
-            return 0.0
-        keep: list[Transient] = []
+        """Summed contribution at ``t`` of the transients not ended by ``t``."""
         total = 0.0
-        for item in self._items:
-            if t > item.t0 + item.duration:
-                continue  # expired, drop
-            keep.append(item)
+        for item in self.live(t):
             total += item.value(t)
-        self._items = keep
         return total
 
-    def snapshot(self) -> tuple:
-        """The pool's items, for :meth:`restore` after a look-ahead read."""
-        return tuple(self._items)
-
-    def restore(self, items: tuple) -> None:
-        """Reset the pool to a :meth:`snapshot`, undoing later pruning."""
-        self._items = list(items)
-
-    @property
-    def active_count(self) -> int:
-        """Number of transients not yet pruned."""
-        return len(self._items)
+    def live(self, t: float) -> tuple:
+        """The transients, in insertion order, that have not ended by ``t``."""
+        return tuple(item for item in self._items if t <= item.t0 + item.duration)
 
     def clear(self) -> None:
         """Drop all transients."""

@@ -12,8 +12,8 @@
   run-variance delta drops under 10 %, at least ten runs);
 * :mod:`repro.experiments.executor` — fans campaign runs out across
   pluggable execution backends (serial / process pool / queue) in waves
-  split evenly over the backend's lanes, and caches run results on
-  disk, bit-identical to the serial path (see
+  of one task per contiguous span of missing runs, and caches run
+  results on disk, bit-identical to the serial path (see
   ``docs/parallel_campaigns.md``);
 * :mod:`repro.experiments.queue_backend` — the distributed backend: a
   file-based work queue over a shared spool directory, served by any

@@ -17,13 +17,12 @@ embarrassingly parallel at run granularity.  This module exploits that:
   criterion is evaluated on the completed, index-ordered energies
   (:func:`~repro.experiments.runner.resolve_run_count` — the same pure
   function the serial path uses), and unsatisfied scenarios are topped up
-  wave by wave until ``max_runs``.  Each wave's missing runs go out as
-  :class:`RunTask` chunks split evenly across the backend's lanes
-  (:func:`_plan_chunks`), a pure function of the wave and the lane
-  count.  Top-up runs beyond the stopping
-  point are discarded from the result (but kept in the cache),
-  so the returned :class:`~repro.experiments.results.ExperimentResult` is
-  **bit-identical** to the serial path for any worker count.
+  one run at a time until ``max_runs``.  Each wave's missing runs go out
+  as one :class:`RunTask` per contiguous span (a cache hit breaks a
+  span), a pure function of the wave alone.  The executor therefore
+  simulates exactly the runs the serial loop would, and the returned
+  :class:`~repro.experiments.results.ExperimentResult` is
+  **bit-identical** to the serial path for any backend and worker count.
 
 * :class:`RunCache` is a content-addressed on-disk cache of individual
   run results.  The key is a SHA-256 over the canonical JSON of the
@@ -38,10 +37,9 @@ embarrassingly parallel at run granularity.  This module exploits that:
 * :class:`ExecutorBackend` is the formal protocol the wave scheduler
   drives: ``submit()`` a :class:`RunTask` (a contiguous seed range of
   one scenario; its future resolves to the range's runs), ``wait()`` for
-  completions, ``shutdown()`` when the campaign is over, with
-  :attr:`capacity` introspection setting the lane count.  Any
-  object implementing it (a cluster scheduler, an RPC fan-out, …) can
-  back a campaign.
+  completions, ``shutdown()`` when the campaign is over.  Any object
+  implementing it (a cluster scheduler, an RPC fan-out, …) can back a
+  campaign.
 
 See ``docs/parallel_campaigns.md`` for the full design discussion.
 """
@@ -53,7 +51,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
 import os
 import pathlib
 import socket
@@ -264,6 +261,7 @@ class RunTask:
 def _contiguous_spans(indices: Sequence[int]) -> list[list[int]]:
     """Split ascending ``indices`` into maximal contiguous runs.
 
+    The dispatch plan of a wave: one task per span of its missing runs.
     Tasks carry a (start, count) range, so a gap — e.g. a cache hit in
     the middle of a wave — forces a span break.
     """
@@ -274,21 +272,6 @@ def _contiguous_spans(indices: Sequence[int]) -> list[list[int]]:
         else:
             spans.append([index])
     return spans
-
-
-def _plan_chunks(missing: Sequence[int], lanes: int) -> list[tuple[int, ...]]:
-    """The dispatch plan: chunks (tuples of run indices) covering ``missing``.
-
-    ``missing`` is a wave's ascending missing indices.  Chunks hold
-    ``ceil(len(missing) / lanes)`` runs and are cut per contiguous span,
-    so none bridges a cache hole.
-    """
-    size = math.ceil(len(missing) / lanes)
-    return [
-        tuple(span[pos : pos + size])
-        for span in _contiguous_spans(missing)
-        for pos in range(0, len(span), size)
-    ]
 
 
 def process_worker_id() -> str:
@@ -542,16 +525,6 @@ class ExecutorBackend(abc.ABC):
     #: lease expire reports it there (:meth:`TaskBoard.expire`).
     board: Optional[TaskBoard] = None
 
-    @property
-    def capacity(self) -> Optional[int]:
-        """How many tasks can usefully be in flight, or ``None`` if unknown.
-
-        Sets the executor's lane count (``None`` falls back to ``jobs``);
-        a queue backend reports its currently-registered live workers
-        here.
-        """
-        return None
-
     @abc.abstractmethod
     def submit(self, task: RunTask) -> Future:
         """Dispatch one run task.
@@ -668,10 +641,6 @@ class SerialBackend(ExecutorBackend):
     def __init__(self, run_timeout: Optional[float] = None) -> None:
         self.run_timeout = run_timeout
 
-    @property
-    def capacity(self) -> Optional[int]:
-        return 1
-
     def submit(self, task: RunTask) -> Future:
         return _SerialFuture(task, self.run_timeout)
 
@@ -692,10 +661,6 @@ class ProcessBackend(ExecutorBackend):
         self.jobs = int(jobs)
         self.run_timeout = run_timeout
         self._pool: Optional[ProcessPoolExecutor] = None
-
-    @property
-    def capacity(self) -> Optional[int]:
-        return self.jobs
 
     def submit(self, task: RunTask) -> Future:
         if self._pool is None:
@@ -734,7 +699,7 @@ class ExecutorStats:
     runs_kept: int = 0        # runs in the returned ExperimentResult
     runs_executed: int = 0    # runs actually simulated (cache misses + no-cache)
     runs_cached: int = 0      # runs served from the cache
-    runs_discarded: int = 0   # top-up runs beyond the stopping point
+    runs_discarded: int = 0   # runs a degraded scenario drops after a hole
     scenarios_dropped: int = 0  # scenarios with zero usable runs
     board: TaskBoard = field(default_factory=TaskBoard, repr=False, compare=False)
 
@@ -753,7 +718,7 @@ class ExecutorStats:
 class _ScenarioState:
     """Book-keeping of one scenario's adaptive run stream.
 
-    ``first`` is the task of the stream's run 0; a dispatched chunk is
+    ``first`` is the task of the stream's run 0; a dispatched span is
     the same task over another range (:meth:`task`).
     """
 
@@ -775,20 +740,21 @@ class _ScenarioState:
     def key(self) -> Optional[str]:
         return self.first.key
 
-    def task(self, chunk: Sequence[int]) -> RunTask:
-        """The task covering the contiguous run indices ``chunk``."""
-        return dataclasses.replace(self.first, run_start=chunk[0], run_count=len(chunk))
+    def task(self, span: Sequence[int]) -> RunTask:
+        """The task covering the contiguous run indices ``span``."""
+        return dataclasses.replace(self.first, run_start=span[0], run_count=len(span))
 
 
 class CampaignExecutor:
     """Fan a measurement campaign out across an execution backend.
 
     Every backend runs the one dispatch plan: a wave's missing runs go
-    out in chunks of ``ceil(missing / lanes)`` runs, cut at cache holes,
-    and an undecided scenario is topped up by ``lanes`` runs.  ``lanes``
-    is ``backend.capacity or jobs``, re-read at every dispatch.  Cache
-    entries, progress events and results stay per-run and bit-identical
-    for any lane count.  Each campaign's tasks live on one
+    out as one task per contiguous span, cut at cache holes, and an
+    undecided scenario is topped up by one run.  The plan depends on the
+    wave alone, never on the backend or the worker count, so the
+    executor simulates exactly the runs the serial loop would.  Cache
+    entries, progress events and results stay per-run and bit-identical.
+    Each campaign's tasks live on one
     :class:`~repro.experiments.taskboard.TaskBoard` (:attr:`board`), which
     decides their attempts, retries and fates.
 
@@ -799,8 +765,8 @@ class CampaignExecutor:
         executor never mutates it and reproduces exactly the runs its
         serial :meth:`~ScenarioRunner.run_campaign` would keep.
     jobs:
-        Worker-process count; ``1`` selects the serial backend under
-        ``backend="auto"``.
+        Worker-process count of the process backend; ``1`` selects the
+        serial backend under ``backend="auto"``.
     backend:
         ``"process"``, ``"serial"``, ``"queue"``, ``"auto"`` (process iff
         ``jobs > 1``) — or any :class:`ExecutorBackend` instance.  The
@@ -883,21 +849,6 @@ class CampaignExecutor:
         self.progress_events: list[ProgressEvent] = []
         #: Submitted futures -> (state, task, submit time on perf_counter).
         self._handles: dict[Future, tuple[_ScenarioState, RunTask, float]] = {}
-
-    def _lanes(self) -> int:
-        """The lane count of the next dispatch: ``backend.capacity or jobs``.
-
-        Re-read at every dispatch rather than frozen at construction: a
-        queue backend's capacity is the number of live workers, which is
-        typically zero when the executor is built and grows as workers
-        register.  While capacity is still ``None`` (cold start: no
-        worker has heartbeat yet), the count falls back to ``jobs`` —
-        dispatching optimistically is harmless, because spool tasks wait
-        for whichever workers eventually join, and the next dispatch
-        re-reads the then-known capacity.  A plan therefore never depends
-        on what the executor has run before.
-        """
-        return self._backend.capacity or self.jobs
 
     @property
     def queue_stats(self):
@@ -1100,10 +1051,10 @@ class CampaignExecutor:
                     self.stats.runs_cached += 1
                 else:
                     missing.append(index)
-            for chunk in _plan_chunks(missing, self._lanes()) if missing else ():
-                task = state.task(chunk)
-                state.inflight.update(chunk)
-                self.board.add(task.task_id, state.scenario.label, chunk, (state, task))
+            for span in _contiguous_spans(missing):
+                task = state.task(span)
+                state.inflight.update(span)
+                self.board.add(task.task_id, state.scenario.label, span, (state, task))
             if state.inflight:
                 return  # evaluate when the wave completes
             if any(i in state.abandoned for i in range(state.target)):
@@ -1119,7 +1070,7 @@ class CampaignExecutor:
             if kept is not None:
                 state.resolved = kept
                 return
-            state.target = min(hi, state.target + self._lanes())
+            state.target += 1  # the rule is undecided, so target < hi
 
     def _drive(self) -> None:
         """Submit what the board leases, wait, hand each completion on.

@@ -46,7 +46,7 @@ Spool layout::
       failed/     task failures a worker reported (error + traceback JSON)
       quarantine/ specs parked after an exhausted retry budget
                   (``on_failure="quarantine"``) — inspect and re-spool by hand
-      workers/    one heartbeat file per live worker (capacity introspection)
+      workers/    one heartbeat file per live worker (``campaign-status``)
       progress/   per-worker NDJSON progress sidecars (live campaign progress)
       stop        sentinel: workers drain and exit when it appears
 
@@ -220,9 +220,6 @@ class QueueBackend(ExecutorBackend):
     stop_workers_on_shutdown:
         Write the ``stop`` sentinel when the campaign finishes, telling
         workers to exit instead of idling for more work.
-    worker_fresh_s:
-        A worker-heartbeat file younger than this counts as a live worker
-        for :attr:`capacity`.
 
     A stale claim is reported to :attr:`board`, the executor's task
     board for the campaign (on its own, an empty board: every stale
@@ -238,7 +235,6 @@ class QueueBackend(ExecutorBackend):
         poll_interval: float = 0.2,
         stale_timeout: float = 60.0,
         stop_workers_on_shutdown: bool = False,
-        worker_fresh_s: float = 15.0,
     ) -> None:
         if poll_interval <= 0:
             raise ExperimentError(f"poll_interval must be positive, got {poll_interval}")
@@ -249,7 +245,6 @@ class QueueBackend(ExecutorBackend):
         self.poll_interval = float(poll_interval)
         self.stale_timeout = float(stale_timeout)
         self.stop_workers_on_shutdown = bool(stop_workers_on_shutdown)
-        self.worker_fresh_s = float(worker_fresh_s)
         self.board = TaskBoard()
         #: Failure records of attempts whose lease budget the board found
         #: spent, by task id, until their future is polled.
@@ -281,30 +276,6 @@ class QueueBackend(ExecutorBackend):
             self._skew = _measure_spool_skew(self.spool.root)
             self._skew_measured_at = mono
         return time.time() + self._skew
-
-    # -- capacity introspection -----------------------------------------
-    def active_workers(self) -> int:
-        """Workers whose heartbeat file is fresh enough to be alive."""
-        now = self._spool_now()
-        alive = 0
-        for beat in self.spool.workers.glob("*.json"):
-            try:
-                if max(now - beat.stat().st_mtime, 0.0) <= self.worker_fresh_s:
-                    alive += 1
-            except OSError:
-                continue  # vanished between glob and stat
-        return alive
-
-    @property
-    def capacity(self) -> Optional[int]:
-        """Live worker count, or ``None`` while nobody has heartbeat yet.
-
-        ``None`` is deliberate at cold start: workers typically attach
-        *after* the coordinator spools its first wave, so the executor
-        falls back to its ``jobs`` setting for initial wave/batch sizing
-        and re-reads capacity on every subsequent top-up.
-        """
-        return self.active_workers() or None
 
     # -- protocol --------------------------------------------------------
     def submit(self, task: RunTask) -> Future:
@@ -383,34 +354,31 @@ class QueueBackend(ExecutorBackend):
         lost = self._lost.pop(future.task_id, None)
         indices = task.run_indices
         # A task resolves only once *every* covered run is deposited and
-        # valid; a corrupt run invalidates just that one cache file.
-        runs = []
-        complete = True
-        for index in indices:
-            run_path = self.cache._run_path(task.key, index)
-            if not run_path.exists():
-                complete = False
-                continue
-            run = None
-            try:
-                run = load_run_result(run_path)
-            except PersistenceError:
-                pass
-            if (
-                run is not None
-                and run.scenario == task.scenario
-                and run.run_index == index
-            ):
-                runs.append(run)
-                continue
-            # Corrupt or mismatched result: discard it and recompute —
-            # a bad cache file must never reach the campaign.
-            run_path.unlink(missing_ok=True)
-            self.stats.corrupt_results += 1
-            complete = False
-        if complete and len(runs) == len(indices):
-            future.set_result(runs)
-            return True
+        # valid.  Nothing is loaded before all are present, so a run of
+        # a half-deposited task is unpickled once, not at every poll; a
+        # corrupt run invalidates just that one cache file.
+        paths = [self.cache._run_path(task.key, index) for index in indices]
+        if all(path.exists() for path in paths):
+            runs = []
+            for index, run_path in zip(indices, paths):
+                try:
+                    run = load_run_result(run_path)
+                except PersistenceError:
+                    run = None
+                if (
+                    run is not None
+                    and run.scenario == task.scenario
+                    and run.run_index == index
+                ):
+                    runs.append(run)
+                    continue
+                # Corrupt or mismatched result: discard it and recompute —
+                # a bad cache file must never reach the campaign.
+                run_path.unlink(missing_ok=True)
+                self.stats.corrupt_results += 1
+            if len(runs) == len(indices):
+                future.set_result(runs)
+                return True
         if lost is not None:
             future.set_exception(TaskFailure(
                 f"queue task {future.task_id} failed: {lost.message}", failure=lost
@@ -418,12 +386,8 @@ class QueueBackend(ExecutorBackend):
             return True
         failure = self.spool.failure_path(future.task_id)
         if failure.exists():
-            try:
-                record = json.loads(failure.read_text(encoding="utf-8"))
-                message = record.get("error", "unknown worker failure")
-            except (json.JSONDecodeError, OSError):
-                record = {}
-                message = "unreadable worker failure record"
+            record = _read_failure_record(failure)
+            message = record.get("error") or "unknown worker failure"
             # Structured failure for the coordinator's retry budget: the
             # record's "kind" field is written by current workers; older
             # records degrade to a parsed exception-class prefix.
@@ -436,9 +400,9 @@ class QueueBackend(ExecutorBackend):
                 scenario=task.scenario.label,
                 run_indices=tuple(indices),
                 attempt=1,  # the executor stamps its own attempt count
-                worker=str(record.get("worker", "?")),
-                kind=str(kind),
-                message=str(message),
+                worker=record.get("worker") or "?",
+                kind=kind,
+                message=message,
                 traceback_digest=traceback_digest(record.get("traceback")),
                 at=time.time(),
             )
@@ -485,6 +449,25 @@ class QueueBackend(ExecutorBackend):
                 self.stats.tasks_requeued += 1
             except OSError:
                 continue  # another coordinator beat us to it
+
+
+def _read_failure_record(path: pathlib.Path) -> dict:
+    """The ``failed/`` record at ``path``, validated.
+
+    A worker writes a JSON object whose fields are strings or null.  A
+    file that does not parse, is not an object or has a mistyped field
+    reads as ``{"error": "unreadable worker failure record"}``.
+    """
+    try:
+        record = json.loads(path.read_bytes())
+    except (ValueError, OSError):  # invalid JSON or UTF-8, or unreadable
+        record = None
+    if isinstance(record, dict) and all(
+        isinstance(record.get(name), (str, type(None)))
+        for name in ("task_id", "worker", "error", "kind", "traceback")
+    ):
+        return record
+    return {"error": "unreadable worker failure record"}
 
 
 def spool_status(
@@ -566,16 +549,13 @@ def spool_status(
         )
     failures = []
     for path in sorted(spool.failed.glob("*.json")):
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, OSError):
-            record = {}
+        record = _read_failure_record(path)
         failures.append(
             {
-                "task_id": record.get("task_id", path.stem),
-                "worker": record.get("worker", "?"),
-                "error": record.get("error", "unreadable failure record"),
-                "kind": record.get("kind", "?"),
+                "task_id": record.get("task_id") or path.stem,
+                "worker": record.get("worker") or "?",
+                "error": record.get("error") or "unknown worker failure",
+                "kind": record.get("kind") or "?",
             }
         )
     quarantined = (

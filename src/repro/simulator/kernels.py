@@ -120,8 +120,7 @@ class HostKernel:
         streams.
         """
         self.refresh()
-        transients = self.host.power_model.transients
-        has_transients = transients.active_count > 0
+        live = self.host.power_model.transients.live(times[0])
         base = self._base
         idle = self._idle
         linear = self._linear
@@ -164,8 +163,14 @@ class HostKernel:
                     if u >= threshold:
                         fan = fan + watts
                 power = power + fan
-            if has_transients:
-                power = power + transients.value(t)
+            if live:
+                # TransientPool.value(t) unrolled over the transients
+                # live at the block's start: same additions, same order.
+                extra = 0.0
+                for item in live:
+                    if t <= item.t0 + item.duration:
+                        extra += item.value(t)
+                power = power + extra
             if power < model_floor:
                 power = model_floor
             # host envelope: thermal scaling, drift, PSU floor
@@ -174,28 +179,6 @@ class HostKernel:
                 power = power + drift
             out.append(power if power > host_floor else host_floor)
         return out
-
-    def power_ahead(self, times: list[float]) -> list[float]:
-        """:meth:`power_block` over a block the simulator has not reached yet.
-
-        Leaves behind nothing a later read could see: the transient
-        pool's pruning (which depends on the order of reads) is undone,
-        and :meth:`deliver_ahead` performs it once the simulator reaches
-        the samples.
-        """
-        transients = self.host.power_model.transients
-        items = transients.snapshot()
-        try:
-            return self.power_block(times)
-        finally:
-            transients.restore(items)
-
-    def deliver_ahead(self, times: list[float]) -> None:
-        """The side effect :meth:`power_block` would have had on ``times``."""
-        transients = self.host.power_model.transients
-        if transients.active_count:
-            # Prunes what the block's reads, the last one included, would.
-            transients.value(times[-1])
 
 
 # ----------------------------------------------------------------------

@@ -33,8 +33,8 @@ runner's stabilisation wait asks for a quiet window's readings in growing
 chunks, replays its checks on them, and then advances the clock once,
 with the meter serving that block from the buffer.  Ground truth is a
 pure function of the host's state and its noise streams, so computing it
-early is safe while nothing changes that state; only the generator and
-the transient pool's pruning need putting back.
+early is safe while nothing changes that state; only the generator
+needs putting back.
 """
 
 from __future__ import annotations
@@ -176,9 +176,8 @@ class PowerMeter:
         """One event-free interval's worth of readings, batched.
 
         A block inside the read-ahead buffer is served from it: the
-        buffered readings, the host's deferred read effect, and the same
-        noise draws again, so the generator moves exactly as computing
-        the block would move it.
+        buffered readings and the same noise draws again, so the
+        generator moves exactly as computing the block would move it.
         """
         n = len(times)
         ahead = self._ahead
@@ -186,7 +185,6 @@ class PowerMeter:
         if ahead is not None and pos + n <= len(ahead[0]) and ahead[0][pos] == times[0]:
             end = pos + n
             readings = ahead[1][pos:end]
-            self.host.kernel.deliver_ahead(times)
             if self._accuracy / 3.0:  # the draw condition of _readings
                 self._rng.standard_normal(n)
             self._ahead_pos = end
@@ -206,9 +204,8 @@ class PowerMeter:
         Valid only if nothing changes simulation state before ``until``
         (no pending event), and only for a batched, running meter.
         Computing them leaves no trace a later read could
-        see: the generator is rewound and the host's read effect is
-        deferred (:meth:`HostKernel.power_ahead
-        <repro.simulator.kernels.HostKernel.power_ahead>`).  The block is
+        see: ground-truth power reads are pure, and the generator is
+        rewound.  The block is
         buffered, and the samples the simulator then delivers inside it
         are served from the buffer until :meth:`end_read_ahead`.
 
@@ -229,7 +226,7 @@ class PowerMeter:
         times, readings = self._ahead
         new = self._sampler.pending_ticks(until, len(times) - self._ahead_pos)
         if new:
-            power = self.host.kernel.power_ahead(new)
+            power = self.host.instantaneous_power_values(new)
             state = self._rng.bit_generator.state
             self._rng.bit_generator.state = self._ahead_state
             readings += self._readings(power)

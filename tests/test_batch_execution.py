@@ -179,18 +179,13 @@ class TestTaskSpecWireFormat:
         assert task.task_id == "batch/nl/0vm#1x2"
 
 
-class _LanesBackend(SerialBackend):
-    """Inline execution that reports ``lanes`` lanes and records every
-    task's ``(run_start, run_count)``."""
+class _RecordingBackend(SerialBackend):
+    """Inline execution that records every task's ``(run_start,
+    run_count)``."""
 
-    def __init__(self, lanes: int) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.lanes = lanes
         self.dispatched: list[tuple[int, int]] = []
-
-    @property
-    def capacity(self):
-        return self.lanes
 
     def submit(self, task):
         self.dispatched.append((task.run_start, task.run_count))
@@ -198,8 +193,8 @@ class _LanesBackend(SerialBackend):
 
 
 class TestGoldenByteIdentity:
-    """Acceptance: byte-identical campaign samples JSON whatever the lane
-    count, and so whatever the chunk shape, on every backend."""
+    """Acceptance: byte-identical campaign samples JSON on every backend
+    and for any worker count."""
 
     RUNS = 3
 
@@ -215,16 +210,17 @@ class TestGoldenByteIdentity:
         return executor, result
 
     def test_serial_backend(self, tmp_path):
-        one, three = _LanesBackend(1), _LanesBackend(self.RUNS)
-        _, r1 = self._local(tmp_path, "s1", backend=one)
-        exN, rN = self._local(tmp_path, "sN", backend=three)
-        assert self._samples_bytes(r1, tmp_path / "s1.json") == self._samples_bytes(
-            rN, tmp_path / "sN.json"
+        backend = _RecordingBackend()
+        executor, result = self._local(tmp_path, "s", backend=backend)
+        serial = ScenarioRunner(seed=SEED).run_campaign(
+            [_SCENARIO], min_runs=self.RUNS, max_runs=self.RUNS
         )
-        # One lane: the wave is one chunk; three lanes: one run each.
-        assert one.dispatched == [(0, self.RUNS)]
-        assert three.dispatched == [(i, 1) for i in range(self.RUNS)]
-        assert exN.stats.runs_executed == self.RUNS
+        assert self._samples_bytes(serial, tmp_path / "serial.json") == self._samples_bytes(
+            result, tmp_path / "executor.json"
+        )
+        # The wave is one task.
+        assert backend.dispatched == [(0, self.RUNS)]
+        assert executor.stats.runs_executed == self.RUNS
 
     def test_process_backend(self, tmp_path):
         ex1, r1 = self._local(tmp_path, "p1", jobs=1)
@@ -253,12 +249,6 @@ class TestGoldenByteIdentity:
             ]
             for worker in workers:
                 worker.start()
-            # Every worker heartbeats before the first dispatch, so the
-            # lane count is the worker count.
-            deadline = time.monotonic() + 30
-            while executor._backend.capacity != worker_count:
-                assert time.monotonic() < deadline, "workers never heartbeat"
-                time.sleep(0.01)
             result = executor.run_campaign(
                 [_SCENARIO], min_runs=self.RUNS, max_runs=self.RUNS
             )
@@ -271,10 +261,9 @@ class TestGoldenByteIdentity:
         assert self._samples_bytes(r1, tmp_path / "q1.json") == self._samples_bytes(
             r2, tmp_path / "q2.json"
         )
-        # One lane: the whole wave went out as one spool spec; two lanes:
-        # chunks of ceil(3 / 2) = 2 runs, i.e. runs 0-1 and run 2.
+        # Whatever the worker count, the wave went out as one spool spec.
         assert ex1.queue_stats.tasks_submitted == 1
-        assert ex2.queue_stats.tasks_submitted == 2
+        assert ex2.queue_stats.tasks_submitted == 1
         # Progress stays per-run whatever the chunk shape.
         for executor in (ex1, ex2):
             assert sorted(e.run_index for e in executor.progress_events) == list(
@@ -359,9 +348,8 @@ class TestQueueWorkerBatch:
             _assert_runs_identical(a, b)
 
     def test_late_joining_worker_drains_spooled_batch(self, tmp_path):
-        """Satellite: capacity is None until a worker heartbeats, so the
-        first wave is spooled cold (sized from jobs); a worker that joins
-        afterwards must drain it and complete the campaign."""
+        """The first wave is spooled before any worker exists; a worker
+        that joins afterwards must drain it and complete the campaign."""
         spool = tmp_path / "spool"
         cache_dir = tmp_path / "cache"
         executor = CampaignExecutor(
@@ -369,7 +357,6 @@ class TestQueueWorkerBatch:
             spool_dir=spool,
             queue_options={"poll_interval": 0.02, "stop_workers_on_shutdown": True},
         )
-        assert executor._backend.capacity is None  # nobody has heartbeat yet
 
         def late_worker():
             time.sleep(0.3)
@@ -380,7 +367,7 @@ class TestQueueWorkerBatch:
         result = executor.run_campaign([_SCENARIO], min_runs=2, max_runs=2)
         worker.join(timeout=30)
         assert executor.stats.runs_executed == 2
-        # Cold start fell back to jobs=1: the whole wave left as one batch.
+        # The whole wave left as one task.
         assert executor.queue_stats.tasks_submitted == 1
         serial = ScenarioRunner(seed=SEED).run_campaign([_SCENARIO], min_runs=2, max_runs=2)
         for a, b in zip(serial.scenario_results[0].runs, result.scenario_results[0].runs):

@@ -3,13 +3,12 @@
 Covers serial-vs-parallel-vs-queue bit-identity of campaign results,
 zero simulation runs on a warm cache, cache invalidation when the
 execution protocol changes, the shared variance-stopping rule all paths
-replay, the dispatch plan's shape (even splits over the backend's lanes,
-cut at cache holes, independent of earlier campaigns), and per-run wall
-times measured where each run ran.
+replay, the dispatch plan's shape (one task per contiguous span of a
+wave, one-run top-ups, independent of the backend and of earlier
+campaigns), and per-run wall times measured where each run ran.
 """
 
 import json
-import math
 import threading
 import time
 
@@ -26,9 +25,10 @@ from repro.experiments.executor import (
     ProcessBackend,
     RunCache,
     SerialBackend,
-    _plan_chunks,
+    _contiguous_spans,
 )
 from repro.experiments.queue_backend import run_worker
+from repro.experiments.results import ExperimentResult
 from repro.experiments.runner import RunnerSettings, ScenarioRunner, resolve_run_count
 from repro.hypervisor.migration import MigrationConfig
 from repro.io import (
@@ -108,19 +108,6 @@ class TestBitIdentity:
         _assert_campaigns_identical(serial_campaign, result)
         assert runner.last_executor_stats.runs_kept == 9
 
-    def test_result_independent_of_lanes(self):
-        """Lanes set both the chunk size and the top-up size; neither may
-        change the result."""
-        scenarios = _scenarios()[:1]
-        results = [
-            CampaignExecutor(
-                ScenarioRunner(seed=SEED), backend=_RecordingBackend(lanes)
-            ).run_campaign(scenarios, min_runs=2, max_runs=6)
-            for lanes in (1, 2, 3)
-        ]
-        _assert_campaigns_identical(results[0], results[1])
-        _assert_campaigns_identical(results[0], results[2])
-
     def test_queue_backend_matches_serial_and_process(self, serial_campaign, tmp_path):
         """Acceptance: serial, process and queue (2 workers, one shared
         cache) produce byte-identical ExperimentResult JSON."""
@@ -169,18 +156,6 @@ class TestBackendProtocol:
         assert executor.backend == "serial"
         result = executor.run_campaign(_scenarios(), min_runs=3, max_runs=3)
         _assert_campaigns_identical(serial_campaign, result)
-
-    def test_capacity_sets_lanes(self):
-        assert CampaignExecutor(
-            ScenarioRunner(seed=SEED), backend=ProcessBackend(5)
-        )._lanes() == 5
-        assert CampaignExecutor(ScenarioRunner(seed=SEED), jobs=3)._lanes() == 3
-        assert CampaignExecutor(ScenarioRunner(seed=SEED))._lanes() == 1
-        # Unknown capacity (a queue before its first heartbeat) falls
-        # back to jobs.
-        assert CampaignExecutor(
-            ScenarioRunner(seed=SEED), jobs=4, backend=_RecordingBackend(None)
-        )._lanes() == 4
 
     def test_process_backend_reusable_after_shutdown(self):
         backend = ProcessBackend(2)
@@ -511,54 +486,31 @@ def _fast_runner(**overrides) -> ScenarioRunner:
 
 
 class TestWavePlanning:
-    """``_plan_chunks``, the one dispatch plan: shape only — the process
-    pool is lazy, so no worker ever spawns here."""
+    """The dispatch plan of a wave: one task per contiguous span of its
+    missing runs (``_contiguous_spans``)."""
 
-    def test_cold_auto_mode_is_legacy_even_split(self):
-        executor = CampaignExecutor(_fast_runner(), jobs=2)
-        assert _plan_chunks([0, 1, 2, 3, 4, 5], executor._lanes()) == [
-            (0, 1, 2),
-            (3, 4, 5),
-        ]
-        assert _plan_chunks([], executor._lanes()) == []
-
-    def test_cold_auto_mode_cache_hole_keeps_legacy_shape(self):
-        # chunk size comes from the TOTAL missing count, then is chopped
-        # per contiguous span: [0] and [2, 3] with 2 lanes must dispatch
-        # as a single run plus one 2-run batch.
-        assert _plan_chunks([0, 2, 3], 2) == [(0,), (2, 3)]
-
-    @given(
-        st.lists(st.integers(0, 60), unique=True, max_size=40).map(sorted),
-        st.integers(1, 12),
-    )
-    def test_chunks_partition_the_missing_indices(self, missing, lanes):
-        """For any ascending indices with holes and any lane count, the
-        chunks partition the indices exactly, each chunk is contiguous
-        (so never bridges a hole) and holds at most
-        ``ceil(len(missing) / lanes)`` runs."""
-        chunks = _plan_chunks(missing, lanes)
-        assert [i for chunk in chunks for i in chunk] == missing
-        bound = math.ceil(len(missing) / lanes)
-        for chunk in chunks:
-            assert 1 <= len(chunk) <= bound
-            assert list(chunk) == list(range(chunk[0], chunk[0] + len(chunk)))
+    @given(st.lists(st.integers(0, 60), unique=True, max_size=40).map(sorted))
+    def test_chunks_partition_the_missing_indices(self, missing):
+        """For any ascending indices with holes, the spans partition the
+        indices exactly, each span is contiguous (so never bridges a
+        hole) and each is maximal (a hole separates neighbours)."""
+        spans = _contiguous_spans(missing)
+        assert [i for span in spans for i in span] == missing
+        for span in spans:
+            assert span == list(range(span[0], span[0] + len(span)))
+        for left, right in zip(spans, spans[1:]):
+            assert right[0] > left[-1] + 1
 
 
 class _RecordingBackend(SerialBackend):
-    """Inline execution that reports ``lanes`` lanes and records every
-    task's ``(run_start, run_count)`` in dispatch order."""
+    """Inline execution that records every task's ``(run_start,
+    run_count)`` in dispatch order."""
 
     name = "recording"
 
-    def __init__(self, lanes=2) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.lanes = lanes
         self.dispatched: list[tuple[int, int]] = []
-
-    @property
-    def capacity(self):
-        return self.lanes
 
     def submit(self, task):
         self.dispatched.append((task.run_start, task.run_count))
@@ -567,14 +519,14 @@ class _RecordingBackend(SerialBackend):
 
 class TestDispatchShape:
     def test_same_campaign_twice_dispatches_identical_tasks(self):
-        """Plans depend only on the wave and the lane count, never on
-        what the executor ran before: a second campaign on the same
-        executor dispatches exactly the first one's task list.  A zero
-        variance delta never stops early, so the 10-run first wave is
-        topped up to 14 in 2-run waves of single-run tasks."""
-        backend = _RecordingBackend(lanes=2)
+        """Plans depend only on the wave, never on what the executor ran
+        before: a second campaign on the same executor dispatches exactly
+        the first one's task list.  A zero variance delta never stops
+        early, so the 10-run first wave (one task) is topped up to 14 one
+        run at a time."""
+        backend = _RecordingBackend()
         executor = CampaignExecutor(_fast_runner(variance_delta=0.0), backend=backend)
-        expected = [(0, 5), (5, 5), (10, 1), (11, 1), (12, 1), (13, 1)]
+        expected = [(0, 10), (10, 1), (11, 1), (12, 1), (13, 1)]
         shapes = []
         for _ in range(2):
             backend.dispatched.clear()
@@ -582,6 +534,48 @@ class TestDispatchShape:
             assert result.scenario_results[0].n_runs == 14
             shapes.append(list(backend.dispatched))
         assert shapes == [expected, expected]
+
+
+class TestOneRunTopUp:
+    """An undecided scenario is topped up by one run, so no backend
+    simulates a run that the serial loop would not."""
+
+    BOUNDS = dict(min_runs=2, max_runs=4)
+
+    @pytest.mark.parametrize("backend", ["serial", "process", "queue"])
+    def test_rule_stopping_one_run_into_a_top_up_discards_nothing(self, backend, tmp_path):
+        # The rule never stops at 2 runs (it compares with the variance
+        # of one run), and at this delta it stops at the first top-up.
+        runner = _fast_runner(variance_delta=0.5)
+        serial = runner.run_scenario(_SCENARIO, **self.BOUNDS)
+        assert serial.n_runs == 3
+        options = {
+            "serial": dict(jobs=1),
+            "process": dict(jobs=2),
+            "queue": dict(
+                backend="queue", cache_dir=tmp_path / "cache", spool_dir=tmp_path / "spool",
+                queue_options={"poll_interval": 0.02, "stop_workers_on_shutdown": True},
+            ),
+        }[backend]
+        workers = [
+            threading.Thread(
+                target=run_worker, args=(tmp_path / "spool", tmp_path / "cache"),
+                kwargs=dict(poll_interval=0.02, idle_exit_s=60.0, worker_id=f"w{i}"),
+                daemon=True,
+            )
+            for i in range(2 if backend == "queue" else 0)
+        ]
+        for worker in workers:
+            worker.start()
+        executor = CampaignExecutor(runner, **options)
+        assert executor.backend == backend
+        result = executor.run_campaign([_SCENARIO], **self.BOUNDS)
+        for worker in workers:
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+        assert executor.stats.runs_executed == executor.stats.runs_kept == 3
+        assert executor.stats.runs_discarded == 0
+        _assert_campaigns_identical(ExperimentResult([serial]), result)
 
 
 class TestRunCacheCounters:
@@ -617,7 +611,7 @@ class TestRunWalls:
             return original(self, scenario, run_index=run_index)
 
         monkeypatch.setattr(ScenarioRunner, "run_once", run_once)
-        backend = _RecordingBackend(lanes=1)
+        backend = _RecordingBackend()
         executor = CampaignExecutor(_fast_runner(), backend=backend)
         executor.run_campaign([_SCENARIO], min_runs=3, max_runs=3)
         assert backend.dispatched == [(0, 3)]  # one three-run chunk

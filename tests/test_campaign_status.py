@@ -59,7 +59,19 @@ class TestSpoolStatus:
         (spool.failed / "dddd-0000.json").write_text("{", encoding="utf-8")
         status = spool_status(tmp_path / "spool")
         assert status["tasks_failed"] == 1
-        assert status["failures"][0]["error"] == "unreadable failure record"
+        assert status["failures"][0]["error"] == "unreadable worker failure record"
+
+    @pytest.mark.parametrize("content", ["[]", '{"error": 5}', '{"kind": {}}'])
+    def test_malformed_failure_record_still_counted(self, tmp_path, content):
+        """A record that is not an object, or has a mistyped field, is
+        reported as unreadable instead of crashing the scan."""
+        spool = _Spool(tmp_path / "spool")
+        (spool.failed / "dddd-0000.json").write_text(content, encoding="utf-8")
+        status = spool_status(tmp_path / "spool")
+        assert status["failures"] == [{
+            "task_id": "dddd-0000", "worker": "?",
+            "error": "unreadable worker failure record", "kind": "?",
+        }]
 
     def test_missing_spool_dir_rejected_not_created(self, tmp_path):
         """A typo'd --spool-dir must error, not report a healthy idle

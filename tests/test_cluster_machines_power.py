@@ -135,7 +135,10 @@ class TestTransients:
         pool.add_peak(0.5, 1.0, 5.0, shape="rect")
         assert pool.value(0.7) == pytest.approx(15.0)
         assert pool.value(5.0) == 0.0
-        assert pool.active_count == 0
+        assert pool.live(5.0) == ()
+        assert [item.t0 for item in pool.live(1.2)] == [0.5]
+        # Reads are pure: a later read leaves an earlier one unchanged.
+        assert pool.value(0.7) == pytest.approx(15.0)
 
     def test_rejects_zero_duration(self):
         with pytest.raises(ConfigurationError):

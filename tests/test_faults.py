@@ -36,7 +36,7 @@ from repro.experiments.faults import (
     traceback_digest,
 )
 from repro.experiments.queue_backend import QueueBackend, _claim_next_task, spool_gc, spool_status
-from repro.experiments.runner import ScenarioRunner
+from repro.experiments.runner import RunnerSettings, ScenarioRunner
 from repro.experiments.taskboard import TaskBoard
 from repro.io import (
     PersistenceError,
@@ -237,11 +237,10 @@ class TestWatchdog:
 
 class _PoisonBackend(SerialBackend):
     """Serial execution, except tasks of one scenario fail their first
-    ``fail_times`` attempts (``None`` = always).  It reports two lanes,
-    so the dispatch plan sends a 2-run wave as one task per run."""
+    ``fail_times`` attempts (``None`` = always).  A 2-run wave is one
+    task (``<label>#0x2``)."""
 
     name = "poison"
-    capacity = 2
 
     def __init__(self, poison_label: str, fail_times=None, exc_factory=None):
         super().__init__()
@@ -267,11 +266,9 @@ class _PoisonBackend(SerialBackend):
 
 
 class _HangBackend(ExecutorBackend):
-    """Futures that never resolve: forces the campaign deadline path.
-    Two lanes, like :class:`_PoisonBackend`."""
+    """Futures that never resolve: forces the campaign deadline path."""
 
     name = "hang"
-    capacity = 2
 
     def submit(self, task) -> Future:
         return Future()
@@ -293,9 +290,9 @@ class TestExecutorRetries:
         result = executor.run_campaign([_POISON, _HEALTHY], min_runs=2, max_runs=2)
 
         assert not executor.stats.degraded
-        assert executor.stats.tasks_retried == 2  # one retry per poisoned run
-        assert executor.ledger.counts_by_fate() == {"retried": 2}
-        assert backend.attempts == {f"{_POISON.label}#0": 2, f"{_POISON.label}#1": 2}
+        assert executor.stats.tasks_retried == 1  # one retry of the poisoned wave
+        assert executor.ledger.counts_by_fate() == {"retried": 1}
+        assert backend.attempts == {f"{_POISON.label}#0x2": 2}
 
         # Retried runs are byte-identical to the never-failed path.
         serial = ScenarioRunner(seed=SEED).run_campaign(
@@ -312,7 +309,7 @@ class TestExecutorRetries:
         executor = self._executor(backend)  # max_retries=1, on_failure="raise"
         with pytest.raises(ExperimentError, match="injected failure"):
             executor.run_campaign([_POISON], min_runs=2, max_runs=2)
-        assert backend.attempts[f"{_POISON.label}#0"] == 1  # no silent retry
+        assert backend.attempts[f"{_POISON.label}#0x2"] == 1  # no silent retry
         assert executor.ledger.counts_by_fate() == {"fatal": 1}
 
     def test_quarantine_after_exactly_max_retries_attempts(self):
@@ -321,13 +318,13 @@ class TestExecutorRetries:
         result = executor.run_campaign([_POISON, _HEALTHY], min_runs=2, max_runs=2)
 
         # Exactly max_retries attempts per task — no infinite requeue.
-        assert backend.attempts == {f"{_POISON.label}#0": 3, f"{_POISON.label}#1": 3}
-        assert len(backend.quarantined) == 2
-        assert executor.stats.tasks_quarantined == 2
+        assert backend.attempts == {f"{_POISON.label}#0x2": 3}
+        assert len(backend.quarantined) == 1
+        assert executor.stats.tasks_quarantined == 1
         assert executor.stats.runs_abandoned == 2
         assert executor.stats.scenarios_dropped == 1
         assert executor.stats.degraded
-        assert executor.ledger.counts_by_fate() == {"retried": 4, "quarantined": 2}
+        assert executor.ledger.counts_by_fate() == {"retried": 2, "quarantined": 1}
         # The healthy scenario still resolved normally.
         assert [sr.scenario.label for sr in result.scenario_results] == [_HEALTHY.label]
 
@@ -338,7 +335,7 @@ class TestExecutorRetries:
         assert backend.quarantined == []
         assert executor.stats.tasks_quarantined == 0
         assert executor.stats.degraded
-        assert executor.ledger.counts_by_fate() == {"retried": 2, "skipped": 2}
+        assert executor.ledger.counts_by_fate() == {"retried": 1, "skipped": 1}
         assert len(result.scenario_results) == 1
 
     def test_all_scenarios_lost_raises(self):
@@ -348,20 +345,24 @@ class TestExecutorRetries:
             executor.run_campaign([_POISON], min_runs=2, max_runs=2)
 
     def test_partial_prefix_kept_when_later_runs_fail(self):
-        """Only run #1 fails terminally: the contiguous prefix (run #0)
-        survives in a degraded scenario result."""
+        """Only the top-up run #2 fails terminally: the contiguous prefix
+        (runs #0 and #1) survives in a degraded scenario result.  A zero
+        variance delta never stops early, so the first wave is topped up."""
 
         class _TailPoison(_PoisonBackend):
             def submit(self, task):
-                if task.scenario.label == self.poison_label and task.run_start == 1:
+                if task.scenario.label == self.poison_label and task.run_start == 2:
                     return super().submit(task)
                 return SerialBackend.submit(self, task)
 
         backend = _TailPoison(_POISON.label)
-        executor = self._executor(backend, max_retries=1, on_failure="skip")
-        result = executor.run_campaign([_POISON], min_runs=2, max_runs=2)
+        executor = CampaignExecutor(
+            ScenarioRunner(seed=SEED, settings=RunnerSettings(variance_delta=0.0)),
+            backend=backend, retry_policy=_FAST_RETRY, max_retries=1, on_failure="skip",
+        )
+        result = executor.run_campaign([_POISON], min_runs=2, max_runs=3)
         (sr,) = result.scenario_results
-        assert sr.n_runs == 1
+        assert sr.n_runs == 2
         assert executor.stats.degraded
         assert executor.stats.runs_abandoned == 1
 
@@ -394,10 +395,10 @@ class TestExecutorRetries:
         backend = _LeaseLoss(_POISON.label)
         executor = self._executor(backend, max_retries=5, on_failure="skip")
         executor.run_campaign([_POISON, _HEALTHY], min_runs=2, max_runs=2)
-        assert backend.attempts[f"{_POISON.label}#0"] == 1  # no futile retries
+        assert backend.attempts[f"{_POISON.label}#0x2"] == 1  # no futile retries
         assert executor.stats.tasks_retried == 0
-        assert executor.board.tasks[f"{_POISON.label}#0"].expiries == 6  # 5 requeues
-        assert executor.ledger.counts_by_fate() == {"skipped": 2}
+        assert executor.board.tasks[f"{_POISON.label}#0x2"].expiries == 6  # 5 requeues
+        assert executor.ledger.counts_by_fate() == {"skipped": 1}
         assert {r.kind for r in executor.ledger.records} == {"StaleLease"}
         assert {r.worker for r in executor.ledger.records} == {"coordinator"}
 
@@ -423,7 +424,7 @@ class TestExecutorRetries:
         with pytest.raises(ExperimentError, match="campaign deadline"):
             executor.run_campaign([_HEALTHY], min_runs=2, max_runs=2)
         assert time.monotonic() - started < 10.0  # aborted, not hung
-        assert len(executor.ledger.records) == 2  # both in-flight tasks
+        assert len(executor.ledger.records) == 1  # the in-flight task
         assert {r.kind for r in executor.ledger.records} == {"CampaignTimeout"}
         assert {r.fate for r in executor.ledger.records} == {"fatal"}
 

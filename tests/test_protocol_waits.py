@@ -83,7 +83,7 @@ def _state(bed):
             meter._rng.bit_generator.state for meter in (bed.source_meter, bed.target_meter)
         ],
         "transients": [
-            host.power_model.transients.snapshot() for host in (bed.source, bed.target)
+            tuple(host.power_model.transients._items) for host in (bed.source, bed.target)
         ],
     }
 

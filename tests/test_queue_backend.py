@@ -151,23 +151,6 @@ class TestSpoolProtocol:
             ScenarioRunner(seed=SEED).run_campaign([_SCENARIO], parallel="cluster")
 
 
-class TestCapacityIntrospection:
-    def test_no_workers_means_unknown(self, tmp_path):
-        backend = _backend(tmp_path)
-        assert backend.active_workers() == 0
-        assert backend.capacity is None
-
-    def test_fresh_heartbeats_counted_stale_ignored(self, tmp_path):
-        backend = _backend(tmp_path, worker_fresh_s=5.0)
-        fresh = backend.spool.workers / "fresh.json"
-        stale = backend.spool.workers / "stale.json"
-        for beat in (fresh, stale):
-            beat.write_text("{}", encoding="utf-8")
-        os.utime(stale, (time.time() - 600, time.time() - 600))
-        assert backend.active_workers() == 1
-        assert backend.capacity == 1
-
-
 class TestWorkerLifecycle:
     def test_worker_executes_and_deposits(self, tmp_path):
         backend = _backend(tmp_path)
@@ -388,6 +371,21 @@ class TestFaultInjection:
         with pytest.raises(ExperimentError):
             future.result()
 
+    @pytest.mark.parametrize("content", [
+        "[]", '{"error": 5}', '{"error": "boom", "worker": ["w0"]}',
+    ])
+    def test_malformed_failure_record_fails_the_task(self, tmp_path, content):
+        """A ``failed/`` record that is not an object, or has a mistyped
+        field, fails its task instead of crashing the coordinator."""
+        backend = _backend(tmp_path)
+        task = _task()
+        future = backend.submit(task)
+        backend.spool.failure_path(task.task_id).write_text(content, encoding="utf-8")
+        assert backend.wait([future]) == {future}
+        failure = future.exception().failure
+        assert failure.message == "unreadable worker failure record"
+        assert failure.worker == "?"
+
     def test_resubmission_clears_stale_failure_record(self, tmp_path):
         """A failure record from a previous campaign must not poison a
         fresh submission of the same task."""
@@ -475,6 +473,29 @@ class TestBatchFaultInjection:
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
         return thread, box
+
+    def test_half_deposited_task_loads_nothing(self, tmp_path, monkeypatch):
+        """The coordinator loads a task's runs once every one is present,
+        and then each run once."""
+        import repro.experiments.queue_backend as qb
+
+        loads = []
+        real_load = qb.load_run_result
+        monkeypatch.setattr(
+            qb, "load_run_result", lambda path: (loads.append(path), real_load(path))[1]
+        )
+        backend = _backend(tmp_path)
+        task = self._batch_task(run_count=2)
+        future = backend.submit(task)
+        runner = ScenarioRunner(seed=SEED, settings=task.settings)
+        backend.cache.put(task.key, runner.run_once(task.scenario, 0), task.key_payload())
+        assert not backend._poll(future)
+        assert not backend._poll(future)
+        assert loads == []
+        backend.cache.put(task.key, runner.run_once(task.scenario, 1), task.key_payload())
+        assert backend._poll(future)
+        assert [run.run_index for run in future.result()] == [0, 1]
+        assert len(loads) == 2
 
     def test_worker_killed_mid_batch_preserves_deposits_and_refills_holes(
         self, tmp_path
@@ -675,15 +696,6 @@ class TestClockSkew:
         assert claim.exists()
         assert backend.stats.tasks_requeued == 0
 
-    def test_coordinator_ahead_still_sees_live_workers(self, tmp_path, monkeypatch):
-        backend = _backend(tmp_path, worker_fresh_s=5.0)
-        beat = backend.spool.workers / "w0.json"
-        beat.write_text("{}", encoding="utf-8")
-        self._fake_clock(monkeypatch, 3600.0)
-        backend._skew_measured_at = None
-        assert backend.active_workers() == 1
-        assert backend.capacity == 1
-
     def test_genuine_staleness_detected_despite_skew(self, tmp_path, monkeypatch):
         """The skew offset must not mask claims that really are dead."""
         backend = _backend(tmp_path, stale_timeout=0.5)
@@ -699,17 +711,14 @@ class TestClockSkew:
 
     def test_coordinator_behind_clamps_negative_ages(self, tmp_path, monkeypatch):
         """File-server mtimes in the coordinator's future age as zero."""
-        backend = _backend(tmp_path, stale_timeout=60.0, worker_fresh_s=5.0)
+        backend = _backend(tmp_path, stale_timeout=60.0)
         backend.submit(_task())
         claim = _claim_next_task(backend.spool)
-        beat = backend.spool.workers / "w0.json"
-        beat.write_text("{}", encoding="utf-8")
         self._fake_clock(monkeypatch, -3600.0)
         backend._skew_measured_at = None
         backend._requeue_stale_claims()
         assert claim.exists()
         assert backend.stats.tasks_requeued == 0
-        assert backend.active_workers() == 1
 
     def test_probe_memoized_per_poll_interval(self, tmp_path, monkeypatch):
         import repro.experiments.queue_backend as qb
