@@ -214,8 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="shared spool directory to serve (requires --cache-dir)",
     )
     worker.add_argument(
-        "--poll-interval", type=_positive_float, default=0.5,
-        help="seconds between queue scans while idle",
+        "--poll-interval", type=_positive_float, default=0.02,
+        help="seconds between an idle worker's checks of the spool's "
+        "tasks/ directory; it lists and claims only when the directory "
+        "changed or a heartbeat is due",
     )
     worker.add_argument(
         "--heartbeat", type=_positive_float, default=5.0,

@@ -722,11 +722,15 @@ class _ScenarioState:
     the same task over another range (:meth:`task`).
     """
 
-    __slots__ = ("first", "runs", "inflight", "abandoned", "target", "resolved")
+    __slots__ = (
+        "first", "runs", "energies", "inflight", "abandoned", "target", "resolved",
+    )
 
     def __init__(self, first: RunTask, target: int) -> None:
         self.first = first
         self.runs: dict[int, RunResult] = {}
+        #: Each kept run's source migration energy, computed once.
+        self.energies: dict[int, float] = {}
         self.inflight: set[int] = set()
         self.abandoned: set[int] = set()  # indices lost to exhausted retry budgets
         self.target = target            # runs [0, target) currently wanted
@@ -743,6 +747,11 @@ class _ScenarioState:
     def task(self, span: Sequence[int]) -> RunTask:
         """The task covering the contiguous run indices ``span``."""
         return dataclasses.replace(self.first, run_start=span[0], run_count=len(span))
+
+    def keep(self, index: int, run: RunResult) -> None:
+        """Hold run ``index`` and the source energy the stopping rule reads."""
+        self.runs[index] = run
+        self.energies[index] = run.total_energy_j(HostRole.SOURCE)
 
 
 class CampaignExecutor:
@@ -1023,10 +1032,7 @@ class CampaignExecutor:
             prefix += 1
         kept = None
         if prefix >= lo:
-            energies = [
-                state.runs[i].total_energy_j(HostRole.SOURCE)
-                for i in range(prefix)
-            ]
+            energies = [state.energies[i] for i in range(prefix)]
             kept = resolve_run_count(
                 energies, lo, hi, self.runner.settings.variance_delta
             )
@@ -1047,7 +1053,7 @@ class CampaignExecutor:
                     else None
                 )
                 if cached is not None:
-                    state.runs[index] = cached
+                    state.keep(index, cached)
                     self.stats.runs_cached += 1
                 else:
                     missing.append(index)
@@ -1060,10 +1066,7 @@ class CampaignExecutor:
             if any(i in state.abandoned for i in range(state.target)):
                 self._resolve_degraded(state)
                 return
-            energies = [
-                state.runs[i].total_energy_j(HostRole.SOURCE)
-                for i in range(state.target)
-            ]
+            energies = [state.energies[i] for i in range(state.target)]
             kept = resolve_run_count(
                 energies, lo, hi, self.runner.settings.variance_delta
             )
@@ -1155,7 +1158,7 @@ class CampaignExecutor:
             and not getattr(future, "result_in_cache", False)
         )
         for index, run, run_wall in zip(task.run_indices, runs, walls):
-            state.runs[index] = run
+            state.keep(index, run)
             state.inflight.discard(index)
             self.stats.runs_executed += 1
             self.progress_events.append(ProgressEvent.for_run(

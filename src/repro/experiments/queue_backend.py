@@ -112,6 +112,10 @@ TASK_FAILURE_SCHEMA = "wavm3-taskfailure/1"
 #: Schema tag of the campaign-status documents (:func:`spool_status`).
 STATUS_SCHEMA = "wavm3-campaign-status/1"
 
+#: Seconds between the coordinator's checks of ``claims/`` for a change
+#: (:meth:`QueueBackend.wait`).
+_CLAIMS_TICK_S = 0.01
+
 
 class _Spool:
     """Paths of one spool directory; creates the layout on construction
@@ -144,6 +148,22 @@ class _Spool:
 
     def quarantine_path(self, task_id: str) -> pathlib.Path:
         return self.quarantine / f"{task_id}.json"
+
+
+def _dir_signature(directory: pathlib.Path) -> Optional[tuple[int, int]]:
+    """What changes when an entry is added to, removed from or renamed
+    into or out of ``directory``: its mtime and inode (``None`` if it
+    cannot be read).
+
+    A coarse-timestamp filesystem can stamp two changes with one mtime,
+    and an NFS client may serve a cached one, so a reader that waits on
+    the signature also rescans on a slower safety-net cadence.
+    """
+    try:
+        stat = os.stat(directory)
+    except OSError:
+        return None
+    return stat.st_mtime_ns, stat.st_ino
 
 
 def _write_json_atomic(path: pathlib.Path, payload: dict) -> None:
@@ -192,10 +212,16 @@ class QueueStats:
 class _QueueFuture(Future):
     """A pending queue task; resolved by the coordinator's poll loop."""
 
-    def __init__(self, task, task_id: str) -> None:
+    def __init__(self, task: RunTask, spool: _Spool, cache: RunCache) -> None:
         super().__init__()
         self.task = task
-        self.task_id = task_id
+        self.task_id = task_id = task.task_id
+        # Every file a poll reads, built once.
+        self.spec = spool.task_path(task_id)
+        self.claim = spool.claim_path(task_id)
+        self.failure = spool.failure_path(task_id)
+        #: The cache file of each covered run, in run order.
+        self.paths = [cache._run_path(task.key, i) for i in task.run_indices]
         #: The result was produced into the shared cache by a worker, so
         #: the executor must not redundantly re-write it.
         self.result_in_cache = True
@@ -212,7 +238,10 @@ class QueueBackend(ExecutorBackend):
         The shared :class:`RunCache` workers deposit results into; the
         coordinator polls it for completions.
     poll_interval:
-        Seconds between completion polls in :meth:`wait`.
+        Safety-net cadence of the completion polls in :meth:`wait`, in
+        seconds.  A worker unlinks its claim only after its last deposit
+        or its failure record, so :meth:`wait` also polls as soon as
+        ``claims/`` changes (checked every 10 ms).
     stale_timeout:
         A claim whose heartbeat mtime is older than this is considered
         abandoned and requeued.  Must comfortably exceed the workers'
@@ -281,16 +310,16 @@ class QueueBackend(ExecutorBackend):
     def submit(self, task: RunTask) -> Future:
         if task.key is None:
             raise ExperimentError("queue tasks need a cache key")
-        task_id = task.task_id
+        future = _QueueFuture(task, self.spool, self.cache)
         # A failure record from an earlier campaign must not resolve the
         # fresh attempt, so clear it before the spec becomes claimable.
-        self.spool.failure_path(task_id).unlink(missing_ok=True)
-        save_task_spec(task, self.spool.task_path(task_id))
+        future.failure.unlink(missing_ok=True)
+        save_task_spec(task, future.spec)
         self.stats.tasks_submitted += 1
         # Workers announce progress per *run*, so a task owns one
         # progress id per covered index.
         self._session_task_ids.update(task.run_id(i) for i in task.run_indices)
-        return _QueueFuture(task, task_id)
+        return future
 
     def drain_progress(self) -> list:
         """Worker progress sidecar events belonging to this campaign.
@@ -316,17 +345,23 @@ class QueueBackend(ExecutorBackend):
         self, pending: Collection[Future], timeout: Optional[float] = None
     ) -> Set[Future]:
         started = time.monotonic()
+        seen = None  # the claims/ signature read before the last poll
+        due = started
         while True:
-            self._requeue_stale_claims()
-            done = {future for future in pending if self._poll(future)}
-            if done:
-                return done
+            signature = _dir_signature(self.spool.claims)
+            now = time.monotonic()
+            if signature != seen or now >= due:
+                seen, due = signature, now + self.poll_interval
+                self._requeue_stale_claims()
+                done = {future for future in pending if self._poll(future)}
+                if done:
+                    return done
             if (
                 timeout is not None
-                and time.monotonic() - started + self.poll_interval > timeout
+                and time.monotonic() - started + _CLAIMS_TICK_S > timeout
             ):
-                return done  # empty: the scheduler has timers to service
-            time.sleep(self.poll_interval)
+                return set()  # the scheduler has timers to service
+            time.sleep(_CLAIMS_TICK_S)
 
     def shutdown(self) -> None:
         if self.stop_workers_on_shutdown:
@@ -353,14 +388,18 @@ class QueueBackend(ExecutorBackend):
         task = future.task
         lost = self._lost.pop(future.task_id, None)
         indices = task.run_indices
+        # Whether the spec is still open or claimed, read *before* the
+        # results: a worker unlinks its claim only after its last deposit
+        # or its failure record, so the outcome of a task found neither
+        # open nor claimed here is visible below -- or was lost.
+        spooled = future.spec.exists() or future.claim.exists()
         # A task resolves only once *every* covered run is deposited and
         # valid.  Nothing is loaded before all are present, so a run of
         # a half-deposited task is unpickled once, not at every poll; a
         # corrupt run invalidates just that one cache file.
-        paths = [self.cache._run_path(task.key, index) for index in indices]
-        if all(path.exists() for path in paths):
+        if all(path.exists() for path in future.paths):
             runs = []
-            for index, run_path in zip(indices, paths):
+            for index, run_path in zip(indices, future.paths):
                 try:
                     run = load_run_result(run_path)
                 except PersistenceError:
@@ -384,9 +423,8 @@ class QueueBackend(ExecutorBackend):
                 f"queue task {future.task_id} failed: {lost.message}", failure=lost
             ))
             return True
-        failure = self.spool.failure_path(future.task_id)
-        if failure.exists():
-            record = _read_failure_record(failure)
+        if future.failure.exists():
+            record = _read_failure_record(future.failure)
             message = record.get("error") or "unknown worker failure"
             # Structured failure for the coordinator's retry budget: the
             # record's "kind" field is written by current workers; older
@@ -413,14 +451,11 @@ class QueueBackend(ExecutorBackend):
                 )
             )
             return True
-        # No result, no failure: the spec must still be claimable or
-        # claimed.  If both files are gone (corrupt result deleted above,
-        # or spool tampering), respool the spec so the run is recomputed.
-        if (
-            not self.spool.task_path(future.task_id).exists()
-            and not self.spool.claim_path(future.task_id).exists()
-        ):
-            save_task_spec(task, self.spool.task_path(future.task_id))
+        # No result and no failure, though the spec was gone before either
+        # was looked for (a corrupt result deleted above, or spool
+        # tampering): respool it so the run is recomputed.
+        if not spooled:
+            save_task_spec(task, future.spec)
             self.stats.tasks_resubmitted += 1
         return False
 
@@ -777,7 +812,7 @@ def _record_failure(
 def run_worker(
     spool_dir: Union[str, pathlib.Path],
     cache_dir: Union[str, pathlib.Path],
-    poll_interval: float = 0.5,
+    poll_interval: float = 0.02,
     heartbeat_s: float = 5.0,
     max_tasks: Optional[int] = None,
     idle_exit_s: Optional[float] = None,
@@ -791,12 +826,17 @@ def run_worker(
     spool_dir / cache_dir:
         The shared spool and run cache (same values the coordinator uses).
     poll_interval:
-        Base sleep between scans while the queue is empty; consecutive
-        empty scans back off exponentially (capped near ``heartbeat_s``)
-        so a big idle fleet does not hammer the shared filesystem.
+        Seconds between an idle worker's ticks.  A tick is one ``stat``
+        of ``tasks/``; the worker lists and claims only when that
+        directory changed since its last empty scan, or when a heartbeat
+        is due, so an idle fleet costs the shared filesystem one
+        attribute read per worker per tick.
     heartbeat_s:
         Cadence of claim-mtime and worker-liveness heartbeats; must stay
-        well under the coordinator's ``stale_timeout``.
+        well under the coordinator's ``stale_timeout``.  Each heartbeat
+        also rescans ``tasks/``: the safety net for a change that left
+        the directory's mtime as it was (coarse timestamps, NFS
+        attribute caches).
     max_tasks:
         Exit after claiming this many specs (``None`` = unbounded).
     idle_exit_s:
@@ -822,10 +862,7 @@ def run_worker(
     stats = WorkerStats()
     idle_since = time.monotonic()
     last_beat = 0.0
-    idle_scans = 0
-    # Idle polls back off exponentially, but never so far that the worker
-    # misses its own heartbeat cadence (which also bounds stop latency).
-    idle_cap = max(poll_interval, min(poll_interval * 16.0, heartbeat_s))
+    seen = None  # the tasks/ signature read before the last empty scan
 
     try:
         while True:
@@ -834,21 +871,26 @@ def run_worker(
             if max_tasks is not None and stats.claimed >= max_tasks:
                 break
             now = time.monotonic()
-            if now - last_beat >= heartbeat_s or not beat_path.exists():
+            beat_due = now - last_beat >= heartbeat_s or not beat_path.exists()
+            if beat_due:
                 _write_json_atomic(beat_path, {"worker": wid, "pid": os.getpid()})
                 last_beat = now
-            try:
-                chaos_trip("claim", tag=wid)
-                claim = _claim_next_task(spool)
-            except ChaosError:
-                claim = None  # injected claim loss: retry on the next scan
+            claim = None
+            listing = _dir_signature(spool.tasks)
+            if listing != seen or beat_due:
+                try:
+                    chaos_trip("claim", tag=wid)
+                    claim = _claim_next_task(spool)
+                except ChaosError:
+                    seen = None  # injected claim loss: rescan on the next tick
+                else:
+                    if claim is None:
+                        seen = listing
             if claim is None:
                 if idle_exit_s is not None and now - idle_since >= idle_exit_s:
                     break
-                time.sleep(min(poll_interval * (2.0 ** idle_scans), idle_cap))
-                idle_scans = min(idle_scans + 1, 16)  # 2**16 already clears any cap
+                time.sleep(poll_interval)
                 continue
-            idle_scans = 0
             stats.claimed += 1
             _process_claim(
                 spool, cache, claim, wid, heartbeat_s, stats,
@@ -902,10 +944,12 @@ def _process_claim(
         except (OSError, ChaosError):
             pass  # progress is observational: never fail the task over it
 
+    key_payload = task.key_payload()
+
     def _deposit(run) -> None:
         stats.executed += 1
         _announce(run, stats.executed + stats.cached)
-        cache.put(task.key, run, key_payload=task.key_payload())
+        cache.put(task.key, run, key_payload=key_payload)
 
     heartbeat = _ClaimHeartbeat(claim, heartbeat_s)
     heartbeat.start()

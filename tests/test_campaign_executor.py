@@ -28,7 +28,7 @@ from repro.experiments.executor import (
     _contiguous_spans,
 )
 from repro.experiments.queue_backend import run_worker
-from repro.experiments.results import ExperimentResult
+from repro.experiments.results import ExperimentResult, RunResult
 from repro.experiments.runner import RunnerSettings, ScenarioRunner, resolve_run_count
 from repro.hypervisor.migration import MigrationConfig
 from repro.io import (
@@ -576,6 +576,32 @@ class TestOneRunTopUp:
         assert executor.stats.runs_executed == executor.stats.runs_kept == 3
         assert executor.stats.runs_discarded == 0
         _assert_campaigns_identical(ExperimentResult([serial]), result)
+
+
+class TestSourceEnergyOnce:
+    """The stopping rule reads each run's source energy, computed once
+    when the run is kept, as the serial loop does."""
+
+    def test_one_energy_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        real = RunResult.total_energy_j
+        monkeypatch.setattr(
+            RunResult, "total_energy_j",
+            lambda run, role: (calls.append((run.run_index, role)), real(run, role))[1],
+        )
+        # Undecided after the 2-run wave, decided at the first top-up:
+        # the rule is evaluated twice over 3 runs.
+        executor = CampaignExecutor(
+            _fast_runner(variance_delta=0.5), jobs=1, cache_dir=tmp_path / "cache"
+        )
+        executor.run_campaign([_SCENARIO], min_runs=2, max_runs=4)
+        assert executor.stats.runs_executed == 3
+        assert calls == [(i, HostRole.SOURCE) for i in range(3)]
+
+        calls.clear()
+        executor.run_campaign([_SCENARIO], min_runs=2, max_runs=4)
+        assert executor.stats.runs_cached == 3
+        assert calls == [(i, HostRole.SOURCE) for i in range(3)]
 
 
 class TestRunCacheCounters:

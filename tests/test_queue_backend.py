@@ -17,7 +17,9 @@ import numpy as np
 import pytest
 
 import repro
+import repro.experiments.queue_backend as qb
 from repro.errors import ExperimentError
+from repro.experiments.chaos import ChaosError
 from repro.experiments.design import MigrationScenario
 from repro.experiments.executor import CampaignExecutor, RunCache, RunTask
 from repro.experiments.queue_backend import (
@@ -542,14 +544,12 @@ class TestBatchFaultInjection:
         assert backend.stats.tasks_requeued == 1
 
         # The rescuer served the dead worker's deposits from cache and
-        # simulated only the three holes.  (The cached count can exceed 2
-        # by a multiple of 5: a coordinator poll that starts before the
-        # last deposit and finishes after the claim unlinks resubmits the
-        # spec, and the worker serves the extra copy entirely from cache —
-        # nothing re-executes either way.)
+        # simulated only the three holes; the finished task was never
+        # respooled for a second pass.
         stats = box["stats"]
         assert stats.executed == 3
-        assert stats.cached % 5 == 2
+        assert stats.cached == 2
+        assert backend.stats.tasks_resubmitted == 0
         results = future.result()
         assert [run.run_index for run in results] == [0, 1, 2, 3, 4]
 
@@ -593,6 +593,193 @@ class TestBatchFaultInjection:
         assert [run.run_index for run in warm_future.result()] == [0, 1, 2, 3, 4]
 
 
+class _VirtualClock:
+    """Stands in for ``queue_backend``'s ``time`` module: a sleep is
+    recorded and advances a virtual monotonic clock, and then calls
+    ``on_tick(ticks_so_far)``.  An idle worker's ticks then cost no wall
+    time and do not depend on it."""
+
+    def __init__(self, on_tick) -> None:
+        self.time, self.perf_counter = time.time, time.perf_counter
+        self.now = 1000.0
+        self.sleeps: list[float] = []
+        self._on_tick = on_tick
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+        self.now += seconds
+        self._on_tick(len(self.sleeps))
+
+
+class TestWakeOnChange:
+    """An idle worker ticks on one ``stat`` of ``tasks/`` and lists the
+    queue only when it changed or a heartbeat is due; the coordinator
+    polls as soon as ``claims/`` changes."""
+
+    def _serve(self, tmp_path, monkeypatch, on_tick, **kwargs):
+        """Run a worker on a virtual clock.  Returns the clock, the tick
+        of every queue scan, of every heartbeat and of every claim."""
+        clock = _VirtualClock(on_tick)
+        scans, beats, claims = [], [], []
+        real_scan, real_write = qb._claim_next_task, qb._write_json_atomic
+
+        def scan(spool):
+            scans.append(len(clock.sleeps))
+            return real_scan(spool)
+
+        def write(path, payload):
+            if path.parent.name == "workers":
+                beats.append(len(clock.sleeps))
+            real_write(path, payload)
+
+        def process(spool, cache, claim, *args, **kwargs):
+            claims.append(len(clock.sleeps))
+            claim.unlink()
+
+        monkeypatch.setattr(qb, "time", clock)
+        monkeypatch.setattr(qb, "_claim_next_task", scan)
+        monkeypatch.setattr(qb, "_write_json_atomic", write)
+        monkeypatch.setattr(qb, "_process_claim", process)
+        kwargs.setdefault("poll_interval", 0.02)
+        run_worker(tmp_path / "spool", tmp_path / "cache", **kwargs)
+        return clock, scans, beats, claims
+
+    @staticmethod
+    def _touch_listing(spool: _Spool, tick: int) -> None:
+        """Give ``tasks/`` an mtime no tick has read yet: a filesystem
+        with coarse timestamps may stamp a write with the one it had."""
+        os.utime(spool.tasks, ns=(tick, tick))
+
+    def test_idle_worker_never_sleeps_longer_than_poll_interval(self, tmp_path, monkeypatch):
+        spool = _Spool(tmp_path / "spool")
+
+        def on_tick(tick):
+            if tick == 500:
+                spool.stop.touch()
+
+        clock, _, _, _ = self._serve(tmp_path, monkeypatch, on_tick, heartbeat_s=5.0)
+        assert len(clock.sleeps) == 500
+        assert max(clock.sleeps) <= 0.02
+
+    def test_rescans_only_on_a_change_or_a_due_heartbeat(self, tmp_path, monkeypatch):
+        spool = _Spool(tmp_path / "spool")
+
+        def on_tick(tick):
+            if tick == 120:
+                self._touch_listing(spool, tick)
+            if tick == 300:
+                spool.stop.touch()
+
+        _, scans, beats, _ = self._serve(tmp_path, monkeypatch, on_tick, heartbeat_s=1.0)
+        assert len(beats) >= 5  # 6 virtual seconds at one beat per second
+        assert scans == sorted(set(beats) | {120})
+
+    def test_spec_written_after_idle_ticks_claimed_on_the_next_tick(
+        self, tmp_path, monkeypatch
+    ):
+        spool = _Spool(tmp_path / "spool")
+        task = _task()
+
+        def on_tick(tick):
+            if tick == 200:
+                save_task_spec(task, spool.task_path(task.task_id))
+                self._touch_listing(spool, tick)
+
+        clock, scans, _, claims = self._serve(
+            tmp_path, monkeypatch, on_tick, heartbeat_s=3600.0, max_tasks=1
+        )
+        assert scans == [0, 200]
+        assert claims == [200]
+        assert len(clock.sleeps) == 200
+
+    def test_chaos_claim_loss_retried_on_the_next_tick(self, tmp_path, monkeypatch):
+        spool = _Spool(tmp_path / "spool")
+        task = _task()
+        save_task_spec(task, spool.task_path(task.task_id))
+        trips = []
+
+        def trip(seam, tag=None):
+            trips.append(seam)
+            if trips == ["claim"]:
+                raise ChaosError("injected claim loss")
+
+        monkeypatch.setattr(qb, "chaos_trip", trip)
+        _, scans, _, claims = self._serve(
+            tmp_path, monkeypatch, lambda tick: None, heartbeat_s=3600.0, max_tasks=1
+        )
+        assert trips == ["claim", "claim"]
+        assert scans == [1]  # the lost claim never reached the scan
+        assert claims == [1]
+
+    def test_coordinator_polls_when_a_claim_is_unlinked(self, tmp_path):
+        """Wall clock: a 5 s safety-net cadence must not delay a
+        completion that unlinked its claim."""
+        backend = _backend(tmp_path, poll_interval=5.0)
+        task = _task()
+        run = ScenarioRunner(seed=SEED).run_once(_SCENARIO, run_index=0)
+        future = backend.submit(task)
+        claim = _claim_next_task(backend.spool)
+        finished = []
+
+        def finish():
+            backend.cache.put(task.key, run, key_payload=task.key_payload())
+            claim.unlink()
+            finished.append(time.monotonic())
+
+        worker = threading.Timer(0.3, finish)
+        worker.start()
+        try:
+            assert backend.wait([future]) == {future}
+        finally:
+            worker.join()
+        assert time.monotonic() - finished[0] < 2.5
+        assert [r.run_index for r in future.result()] == [0]
+
+
+class TestCompletionRace:
+    """A worker that finishes while the coordinator polls its task: the
+    task resolves and is never respooled."""
+
+    @pytest.fixture(scope="class")
+    def run0(self):
+        return ScenarioRunner(seed=SEED).run_once(_SCENARIO, run_index=0)
+
+    @pytest.mark.parametrize("at_check", range(1, 7))
+    def test_finish_during_a_poll_is_not_respooled(
+        self, tmp_path, monkeypatch, run0, at_check
+    ):
+        backend = _backend(tmp_path)
+        task = _task()
+        future = backend.submit(task)
+        claim = _claim_next_task(backend.spool)
+        real_exists = pathlib.Path.exists
+        checks = []
+
+        def finish():
+            # The worker deposits its last run, then drops its claim.
+            backend.cache.put(task.key, run0, key_payload=task.key_payload())
+            claim.unlink()
+
+        def exists(path, *args, **kwargs):
+            checks.append(path)
+            if len(checks) == at_check:
+                finish()
+            return real_exists(path, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "exists", exists)
+        resolved = backend._poll(future)
+        monkeypatch.undo()
+        if len(checks) < at_check:
+            finish()  # the poll checked less often: the worker finishes after it
+        assert resolved or backend._poll(future)
+        assert [r.run_index for r in future.result()] == [0]
+        assert backend.stats.tasks_resubmitted == 0
+        assert list(backend.spool.tasks.iterdir()) == []
+
+
 class TestCliEndToEnd:
     def _spawn_worker(self, tmp_path, idx: int) -> subprocess.Popen:
         src_root = str(pathlib.Path(repro.__file__).resolve().parents[1])
@@ -626,6 +813,7 @@ class TestCliEndToEnd:
 
         workers = [self._spawn_worker(tmp_path, i) for i in range(2)]
         runner = ScenarioRunner(seed=SEED)
+        outputs = []
         try:
             result = runner.run_campaign(
                 scenarios, min_runs=2, max_runs=2, parallel="queue",
@@ -633,15 +821,14 @@ class TestCliEndToEnd:
                 queue_options={"poll_interval": 0.05, "stop_workers_on_shutdown": True},
             )
         finally:
+            # communicate() reads each worker's output and closes its pipe.
             for proc in workers:
                 try:
-                    proc.wait(timeout=120)
+                    outputs.append(proc.communicate(timeout=120)[0])
                 except subprocess.TimeoutExpired:
                     proc.kill()
-                    proc.wait()
-        assert all(proc.returncode == 0 for proc in workers), [
-            proc.stdout.read() for proc in workers
-        ]
+                    outputs.append(proc.communicate()[0])
+        assert all(proc.returncode == 0 for proc in workers), outputs
         assert runner.last_executor_stats.runs_executed == 4
         for sa, sb in zip(serial.scenario_results, result.scenario_results):
             assert sa.scenario == sb.scenario
