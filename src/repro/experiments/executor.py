@@ -334,6 +334,9 @@ class RunCache:
         self.bytes_written = 0
         #: Per-key memo of the meta.json validation verdict.
         self._meta_verdict: dict[str, bool] = {}
+        #: Keys whose entry directory and ``meta.json`` this instance has
+        #: already made sure of (see :meth:`put`).
+        self._entry_ready: set[str] = set()
 
     def counters(self) -> dict:
         """Hit/miss/byte counters as a JSON-ready dict (status views)."""
@@ -474,6 +477,9 @@ class RunCache:
     ) -> None:
         """Store one run; (re)writes a valid ``meta.json`` describing the key.
 
+        The entry directory and its ``meta.json`` are checked once per key
+        per instance; a put into an entry deleted since then recreates both.
+
         Parameters
         ----------
         key:
@@ -485,10 +491,28 @@ class RunCache:
             given, a missing or invalid ``meta.json`` is (re)written from
             it atomically.
         """
+        path = self._run_path(key, run.run_index)
+        if key not in self._entry_ready:
+            self._prepare_entry(key, key_payload)
+        try:
+            save_run_result(run, path)
+        except FileNotFoundError:
+            # The entry directory was deleted since it was prepared.
+            self._prepare_entry(key, key_payload)
+            save_run_result(run, path)
+        try:
+            self.bytes_written += path.stat().st_size
+        except OSError:
+            pass  # counter only; the write itself already succeeded
+
+    def _prepare_entry(self, key: str, key_payload: Optional[dict]) -> None:
+        """Create the entry directory and a valid ``meta.json``, once per key."""
         entry = self._entry_dir(key)
         entry.mkdir(parents=True, exist_ok=True)
+        if key_payload is None:
+            return  # no meta to write; a later put with a payload prepares again
         meta = entry / "meta.json"
-        if key_payload is not None and (not meta.exists() or not self._meta_ok(key)):
+        if not meta.exists() or not self._meta_ok(key):
             # Atomic write: a half-written meta must never fail validation
             # for a concurrent reader of an otherwise-good entry.
             write_atomic(
@@ -496,12 +520,7 @@ class RunCache:
                 json.dumps(key_payload, sort_keys=True, indent=1).encode("utf-8"),
             )
             self._meta_verdict[key] = True
-        path = self._run_path(key, run.run_index)
-        save_run_result(run, path)
-        try:
-            self.bytes_written += path.stat().st_size
-        except OSError:
-            pass  # counter only; the write itself already succeeded
+        self._entry_ready.add(key)
 
 
 # ---------------------------------------------------------------------------
@@ -1157,6 +1176,7 @@ class CampaignExecutor:
             and state.key is not None
             and not getattr(future, "result_in_cache", False)
         )
+        key_payload = task.key_payload() if put else None
         for index, run, run_wall in zip(task.run_indices, runs, walls):
             state.keep(index, run)
             state.inflight.discard(index)
@@ -1167,7 +1187,7 @@ class CampaignExecutor:
             if not put:
                 continue
             try:
-                self.cache.put(state.key, run, key_payload=task.key_payload())
+                self.cache.put(state.key, run, key_payload=key_payload)
             except (PersistenceError, OSError, ChaosError) as exc:
                 # A failed cache write must never take the campaign
                 # down: the run is already in hand.

@@ -143,15 +143,16 @@ class RunResult:
         assert self.timeline.ms is not None and self.timeline.me is not None
         assert self.timeline.ts is not None and self.timeline.te is not None
         trace = self.trace_for(role)
-        times = trace.times
-        mask = (times >= self.timeline.ms) & (times <= self.timeline.me)
-        if mask.sum() < 4:
+        # Read-only views of the trace: a campaign's samples add no copy
+        # of the power readings to the runs that hold them.
+        span = trace.window_slice(self.timeline.ms, self.timeline.me)
+        window = trace.times[span]
+        if window.size < 4:
             raise ExperimentError(
                 f"run {self.scenario.label}#{self.run_index}: migration window "
-                f"holds only {int(mask.sum())} readings"
+                f"holds only {window.size} readings"
             )
-        window = times[mask]
-        power = trace.watts[mask]
+        power = trace.watts[span]
 
         ft = self.features.times
         def col(name: str) -> np.ndarray:

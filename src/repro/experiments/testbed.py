@@ -79,8 +79,9 @@ class FeatureRecorder:
         self._sampler.start()
 
     def stop(self) -> None:
-        """Stop sampling."""
+        """Stop sampling; the trace is retained at its exact size."""
         self._sampler.stop()
+        self.trace.trim()
 
     def _sample(self, t: float) -> None:
         on_target = 1.0 if self.vm.host is self.target else 0.0

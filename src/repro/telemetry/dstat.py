@@ -68,8 +68,9 @@ class DstatMonitor:
         self._sampler.start()
 
     def stop(self) -> None:
-        """Stop sampling (the trace is retained)."""
+        """Stop sampling; the trace is retained at its exact size."""
         self._sampler.stop()
+        self.trace.trim()
 
     def _sample(self, t: float) -> None:
         self.trace.append(

@@ -127,8 +127,9 @@ class PowerMeter:
         self._sampler.start()
 
     def stop(self) -> None:
-        """Stop sampling (the trace is retained)."""
+        """Stop sampling; the trace is retained at its exact size."""
         self._sampler.stop()
+        self.trace.trim()
 
     def reset(self) -> None:
         """Discard the recorded trace (meter keeps running if started)."""

@@ -9,6 +9,11 @@ check runs every 2.5 s) paid an O(n) list-to-array conversion per read,
 O(n²) over a run.  With block storage, mid-run reads are O(1) and appends
 stay amortised O(1) (per the hpc-parallel guides: vectorise reads *and*
 keep appends cheap).
+
+Doubling leaves up to half of each block unused, so the instruments
+release the spare capacity when they stop (:meth:`PowerTrace.trim`,
+:meth:`SeriesTrace.trim`): a finished run keeps exact-size arrays, which
+is what a campaign holds in memory until its tables are fitted.
 """
 
 from __future__ import annotations
@@ -167,6 +172,17 @@ class PowerTrace:
         """Publish ``count`` samples written after :meth:`_reserve`."""
         self._n += count
 
+    def trim(self) -> None:
+        """Release spare capacity: keep an exact-size copy of the samples.
+
+        Views read earlier keep the old block alive and stay valid; a
+        later append grows the buffer again.
+        """
+        n = self._n
+        if self._t.size != n:
+            self._t = self._t[:n].copy()
+            self._w = self._w[:n].copy()
+
     # ------------------------------------------------------------------
     @property
     def times(self) -> np.ndarray:
@@ -187,13 +203,24 @@ class PowerTrace:
         out._n = int(out._t.size)
         return out
 
+    def window_slice(self, t0: float, t1: float) -> slice:
+        """Index range of the samples with ``t0 <= t <= t1``.
+
+        Two binary searches on the strictly increasing timestamps, so
+        ``trace.times[trace.window_slice(t0, t1)]`` is a view equal to
+        ``times[(times >= t0) & (times <= t1)]``.
+        """
+        times = self.times
+        lo = int(np.searchsorted(times, t0, side="left"))
+        hi = int(np.searchsorted(times, t1, side="right"))
+        return slice(lo, hi)
+
     def window(self, t0: float, t1: float) -> "PowerTrace":
         """Sub-trace of samples with ``t0 <= t <= t1``."""
         if t1 < t0:
             raise TraceError(f"window end {t1!r} before start {t0!r}")
-        times, watts = self.times, self.watts
-        mask = (times >= t0) & (times <= t1)
-        return self._from_arrays(self.label, times[mask], watts[mask])
+        span = self.window_slice(t0, t1)
+        return self._from_arrays(self.label, self.times[span].copy(), self.watts[span].copy())
 
     def shifted(self, dt: float) -> "PowerTrace":
         """Copy with all timestamps shifted by ``dt`` (plot alignment)."""
@@ -378,6 +405,13 @@ class SeriesTrace:
     def _commit(self, count: int) -> None:
         """Publish ``count`` rows written after :meth:`_reserve`."""
         self._n += count
+
+    def trim(self) -> None:
+        """Release spare capacity (see :meth:`PowerTrace.trim`)."""
+        n = self._n
+        if self._t.size != n:
+            self._t = self._t[:n].copy()
+            self._cols = {c: buf[:n].copy() for c, buf in self._cols.items()}
 
     # ------------------------------------------------------------------
     @property

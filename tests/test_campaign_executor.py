@@ -624,6 +624,53 @@ class TestRunCacheCounters:
         assert counters["bytes_read"] > 0
 
 
+class TestRunCachePut:
+    def test_entry_is_prepared_once_and_recreated_after_deletion(
+        self, tmp_path, monkeypatch
+    ):
+        """N puts under one key make one entry mkdir and one meta check;
+        a put after the entry was deleted recreates it with its meta."""
+        import pathlib
+        import shutil
+
+        runner = _fast_runner()
+        settings = runner.settings
+        payload = RunCache._key_payload(SEED, _SCENARIO, settings, None, StabilizationRule())
+        key = RunCache._payload_digest(payload)
+        runs = [runner.run_once(_SCENARIO, index) for index in range(4)]
+        cache = RunCache(tmp_path)
+        entry = cache._entry_dir(key)
+        mkdirs, exists = [], []
+        real_mkdir, real_exists = pathlib.Path.mkdir, pathlib.Path.exists
+
+        def counting_mkdir(path, mode=0o777, parents=False, exist_ok=False):
+            if parents:  # not pathlib's own retry after making the parent
+                mkdirs.append(path)
+            return real_mkdir(path, mode, parents, exist_ok)
+
+        def counting_exists(path, *args, **kwargs):
+            exists.append(path)
+            return real_exists(path, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "mkdir", counting_mkdir)
+        monkeypatch.setattr(pathlib.Path, "exists", counting_exists)
+        for run in runs[:3]:
+            cache.put(key, run, key_payload=payload)
+        assert mkdirs.count(entry) == 1
+        assert exists.count(entry / "meta.json") == 1
+
+        shutil.rmtree(entry)
+        cache.put(key, runs[3], key_payload=payload)
+        assert mkdirs.count(entry) == 2
+        assert sorted(p.name for p in entry.iterdir()) == ["meta.json", "run-0003.pkl"]
+        monkeypatch.undo()
+        fresh = RunCache(tmp_path)
+        assert fresh._meta_ok(key)
+        served = fresh.get(key, _SCENARIO, 3)
+        assert served is not None
+        assert np.array_equal(served.source_trace.watts, runs[3].source_trace.watts)
+
+
 class TestRunWalls:
     def test_slow_run_reports_its_own_wall(self, monkeypatch):
         """Each run of a multi-run chunk is timed where it runs: a slowed

@@ -1,5 +1,7 @@
 """Experiment harness: catalog, design, runner protocol, results."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,29 @@ class TestRunOnce:
         assert src.cpu_vm_pct[transfer].max() > 50.0
         # ... and is absent from the target.
         assert tgt.cpu_vm_pct[transfer].max() == 0.0
+
+    def test_sample_slices_the_trace(self, live_cpu_run):
+        """A sample's times and power are read-only views of the run's
+        trace, equal to the inclusive [ms, me] mask."""
+        ms, me = live_cpu_run.timeline.ms, live_cpu_run.timeline.me
+        for role in (HostRole.SOURCE, HostRole.TARGET):
+            trace = live_cpu_run.trace_for(role)
+            sample = live_cpu_run.sample_for(role)
+            mask = (trace.times >= ms) & (trace.times <= me)
+            assert np.array_equal(sample.times, trace.times[mask])
+            assert np.array_equal(sample.power_w, trace.watts[mask])
+            assert np.shares_memory(sample.times, trace.times)
+            assert np.shares_memory(sample.power_w, trace.watts)
+            assert not sample.power_w.flags.writeable
+
+    def test_short_window_error_counts_readings(self, live_cpu_run):
+        ms, me = live_cpu_run.source_trace.times[[40, 42]].tolist()
+        short = dataclasses.replace(
+            live_cpu_run,
+            timeline=dataclasses.replace(live_cpu_run.timeline, ms=ms, ts=ms, te=ms, me=me),
+        )
+        with pytest.raises(ExperimentError, match="holds only 3 readings"):
+            short.sample_for(HostRole.SOURCE)
 
     def test_memload_dr_feature(self, live_mem_run):
         src = live_mem_run.sample_for(HostRole.SOURCE)

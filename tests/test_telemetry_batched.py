@@ -137,6 +137,55 @@ class TestGoldenCrossPath:
             RunnerSettings(telemetry="vectorised")
 
 
+def _capacities(trace) -> set:
+    """Buffer sizes of a trace's timestamps and of every value column."""
+    if hasattr(trace, "_cols"):
+        return {trace._t.size, *(buf.size for buf in trace._cols.values())}
+    return {trace._t.size, trace._w.size}
+
+
+class TestFinishedTraces:
+    """Stopped instruments keep exact-size traces, in both telemetry modes."""
+
+    @pytest.mark.parametrize("mode", ["events", "batched"])
+    def test_run_once_traces_are_exact_size(self, mode):
+        run = _runner(mode, 7).run_once(ARCHETYPES[3], 0)
+        for trace in (run.source_trace, run.target_trace, run.features):
+            assert _capacities(trace) == {len(trace)}, trace.label
+
+    @pytest.mark.parametrize("mode", ["events", "batched"])
+    def test_stopped_meter_restarts_and_records(self, mode):
+        from repro.experiments.testbed import Testbed
+        from repro.telemetry.dstat import DstatMonitor
+
+        bed = Testbed(seed=11, telemetry=mode)
+        meter = bed.source_meter
+        dstat = DstatMonitor(bed.sim, bed.source, batched=mode == "batched")
+        for instrument in (meter, dstat):
+            instrument.start()
+        bed.sim.run_for(40.0)
+        for instrument in (meter, dstat):
+            instrument.stop()
+        first = meter.trace.watts
+        assert (len(meter.trace), len(dstat.trace)) == (80, 40)
+        assert _capacities(meter.trace) == {80}
+        assert _capacities(dstat.trace) == {40}
+        bed.sim.run_for(5.0)  # stopped: nothing recorded
+        for instrument in (meter, dstat):
+            instrument.start()
+        bed.sim.run_for(10.0)
+        for instrument in (meter, dstat):
+            instrument.stop()
+        assert len(meter.trace) == 100 and len(dstat.trace) == 50
+        for trace in (meter.trace, dstat.trace):
+            assert _capacities(trace) == {len(trace)}
+            assert np.all(np.diff(trace.times) > 0)
+            assert trace.times[-1] <= 55.0
+        assert meter.trace.times[80] > 45.0 and dstat.trace.times[40] > 45.0
+        assert np.array_equal(meter.trace.watts[:80], first)
+        assert np.all(meter.trace.watts > 0)
+
+
 class TestRngDrawOrderEquivalence:
     """The numpy facts the batched meter relies on, pinned as tests."""
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TraceError
 from repro.telemetry import PowerTrace, SeriesTrace
@@ -78,6 +80,68 @@ class TestPowerTrace:
         _ = trace.times
         trace.append(2.0, 20.0)
         assert len(trace.times) == 2
+
+
+class TestTrim:
+    """A stopped instrument releases its traces' spare capacity."""
+
+    def test_power_trace_trim_keeps_exact_size_and_values(self):
+        trace = PowerTrace("t")
+        for i in range(70):  # 70 samples in a 128-slot block
+            trace.append(float(i), 100.0 + i)
+        before = trace.watts
+        assert trace._t.size > len(trace)
+        trace.trim()
+        assert trace._t.size == trace._w.size == len(trace) == 70
+        assert np.array_equal(trace.watts, before)
+        assert before[-1] == 169.0  # an earlier view stays valid
+
+    def test_append_after_trim_grows_again(self):
+        trace = PowerTrace("t")
+        trace.extend([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+        trace.trim()
+        trace.append(3.0, 4.0)
+        trace.extend([4.0, 5.0], [5.0, 6.0])
+        assert trace.times.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        assert trace.watts.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        with pytest.raises(TraceError):
+            trace.append(5.0, 7.0)
+
+    def test_series_trace_trims_every_column(self):
+        trace = SeriesTrace(["a", "b"])
+        for i in range(5):
+            trace.append(float(i), a=float(i), b=-float(i))
+        trace.trim()
+        assert trace._t.size == len(trace) == 5
+        assert {c: buf.size for c, buf in trace._cols.items()} == {"a": 5, "b": 5}
+        assert trace.column("b").tolist() == [0.0, -1.0, -2.0, -3.0, -4.0]
+        trace.append(5.0, a=5.0, b=-5.0)
+        assert trace.column("a").tolist() == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+_TIMES = st.lists(
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+    max_size=40, unique=True,
+).map(sorted)
+
+
+class TestWindowSlice:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), times=_TIMES)
+    def test_slice_equals_the_inclusive_mask(self, data, times):
+        """Bounds on sample instants, between them, before the first and
+        after the last sample all select what the boolean mask selects."""
+        bound = st.floats(min_value=-2e3, max_value=2e3, allow_nan=False)
+        if times:
+            bound = st.one_of(bound, st.sampled_from(times))
+        ms, me = sorted((data.draw(bound), data.draw(bound)))
+        trace = PowerTrace("t")
+        trace.extend(times, np.arange(len(times), dtype=float))
+        span = trace.window_slice(ms, me)
+        arr = np.asarray(times, dtype=float)
+        expected = arr[(arr >= ms) & (arr <= me)]
+        assert np.array_equal(trace.times[span], expected)
+        assert np.array_equal(trace.watts[span], np.flatnonzero((arr >= ms) & (arr <= me)))
 
 
 class TestSeriesTrace:
