@@ -19,7 +19,6 @@ reproducible and runs are statistically independent.
 
 from __future__ import annotations
 
-import bisect
 import math
 import pathlib
 from dataclasses import dataclass
@@ -190,12 +189,14 @@ class ScenarioRunner:
         that many seconds, ``("stabilise", budget_s)`` marks a
         stabilisation wait and ``("migration", job)`` the wait for the
         migration.  :meth:`run_once`, the only driver, delegates the
-        waits to :meth:`_run_until_stable` (the look-ahead loop), which
-        takes the same samples and detects stabilisation at the same
-        check as a single-check walk of the grid would
+        waits to :meth:`_run_until_stable`, a look-ahead loop that runs
+        the simulator once per check it cannot skip, and takes the same
+        samples and detects stabilisation at the same check as a
+        single-check walk of the grid would
         (``tests/test_telemetry_batched.py`` pins the equivalence), and
         to :meth:`_run_until_finished`, which ends at the check-grid
-        instant a poll of ``job.finished`` would.
+        instant a poll of ``job.finished`` would
+        (``tests/test_protocol_waits.py``).
         """
         cfg = self.settings
         run_seed = bed.seed
@@ -389,23 +390,10 @@ class ScenarioRunner:
         a meter that still needs ``k`` more in-tolerance readings cannot
         possibly satisfy the rule at a check reached before ``k`` new
         samples exist, so such checks are provably false and are elided
-        by advancing several intervals at once.  The elision changes
-        neither the samples taken nor the check at which stabilisation is
-        first detected (only no-op checks are skipped), and it is
-        evaluated identically under both telemetry modes.
-
-        With batched telemetry and nothing that could change state before
-        the furthest check the wait can reach (no pending event), the
-        loop does not run the simulator per check: the meters read ahead
-        (:meth:`PowerMeter.read_ahead
-        <repro.telemetry.powermeter.PowerMeter.read_ahead>`), the checks
-        are replayed on copies of their trackers, and one run advances
-        the clock to the check where the wait ends — to the same float a
-        run per check reaches, with the same samples.  The read-ahead
-        grows in chunks: first to the first check the trackers' deficit
-        allows, then to the later check or twice the span read so far,
-        whichever is further.  A wait that ends early has read its first
-        chunk or at most twice the span it waited, not its whole budget.
+        by advancing several intervals in one ``run_for``.  The elision
+        changes neither the samples taken nor the check at which
+        stabilisation is first detected (only no-op checks are skipped),
+        and it is evaluated identically under both telemetry modes.
         """
         sim = bed.sim
         spent = 0.0
@@ -414,20 +402,7 @@ class ScenarioRunner:
         meters = (bed.source_meter, bed.target_meter)
         period = min(meter.period_s for meter in meters)
         trackers = [meter.tracker(rule) for meter in meters]
-        t = start = sim.now
-        # The furthest check: steps never sum beyond the initial max_steps.
-        horizon = t + check * max(1, math.ceil(budget_s / check))
-        ahead = None
-        next_event = sim.peek()
-        if (
-            bed.telemetry == "batched"
-            and all(meter.running for meter in meters)
-            and (next_event is None or next_event > horizon)
-        ):
-            ahead = []
-            until = t
-            trackers = [tracker.copy() for tracker in trackers]
-            fed = [0] * len(meters)
+        start = sim.now
         stable = False
         while spent < budget_s:
             if all(tracker.stable for tracker in trackers):
@@ -445,43 +420,14 @@ class ScenarioRunner:
                 and math.floor(steps * check / period) + 1 < deficit
             ):
                 steps += 1
-            if ahead is not None:
-                t_next = t + check * steps
-                if t_next <= horizon:
-                    if t_next > until:
-                        until = min(horizon, max(t_next, start + 2 * (until - start)))
-                        ahead = [meter.read_ahead(until) for meter in meters]
-                    for i, (times, readings) in enumerate(ahead):
-                        j = bisect.bisect_right(times, t_next, fed[i])
-                        trackers[i].observe_block(readings[fed[i]:j])
-                        fed[i] = j
-                    t = t_next
-                    spent += check * steps
-                    continue
-                # Float rounding carried the check past the read-ahead.
-                self._advance_read_ahead(sim, meters, t)
-                ahead = None
-                trackers = [meter.tracker(rule) for meter in meters]
             sim.run_for(check * steps)
             spent += check * steps
-        if ahead is not None:
-            self._advance_read_ahead(sim, meters, t)
         # Budget exhausted: proceed — matching lab practice where a run is
         # not discarded for residual ripple, just measured longer.
         tally = self.stabilisation_waits.setdefault(budget_s, [0, 0, 0.0])
         tally[0] += 1
         tally[1] += stable
         tally[2] += sim.now - start
-
-    @staticmethod
-    def _advance_read_ahead(sim, meters, t: float) -> None:
-        """Run to ``t``, serving the meters' blocks from their read-ahead."""
-        try:
-            if t > sim.now:
-                sim.run(until=t)
-        finally:
-            for meter in meters:
-                meter.end_read_ahead()
 
     # ------------------------------------------------------------------
     def run_scenario(

@@ -66,7 +66,6 @@ class FeatureRecorder:
             sim,
             period_s,
             self._sample,
-            batched=batched,
             batch_callback=self._sample_block if batched else None,
         )
 

@@ -71,11 +71,6 @@ class Simulator:
         """Number of events fired so far."""
         return self._processed
 
-    def peek(self) -> Optional[float]:
-        """Time of the next pending event, or ``None`` if the heap is empty."""
-        self._drop_cancelled_head()
-        return self._heap[0].time if self._heap else None
-
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------

@@ -10,9 +10,8 @@ owners' version counters move).  The noise comes from the owner's
 process, which hash each tick once for every reader of the owner.
 
 Each kernel is a plain scalar loop.  On the paper campaign a block holds
-20.1 samples on average and at most 240 (a post-migration stabilisation
-wait that runs out its 120 s budget, which the runner advances in one
-engine call).
+12.9 samples on average and at most 132 (an engine run across a non-live
+migration's transfer).
 
 **Bit-identity discipline.** Every read equals the event-mode read at the
 same instant bit for bit (the cross-path golden tests assert byte-identical

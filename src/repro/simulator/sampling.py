@@ -7,11 +7,12 @@ wall power at 2 Hz, and ``dstat`` reads CPU/memory/network once per second.
 * **event mode** (default) — the sampler re-schedules a heap event every
   ``period`` seconds and invokes a user callback with the current
   simulated time; one event dispatch per sample.
-* **batched mode** — the sampler registers as an *interval hook* on the
-  simulator (:meth:`repro.simulator.engine.Simulator.add_interval_hook`)
-  and, whenever the clock advances across an event-free interval,
-  computes **all** of its tick timestamps in that interval analytically
-  and delivers them in one block.  Because simulation state is
+* **batched mode** (a ``batch_callback`` is given) — the sampler
+  registers as an *interval hook* on the simulator
+  (:meth:`repro.simulator.engine.Simulator.add_interval_hook`) and,
+  whenever the clock advances across an event-free interval, computes
+  **all** of its tick timestamps in that interval analytically and
+  delivers them in one block.  Because simulation state is
   piecewise constant between events, the block observes exactly what the
   per-tick events would have — the tick grid (and therefore every
   timestamp, bit for bit) is the same ``anchor + phase + k * period``
@@ -46,12 +47,10 @@ class PeriodicSampler:
     phase:
         Offset of the first sample relative to :meth:`start` time.  Defaults
         to one full period (first sample after one interval).
-    batched:
-        Select the interval-hook fast path instead of per-tick heap events.
     batch_callback:
-        Called with the list of tick timestamps (ascending floats) per
-        interval in batched mode.  When omitted, batched mode falls back
-        to invoking ``callback`` per tick (still avoiding the event heap).
+        Selects batched mode: called with the list of tick timestamps
+        (ascending floats) of each event-free interval instead of
+        ``callback`` per tick from heap events.
 
     Notes
     -----
@@ -68,7 +67,6 @@ class PeriodicSampler:
         period: float,
         callback: Callable[[float], Any],
         phase: Optional[float] = None,
-        batched: bool = False,
         batch_callback: Optional[Callable[[list[float]], Any]] = None,
     ) -> None:
         if period <= 0:
@@ -80,7 +78,6 @@ class PeriodicSampler:
         self._phase = self._period if phase is None else float(phase)
         self._callback = callback
         self._batch_callback = batch_callback
-        self._batched = bool(batched)
         self._anchor: Optional[float] = None
         self._tick_index = 0
         self._event: Optional[Event] = None
@@ -92,7 +89,7 @@ class PeriodicSampler:
     @property
     def running(self) -> bool:
         """Whether the sampler currently has a tick scheduled."""
-        if self._batched:
+        if self._batch_callback is not None:
             return self._active
         return self._event is not None and self._event.pending
 
@@ -115,7 +112,7 @@ class PeriodicSampler:
             return
         self._anchor = self._sim.now
         self._tick_index = 0
-        if self._batched:
+        if self._batch_callback is not None:
             self._active = True
             self._sim.add_interval_hook(self)
         else:
@@ -123,7 +120,7 @@ class PeriodicSampler:
 
     def stop(self) -> None:
         """Stop sampling; a pending tick is dropped."""
-        if self._batched:
+        if self._batch_callback is not None:
             if self._active:
                 self._active = False
                 self._sim.remove_interval_hook(self)
@@ -152,27 +149,6 @@ class PeriodicSampler:
     # ------------------------------------------------------------------
     # Batched mode (simulator interval hook)
     # ------------------------------------------------------------------
-    def pending_ticks(self, t1: float, offset: int = 0) -> list[float]:
-        """Timestamps of the ticks ``<= t1`` not yet delivered (none consumed).
-
-        The same float64 expression and ``<= t1`` rule as
-        :meth:`advance_to`, so a reader can compute now the block a later
-        :meth:`advance_to` will deliver.  ``offset`` skips that many
-        undelivered ticks, for a reader extending a block it already
-        holds.
-        """
-        assert self._anchor is not None
-        base = self._anchor + self._phase
-        period = self._period
-        k = self._tick_index + offset
-        ticks = []
-        next_time = base + k * period
-        while next_time <= t1:
-            ticks.append(next_time)
-            k += 1
-            next_time = base + k * period
-        return ticks
-
     def advance_to(self, t1: float) -> None:
         """Generate every tick with timestamp ``<= t1`` not yet delivered.
 
@@ -182,13 +158,16 @@ class PeriodicSampler:
         comparison mirrors the engine's ``heap[0].time > until`` stop
         rule, so both modes fire exactly the same ticks.
         """
-        ticks = self.pending_ticks(t1)
+        base = self._anchor + self._phase
+        period = self._period
+        k = self._tick_index
+        ticks = []
+        next_time = base + k * period
+        while next_time <= t1:
+            ticks.append(next_time)
+            k += 1
+            next_time = base + k * period
         if not ticks:
             return  # no tick in this interval
-        self._tick_index += len(ticks)
-        if self._batch_callback is not None:
-            self._batch_callback(ticks)
-        else:
-            callback = self._callback
-            for t in ticks:
-                callback(t)
+        self._tick_index = k
+        self._batch_callback(ticks)

@@ -54,7 +54,6 @@ class DstatMonitor:
             sim,
             period_s,
             self._sample,
-            batched=batched,
             batch_callback=self._sample_block if batched else None,
         )
 

@@ -24,17 +24,8 @@ Two sampling modes share one semantics (``batched=`` selects):
   (numpy consumes the *same stream in the same order* as per-sample
   scalar draws), and bulk-appends to the trace.
 
-Both modes produce bit-identical traces; the batched mode additionally
-feeds incremental stabilisation trackers so :meth:`PowerMeter.stabilised`
-is O(1) per check (event mode gets the same trackers).
-
-A batched meter can also read ahead (:meth:`PowerMeter.read_ahead`): the
-runner's stabilisation wait asks for a quiet window's readings in growing
-chunks, replays its checks on them, and then advances the clock once,
-with the meter serving that block from the buffer.  Ground truth is a
-pure function of the host's state and its noise streams, so computing it
-early is safe while nothing changes that state; only the generator
-needs putting back.
+Both modes produce bit-identical traces and feed the same incremental
+stabilisation trackers, so :meth:`PowerMeter.stabilised` is O(1) per check.
 """
 
 from __future__ import annotations
@@ -97,17 +88,10 @@ class PowerMeter:
         self._quantisation = float(quantisation_w)
         self.trace = PowerTrace(label=f"power:{host.name}")
         self._trackers: dict[StabilizationRule, StabilizationTracker] = {}
-        # Read-ahead buffer (see read_ahead): tick times and readings, how
-        # many ticks were delivered, and the generator state after the
-        # buffered readings' draws.
-        self._ahead: tuple[list[float], list[float]] | None = None
-        self._ahead_pos = 0
-        self._ahead_state: dict | None = None
         self._sampler = PeriodicSampler(
             sim,
             period_s,
             self._sample,
-            batched=batched,
             batch_callback=self._sample_block if batched else None,
         )
 
@@ -148,8 +132,8 @@ class PowerMeter:
         for tracker in self._trackers.values():
             tracker.observe(reading)
 
-    def _readings(self, true_power: list[float]) -> list[float]:
-        """Noisy, quantised readings of a block of ground truth.
+    def _sample_block(self, times: list[float]) -> None:
+        """One event-free interval's worth of readings, batched.
 
         Mirrors :meth:`_sample` per element.  The draws come from one
         ``standard_normal`` block scaled per sample:
@@ -161,9 +145,10 @@ class PowerMeter:
         zero, so that only happens with ``accuracy=0``, where no sample
         draws.
         """
+        n = len(times)
+        true_power = self.host.instantaneous_power_values(times)
         acc3 = self._accuracy / 3.0
         quantisation = self._quantisation
-        n = len(true_power)
         draws = self._rng.standard_normal(n).tolist() if acc3 else [0.0] * n
         readings = []
         for tp, z in zip(true_power, draws):
@@ -171,75 +156,12 @@ class PowerMeter:
             if quantisation > 0:
                 reading = round(reading / quantisation) * quantisation
             readings.append(max(reading, 0.0))
-        return readings
-
-    def _sample_block(self, times: list[float]) -> None:
-        """One event-free interval's worth of readings, batched.
-
-        A block inside the read-ahead buffer is served from it: the
-        buffered readings and the same noise draws again, so the
-        generator moves exactly as computing the block would move it.
-        """
-        n = len(times)
-        ahead = self._ahead
-        pos = self._ahead_pos
-        if ahead is not None and pos + n <= len(ahead[0]) and ahead[0][pos] == times[0]:
-            end = pos + n
-            readings = ahead[1][pos:end]
-            if self._accuracy / 3.0:  # the draw condition of _readings
-                self._rng.standard_normal(n)
-            self._ahead_pos = end
-        else:
-            readings = self._readings(self.host.instantaneous_power_values(times))
         buf_t, buf_w, start = self.trace._reserve(n, times[0])
         buf_t[start:start + n] = times
         buf_w[start:start + n] = readings
         self.trace._commit(n)
         for tracker in self._trackers.values():
             tracker.observe_block(readings)
-
-    # ------------------------------------------------------------------
-    def read_ahead(self, until: float) -> tuple[list[float], list[float]]:
-        """The readings this meter will take over ``(now, until]``.
-
-        Valid only if nothing changes simulation state before ``until``
-        (no pending event), and only for a batched, running meter.
-        Computing them leaves no trace a later read could
-        see: ground-truth power reads are pure, and the generator is
-        rewound.  The block is
-        buffered, and the samples the simulator then delivers inside it
-        are served from the buffer until :meth:`end_read_ahead`.
-
-        A later call with a larger ``until`` extends the buffer in place:
-        only the new ticks are computed, and their noise continues the
-        stream from the draws already buffered.
-
-        Returns
-        -------
-        tuple[list[float], list[float]]
-            Tick times and readings of the whole buffer, ascending (its
-            own lists, which a later call extends).
-        """
-        if self._ahead is None:
-            self._ahead = ([], [])
-            self._ahead_pos = 0
-            self._ahead_state = self._rng.bit_generator.state
-        times, readings = self._ahead
-        new = self._sampler.pending_ticks(until, len(times) - self._ahead_pos)
-        if new:
-            power = self.host.instantaneous_power_values(new)
-            state = self._rng.bit_generator.state
-            self._rng.bit_generator.state = self._ahead_state
-            readings += self._readings(power)
-            self._ahead_state = self._rng.bit_generator.state
-            self._rng.bit_generator.state = state
-            times += new
-        return times, readings
-
-    def end_read_ahead(self) -> None:
-        """Drop the read-ahead buffer; later blocks are computed again."""
-        self._ahead = None
-        self._ahead_pos = 0
 
     # ------------------------------------------------------------------
     def stabilised(self, rule: StabilizationRule = StabilizationRule()) -> bool:

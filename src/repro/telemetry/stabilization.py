@@ -120,12 +120,6 @@ class StabilizationTracker:
         tracker._streak = streak
         return tracker
 
-    def copy(self) -> "StabilizationTracker":
-        """An independent tracker in the same state."""
-        twin = StabilizationTracker(self.rule)
-        twin._count, twin._last, twin._streak = self._count, self._last, self._streak
-        return twin
-
     def observe(self, watts: float) -> None:
         """Feed one new reading (O(1))."""
         watts = float(watts)

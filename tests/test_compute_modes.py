@@ -226,7 +226,7 @@ class TestSamplerTickGrid:
     def _batched_ticks(self, base, k0, period, t1):
         blocks = []
         sampler = PeriodicSampler(
-            Simulator(), period, lambda t: None, phase=base, batched=True,
+            Simulator(), period, lambda t: None, phase=base,
             batch_callback=blocks.append,
         )
         sampler.start()

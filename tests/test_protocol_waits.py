@@ -1,12 +1,14 @@
-"""The measurement protocol's three waits, against per-check reference walks.
+"""The measurement protocol's three waits, against reference walks.
 
 A run waits three times (Section V-B): for power to stabilise before the
 migration, for the migration to finish, and for power to stabilise after
-it.  The runner drives each wait as few engine calls: the migration wait
-stops on the job's completion, and a stabilisation wait with nothing
-pending reads the meters ahead and replays its checks.  These tests pin
-that every wait ends at the same clock value, with the same samples and
-the same leftover state, as a walk that runs the simulator once per check.
+it.  A stabilisation wait is the look-ahead loop: one engine run per
+check it cannot prove false.  The migration wait makes two engine runs,
+the first stopped by the job's completion.  These tests pin that every
+wait ends at the same clock value, with the same samples and the same
+leftover state, as a reference walk (:func:`reference_stabilisation_wait`
+and :func:`reference_migration_wait`), and that no meter reading is
+computed that the meters do not record.
 """
 
 import math
@@ -20,7 +22,7 @@ from repro.errors import ExperimentError
 from repro.experiments.design import MigrationScenario, all_scenarios
 from repro.experiments.runner import RunnerSettings, ScenarioRunner
 from repro.simulator.engine import Simulator
-from repro.telemetry.powermeter import PowerMeter
+from repro.simulator.kernels import HostKernel
 from repro.telemetry.stabilization import StabilizationRule
 
 LIVE = MigrationScenario("CPULOAD-SOURCE", "waits/lv/1vm", live=True, load_vm_count=1)
@@ -31,8 +33,8 @@ MEMLOAD = MigrationScenario("MEMLOAD-VM", "waits/lv/dr55", live=True, dirty_perc
 def reference_stabilisation_wait(runner):
     """The stabilisation wait as one engine run per check it makes.
 
-    The look-ahead loop (its step choices fix the clock's float value)
-    with no read-ahead: the simulator runs to every check.
+    The look-ahead loop (its step choices fix the clock's float value),
+    asking the meters afresh at every check.
     """
     def wait(bed, budget_s):
         spent = 0.0
@@ -156,13 +158,13 @@ class TestStabilisationWait:
         _assert_same_run(ref_run, run)
 
     def test_early_stabilisation_then_state_change_matches_reference(self):
-        """A wait ending early leaves nothing of the window it read ahead.
+        """A wait ending early leaves nothing of the window it did not reach.
 
         The rule holds a few checks into a 90 s budget; a transient that
         expires inside the rest of that window is still active when the
-        migration starts.  Publishing read-ahead CPU reads, pruning that
-        transient or leaving the meters' generators advanced would each
-        change the state after the wait or the samples after it.
+        migration starts.  Pruning that transient or advancing the meters'
+        generators past the last check would each change the state after
+        the wait or the samples after it.
         """
         runner = ScenarioRunner(
             seed=3,
@@ -200,13 +202,8 @@ class TestStabilisationWait:
         _assert_same_state(ref, got)
         _assert_same_run(ref_run, run)
 
-
-    def test_rounding_past_the_read_ahead_falls_back(self, monkeypatch):
-        """Three 0.3 s checks sum to 0.8999… < 0.9: a fourth check follows.
-
-        It lies past the read-ahead window (0.3 × 3), so the wait runs to
-        the checks replayed so far and continues one run per check.
-        """
+    def test_rounding_past_the_budget_adds_a_check(self):
+        """Three 0.3 s checks sum to 0.8999… < 0.9: a fourth check follows."""
         runner = ScenarioRunner(
             seed=3,
             settings=RunnerSettings(
@@ -215,20 +212,7 @@ class TestStabilisationWait:
         )
         ref, start, ref_run = _drive(runner, LIVE, reference_stabilisation_wait(runner))
         assert ref["now"] - start > runner.settings.max_warmup_s
-        polls = []
-        run_for = Simulator.run_for
-
-        def counting_run_for(self, *args, **kwargs):
-            polls.append(args)
-            return run_for(self, *args, **kwargs)
-
-        def wait(bed, budget_s):
-            monkeypatch.setattr(Simulator, "run_for", counting_run_for)
-            runner._run_until_stable(bed, budget_s)
-            monkeypatch.undo()
-
-        got, _, run = _drive(runner, LIVE, wait)
-        assert len(polls) == 1
+        got, _, run = _drive(runner, LIVE, runner._run_until_stable)
         _assert_same_state(ref, got)
         _assert_same_run(ref_run, run)
 
@@ -244,7 +228,7 @@ class TestStabilisationWait:
     @example(seed=3, n_readings=20, rel_tolerance=0.1, min_warmup_s=0.5,
              max_warmup_s=90.0, check_interval_s=2.5)  # ends at once
     @example(seed=10, n_readings=20, rel_tolerance=0.003, min_warmup_s=12.0,
-             max_warmup_s=90.0, check_interval_s=2.5)  # ends after four chunks
+             max_warmup_s=90.0, check_interval_s=2.5)  # ends by the rule after look-ahead steps
     @example(seed=7, n_readings=20, rel_tolerance=1e-4, min_warmup_s=12.0,
              max_warmup_s=90.0, check_interval_s=2.5)  # runs out its budget
     def test_chunked_wait_matches_reference(
@@ -263,42 +247,6 @@ class TestStabilisationWait:
         got, _, run = _drive(runner, LIVE, runner._run_until_stable)
         _assert_same_state(ref, got)
         _assert_same_run(ref_run, run)
-
-    @pytest.mark.parametrize("seed", [8, 10])
-    def test_early_end_reads_ahead_within_the_doubling_bound(self, seed, monkeypatch):
-        """A wait that ends early reads ahead at most twice what it waited.
-
-        The first chunk reaches the first possible check; each later one
-        adds at most the span already read, all of which the replayed
-        checks have consumed.  So the ticks read stay within the first
-        chunk or twice the ticks the wait consumed (plus one for the tick
-        grid's phase), and short of the whole budget window.
-        """
-        runner = ScenarioRunner(seed=seed)
-        meters, reads, consumed, window = [], [], [], []
-        read_ahead = PowerMeter.read_ahead
-
-        def counting_read_ahead(meter, until):
-            times, readings = read_ahead(meter, until)
-            if meter is meters[0]:
-                reads.append(len(times))
-            return times, readings
-
-        def wait(bed, budget_s):
-            meter = bed.source_meter
-            meters.append(meter)
-            window.append(len(meter._sampler.pending_ticks(bed.sim.now + budget_s)))
-            before = len(meter.trace)
-            monkeypatch.setattr(PowerMeter, "read_ahead", counting_read_ahead)
-            runner._run_until_stable(bed, budget_s)
-            monkeypatch.undo()
-            consumed.append(len(meter.trace) - before)
-
-        got, start, _ = _drive(runner, LIVE, wait)
-        assert got["now"] - start < runner.settings.max_warmup_s  # ended by the rule
-        assert len(reads) >= 2
-        assert reads[-1] <= max(reads[0], 2 * consumed[0] + 1)
-        assert reads[-1] < window[0]
 
 
 class TestMigrationWait:
@@ -331,11 +279,8 @@ class TestMigrationWait:
 
 
 class TestEngineCalls:
-    def test_paper_run_makes_one_engine_run_per_wait(self, monkeypatch):
-        """Two fixed waits, two migration runs, and one run per
-        stabilisation wait that advances the clock: a wait whose rule
-        already holds at its first check runs nothing (the first
-        scenario's warm-up wait at seed 7)."""
+    def test_migration_wait_makes_two_engine_runs(self, monkeypatch):
+        """One run stopped by the job's completion, one to the grid instant."""
         calls = []
         run = Simulator.run
 
@@ -344,25 +289,39 @@ class TestEngineCalls:
             return run(self, *args, **kwargs)
 
         runner = ScenarioRunner(seed=7)
-        advancing = []
-        run_until_stable = runner._run_until_stable
+        per_wait = []
+        run_until_finished = runner._run_until_finished
 
-        def wait(bed, budget_s):
-            start = bed.sim.now
-            run_until_stable(bed, budget_s)
-            advancing.append(bed.sim.now > start)
-
-        runner._run_until_stable = wait
-        monkeypatch.setattr(Simulator, "run", counting_run)
-        counts = []
-        for scenario in all_scenarios("m")[:2]:
+        def wait(bed, job):
             calls.clear()
-            advancing.clear()
+            monkeypatch.setattr(Simulator, "run", counting_run)
+            run_until_finished(bed, job)
+            monkeypatch.undo()
+            per_wait.append(len(calls))
+
+        runner._run_until_finished = wait
+        for scenario in all_scenarios("m")[:2]:
             runner.run_once(scenario, 0)
-            assert len(advancing) == 2
-            assert len(calls) == 4 + sum(advancing)
-            counts.append(len(calls))
-        assert counts == [5, 6]
+        assert per_wait == [2, 2]
+
+    def test_every_computed_reading_is_recorded(self, monkeypatch):
+        """The meters' ground-truth reads are exactly the samples they keep.
+
+        A paper run's testbed runs only the two meters, so every tick
+        :meth:`HostKernel.power_block` computes is a meter sample; a
+        reading computed past the last check and then discarded would
+        make the count larger.
+        """
+        ticks = []
+        power_block = HostKernel.power_block
+
+        def counting_power_block(self, times):
+            ticks.append(len(times))
+            return power_block(self, times)
+
+        monkeypatch.setattr(HostKernel, "power_block", counting_power_block)
+        run = ScenarioRunner(seed=7).run_once(all_scenarios("m")[0], 0)
+        assert sum(ticks) == len(run.source_trace) + len(run.target_trace)
 
     def test_testbed_runs_only_the_meters(self):
         runner = ScenarioRunner(seed=7)

@@ -129,13 +129,6 @@ class TestCancellation:
         event.cancel()
         assert sim.pending_events == 1
 
-    def test_peek_skips_cancelled(self):
-        sim = Simulator()
-        first = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        first.cancel()
-        assert sim.peek() == 2.0
-
 
 class TestGuards:
     def test_event_budget(self):

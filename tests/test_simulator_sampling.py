@@ -80,7 +80,10 @@ class TestPeriodicSampler:
         taken = {}
         for batched in (False, True):
             sim = Simulator()
-            sampler = PeriodicSampler(sim, 0.7, lambda t: None, batched=batched)
+            sampler = PeriodicSampler(
+                sim, 0.7, lambda t: None,
+                batch_callback=(lambda ts: None) if batched else None,
+            )
             sampler.start()
             sim.schedule(3.3, lambda: None)  # a state-free event mid-way
             for _ in range(4):
@@ -100,7 +103,9 @@ class TestPeriodicSampler:
                 if t < 8.0:
                     sim.schedule(2.0, chain, t + 2.0)
 
-            sampler = PeriodicSampler(sim, 0.5, ticks.append, batched=batched)
+            sampler = PeriodicSampler(
+                sim, 0.5, ticks.append, batch_callback=ticks.extend if batched else None
+            )
             sampler.start()
             sim.schedule(2.25, chain, 2.25)
             sim.run_for(10.0)

@@ -281,7 +281,8 @@ class TestBatchedSampler:
             sim = Simulator()
             ticks = []
             sampler = PeriodicSampler(
-                sim, period, ticks.append, phase=phase, batched=batched
+                sim, period, ticks.append, phase=phase,
+                batch_callback=ticks.extend if batched else None,
             )
             sampler.start()
             # a state-changing event mid-way plus run_for boundaries
@@ -296,7 +297,7 @@ class TestBatchedSampler:
     def test_tick_exactly_at_until_fires(self):
         sim = Simulator()
         ticks = []
-        sampler = PeriodicSampler(sim, 0.5, ticks.append, batched=True)
+        sampler = PeriodicSampler(sim, 0.5, ticks.append, batch_callback=ticks.extend)
         sampler.start()
         sim.run_for(1.0)  # boundary lands exactly on the second tick
         assert ticks == [0.5, 1.0]
@@ -304,7 +305,7 @@ class TestBatchedSampler:
     def test_stop_deregisters_hook(self):
         sim = Simulator()
         ticks = []
-        sampler = PeriodicSampler(sim, 0.5, ticks.append, batched=True)
+        sampler = PeriodicSampler(sim, 0.5, ticks.append, batch_callback=ticks.extend)
         sampler.start()
         sim.run_for(1.0)
         sampler.stop()
@@ -316,7 +317,7 @@ class TestBatchedSampler:
         sim = Simulator()
         blocks = []
         sampler = PeriodicSampler(
-            sim, 0.5, lambda t: None, batched=True,
+            sim, 0.5, lambda t: None,
             batch_callback=lambda ts: blocks.append(ts.copy()),
         )
         sampler.start()
